@@ -39,8 +39,8 @@ SPAN_TOL = 1e-10
 def _ladders(f: int, n_pad: int) -> tuple[list[np.ndarray], list[np.ndarray], object]:
     """Ladder matrices on an ``at_most(n_pad)`` basis; returns (a, adag, basis)."""
     basis = enumerate_basis(f, at_most(n_pad))
-    a = [annihilation(f, j, basis).matrix for j in range(1, f + 1)]
-    ad = [creation(f, j, basis).matrix for j in range(1, f + 1)]
+    a = [annihilation(f, j, basis) for j in range(1, f + 1)]
+    ad = [creation(f, j, basis) for j in range(1, f + 1)]
     return a, ad, basis
 
 
@@ -54,15 +54,9 @@ def _restrict_upto(m: np.ndarray, basis, n_max: int) -> np.ndarray:
     return m[:stop, :stop]
 
 
-def _span_residual(target: np.ndarray, generators: list[np.ndarray]) -> float:
-    """Least-squares distance from ``target`` to the span of ``generators``."""
-    cols = np.column_stack([g.ravel() for g in generators])
-    rhs = target.ravel()
-    coeff, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-    return float(np.linalg.norm(cols @ coeff - rhs))
-
-
 def _span_coefficients(target: np.ndarray, generators: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Least-squares expansion of ``target`` in ``generators`` and the
+    distance from ``target`` to their span."""
     cols = np.column_stack([g.ravel() for g in generators])
     rhs = target.ravel()
     coeff, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
@@ -188,15 +182,13 @@ def verify_translation_f3() -> list[Check]:
     is not conjugate to a 3-cycle under any site relabeling.
     """
     f, n = 3, 1
-    basis = enumerate_basis(f, at_most(n + 2))
-    a = [annihilation(f, j, basis).matrix for j in range(1, f + 1)]
-    ad = [creation(f, j, basis).matrix for j in range(1, f + 1)]
+    a, ad, basis = _ladders(f, n + 2)
     idx = basis.sector_indices(n)
     bilinear = _restrict(ad[2] @ a[0] + ad[0] @ a[2] + ad[1] @ a[1], idx)
 
     v1 = enumerate_basis(f, exactly(1))
-    t_matrix = build_translation(f, v1).matrix
-    h_bh = build_h_bh(f, 3.0, v1).matrix
+    t_matrix = build_translation(f, v1)
+    h_bh = build_h_bh(f, 3.0, v1)
 
     checks = []
     r = float(np.max(np.abs(bilinear @ h_bh - h_bh @ bilinear)))
@@ -269,14 +261,14 @@ def verify_osp_structure(f: int, headroom: int = 2) -> list[Check]:
 
     worst = 0.0
     for (_, x), (_, y) in itertools.combinations_with_replacement(odd, 2):
-        worst = max(worst, _span_residual(cut(x @ y + y @ x), even_span))
+        worst = max(worst, _span_coefficients(cut(x @ y + y @ x), even_span)[1])
     checks.append(check("odd x odd anticommutators close in even span + identity",
                         worst < SPAN_TOL, residual=worst, f=f))
 
     worst = 0.0
     for _, e in even:
         for _, o in odd:
-            worst = max(worst, _span_residual(cut(e @ o - o @ e), odd_span))
+            worst = max(worst, _span_coefficients(cut(e @ o - o @ e), odd_span)[1])
     checks.append(check("even x odd commutators close in odd span",
                         worst < SPAN_TOL, residual=worst, f=f))
     return checks
@@ -299,8 +291,6 @@ def verify_canonical_relations(f: int, headroom: int = 2) -> list[Check]:
                 cut(a[i] @ ad[j] - ad[j] @ a[i]) - delta))))
             worst_comm = max(worst_comm, float(np.max(np.abs(
                 cut(a[i] @ a[j] - a[j] @ a[i])))))
-    number = sum(ad[j] @ a[j] for j in range(f))
-    shifted = cut(2 * number) + np.eye(dim) if f == 1 else None
     checks = [
         check("[a_i, a_j+] = delta_ij on padded interior", worst_ccr < SPAN_TOL,
               residual=worst_ccr, f=f),
@@ -308,6 +298,7 @@ def verify_canonical_relations(f: int, headroom: int = 2) -> list[Check]:
               residual=worst_comm, f=f),
     ]
     if f == 1:
+        shifted = cut(2 * (ad[0] @ a[0])) + np.eye(dim)
         r = float(np.max(np.abs(cut(a[0] @ ad[0] + ad[0] @ a[0]) - shifted)))
         checks.append(check("{a, a+} = 2N + 1 on padded interior", r < SPAN_TOL,
                             residual=r, f=f))

@@ -19,16 +19,18 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .reference import REFERENCE_GAMMA, REFERENCE_TABLES, TABLE_TOL
+from .reference import REFERENCE_GAMMA, TABLE_TOL
 from .report import as_records, failures
 from .spectra import quanta_tag, solve_spectrum, sweep
-from .suites import SUITES, run_suites
+from .suites import SUITES, run_suites, table_comparisons
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
+MAX_GRID_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,20 +50,30 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"coupling {text!r} is not a finite number")
+    return value
+
+
 def _parse_lambda(text: str) -> list[float]:
-    """Either a single value or an inclusive ``start:stop:step`` grid."""
+    """Either a single value or an inclusive ``start:stop:step`` grid of at
+    most ``MAX_GRID_POINTS`` points."""
     if ":" not in text:
-        return [float(text)]
+        return [_finite(text)]
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid syntax is start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_finite(p) for p in parts)
     if step <= 0:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must be >= start")
-    count = int(np.floor((stop - start) / step + 1e-12)) + 1
-    return [start + i * step for i in range(count)]
+    span = np.floor((stop - start) / step + 1e-12)
+    if not span < MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 @dataclass
@@ -155,19 +167,15 @@ def cmd_figure2(args) -> int:
 def cmd_tables(args) -> int:
     worst_overall = 0.0
     lines = []
-    for table in REFERENCE_TABLES:
+    for table, rows in groupby(table_comparisons(), key=lambda row: row[0]):
         lines.append(f"# {table.name} (gamma = {REFERENCE_GAMMA:g})")
         lines.append("lambda | computed (reference) ... | max|dev|")
         table_worst = 0.0
-        for lam, energies in table.rows:
-            result = solve_spectrum(table.f, REFERENCE_GAMMA, lam)
-            for nu in table.nus:
-                computed = result.block_for(nu).eigenvalues
-                devs = np.abs(computed - np.array(energies))
-                table_worst = max(table_worst, float(np.max(devs)))
-                cells = " ".join(f"{c:+.3f} ({r:+.3f})"
-                                 for c, r in zip(computed, energies))
-                lines.append(f"{lam:.1f} nu={nu:+d} | {cells} | {np.max(devs):.1e}")
+        for _, lam, nu, computed, reference in rows:
+            devs = np.abs(computed - reference)
+            table_worst = max(table_worst, float(np.max(devs)))
+            cells = " ".join(f"{c:+.3f} ({r:+.3f})" for c, r in zip(computed, reference))
+            lines.append(f"{lam:.1f} nu={nu:+d} | {cells} | {np.max(devs):.1e}")
         verdict = "ok" if table_worst < TABLE_TOL else "MISMATCH"
         lines.append(f"--> {verdict}: max deviation {table_worst:.2e} "
                      f"(tolerance {TABLE_TOL:g})")

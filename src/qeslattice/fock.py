@@ -122,12 +122,6 @@ def enumerate_basis(f: int, selector: Selector) -> FockBasis:
     return FockBasis(f=f, selector=selector, states=tuple(states), index=index)
 
 
-def state_index(basis: FockBasis, v: Occupation) -> int | None:
-    """Position of ``v`` in ``basis`` (zero-based), or ``None`` if the state
-    fails the selector."""
-    return basis.position(v)
-
-
 def translate(v: Occupation) -> Occupation:
     """Cyclic site shift: ``(n_1, ..., n_f) -> (n_f, n_1, ..., n_{f-1})``.
 

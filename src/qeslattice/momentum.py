@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis, Occupation, at_most, enumerate_basis, translate
-from .ops import LinearOperator, build_hamiltonian
+from .ops import build_hamiltonian
 
 DROP_TOL = 1e-10
 GRAM_TOL = 1e-10
@@ -76,7 +76,6 @@ class MomentumBlock:
     """
 
     label: MomentumLabel
-    basis: FockBasis
     vectors: np.ndarray
     hmatrix: np.ndarray
 
@@ -87,9 +86,6 @@ class MomentumBlock:
     @property
     def dim(self) -> int:
         return self.hmatrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.hmatrix - self.hmatrix.conj().T)))
 
 
 def momentum_values(f: int) -> list[MomentumLabel]:
@@ -169,9 +165,9 @@ def build_momentum_vectors(
 
 
 def project_block(
-    h: LinearOperator, vectors: list[np.ndarray] | np.ndarray, label: MomentumLabel
+    h: np.ndarray, vectors: list[np.ndarray] | np.ndarray, label: MomentumLabel
 ) -> MomentumBlock:
-    """Project a Hermitian operator onto the span of orthonormal vectors.
+    """Project a Hermitian matrix onto the span of orthonormal vectors.
 
     Raises if the vectors are not orthonormal; the projected matrix inherits
     hermiticity from ``h``.
@@ -180,8 +176,8 @@ def project_block(
     gram = v.conj().T @ v
     if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > GRAM_TOL:
         raise ValueError("block vectors are not orthonormal")
-    hmat = v.conj().T @ h.matrix @ v
-    return MomentumBlock(label=label, basis=h.domain, vectors=v, hmatrix=hmat)
+    hmat = v.conj().T @ h @ v
+    return MomentumBlock(label=label, vectors=v, hmatrix=hmat)
 
 
 def expected_block_dimension(f: int, nu: int) -> int:

@@ -1,5 +1,8 @@
 """Second-quantized operators as dense complex matrices on occupation bases.
 
+Every builder returns a plain complex ``np.ndarray``: rows index the
+codomain basis and columns the domain basis, both held by the caller.
+
 Everything here is built by explicit action on basis states, not by tensor
 products of single-mode matrices, so matrix elements are exact up to floating
 point:
@@ -14,7 +17,7 @@ point:
   ``H_lam = lam * sum_j [a_j^+ (N-2) + (N-2) a_j]`` whose ``N-2`` factor
   makes the 0+1+2-quanta subspace invariant,
 * the total number operator ``N`` and the cyclic translation ``T``,
-* generic commutator/anticommutator helpers.
+* the commutator, sector blocks and the hermiticity defect of a matrix.
 
 Truncation caveat: on an ``at_most(n_max)`` basis a raising operator loses the
 part of its image above ``n_max``.  Operator identities involving products of
@@ -25,77 +28,10 @@ with two extra quanta relative to the sector you assert on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, at_most, enumerate_basis, exactly, translate
-
-HERMITICITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """Dense complex matrix tagged with its domain/codomain bases.
-
-    Rows index codomain states, columns index domain states.
-    """
-
-    domain: FockBasis
-    codomain: FockBasis
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = (self.codomain.size, self.domain.size)
-        if self.matrix.shape != expected:
-            raise ValueError(f"matrix shape {self.matrix.shape} != {expected}")
-        self.matrix.setflags(write=False)
-
-    @property
-    def is_square(self) -> bool:
-        return self.domain is self.codomain or self.domain == self.codomain
-
-    def dagger(self) -> "LinearOperator":
-        return LinearOperator(self.codomain, self.domain, self.matrix.conj().T.copy())
-
-    def hermiticity_defect(self) -> float:
-        """Largest entrywise deviation from self-adjointness."""
-        if not self.is_square:
-            raise ValueError("hermiticity is defined for square operators only")
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        if other.codomain != self.domain:
-            raise ValueError("basis mismatch in composition")
-        return LinearOperator(other.domain, self.codomain, self.matrix @ other.matrix)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise ValueError("basis mismatch in sum")
-        return LinearOperator(self.domain, self.codomain, self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise ValueError("basis mismatch in difference")
-        return LinearOperator(self.domain, self.codomain, self.matrix - other.matrix)
-
-    def __rmul__(self, scalar: complex) -> "LinearOperator":
-        return LinearOperator(self.domain, self.codomain, scalar * self.matrix)
-
-    def __neg__(self) -> "LinearOperator":
-        return LinearOperator(self.domain, self.codomain, -self.matrix)
-
-
-def identity(basis: FockBasis) -> LinearOperator:
-    return LinearOperator(basis, basis, np.eye(basis.size, dtype=complex))
-
-
-def zero(domain: FockBasis, codomain: FockBasis | None = None) -> LinearOperator:
-    codomain = domain if codomain is None else codomain
-    return LinearOperator(domain, codomain, np.zeros((codomain.size, domain.size), dtype=complex))
+from .fock import FockBasis, enumerate_basis, exactly, translate
 
 
 def _site_index(f: int, j: int) -> int:
@@ -122,7 +58,7 @@ def _default_raise_codomain(domain: FockBasis) -> FockBasis:
 
 def annihilation(
     f: int, j: int, domain: FockBasis, codomain: FockBasis | None = None
-) -> LinearOperator:
+) -> np.ndarray:
     """Lowering operator ``a_j``: removes one quantum from site ``j`` with
     amplitude ``sqrt(n_j)``.
 
@@ -141,12 +77,12 @@ def annihilation(
         row = codomain.position(target)
         if row is not None:
             out[row, col] = math.sqrt(v[site])
-    return LinearOperator(domain, codomain, out)
+    return out
 
 
 def creation(
     f: int, j: int, domain: FockBasis, codomain: FockBasis | None = None
-) -> LinearOperator:
+) -> np.ndarray:
     """Raising operator ``a_j^+``: adds one quantum to site ``j`` with
     amplitude ``sqrt(n_j + 1)``.
 
@@ -164,10 +100,10 @@ def creation(
         row = codomain.position(target)
         if row is not None:
             out[row, col] = math.sqrt(v[site] + 1)
-    return LinearOperator(domain, codomain, out)
+    return out
 
 
-def build_h_bh(f: int, gamma: float, basis: FockBasis) -> LinearOperator:
+def build_h_bh(f: int, gamma: float, basis: FockBasis) -> np.ndarray:
     """Bose-Hubbard ring Hamiltonian on ``basis`` (any selector).
 
     ``H_BH = -sum_j [a_j^+ a_{j+1} + a_j^+ a_{j-1} + (gamma/2) n_j (n_j - 1)]``
@@ -194,10 +130,10 @@ def build_h_bh(f: int, gamma: float, basis: FockBasis) -> LinearOperator:
                 row = basis.position(tuple(lowered))
                 if row is not None:
                     out[row, col] -= amp
-    return LinearOperator(basis, basis, out)
+    return out
 
 
-def build_h_lambda(f: int, lam: float, basis: FockBasis) -> LinearOperator:
+def build_h_lambda(f: int, lam: float, basis: FockBasis) -> np.ndarray:
     """Sector-mixing drive ``lam * sum_j [a_j^+ (N-2) + (N-2) a_j]``.
 
     Requires an ``at_most(n_max >= 2)`` basis since it couples neighboring
@@ -224,18 +160,18 @@ def build_h_lambda(f: int, lam: float, basis: FockBasis) -> LinearOperator:
                 row = basis.position(lowered)
                 if row is not None:
                     out[row, col] += lam * (n - 3) * math.sqrt(v[site])
-    return LinearOperator(basis, basis, out)
+    return out
 
 
-def build_number(f: int, basis: FockBasis) -> LinearOperator:
+def build_number(f: int, basis: FockBasis) -> np.ndarray:
     """Total number operator ``N = sum_j a_j^+ a_j`` (diagonal)."""
     if f != basis.f:
         raise ValueError("site count does not match the basis")
     diag = np.array([sum(v) for v in basis.states], dtype=complex)
-    return LinearOperator(basis, basis, np.diag(diag))
+    return np.diag(diag)
 
 
-def build_translation(f: int, basis: FockBasis) -> LinearOperator:
+def build_translation(f: int, basis: FockBasis) -> np.ndarray:
     """Cyclic translation ``T`` as a permutation matrix: unitary, ``T^f = 1``."""
     if f != basis.f:
         raise ValueError("site count does not match the basis")
@@ -243,43 +179,33 @@ def build_translation(f: int, basis: FockBasis) -> LinearOperator:
     for col, v in enumerate(basis.states):
         row = basis.position(translate(v))
         out[row, col] = 1.0
-    return LinearOperator(basis, basis, out)
+    return out
 
 
-def build_hamiltonian(f: int, gamma: float, lam: float, basis: FockBasis) -> LinearOperator:
+def build_hamiltonian(f: int, gamma: float, lam: float, basis: FockBasis) -> np.ndarray:
     """Full Hamiltonian ``H = H_BH + H_lam`` on an ``at_most`` basis."""
-    return build_h_bh(f, gamma, basis) + build_h_lambda(f, lam, basis)
+    h = build_h_bh(f, gamma, basis)
+    h += build_h_lambda(f, lam, basis)
+    return h
 
 
-def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    """``[a, b] = ab - ba``; both operators must close on one basis pair."""
-    return (a @ b) - (b @ a)
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[a, b] = ab - ba``; both matrices must act on one basis."""
+    return a @ b - b @ a
 
 
-def anticommutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    """``{a, b} = ab + ba``."""
-    return (a @ b) + (b @ a)
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Largest entrywise deviation of a square matrix from self-adjointness."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("hermiticity is defined for square matrices only")
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
-def sector_block(op: LinearOperator, n_bra: int, n_ket: int) -> np.ndarray:
-    """Matrix block ``<n_bra-quanta| op |n_ket-quanta>`` of a square operator."""
-    if not op.is_square:
-        raise ValueError("sector blocks are defined for square operators only")
-    rows = op.codomain.sector_indices(n_bra)
-    cols = op.domain.sector_indices(n_ket)
-    return op.matrix[np.ix_(list(rows), list(cols))]
-
-
-def restrict_to_quanta(op: LinearOperator, n: int) -> LinearOperator:
-    """Restriction of a square operator to the exactly-``n`` sector."""
-    block = sector_block(op, n, n)
-    sector = enumerate_basis(op.domain.f, exactly(n))
-    if block.shape != (sector.size, sector.size):
-        raise ValueError(f"sector {n} is not fully contained in the basis")
-    return LinearOperator(sector, sector, block.copy())
-
-
-def padded_basis(f: int, n_assert: int, headroom: int = 2) -> FockBasis:
-    """Basis with ``headroom`` extra quanta above the sector asserted on,
-    so products of two ladder operators are exact there."""
-    return enumerate_basis(f, at_most(n_assert + headroom))
+def sector_block(op: np.ndarray, basis: FockBasis, n_bra: int, n_ket: int) -> np.ndarray:
+    """Matrix block ``<n_bra-quanta| op |n_ket-quanta>`` of a square operator
+    on ``basis``."""
+    if op.shape != (basis.size, basis.size):
+        raise ValueError(f"operator shape {op.shape} does not match the basis size {basis.size}")
+    rows = basis.sector_indices(n_bra)
+    cols = basis.sector_indices(n_ket)
+    return op[rows.start : rows.stop, cols.start : cols.stop]

@@ -17,12 +17,23 @@ from scipy.optimize import linear_sum_assignment
 
 from .fock import FockBasis, at_most, enumerate_basis
 from .momentum import MomentumBlock, MomentumLabel, assemble_h_r
-from .ops import build_hamiltonian
+from .ops import build_hamiltonian, hermiticity_defect
 from .reference import EIGENSTATE_FORMULAS, EIGENSTATE_RESIDUAL_TOL
 from .report import Check, check, skip
 
 EIGH_HERMITICITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
+# Largest accepted |gamma| and |lam|: far above the physical range (lam <= 0.5,
+# gamma ~ 1..7) and well below where the absolute tolerances above start to
+# fail (|lam| = 1e5 on a 48-site ring).
+MAX_COUPLING = 1e3
+
+
+def _check_coupling(name: str, value: float) -> None:
+    """Reject a coupling larger than ``MAX_COUPLING`` in magnitude; NaN and
+    infinities fail the comparison too."""
+    if not abs(value) <= MAX_COUPLING:
+        raise ValueError(f"{name} = {value!r} is outside [-{MAX_COUPLING:g}, {MAX_COUPLING:g}]")
 
 
 def diagonalize(block: MomentumBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -32,7 +43,7 @@ def diagonalize(block: MomentumBlock) -> tuple[np.ndarray, np.ndarray]:
     on a non-Hermitian block; the residual ``|(H - E) v|`` of every pair is
     verified to be below ``1e-9``.
     """
-    if block.hermiticity_defect() > EIGH_HERMITICITY_TOL:
+    if hermiticity_defect(block.hmatrix) > EIGH_HERMITICITY_TOL:
         raise ValueError("block matrix is not Hermitian")
     w, v = np.linalg.eigh(block.hmatrix)
     residual = np.max(np.abs(block.hmatrix @ v - v * w[None, :]))
@@ -79,7 +90,13 @@ class SpectrumResult:
 
 
 def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
-    """Assemble all momentum blocks of ``H`` and diagonalize each."""
+    """Assemble all momentum blocks of ``H`` and diagonalize each.
+
+    Raises ``ValueError`` for a non-finite coupling or one larger than
+    ``MAX_COUPLING`` in magnitude.
+    """
+    _check_coupling("gamma", gamma)
+    _check_coupling("lambda", lam)
     basis = enumerate_basis(f, at_most(2))
     spectra = []
     for block in assemble_h_r(f, gamma, lam, basis):
@@ -166,6 +183,9 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
         raise ValueError("empty coupling grid")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("coupling grid must be strictly ascending")
+    _check_coupling("gamma", gamma)
+    for lam in grid:
+        _check_coupling("lambda", float(lam))
 
     first = solve_spectrum(f, gamma, float(grid[0]))
     labels = [bs.label for bs in first.blocks]
@@ -246,7 +266,7 @@ def verify_eigenvector_formulas(f: int, gamma: float, lam: float) -> list:
         raise ValueError("closed-form eigenstates are tabulated for f in 1..4")
 
     result = solve_spectrum(f, gamma, lam)
-    h = build_hamiltonian(f, gamma, lam, result.basis).matrix
+    h = build_hamiltonian(f, gamma, lam, result.basis)
     checks: list[Check] = []
     group_results: dict[str, list[bool]] = {}
 
@@ -309,15 +329,8 @@ def verify_eigenvector_formulas(f: int, gamma: float, lam: float) -> list:
     return checks
 
 
-def parity_reflected_spectrum(f: int, gamma: float, lam: float) -> np.ndarray:
-    """Spectrum at ``-lam``; equals the spectrum at ``+lam`` because the
-    quanta parity ``(-1)^N`` flips the drive term and fixes the rest."""
-    return solve_spectrum(f, gamma, -lam).all_eigenvalues()
-
-
 def brute_force_eigenvalues(f: int, gamma: float, lam: float) -> np.ndarray:
     """Independent oracle: diagonalize ``H`` on the plain occupation basis of
     the 0+1+2-quanta space, with no momentum machinery."""
     basis = enumerate_basis(f, at_most(2))
-    h = build_hamiltonian(f, gamma, lam, basis)
-    return np.sort(np.linalg.eigvalsh(h.matrix))
+    return np.sort(np.linalg.eigvalsh(build_hamiltonian(f, gamma, lam, basis)))

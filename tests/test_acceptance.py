@@ -82,7 +82,7 @@ def test_criterion_3_two_and_four_site_tables():
             check_table(table_by_name(name))
         for lam in (0.0, 0.25, 0.5):
             result = solve_spectrum(4, 3.0, lam)
-            h = build_hamiltonian(4, 3.0, lam, result.basis).matrix
+            h = build_hamiltonian(4, 3.0, lam, result.basis)
             psi22 = result.block_for(2).block.vectors[:, 2]
             assert np.linalg.norm(h @ psi22) < 1e-9
 
@@ -138,15 +138,15 @@ def test_criterion_7_symmetry_suite():
             n = build_number(f, basis)
             t = build_translation(f, basis)
             h_bh = build_h_bh(f, 3.0, basis)
-            assert np.max(np.abs(commutator(h_bh, n).matrix)) < EXACT_TOL
+            assert np.max(np.abs(commutator(h_bh, n))) < EXACT_TOL
             for lam in (0.25, 0.5):
                 h = build_hamiltonian(f, 3.0, lam, basis)
-                assert np.max(np.abs(commutator(h, t).matrix)) < EXACT_TOL
-                assert np.linalg.norm(commutator(h, n).matrix) > 0.1 * lam
+                assert np.max(np.abs(commutator(h, t))) < EXACT_TOL
+                assert np.linalg.norm(commutator(h, n)) > 0.1 * lam
             wide = enumerate_basis(f, at_most(3))
             h3 = build_hamiltonian(f, 3.0, 0.5, wide)
             for m in (0, 1, 2):
-                assert np.max(np.abs(sector_block(h3, 3, m))) < EXACT_TOL
+                assert np.max(np.abs(sector_block(h3, wide, 3, m))) < EXACT_TOL
 
 
 def test_criterion_8_soliton_band_and_degeneracy():
@@ -165,7 +165,7 @@ def test_criterion_8_soliton_band_and_degeneracy():
         for f in (3, 5, 7):
             for lam in (0.0, 0.25, 0.5):
                 result = solve_spectrum(f, 3.0, lam)
-                h = build_hamiltonian(f, 3.0, lam, result.basis).matrix
+                h = build_hamiltonian(f, 3.0, lam, result.basis)
                 for bs in result.blocks:
                     if bs.label.nu <= 0:
                         continue

@@ -33,8 +33,8 @@ def test_sl2_relations_and_casimir():
 def test_casimir_scalar_directly():
     # C = J+ J- + J0^2/4 - J0/2 acts as n(n+2)/4 on the n-quanta sector
     basis = enumerate_basis(2, at_most(6))
-    a = [annihilation(2, j, basis).matrix for j in (1, 2)]
-    ad = [creation(2, j, basis).matrix for j in (1, 2)]
+    a = [annihilation(2, j, basis) for j in (1, 2)]
+    ad = [creation(2, j, basis) for j in (1, 2)]
     j0 = ad[1] @ a[1] - ad[0] @ a[0]
     c = ad[1] @ a[0] @ ad[0] @ a[1] + 0.25 * j0 @ j0 - 0.5 * j0
     for n in range(5):
@@ -65,8 +65,8 @@ def test_grading_closure_rejects_out_of_range():
 def test_ladder_bilinear_commutator_example():
     # [a2+ a1, a1+ a2] = n2 - n1 on any sector
     basis = enumerate_basis(2, at_most(4))
-    a = [annihilation(2, j, basis).matrix for j in (1, 2)]
-    ad = [creation(2, j, basis).matrix for j in (1, 2)]
+    a = [annihilation(2, j, basis) for j in (1, 2)]
+    ad = [creation(2, j, basis) for j in (1, 2)]
     jp, jm = ad[1] @ a[0], ad[0] @ a[1]
     j0 = ad[1] @ a[1] - ad[0] @ a[0]
     idx = basis.sector_indices(2)
@@ -77,8 +77,8 @@ def test_ladder_bilinear_commutator_example():
 def test_grading_two_commutator_is_long_range_hop():
     # [a2+ a1, a3+ a2] has grading 2 and is proportional to a3+ a1
     basis = enumerate_basis(3, at_most(4))
-    a = [annihilation(3, j, basis).matrix for j in (1, 2, 3)]
-    ad = [creation(3, j, basis).matrix for j in (1, 2, 3)]
+    a = [annihilation(3, j, basis) for j in (1, 2, 3)]
+    ad = [creation(3, j, basis) for j in (1, 2, 3)]
     comm = (ad[1] @ a[0]) @ (ad[2] @ a[1]) - (ad[2] @ a[1]) @ (ad[1] @ a[0])
     idx = basis.sector_indices(2)
     sl = slice(idx.start, idx.stop)
@@ -96,8 +96,8 @@ def test_sl3_diagonal_pair(n):
 
 def test_hypercharge_eigenvalue_example():
     basis = enumerate_basis(3, at_most(3))
-    a = [annihilation(3, j, basis).matrix for j in (1, 2, 3)]
-    ad = [creation(3, j, basis).matrix for j in (1, 2, 3)]
+    a = [annihilation(3, j, basis) for j in (1, 2, 3)]
+    ad = [creation(3, j, basis) for j in (1, 2, 3)]
     y = (2 * ad[2] @ a[2] - ad[0] @ a[0] - ad[1] @ a[1]) / 3.0
     i = basis.index[(0, 0, 1)]
     assert np.isclose(y[i, i].real, 2.0 / 3.0)

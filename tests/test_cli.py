@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qeslattice.cli import main, _parse_lambda
+from qeslattice.cli import MAX_GRID_POINTS, main, _parse_lambda
 
 
 def run(capsys, *argv):
@@ -28,6 +28,18 @@ def test_lambda_grid_parsing():
         _parse_lambda("0:1:0")
     with pytest.raises(ValueError):
         _parse_lambda("1:0:0.1")
+
+
+def test_lambda_grid_rejects_non_finite_bounds():
+    for text in ("nan", "inf", "0:nan:0.1", "-inf:0:0.1", "0:1:inf"):
+        with pytest.raises(ValueError, match="not a finite number"):
+            _parse_lambda(text)
+
+
+def test_lambda_grid_point_cap():
+    assert len(_parse_lambda(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        _parse_lambda(f"0:{MAX_GRID_POINTS}:1")
 
 
 # ---------------------------------------------------------------- spectrum
@@ -58,6 +70,21 @@ def test_spectrum_rejects_bad_site_count(capsys):
     code, _, err = run(capsys, "spectrum", "--f", "0", "--gamma", "3", "--lambda", "0")
     assert code == 1
     assert "f must be >= 1" in err
+
+
+@pytest.mark.parametrize("flag, value, shown", [
+    ("--gamma", "nan", "nan"), ("--lambda", "inf", "inf"),
+    ("--lambda", "1e308", "1e+308"), ("--gamma", "2e3", "2000.0")])
+def test_spectrum_rejects_bad_coupling(capsys, flag, value, shown):
+    code, out, err = run(capsys, "spectrum", "--f", "3", flag, value)
+    assert code == 1 and out == ""
+    assert shown in err and "did not converge" not in err
+
+
+def test_sweep_rejects_nan_grid(capsys):
+    code, _, err = run(capsys, "sweep", "--f", "3", "--lambda", "0:nan:0.1")
+    assert code == 1
+    assert "'nan'" in err
 
 
 def test_spectrum_rejects_grid(capsys):

@@ -1,8 +1,7 @@
 import pytest
 from math import comb
 
-from qeslattice.fock import (Selector, at_most, enumerate_basis, exactly,
-                             state_index, translate)
+from qeslattice.fock import Selector, at_most, enumerate_basis, exactly, translate
 
 
 def test_exactly_two_quanta_two_sites():
@@ -49,16 +48,16 @@ def test_ordering_total_ascending_then_lex_descending():
 
 def test_state_index_examples():
     b2 = enumerate_basis(2, exactly(2))
-    assert state_index(b2, (1, 1)) == 1
-    assert state_index(b2, (3, 0)) is None
+    assert b2.position((1, 1)) == 1
+    assert b2.position((3, 0)) is None
     b3 = enumerate_basis(3, at_most(2))
-    assert state_index(b3, (0, 0, 0)) == 0
+    assert b3.position((0, 0, 0)) == 0
 
 
 def test_state_index_length_mismatch_is_an_error():
     basis = enumerate_basis(2, exactly(2))
     with pytest.raises(ValueError):
-        state_index(basis, (1, 1, 0))
+        basis.position((1, 1, 0))
 
 
 def test_translate_examples():

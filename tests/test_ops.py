@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from qeslattice.fock import at_most, enumerate_basis, exactly
-from qeslattice.ops import (annihilation, anticommutator, build_h_bh, build_h_lambda,
-                            build_hamiltonian, build_number, build_translation,
-                            commutator, creation, padded_basis, restrict_to_quanta,
-                            sector_block)
+from qeslattice.ops import (annihilation, build_h_bh, build_h_lambda, build_hamiltonian,
+                            build_number, build_translation, commutator, creation,
+                            hermiticity_defect, sector_block)
 
 SQRT2 = math.sqrt(2)
 
@@ -41,31 +40,31 @@ def brute_force_ladder(basis, site, kind):
 
 def test_annihilation_two_site_examples():
     v2 = enumerate_basis(2, exactly(2))
-    a1 = annihilation(2, 1, v2)
-    assert a1.codomain.selector == exactly(1)
-    assert np.allclose(a1.matrix @ unit(v2, (2, 0)), SQRT2 * unit(a1.codomain, (1, 0)))
-    assert np.allclose(a1.matrix @ unit(v2, (1, 1)), unit(a1.codomain, (0, 1)))
+    v1 = enumerate_basis(2, exactly(1))
+    a1 = annihilation(2, 1, v2)  # codomain defaults to exactly(1)
+    assert a1.shape == (v1.size, v2.size)
+    assert np.allclose(a1 @ unit(v2, (2, 0)), SQRT2 * unit(v1, (1, 0)))
+    assert np.allclose(a1 @ unit(v2, (1, 1)), unit(v1, (0, 1)))
 
 
 def test_annihilation_kills_empty_site():
     v1 = enumerate_basis(2, exactly(1))
     a1 = annihilation(2, 1, v1)
-    assert np.allclose(a1.matrix @ unit(v1, (0, 1)), 0.0)
+    assert np.allclose(a1 @ unit(v1, (0, 1)), 0.0)
 
 
 def test_creation_examples():
     v0 = enumerate_basis(2, exactly(0))
-    c1 = creation(2, 1, v0)
-    assert np.allclose(c1.matrix @ unit(v0, (0, 0)), unit(c1.codomain, (1, 0)))
     v1 = enumerate_basis(2, exactly(1))
-    c1 = creation(2, 1, v1)
-    assert np.allclose(c1.matrix @ unit(v1, (1, 0)), SQRT2 * unit(c1.codomain, (2, 0)))
+    v2 = enumerate_basis(2, exactly(2))
+    assert np.allclose(creation(2, 1, v0) @ unit(v0, (0, 0)), unit(v1, (1, 0)))
+    assert np.allclose(creation(2, 1, v1) @ unit(v1, (1, 0)), SQRT2 * unit(v2, (2, 0)))
 
 
 def test_periodic_site_index():
     basis = enumerate_basis(3, at_most(2))
-    assert np.allclose(creation(3, 4, basis).matrix, creation(3, 1, basis).matrix)
-    assert np.allclose(annihilation(3, 4, basis).matrix, annihilation(3, 1, basis).matrix)
+    assert np.allclose(creation(3, 4, basis), creation(3, 1, basis))
+    assert np.allclose(annihilation(3, 4, basis), annihilation(3, 1, basis))
 
 
 @pytest.mark.parametrize("j", [0, -1, 6])
@@ -83,16 +82,16 @@ def test_creation_is_adjoint_of_annihilation_between_sectors(f, n):
     for j in range(1, f + 1):
         up = creation(f, j, lower, codomain=upper)
         down = annihilation(f, j, upper, codomain=lower)
-        assert np.allclose(up.matrix, down.dagger().matrix, atol=1e-15)
+        assert np.allclose(up, down.conj().T, atol=1e-15)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
 def test_ladders_match_brute_force(f):
     basis = enumerate_basis(f, at_most(3))
     for j in range(f):
-        assert np.allclose(annihilation(f, j + 1, basis).matrix,
+        assert np.allclose(annihilation(f, j + 1, basis),
                            brute_force_ladder(basis, j, "lower"))
-        assert np.allclose(creation(f, j + 1, basis).matrix,
+        assert np.allclose(creation(f, j + 1, basis),
                            brute_force_ladder(basis, j, "raise"))
 
 
@@ -101,7 +100,7 @@ def test_ladders_match_brute_force(f):
 def test_h_bh_single_site_two_quanta():
     v2 = enumerate_basis(1, exactly(2))
     h = build_h_bh(1, 3.0, v2)
-    assert np.allclose(h.matrix, [[-7.0]])  # -2*2 hopping - gamma
+    assert np.allclose(h, [[-7.0]])  # -2*2 hopping - gamma
 
 
 def test_h_bh_two_site_two_quanta_eigenvalues():
@@ -111,29 +110,29 @@ def test_h_bh_two_site_two_quanta_eigenvalues():
     expected = sorted([-gamma,
                        -gamma / 2 - 0.5 * math.sqrt(gamma ** 2 + 64),
                        -gamma / 2 + 0.5 * math.sqrt(gamma ** 2 + 64)])
-    assert np.allclose(np.linalg.eigvalsh(h.matrix), sorted(expected), atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(h), sorted(expected), atol=1e-12)
 
 
 def test_h_bh_two_site_one_quantum_eigenpairs():
     v1 = enumerate_basis(2, exactly(1))
     h = build_h_bh(2, 5.0, v1)
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = np.linalg.eigh(h)
     assert np.allclose(w, [-2.0, 2.0])
     sym = (unit(v1, (1, 0)) + unit(v1, (0, 1))) / SQRT2
     asym = (unit(v1, (1, 0)) - unit(v1, (0, 1))) / SQRT2
-    assert np.allclose(h.matrix @ sym, -2.0 * sym)
-    assert np.allclose(h.matrix @ asym, 2.0 * asym)
+    assert np.allclose(h @ sym, -2.0 * sym)
+    assert np.allclose(h @ asym, 2.0 * asym)
 
 
 @pytest.mark.parametrize("f", range(1, 7))
 def test_h_bh_is_hermitian_and_sector_diagonal(f):
     basis = enumerate_basis(f, at_most(3))
     h = build_h_bh(f, 2.2, basis)
-    assert h.hermiticity_defect() < 1e-12
+    assert hermiticity_defect(h) < 1e-12
     for m in range(4):
         for n in range(4):
             if m != n:
-                assert np.max(np.abs(sector_block(h, m, n))) == 0.0
+                assert np.max(np.abs(sector_block(h, basis, m, n))) == 0.0
 
 
 # ---------------------------------------------------------------- H_lam
@@ -143,12 +142,12 @@ def test_h_lambda_single_site_matrix_element():
     lam = 0.7
     h = build_h_lambda(1, lam, basis)
     # <0| H_lam |1> = lam * <0|(N-2)a|1> = -2 lam
-    assert np.isclose(h.matrix[basis.index[(0,)], basis.index[(1,)]], -2 * lam)
+    assert np.isclose(h[basis.index[(0,)], basis.index[(1,)]], -2 * lam)
 
 
 def test_h_lambda_zero_coupling_is_zero():
     basis = enumerate_basis(3, at_most(2))
-    assert np.max(np.abs(build_h_lambda(3, 0.0, basis).matrix)) == 0.0
+    assert np.max(np.abs(build_h_lambda(3, 0.0, basis))) == 0.0
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
@@ -164,7 +163,7 @@ def test_h_lambda_matches_brute_force_operator(f):
         a = brute_force_ladder(basis, j, "lower")
         ad = brute_force_ladder(basis, j, "raise")
         expected += lam * (ad @ shift + shift @ a)
-    assert np.allclose(build_h_lambda(f, lam, basis).matrix, expected, atol=1e-14)
+    assert np.allclose(build_h_lambda(f, lam, basis), expected, atol=1e-14)
 
 
 def test_h_lambda_requires_mixing_basis():
@@ -178,13 +177,13 @@ def test_h_lambda_requires_mixing_basis():
 def test_h_lambda_couples_only_adjacent_low_sectors(f):
     basis = enumerate_basis(f, at_most(3))
     h = build_h_lambda(f, 0.4, basis)
-    assert h.hermiticity_defect() < 1e-12
+    assert hermiticity_defect(h) < 1e-12
     # no coupling between the invariant subspace and three quanta
-    assert np.max(np.abs(sector_block(h, 3, 2))) == 0.0
-    assert np.max(np.abs(sector_block(h, 2, 3))) == 0.0
+    assert np.max(np.abs(sector_block(h, basis, 3, 2))) == 0.0
+    assert np.max(np.abs(sector_block(h, basis, 2, 3))) == 0.0
     # nonzero mixing inside it
-    assert np.max(np.abs(sector_block(h, 1, 2))) > 0.0
-    assert np.max(np.abs(sector_block(h, 0, 1))) > 0.0
+    assert np.max(np.abs(sector_block(h, basis, 1, 2))) > 0.0
+    assert np.max(np.abs(sector_block(h, basis, 0, 1))) > 0.0
 
 
 # ---------------------------------------------------------------- N and T
@@ -192,29 +191,29 @@ def test_h_lambda_couples_only_adjacent_low_sectors(f):
 def test_number_operator_examples():
     b2 = enumerate_basis(2, at_most(2))
     n2 = build_number(2, b2)
-    assert np.isclose(n2.matrix[b2.index[(1, 1)], b2.index[(1, 1)]], 2.0)
+    assert np.isclose(n2[b2.index[(1, 1)], b2.index[(1, 1)]], 2.0)
     b3 = enumerate_basis(3, at_most(2))
-    assert np.isclose(build_number(3, b3).matrix[0, 0], 0.0)
+    assert np.isclose(build_number(3, b3)[0, 0], 0.0)
     b4 = enumerate_basis(4, at_most(2))
     i = b4.index[(1, 0, 1, 0)]
-    assert np.isclose(build_number(4, b4).matrix[i, i], 2.0)
+    assert np.isclose(build_number(4, b4)[i, i], 2.0)
 
 
 def test_translation_is_cyclic_permutation():
     v1 = enumerate_basis(3, exactly(1))
     t = build_translation(3, v1)
-    assert np.allclose(t.matrix @ unit(v1, (1, 0, 0)), unit(v1, (0, 1, 0)))
+    assert np.allclose(t @ unit(v1, (1, 0, 0)), unit(v1, (0, 1, 0)))
 
 
 def test_translation_single_site_is_identity():
     basis = enumerate_basis(1, at_most(2))
-    assert np.allclose(build_translation(1, basis).matrix, np.eye(basis.size))
+    assert np.allclose(build_translation(1, basis), np.eye(basis.size))
 
 
 @pytest.mark.parametrize("f", range(1, 7))
 def test_translation_unitary_and_order_f(f):
     basis = enumerate_basis(f, at_most(2))
-    t = build_translation(f, basis).matrix
+    t = build_translation(f, basis)
     assert np.allclose(t @ t.conj().T, np.eye(basis.size))
     power = np.eye(basis.size)
     for _ in range(f):
@@ -233,27 +232,27 @@ def test_commutator_basis_mismatch():
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
 def test_canonical_commutation_on_padded_interior(f):
-    basis = padded_basis(f, n_assert=2, headroom=2)  # at_most(4)
+    basis = enumerate_basis(f, at_most(4))  # two quanta of headroom above n = 2
     stop = basis.sector_indices(2).stop
     for i in range(1, f + 1):
         for j in range(1, f + 1):
             ai = annihilation(f, i, basis)
             adj = creation(f, j, basis)
             aj = annihilation(f, j, basis)
-            ccr = commutator(ai, adj).matrix[:stop, :stop]
+            ccr = commutator(ai, adj)[:stop, :stop]
             target = np.eye(stop) if i == j else np.zeros((stop, stop))
             assert np.max(np.abs(ccr - target)) < 1e-12
-            assert np.max(np.abs(commutator(ai, aj).matrix[:stop, :stop])) < 1e-12
+            assert np.max(np.abs(commutator(ai, aj)[:stop, :stop])) < 1e-12
 
 
 def test_anticommutator_single_site_number_identity():
-    basis = padded_basis(1, n_assert=1, headroom=2)
+    basis = enumerate_basis(1, at_most(3))  # two quanta of headroom above n = 1
     stop = basis.sector_indices(1).stop
     a = annihilation(1, 1, basis)
     ad = creation(1, 1, basis)
     n = build_number(1, basis)
-    lhs = anticommutator(a, ad).matrix[:stop, :stop]
-    rhs = (2 * n.matrix + np.eye(basis.size))[:stop, :stop]
+    lhs = (a @ ad + ad @ a)[:stop, :stop]
+    rhs = (2 * n + np.eye(basis.size))[:stop, :stop]
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -266,10 +265,10 @@ def test_symmetry_suite(f, lam):
     h = build_hamiltonian(f, gamma, lam, basis)
     n = build_number(f, basis)
     t = build_translation(f, basis)
-    assert np.max(np.abs(commutator(h_bh, n).matrix)) < 1e-12
-    assert np.max(np.abs(commutator(h_bh, t).matrix)) < 1e-12
-    assert np.max(np.abs(commutator(h, t).matrix)) < 1e-12
-    assert np.linalg.norm(commutator(h, n).matrix) > 0.1 * lam
+    assert np.max(np.abs(commutator(h_bh, n))) < 1e-12
+    assert np.max(np.abs(commutator(h_bh, t))) < 1e-12
+    assert np.max(np.abs(commutator(h, t))) < 1e-12
+    assert np.linalg.norm(commutator(h, n)) > 0.1 * lam
 
 
 @pytest.mark.parametrize("f", range(1, 7))
@@ -277,12 +276,22 @@ def test_invariant_subspace_has_no_three_quanta_leakage(f):
     wide = enumerate_basis(f, at_most(3))
     h = build_hamiltonian(f, 3.0, 0.5, wide)
     for n in (0, 1, 2):
-        assert np.max(np.abs(sector_block(h, 3, n))) < 1e-12
+        assert np.max(np.abs(sector_block(h, wide, 3, n))) < 1e-12
 
 
-def test_restrict_to_quanta_matches_sector():
+def test_sector_block_matches_sector_basis():
     basis = enumerate_basis(2, at_most(2))
     h = build_h_bh(2, 3.0, basis)
-    sub = restrict_to_quanta(h, 2)
     direct = build_h_bh(2, 3.0, enumerate_basis(2, exactly(2)))
-    assert np.allclose(sub.matrix, direct.matrix)
+    assert np.allclose(sector_block(h, basis, 2, 2), direct)
+
+
+def test_sector_block_rejects_foreign_basis():
+    h = build_h_bh(2, 3.0, enumerate_basis(2, at_most(2)))
+    with pytest.raises(ValueError):
+        sector_block(h, enumerate_basis(2, at_most(3)), 2, 2)
+
+
+def test_hermiticity_defect_rejects_non_square():
+    with pytest.raises(ValueError):
+        hermiticity_defect(annihilation(2, 1, enumerate_basis(2, exactly(2))))

@@ -8,9 +8,9 @@ from qeslattice.momentum import MomentumBlock, MomentumLabel, assemble_h_r, mome
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
-from qeslattice.spectra import (brute_force_eigenvalues, char_poly, diagonalize,
-                                parity_reflected_spectrum, quanta_tag, solve_spectrum,
-                                soliton_band, sweep, verify_eigenvector_formulas)
+from qeslattice.spectra import (MAX_COUPLING, brute_force_eigenvalues, char_poly, diagonalize,
+                                quanta_tag, solve_spectrum, soliton_band, sweep,
+                                verify_eigenvector_formulas)
 
 TABLE_TOL = 1.5e-3
 
@@ -38,8 +38,7 @@ def test_two_site_antiperiodic_block():
 
 
 def test_diagonalize_rejects_non_hermitian():
-    basis = enumerate_basis(1, at_most(2))
-    bad = MomentumBlock(label=MomentumLabel(1, 0), basis=basis,
+    bad = MomentumBlock(label=MomentumLabel(1, 0),
                         vectors=np.eye(3, dtype=complex),
                         hmatrix=np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]],
                                          dtype=complex))
@@ -47,9 +46,28 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize(bad)
 
 
+@pytest.mark.parametrize("gamma, lam", [(float("nan"), 0.1), (3.0, float("inf")),
+                                        (3.0, 1e308), (3.0, 1e6), (-1e4, 0.1)])
+def test_solve_spectrum_rejects_bad_couplings(gamma, lam):
+    with pytest.raises(ValueError, match="gamma|lambda"):
+        solve_spectrum(5, gamma, lam)
+
+
+def test_couplings_at_the_cap_are_solved():
+    # the absolute eigh tolerances still hold at the accepted extremes
+    result = solve_spectrum(15, MAX_COUPLING, -MAX_COUPLING)
+    assert np.max(np.abs(result.all_eigenvalues()
+                         - brute_force_eigenvalues(15, MAX_COUPLING, -MAX_COUPLING))) < 1e-9
+
+
+def test_sweep_rejects_bad_grid_point():
+    with pytest.raises(ValueError, match="lambda"):
+        sweep(2, 3.0, [0.0, 0.1, 2e3])
+
+
 def test_eigenvectors_are_orthonormal_and_satisfy_residual():
     result = solve_spectrum(5, 3.0, 0.5)
-    h = build_hamiltonian(5, 3.0, 0.5, result.basis).matrix
+    h = build_hamiltonian(5, 3.0, 0.5, result.basis)
     for bs in result.blocks:
         v = bs.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-12
@@ -177,13 +195,13 @@ def test_per_momentum_band_separation(f):
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5])
 def test_spectrum_even_in_coupling_sign(f):
     plus = solve_spectrum(f, 3.0, 0.35).all_eigenvalues()
-    minus = parity_reflected_spectrum(f, 3.0, 0.35)
+    minus = solve_spectrum(f, 3.0, -0.35).all_eigenvalues()
     assert np.max(np.abs(plus - minus)) < 1e-9
     # the quanta parity (-1)^N conjugates H(lam) into H(-lam) exactly
     basis = enumerate_basis(f, at_most(2))
     parity = np.diag([(-1.0) ** sum(s) for s in basis.states])
-    h_plus = build_hamiltonian(f, 3.0, 0.35, basis).matrix
-    h_minus = build_hamiltonian(f, 3.0, -0.35, basis).matrix
+    h_plus = build_hamiltonian(f, 3.0, 0.35, basis)
+    h_minus = build_hamiltonian(f, 3.0, -0.35, basis)
     assert np.max(np.abs(parity @ h_plus @ parity - h_minus)) < 1e-12
 
 
@@ -201,7 +219,7 @@ def test_zero_coupling_sector_decomposition(f):
     expected = [0.0]
     expected += [-2.0 * math.cos(l.k) for l in momentum_values(f)]
     two = enumerate_basis(f, exactly(2))
-    expected += list(np.linalg.eigvalsh(build_h_bh(f, gamma, two).matrix))
+    expected += list(np.linalg.eigvalsh(build_h_bh(f, gamma, two)))
     computed = solve_spectrum(f, gamma, 0.0).all_eigenvalues()
     assert np.max(np.abs(computed - np.sort(expected))) < 1e-9
 
@@ -209,7 +227,7 @@ def test_zero_coupling_sector_decomposition(f):
 @pytest.mark.parametrize("f", [3, 4, 5, 7])
 def test_mirror_momentum_degeneracy_and_conjugation(f):
     result = solve_spectrum(f, 3.0, 0.5)
-    h = build_hamiltonian(f, 3.0, 0.5, result.basis).matrix
+    h = build_hamiltonian(f, 3.0, 0.5, result.basis)
     present = {b.label.nu for b in result.blocks}
     for bs in result.blocks:
         if bs.label.nu <= 0 or -bs.label.nu not in present:
@@ -268,7 +286,7 @@ def test_exactly_one_reading_matches_each_ambiguous_formula():
 def test_four_site_null_energy_eigenstate_is_exact():
     # the (1,1,0,0)-family vector at k = pi is an exact null eigenvector
     result = solve_spectrum(4, 3.0, 0.5)
-    h = build_hamiltonian(4, 3.0, 0.5, result.basis).matrix
+    h = build_hamiltonian(4, 3.0, 0.5, result.basis)
     block = result.block_for(2)
     psi22 = block.block.vectors[:, 2]
     assert np.linalg.norm(h @ psi22) < 1e-9
