@@ -12,9 +12,9 @@ from .fock import FockBasis, Selector, at_most, enumerate_basis, exactly, transl
 from .momentum import (MomentumBlock, MomentumLabel, assemble_h_r, block_dimensions,
                        build_momentum_vectors, closed_form_h12, closed_form_h22,
                        momentum_values, project_block)
-from .ops import (annihilation, build_h_bh, build_h_lambda, build_hamiltonian,
-                  build_number, build_translation, commutator, creation,
-                  hermiticity_defect, sector_block)
+from .ops import (annihilation, apply_hamiltonian, build_h_bh, build_h_lambda,
+                  build_hamiltonian, build_number, build_translation, commutator,
+                  creation, hermiticity_defect, sector_block)
 from .spectra import (BlockSpectrum, SolitonBand, SpectrumResult, SweepResult,
                       brute_force_eigenvalues, char_poly, diagonalize, quanta_tag,
                       solve_spectrum, soliton_band, sweep, verify_eigenvector_formulas)
@@ -23,9 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FockBasis", "Selector", "at_most", "enumerate_basis", "exactly", "translate",
-    "annihilation", "creation", "commutator", "build_h_bh", "build_h_lambda",
-    "build_hamiltonian", "build_number", "build_translation", "hermiticity_defect",
-    "sector_block",
+    "annihilation", "creation", "commutator", "apply_hamiltonian", "build_h_bh",
+    "build_h_lambda", "build_hamiltonian", "build_number", "build_translation",
+    "hermiticity_defect", "sector_block",
     "MomentumBlock", "MomentumLabel", "assemble_h_r", "block_dimensions",
     "build_momentum_vectors", "closed_form_h12", "closed_form_h22",
     "momentum_values", "project_block",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .reference import REFERENCE_GAMMA, TABLE_TOL
 from .report import as_records, failures
-from .spectra import quanta_tag, solve_spectrum, sweep
+from .spectra import MAX_SITES, quanta_tag, solve_spectrum, sweep
 from .suites import SUITES, run_suites, table_comparisons
 
 USAGE_ERROR = 1
@@ -214,6 +214,8 @@ def _positive_sites(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("site count f must be >= 1")
+    if value > MAX_SITES:
+        raise argparse.ArgumentTypeError(f"site count f must be <= {MAX_SITES}")
     return value
 
 

@@ -9,15 +9,16 @@ labelled by a discrete momentum ``k = 2*pi*nu/f``:
 
 Each block is spanned by Fourier combinations of translation orbits,
 
-    ``psi(k) = (1/sqrt(f)) * sum_{j=1}^{f} (e^{ik} T)^{j-1} |seed>``
+    ``psi(k) = (1/sqrt(P)) * sum_{r=0}^{P-1} (e^{ik} T)^r |seed>``
 
 with seeds ``|100...0>`` (one quantum), ``|200...0>`` and the two-quantum
 pairs ``|10...010...0>`` with ``b-2`` zeros between the ones; the vacuum is
-T-invariant and joins the ``nu = 0`` block.  Seeds whose orbit has period
-``f/2`` (the antipodal pair on even rings) produce a vanishing sum for odd
-``nu`` and a norm-``sqrt(2)`` sum for even ``nu``; raw vectors are therefore
-renormalized after summation, and vanishing ones are dropped.  The resulting
-block dimensions are
+the one-member orbit of ``|00...0>``.  ``P`` is the orbit period: ``f`` for
+most seeds, ``1`` for the vacuum and ``f/2`` for the antipodal pair on even
+rings.  This is the Fourier sum over all ``f`` translates, normalized: it
+vanishes unless ``e^{ikP} = 1`` (``nu * P`` divisible by ``f``), so the
+vacuum joins ``nu = 0`` only and the antipodal pair the even ``nu``.  The
+resulting block dimensions are
 
 * odd ``f``:  one block of ``(f+5)/2`` (``nu = 0``) and ``f-1`` blocks of
   ``(f+3)/2``;
@@ -27,10 +28,20 @@ block dimensions are
 
 which always total ``(f+1)(f+2)/2``.
 
-:func:`project_block` (direct matrix elements of an explicitly built ``H``)
-is the source of truth; :func:`closed_form_h22` and :func:`closed_form_h12`
-transcribe the known closed-form per-``nu`` blocks and exist only as
-cross-checks.
+:func:`assemble_h_r` builds every block directly, the standard momentum-state
+construction: ``H`` is applied once to each seed
+(:func:`~qeslattice.ops.apply_hamiltonian`), every image is mapped to its
+orbit representative ``a`` and shift ``r`` (image ``= T^r |a>``), and
+
+    ``B_k[a, b] = sqrt(P_b / P_a) * sum_images h * e^{-ik r}``.
+
+No ``H`` over the occupation basis is built: the images of all seeds take
+``O(f^2)`` work in total, and the only arrays over the occupation basis are
+the block vectors themselves.  This is the production path.
+:func:`project_block` (``V^H H V`` with an explicitly built dense ``H``) is
+its independent oracle; :func:`closed_form_h22` and :func:`closed_form_h12`
+transcribe the known closed-form per-``nu`` blocks and are cross-checks as
+well.
 """
 
 from __future__ import annotations
@@ -42,9 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis, Occupation, at_most, enumerate_basis, translate
-from .ops import build_hamiltonian
+from .ops import apply_hamiltonian
 
-DROP_TOL = 1e-10
 GRAM_TOL = 1e-10
 
 
@@ -122,15 +132,67 @@ def two_quanta_seed(f: int, b: int) -> Occupation:
     return tuple(occ)
 
 
-def _orbit_vector(basis: FockBasis, seed: Occupation, k: float) -> np.ndarray:
-    """Raw Fourier sum ``(1/sqrt(f)) sum_j e^{ik(j-1)} T^{j-1}|seed>``."""
-    f = basis.f
-    raw = np.zeros(basis.size, dtype=complex)
-    state = seed
-    for j in range(f):
-        raw[basis.index[state]] += cmath.exp(1j * k * j) / math.sqrt(f)
-        state = translate(state)
-    return raw
+@dataclass(frozen=True)
+class _Orbits:
+    """Translation orbits of the 0+1+2-quanta space, shared by all labels.
+
+    Seeds are ordered vacuum, one quantum, then the two-quanta seeds by
+    increasing ``b``, which is the column order of every block.  ``where``
+    maps each occupation to ``(seed, r)`` with occupation ``= T^r |seed>``;
+    ``rows``, ``seed_of`` and ``shift`` list the same members as arrays, with
+    ``rows`` their positions in one basis of ``size`` states.
+    """
+
+    f: int
+    size: int
+    seeds: tuple[Occupation, ...]
+    periods: np.ndarray
+    where: dict[Occupation, tuple[int, int]]
+    rows: np.ndarray
+    seed_of: np.ndarray
+    shift: np.ndarray
+
+    def alive(self, nu: int) -> np.ndarray:
+        """Seeds whose Fourier sum survives at ``nu``: ``nu * P % f == 0``."""
+        return np.flatnonzero(nu * self.periods % self.f == 0)
+
+    def vectors(self, nu: int) -> np.ndarray:
+        """Orthonormal block vectors as columns over the basis:
+        ``e^{ikr} / sqrt(P)`` on the ``r``-th translate of each surviving
+        seed."""
+        alive = self.alive(nu)
+        column = np.full(len(self.seeds), -1)
+        column[alive] = np.arange(alive.size)
+        member = column[self.seed_of] >= 0
+        seed = self.seed_of[member]
+        v = np.zeros((self.size, alive.size), dtype=complex)
+        v[self.rows[member], column[seed]] = (
+            _phase(nu, self.shift[member], self.f) / np.sqrt(self.periods[seed]))
+        return v
+
+
+def _phase(nu: int | np.ndarray, r: np.ndarray, f: int) -> np.ndarray:
+    """``e^{ikr}``, ``k = 2 pi nu / f``, for integer ``nu`` and shifts ``r``
+    (broadcast).  ``nu * r`` is reduced modulo ``f`` first, so the angle
+    stays below ``2 pi`` and keeps full precision on large rings."""
+    return np.exp(2j * math.pi * (nu * r % f) / f)
+
+
+def _orbits(f: int, basis: FockBasis) -> _Orbits:
+    seeds = [(0,) * f, (1,) + (0,) * (f - 1)]
+    seeds += [two_quanta_seed(f, b) for b in range(1, two_quanta_seed_count(f) + 1)]
+    periods = []
+    where: dict[Occupation, tuple[int, int]] = {}
+    for a, seed in enumerate(seeds):
+        state, r = seed, 0
+        while r == 0 or state != seed:
+            where[state] = (a, r)
+            state, r = translate(state), r + 1
+        periods.append(r)
+    seed_of, shift = np.array(list(where.values())).T
+    return _Orbits(f=f, size=basis.size, seeds=tuple(seeds), periods=np.array(periods),
+                   where=where, rows=np.array([basis.index[state] for state in where]),
+                   seed_of=seed_of, shift=shift)
 
 
 def build_momentum_vectors(
@@ -138,9 +200,8 @@ def build_momentum_vectors(
 ) -> list[np.ndarray]:
     """Unit-norm block basis vectors for one momentum label.
 
-    Raw Fourier sums with norm below ``1e-10`` are dropped (not an error);
-    the survivors are normalized by their explicit norm, keeping the phase
-    produced by the sum.
+    Orbits whose Fourier sum vanishes at this momentum contribute no vector;
+    each survivor is ``(1/sqrt(P)) sum_r e^{ikr} T^r |seed>``.
     """
     if label.f != f:
         raise ValueError("label does not match the site count")
@@ -148,20 +209,13 @@ def build_momentum_vectors(
         raise ValueError(f"nu={label.nu} is not a momentum value for f={f}")
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
-    vectors: list[np.ndarray] = []
-    if label.nu == 0:
-        vacuum = np.zeros(basis.size, dtype=complex)
-        vacuum[basis.index[(0,) * f]] = 1.0
-        vectors.append(vacuum)
-    seeds = [(1,) + (0,) * (f - 1)]
-    seeds += [two_quanta_seed(f, b) for b in range(1, two_quanta_seed_count(f) + 1)]
-    for seed in seeds:
-        raw = _orbit_vector(basis, seed, label.k)
-        norm = float(np.linalg.norm(raw))
-        if norm < DROP_TOL:
-            continue
-        vectors.append(raw / norm)
-    return vectors
+    return list(np.ascontiguousarray(_orbits(f, basis).vectors(label.nu).T))
+
+
+def _check_orthonormal(v: np.ndarray) -> None:
+    gram = v.conj().T @ v
+    if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > GRAM_TOL:
+        raise ValueError("block vectors are not orthonormal")
 
 
 def project_block(
@@ -170,12 +224,11 @@ def project_block(
     """Project a Hermitian matrix onto the span of orthonormal vectors.
 
     Raises if the vectors are not orthonormal; the projected matrix inherits
-    hermiticity from ``h``.
+    hermiticity from ``h``.  This is the dense oracle for
+    :func:`assemble_h_r`.
     """
     v = np.column_stack(vectors) if isinstance(vectors, list) else vectors
-    gram = v.conj().T @ v
-    if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > GRAM_TOL:
-        raise ValueError("block vectors are not orthonormal")
+    _check_orthonormal(v)
     hmat = v.conj().T @ h @ v
     return MomentumBlock(label=label, vectors=v, hmatrix=hmat)
 
@@ -201,16 +254,37 @@ def assemble_h_r(
 ) -> list[MomentumBlock]:
     """All momentum blocks of ``H = H_BH + H_lam`` on the 0+1+2-quanta space.
 
-    The union of the block spectra reproduces the spectrum of the full
-    restricted Hamiltonian; blocks are returned ``nu`` descending.
+    Each block is built from the images of ``H`` on the orbit seeds (see the
+    module docstring), with no dense ``H``.  The union of the block spectra
+    reproduces the spectrum of the full restricted Hamiltonian; blocks are
+    returned ``nu`` descending.
     """
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
-    h = build_hamiltonian(f, gamma, lam, basis)
+    orbits = _orbits(f, basis)
+    # one entry per (image, seed): row seed a, column seed b, amplitude h, shift r
+    rows, cols, amps, shifts = [], [], [], []
+    for b, seed in enumerate(orbits.seeds):
+        for image, h in apply_hamiltonian(f, gamma, lam, seed).items():
+            a, r = orbits.where[image]
+            rows.append(a)
+            cols.append(b)
+            amps.append(h)
+            shifts.append(r)
+    rows, cols = np.array(rows), np.array(cols)
+    weights = np.array(amps) * np.sqrt(orbits.periods[cols] / orbits.periods[rows])
+    labels = momentum_values(f)
+    nus = np.array([label.nu for label in labels])[:, None]
+    n = len(orbits.seeds)
+    full = np.zeros((len(labels), n, n), dtype=complex)
+    np.add.at(full, (slice(None), rows, cols), weights * _phase(nus, -np.array(shifts), f))
     blocks = []
-    for label in momentum_values(f):
-        vectors = build_momentum_vectors(f, label, basis)
-        blocks.append(project_block(h, vectors, label))
+    for i, label in enumerate(labels):
+        alive = orbits.alive(label.nu)
+        vectors = orbits.vectors(label.nu)
+        _check_orthonormal(vectors)
+        blocks.append(MomentumBlock(label=label, vectors=vectors,
+                                    hmatrix=full[i][np.ix_(alive, alive)]))
     return blocks
 
 

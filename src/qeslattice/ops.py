@@ -19,6 +19,11 @@ point:
 * the total number operator ``N`` and the cyclic translation ``T``,
 * the commutator, sector blocks and the hermiticity defect of a matrix.
 
+:func:`apply_hamiltonian` applies the same ``H`` to a single occupation state
+and returns its image as a sparse ``{occupation: amplitude}`` map; the
+momentum blocks are built from it, while the dense builders above stay as the
+brute-force reference.
+
 Truncation caveat: on an ``at_most(n_max)`` basis a raising operator loses the
 part of its image above ``n_max``.  Operator identities involving products of
 ladder operators therefore hold only on sectors with enough headroom; build
@@ -31,7 +36,7 @@ import math
 
 import numpy as np
 
-from .fock import FockBasis, enumerate_basis, exactly, translate
+from .fock import FockBasis, Occupation, enumerate_basis, exactly, translate
 
 
 def _site_index(f: int, j: int) -> int:
@@ -187,6 +192,44 @@ def build_hamiltonian(f: int, gamma: float, lam: float, basis: FockBasis) -> np.
     h = build_h_bh(f, gamma, basis)
     h += build_h_lambda(f, lam, basis)
     return h
+
+
+def apply_hamiltonian(f: int, gamma: float, lam: float,
+                      state: Occupation) -> dict[Occupation, float]:
+    """Image ``H|state>`` of one occupation state, ``H = H_BH + H_lam``.
+
+    Returns ``{occupation: amplitude}`` with zero amplitudes omitted.  The
+    terms are those of :func:`build_h_bh` and :func:`build_h_lambda`, summed
+    in the same order, so on an ``at_most(2)`` basis the map equals the
+    state's column of :func:`build_hamiltonian`.  No truncation is applied:
+    raising out of the two-quanta sector carries ``N - 2 = 0`` and is
+    omitted, but a state with three or more quanta has images above any
+    ``n_max``.
+    """
+    if len(state) != f:
+        raise ValueError(f"state has {len(state)} sites, ring has {f}")
+    image: dict[Occupation, float] = {state: -0.5 * gamma * sum(n * (n - 1) for n in state)}
+    for site in range(f):
+        for delta in (1, -1):
+            src = (site + delta) % f
+            if state[src] == 0:
+                continue
+            moved = list(state)
+            amp = math.sqrt(moved[src])
+            moved[src] -= 1
+            amp *= math.sqrt(moved[site] + 1)
+            moved[site] += 1
+            target = tuple(moved)
+            image[target] = image.get(target, 0.0) - amp
+    n = sum(state)
+    for site in range(f):
+        # a_j^+ (N-2) and (N-2) a_j: each image is reached by this term only
+        raised = state[:site] + (state[site] + 1,) + state[site + 1 :]
+        image[raised] = lam * (n - 2) * math.sqrt(state[site] + 1)
+        if state[site] > 0:
+            lowered = state[:site] + (state[site] - 1,) + state[site + 1 :]
+            image[lowered] = lam * (n - 3) * math.sqrt(state[site])
+    return {target: amp for target, amp in image.items() if amp != 0.0}
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

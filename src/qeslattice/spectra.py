@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .fock import FockBasis, at_most, enumerate_basis
 from .momentum import MomentumBlock, MomentumLabel, assemble_h_r
@@ -27,6 +26,16 @@ RESIDUAL_TOL = 1e-9
 # gamma ~ 1..7) and well below where the absolute tolerances above start to
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
+# Largest accepted ring: the dense block vectors and the eigenvectors, both
+# over the (f+1)(f+2)/2 = D occupation states, take 32 * D^2 bytes together,
+# about 1.74 GB at f = 120.
+MAX_SITES = 120
+
+
+def _check_sites(f: int) -> None:
+    """Reject a ring size outside ``1..MAX_SITES`` before any basis is built."""
+    if not 1 <= f <= MAX_SITES:
+        raise ValueError(f"site count f = {f!r} is outside [1, {MAX_SITES}]")
 
 
 def _check_coupling(name: str, value: float) -> None:
@@ -92,9 +101,10 @@ class SpectrumResult:
 def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     """Assemble all momentum blocks of ``H`` and diagonalize each.
 
-    Raises ``ValueError`` for a non-finite coupling or one larger than
-    ``MAX_COUPLING`` in magnitude.
+    Raises ``ValueError`` for a ring size ``f`` outside ``1..MAX_SITES``, a
+    non-finite coupling or one larger than ``MAX_COUPLING`` in magnitude.
     """
+    _check_sites(f)
     _check_coupling("gamma", gamma)
     _check_coupling("lambda", lam)
     basis = enumerate_basis(f, at_most(2))
@@ -176,8 +186,12 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
 
     Levels are matched across adjacent grid points by eigenvector overlap
     (optimal assignment), which keeps each column of the table on one
-    physical curve even where curves cross.
+    physical curve even where curves cross.  Rejects the inputs
+    :func:`solve_spectrum` rejects before solving any grid point.
     """
+    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
+
+    _check_sites(f)
     grid = np.asarray(list(lambdas), dtype=float)
     if grid.size == 0:
         raise ValueError("empty coupling grid")

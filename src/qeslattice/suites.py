@@ -115,12 +115,18 @@ def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
         checks.append(check("block matrices hermitian", worst_herm < 1e-12,
                             residual=worst_herm, f=f))
         worst_cross = 0.0
+        worst_proj = 0.0
         for i, bi in enumerate(blocks):
-            for bj in blocks[i + 1 :]:
-                worst_cross = max(worst_cross, float(np.max(np.abs(
-                    bi.vectors.conj().T @ h @ bj.vectors))))
+            for bj in blocks[i:]:
+                projected = bi.vectors.conj().T @ h @ bj.vectors
+                if bj is bi:
+                    worst_proj = max(worst_proj, float(np.max(np.abs(projected - bi.hmatrix))))
+                else:
+                    worst_cross = max(worst_cross, float(np.max(np.abs(projected))))
         checks.append(check("no coupling between momentum blocks", worst_cross < 1e-12,
                             residual=worst_cross, f=f))
+        checks.append(check("blocks equal the projection of dense H", worst_proj < EXACT_TOL,
+                            residual=worst_proj, f=f))
 
     for f in range(1, 9):
         basis = enumerate_basis(f, at_most(2))

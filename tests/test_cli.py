@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qeslattice
 from qeslattice.cli import MAX_GRID_POINTS, main, _parse_lambda
+from qeslattice.spectra import MAX_SITES
 
 
 def run(capsys, *argv):
@@ -70,6 +76,23 @@ def test_spectrum_rejects_bad_site_count(capsys):
     code, _, err = run(capsys, "spectrum", "--f", "0", "--gamma", "3", "--lambda", "0")
     assert code == 1
     assert "f must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "figure2"])
+def test_site_count_cap(capsys, command):
+    code, out, err = run(capsys, command, "--f", str(MAX_SITES + 1))
+    assert code == 1 and out == ""
+    assert f"error: argument --f: site count f must be <= {MAX_SITES}" in err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only sweep needs scipy.optimize, and it imports it when called
+    src = str(Path(qeslattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, qeslattice, qeslattice.cli; "
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("flag, value, shown", [

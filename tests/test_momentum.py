@@ -8,8 +8,11 @@ from qeslattice.fock import at_most, enumerate_basis
 from qeslattice.momentum import (MomentumLabel, assemble_h_r, block_dimensions,
                                  build_momentum_vectors, closed_form_h12,
                                  closed_form_h22, expected_block_dimension,
-                                 momentum_values, project_block)
-from qeslattice.ops import build_hamiltonian, build_translation, hermiticity_defect
+                                 momentum_values, project_block, two_quanta_seed,
+                                 two_quanta_seed_count)
+from qeslattice.ops import (apply_hamiltonian, build_hamiltonian, build_translation,
+                           hermiticity_defect)
+from qeslattice.suites import momentum_suite
 
 SQRT2 = math.sqrt(2)
 
@@ -239,3 +242,77 @@ def test_distinct_momenta_have_distinct_translation_eigenvalues(f):
     for i, a in enumerate(eigs):
         for b in eigs[i + 1:]:
             assert abs(a - b) > 1e-9
+
+
+# ------------------------------------------------ direct construction vs oracle
+
+ORACLE_COUPLINGS = [(3.0, 0.5), (1.3, -0.7), (4.2, 0.0), (1e3, -1e3)]
+
+
+@pytest.mark.parametrize("f", range(1, 13))
+@pytest.mark.parametrize("gamma, lam", ORACLE_COUPLINGS)
+def test_direct_blocks_match_dense_projection(f, gamma, lam):
+    # absolute 1e-12 at couplings of order one, scaled with the largest
+    # coupling: the dense projection itself rounds at ~1e-15 of |H|
+    tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
+    basis = enumerate_basis(f, at_most(2))
+    h = build_hamiltonian(f, gamma, lam, basis)
+    blocks = assemble_h_r(f, gamma, lam, basis)
+    assert [b.label for b in blocks] == momentum_values(f)
+    for b in blocks:
+        oracle = project_block(h, build_momentum_vectors(f, b.label, basis), b.label)
+        assert b.hmatrix.shape == oracle.hmatrix.shape
+        assert np.max(np.abs(b.hmatrix - oracle.hmatrix)) < tol
+        assert np.max(np.abs(b.vectors - oracle.vectors)) == 0.0
+
+
+@pytest.mark.parametrize("f", range(1, 9))
+@pytest.mark.parametrize("gamma, lam", ORACLE_COUPLINGS)
+def test_apply_hamiltonian_is_a_column_of_dense_h(f, gamma, lam):
+    basis = enumerate_basis(f, at_most(2))
+    h = build_hamiltonian(f, gamma, lam, basis)
+    for col, state in enumerate(basis.states):
+        column = np.zeros(basis.size, dtype=complex)
+        for image, amp in apply_hamiltonian(f, gamma, lam, state).items():
+            column[basis.index[image]] += amp
+        assert np.max(np.abs(column - h[:, col])) < 1e-12
+
+
+def test_apply_hamiltonian_rejects_wrong_length_state():
+    with pytest.raises(ValueError):
+        apply_hamiltonian(3, 3.0, 0.5, (1, 0))
+
+
+def test_apply_hamiltonian_three_quanta_image_is_untruncated():
+    # (N-2) a_j^+ on a three-quanta state reaches four quanta with factor 1
+    image = apply_hamiltonian(2, 3.0, 0.5, (3, 0))
+    assert image[(4, 0)] == pytest.approx(0.5 * 2.0)
+    assert image[(3, 1)] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("f", range(1, 13))
+def test_block_vectors_follow_the_full_orbit_sum(f):
+    # independent of the orbit table: normalized sum over all f translates
+    basis = enumerate_basis(f, at_most(2))
+    seeds = [(1,) + (0,) * (f - 1)]
+    seeds += [two_quanta_seed(f, b) for b in range(1, two_quanta_seed_count(f) + 1)]
+    for label in momentum_values(f):
+        expected = [np.eye(basis.size)[0]] if label.nu == 0 else []
+        for seed in seeds:
+            raw = np.zeros(basis.size, dtype=complex)
+            state = seed
+            for j in range(f):
+                raw[basis.index[state]] += cmath.exp(1j * label.k * j)
+                state = state[-1:] + state[:-1]
+            norm = np.linalg.norm(raw)
+            if norm > 1e-10:
+                expected.append(raw / norm)
+        vecs = build_momentum_vectors(f, label, basis)
+        assert len(vecs) == len(expected)
+        assert np.max(np.abs(np.column_stack(vecs) - np.column_stack(expected))) < 1e-13
+
+
+def test_momentum_suite_records_dense_projection_agreement():
+    records = [c for c in momentum_suite() if c.name == "blocks equal the projection of dense H"]
+    assert [c.params["f"] for c in records] == list(range(1, 7))
+    assert all(c.passed and c.residual < 1e-12 for c in records)

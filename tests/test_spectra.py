@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from qeslattice import spectra
 from qeslattice.fock import at_most, enumerate_basis, exactly
 from qeslattice.momentum import MomentumBlock, MomentumLabel, assemble_h_r, momentum_values
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
-from qeslattice.spectra import (MAX_COUPLING, brute_force_eigenvalues, char_poly, diagonalize,
-                                quanta_tag, solve_spectrum, soliton_band, sweep,
+from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, brute_force_eigenvalues, char_poly,
+                                diagonalize, quanta_tag, solve_spectrum, soliton_band, sweep,
                                 verify_eigenvector_formulas)
 
 TABLE_TOL = 1.5e-3
@@ -63,6 +64,38 @@ def test_couplings_at_the_cap_are_solved():
 def test_sweep_rejects_bad_grid_point():
     with pytest.raises(ValueError, match="lambda"):
         sweep(2, 3.0, [0.0, 0.1, 2e3])
+
+
+@pytest.fixture
+def no_basis(monkeypatch):
+    """Fail any attempt to enumerate a basis inside ``spectra``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was enumerated")
+    monkeypatch.setattr(spectra, "enumerate_basis", refuse)
+
+
+@pytest.mark.parametrize("f", [0, MAX_SITES + 1])
+def test_solve_spectrum_rejects_site_count_before_any_basis(no_basis, f):
+    with pytest.raises(ValueError, match=f"f = {f}"):
+        solve_spectrum(f, 3.0, 0.5)
+
+
+def test_sweep_rejects_site_count_before_any_basis(no_basis):
+    with pytest.raises(ValueError, match=f"f = {MAX_SITES + 1}"):
+        sweep(MAX_SITES + 1, 3.0, [0.0, 0.1])
+
+
+@pytest.mark.parametrize("f", [47, 48])
+@pytest.mark.parametrize("gamma", [3.0, 5.0])
+def test_large_ring_band_matches_infinite_lattice_bound_state(f, gamma):
+    # at lam = 0 the band is the two-boson bound state, whose infinite-ring
+    # dispersion -sqrt(gamma^2 + 16 cos^2(k/2)) the finite ring reaches up to
+    # corrections ~ e^{-kappa f} far below 1e-12 at these sizes
+    band = soliton_band(solve_spectrum(f, gamma, 0.0))
+    assert len(band.minima) == f
+    for nu, e_min in band.minima:
+        exact = -math.sqrt(gamma ** 2 + 16.0 * math.cos(math.pi * nu / f) ** 2)
+        assert abs(e_min - exact) < 1e-12
 
 
 def test_eigenvectors_are_orthonormal_and_satisfy_residual():
