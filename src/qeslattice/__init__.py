@@ -9,8 +9,8 @@ constructs and verifies.
 """
 
 from .fock import FockBasis, Selector, at_most, enumerate_basis, exactly, translate
-from .momentum import (MomentumBlock, MomentumLabel, assemble_h_r, block_dimensions,
-                       build_momentum_vectors, closed_form_h12, closed_form_h22,
+from .momentum import (BlockPencil, MomentumBlock, MomentumLabel, assemble_h_r,
+                       block_dimensions, block_pencil, build_momentum_vectors, closed_form_h12, closed_form_h22,
                        momentum_values, project_block)
 from .ops import (annihilation, apply_hamiltonian, build_h_bh, build_h_lambda,
                   build_hamiltonian, build_number, build_translation, commutator,
@@ -26,7 +26,8 @@ __all__ = [
     "annihilation", "creation", "commutator", "apply_hamiltonian", "build_h_bh",
     "build_h_lambda", "build_hamiltonian", "build_number", "build_translation",
     "hermiticity_defect", "sector_block",
-    "MomentumBlock", "MomentumLabel", "assemble_h_r", "block_dimensions",
+    "BlockPencil", "MomentumBlock", "MomentumLabel", "assemble_h_r", "block_dimensions",
+    "block_pencil",
     "build_momentum_vectors", "closed_form_h12", "closed_form_h22",
     "momentum_values", "project_block",
     "BlockSpectrum", "SolitonBand", "SpectrumResult", "SweepResult",

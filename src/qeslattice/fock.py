@@ -16,6 +16,7 @@ bases therefore have reproducible layouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterator
 
@@ -63,13 +64,17 @@ def at_most(n: int) -> Selector:
 
 def _compositions(total: int, parts: int) -> Iterator[Occupation]:
     """Compositions of ``total`` into ``parts`` non-negative integers,
-    lexicographically descending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    lexicographically descending.
+
+    Each composition is the occupation of one multiset of ``total`` sites;
+    the multisets come sorted ascending, which orders their occupations
+    descending.
+    """
+    for sites in combinations_with_replacement(range(parts), total):
+        occ = [0] * parts
+        for site in sites:
+            occ[site] += 1
+        yield tuple(occ)
 
 
 @dataclass(frozen=True)

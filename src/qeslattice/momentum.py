@@ -28,12 +28,20 @@ resulting block dimensions are
 
 which always total ``(f+1)(f+2)/2``.
 
-:func:`assemble_h_r` builds every block directly, the standard momentum-state
-construction: ``H`` is applied once to each seed
+:func:`block_pencil` builds every block directly, the standard
+momentum-state construction, as a pencil in the drive coupling: ``H`` (with
+``lam = 1``) is applied once to each seed
 (:func:`~qeslattice.ops.apply_hamiltonian`), every image is mapped to its
 orbit representative ``a`` and shift ``r`` (image ``= T^r |a>``), and
 
     ``B_k[a, b] = sqrt(P_b / P_a) * sum_images h * e^{-ik r}``.
+
+``H_BH`` keeps the total quanta of a state and the drive moves it by one, so
+each entry comes from one term group only: entries between seeds of equal
+total quanta form ``B_BH``, the others ``B_drive``, and the block at any
+coupling is ``B(lam) = B_BH + lam * B_drive`` exactly.
+:func:`assemble_h_r` evaluates that pencil at one ``lam``; a coupling sweep
+builds it once and evaluates it on the whole grid.
 
 No ``H`` over the occupation basis is built: the images of all seeds take
 ``O(f^2)`` work in total, and the only arrays over the occupation basis are
@@ -249,15 +257,38 @@ def block_dimensions(f: int) -> list[int]:
     return [expected_block_dimension(f, label.nu) for label in momentum_values(f)]
 
 
-def assemble_h_r(
-    f: int, gamma: float, lam: float, basis: FockBasis | None = None
-) -> list[MomentumBlock]:
-    """All momentum blocks of ``H = H_BH + H_lam`` on the 0+1+2-quanta space.
+@dataclass(frozen=True)
+class BlockPencil:
+    """One momentum block as a function of the drive coupling,
+    ``B(lam) = b_bh + lam * b_drive``.
 
-    Each block is built from the images of ``H`` on the orbit seeds (see the
-    module docstring), with no dense ``H``.  The union of the block spectra
-    reproduces the spectrum of the full restricted Hamiltonian; blocks are
-    returned ``nu`` descending.
+    ``vectors`` is the block basis of :class:`MomentumBlock`; ``quanta``
+    holds the total quanta of each column (0 vacuum, 1, then 2s).
+    """
+
+    label: MomentumLabel
+    vectors: np.ndarray
+    quanta: np.ndarray
+    b_bh: np.ndarray
+    b_drive: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.vectors, self.quanta, self.b_bh, self.b_drive):
+            array.setflags(write=False)
+
+    def matrix(self, lam: float | np.ndarray) -> np.ndarray:
+        """``b_bh + lam * b_drive``; an array of couplings gives the stack of
+        their matrices, shape ``lam.shape + (d, d)``."""
+        return self.b_bh + np.multiply.outer(lam, self.b_drive)
+
+
+def block_pencil(f: int, gamma: float, basis: FockBasis | None = None) -> list[BlockPencil]:
+    """All momentum blocks of ``H_BH`` and of the drive at unit coupling.
+
+    One pass over the orbit seeds with ``apply_hamiltonian(f, gamma, 1.0,
+    seed)``; the block entries are split by the total quanta of their row
+    and column seeds (see the module docstring).  The block vectors are
+    checked orthonormal.  Pencils are returned ``nu`` descending.
     """
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
@@ -265,7 +296,7 @@ def assemble_h_r(
     # one entry per (image, seed): row seed a, column seed b, amplitude h, shift r
     rows, cols, amps, shifts = [], [], [], []
     for b, seed in enumerate(orbits.seeds):
-        for image, h in apply_hamiltonian(f, gamma, lam, seed).items():
+        for image, h in apply_hamiltonian(f, gamma, 1.0, seed).items():
             a, r = orbits.where[image]
             rows.append(a)
             cols.append(b)
@@ -278,14 +309,31 @@ def assemble_h_r(
     n = len(orbits.seeds)
     full = np.zeros((len(labels), n, n), dtype=complex)
     np.add.at(full, (slice(None), rows, cols), weights * _phase(nus, -np.array(shifts), f))
-    blocks = []
+    quanta = np.array([sum(seed) for seed in orbits.seeds])
+    same = quanta[:, None] == quanta[None, :]
+    b_bh, b_drive = np.where(same, full, 0.0), np.where(same, 0.0, full)
+    pencils = []
     for i, label in enumerate(labels):
         alive = orbits.alive(label.nu)
         vectors = orbits.vectors(label.nu)
         _check_orthonormal(vectors)
-        blocks.append(MomentumBlock(label=label, vectors=vectors,
-                                    hmatrix=full[i][np.ix_(alive, alive)]))
-    return blocks
+        rows = alive[:, None]
+        pencils.append(BlockPencil(label=label, vectors=vectors, quanta=quanta[alive],
+                                   b_bh=b_bh[i, rows, alive], b_drive=b_drive[i, rows, alive]))
+    return pencils
+
+
+def assemble_h_r(
+    f: int, gamma: float, lam: float, basis: FockBasis | None = None
+) -> list[MomentumBlock]:
+    """All momentum blocks of ``H = H_BH + H_lam`` on the 0+1+2-quanta space.
+
+    Each block is the pencil of :func:`block_pencil` at ``lam``, with no
+    dense ``H``.  The union of the block spectra reproduces the spectrum of
+    the full restricted Hamiltonian; blocks are returned ``nu`` descending.
+    """
+    return [MomentumBlock(label=p.label, vectors=p.vectors, hmatrix=p.matrix(lam))
+            for p in block_pencil(f, gamma, basis)]
 
 
 def closed_form_h22(f: int, gamma: float, label: MomentumLabel) -> np.ndarray:

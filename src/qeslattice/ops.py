@@ -238,10 +238,11 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of a square matrix from self-adjointness."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Largest entrywise deviation of a square matrix, or of a stack
+    ``(..., d, d)`` of them, from self-adjointness."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("hermiticity is defined for square matrices only")
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
 
 
 def sector_block(op: np.ndarray, basis: FockBasis, n_bra: int, n_ket: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .fock import FockBasis, at_most, enumerate_basis
-from .momentum import MomentumBlock, MomentumLabel, assemble_h_r
+from .momentum import MomentumBlock, MomentumLabel, assemble_h_r, block_pencil
 from .ops import build_hamiltonian, hermiticity_defect
 from .reference import EIGENSTATE_FORMULAS, EIGENSTATE_RESIDUAL_TOL
 from .report import Check, check, skip
@@ -30,6 +30,14 @@ MAX_COUPLING = 1e3
 # over the (f+1)(f+2)/2 = D occupation states, take 32 * D^2 bytes together,
 # about 1.74 GB at f = 120.
 MAX_SITES = 120
+# Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2.  Every block
+# has d^2 <= 3 (f+1)(f+2)/2, so one block's (n_points, d, d) complex stack
+# takes at most 16 * 3 * MAX_SWEEP_ROWS = 96 MB.  The largest accepted grid on
+# the largest ring, `qeslattice sweep --f 120` over 270 points (1,992,870
+# rows), peaked at 1.52 GB RSS (ru_maxrss, x86-64, one BLAS thread): 1.04 GB
+# while solving, mostly the block vectors (16 * 7381^2 B = 0.87 GB), then the
+# CLI's rows and CSV text.  That stays below the 1.74 GB of MAX_SITES.
+MAX_SWEEP_ROWS = 2_000_000
 
 
 def _check_sites(f: int) -> None:
@@ -45,19 +53,38 @@ def _check_coupling(name: str, value: float) -> None:
         raise ValueError(f"{name} = {value!r} is outside [-{MAX_COUPLING:g}, {MAX_COUPLING:g}]")
 
 
+def _check_rows(f: int, n_points: int) -> None:
+    """Reject a sweep of more than ``MAX_SWEEP_ROWS`` output rows."""
+    dim = (f + 1) * (f + 2) // 2
+    if n_points * dim > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep of {n_points} couplings x {dim} levels has "
+                         f"{n_points * dim} rows, more than {MAX_SWEEP_ROWS}")
+
+
+def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
+    matrix or of a stack ``(..., d, d)`` of them, in one ``eigh`` call.
+
+    Raises on a matrix that deviates from self-adjointness by more than
+    ``EIGH_HERMITICITY_TOL``; the residual ``|(H - E) v|`` of every pair is
+    verified to be below ``RESIDUAL_TOL``.
+    """
+    if hermiticity_defect(h) > EIGH_HERMITICITY_TOL:
+        raise ValueError("block matrix is not Hermitian")
+    w, v = np.linalg.eigh(h)
+    residual = np.max(np.abs(h @ v - v * w[..., None, :]))
+    if residual > RESIDUAL_TOL:
+        raise ArithmeticError(f"eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")
+    return w, v
+
+
 def diagonalize(block: MomentumBlock) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of one block.
 
-    Eigenvectors are returned as columns over the occupation basis.  Raises
-    on a non-Hermitian block; the residual ``|(H - E) v|`` of every pair is
-    verified to be below ``1e-9``.
+    Eigenvectors are returned as columns over the occupation basis.  The
+    checks are those of :func:`eigh_checked`.
     """
-    if hermiticity_defect(block.hmatrix) > EIGH_HERMITICITY_TOL:
-        raise ValueError("block matrix is not Hermitian")
-    w, v = np.linalg.eigh(block.hmatrix)
-    residual = np.max(np.abs(block.hmatrix @ v - v * w[None, :]))
-    if residual > RESIDUAL_TOL:
-        raise ArithmeticError(f"eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")
+    w, v = eigh_checked(block.hmatrix)
     return w, block.vectors @ v
 
 
@@ -184,10 +211,15 @@ class SweepResult:
 def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     """Eigenvalue curves over an ascending coupling grid.
 
-    Levels are matched across adjacent grid points by eigenvector overlap
-    (optimal assignment), which keeps each column of the table on one
-    physical curve even where curves cross.  Rejects the inputs
-    :func:`solve_spectrum` rejects before solving any grid point.
+    The basis and the block pencils ``B_BH + lam * B_drive`` are built once;
+    each block's whole grid is then one stack of ``(n_points, d, d)``
+    matrices, diagonalized in one :func:`eigh_checked` call.  Levels are
+    matched across adjacent grid points by eigenvector overlap (optimal
+    assignment), which keeps each column of the table on one physical curve
+    even where curves cross.  The block vectors are orthonormal, so overlaps
+    and quanta tags are read in block coordinates.  Rejects the inputs
+    :func:`solve_spectrum` rejects, and grids of more than
+    ``MAX_SWEEP_ROWS`` output rows, before any basis is built.
     """
     from scipy.optimize import linear_sum_assignment  # slow import, needed only here
 
@@ -197,31 +229,31 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
         raise ValueError("empty coupling grid")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("coupling grid must be strictly ascending")
+    _check_rows(f, grid.size)
     _check_coupling("gamma", gamma)
     for lam in grid:
         _check_coupling("lambda", float(lam))
 
-    first = solve_spectrum(f, gamma, float(grid[0]))
-    labels = [bs.label for bs in first.blocks]
-    energies = [[bs.eigenvalues.copy()] for bs in first.blocks]
-    prev_vecs = [bs.eigenvectors for bs in first.blocks]
-    tags = [tuple(quanta_tag(bs.eigenvectors[:, i], first.basis) for i in range(bs.eigenvalues.size))
-            for bs in first.blocks]
-
-    for lam in grid[1:]:
-        result = solve_spectrum(f, gamma, float(lam))
-        for i, bs in enumerate(result.blocks):
-            overlap = np.abs(prev_vecs[i].conj().T @ bs.eigenvectors)
+    block_sweeps = []
+    for pencil in block_pencil(f, gamma, enumerate_basis(f, at_most(2))):
+        w, v = eigh_checked(pencil.matrix(grid))
+        # dominant quanta sector of each level at the first grid point, ties
+        # to the lowest sector as in quanta_tag
+        mass = np.abs(v[0]) ** 2
+        sectors = [mass[pencil.quanta == n].sum(axis=0) for n in range(3)]
+        tags = tuple(int(n) for n in np.argmax(sectors, axis=0))
+        energies = np.empty_like(w)
+        energies[0] = w[0]
+        prev = v[0]
+        for i in range(1, grid.size):
+            overlap = np.abs(prev.conj().T @ v[i])
             rows, cols = linear_sum_assignment(-overlap)
             order = np.empty_like(cols)
             order[rows] = cols
-            energies[i].append(bs.eigenvalues[order])
-            prev_vecs[i] = bs.eigenvectors[:, order]
-    block_sweeps = tuple(
-        BlockSweep(label=labels[i], energies=np.vstack(energies[i]), tags=tags[i])
-        for i in range(len(labels))
-    )
-    return SweepResult(f=f, gamma=gamma, lambdas=grid, blocks=block_sweeps)
+            energies[i] = w[i, order]
+            prev = v[i][:, order]
+        block_sweeps.append(BlockSweep(label=pencil.label, energies=energies, tags=tags))
+    return SweepResult(f=f, gamma=gamma, lambdas=grid, blocks=tuple(block_sweeps))
 
 
 @dataclass(frozen=True)

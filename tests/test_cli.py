@@ -142,6 +142,14 @@ def test_sweep_row_count_and_values(tmp_path, capsys):
     assert min(float(r[4]) for r in last_side) == pytest.approx(-3.598, abs=1.5e-3)
 
 
+def test_sweep_rejects_too_many_rows(capsys):
+    # 10000 couplings on the largest ring would be 73.8 M rows
+    code, out, err = run(capsys, "sweep", "--f", str(MAX_SITES),
+                         "--lambda", "0:0.9999:0.0001")
+    assert code == 1 and out == ""
+    assert err.startswith("error: sweep of 10000 couplings x 7381 levels")
+
+
 def test_sweep_requires_grid(capsys):
     code, _, _ = run(capsys, "sweep", "--f", "2", "--lambda", "0.3")
     assert code == 1

@@ -1,4 +1,5 @@
 import pytest
+from itertools import product
 from math import comb
 
 from qeslattice.fock import Selector, at_most, enumerate_basis, exactly, translate
@@ -101,3 +102,14 @@ def test_sector_indices_partition_at_most_basis(f):
         seen.extend(idx)
     assert seen == list(range(basis.size))
     assert len(basis.sector_indices(4)) == 0
+
+
+@pytest.mark.parametrize("f", range(1, 7))
+@pytest.mark.parametrize("n", range(0, 5))
+def test_sector_order_matches_sorted_reference(f, n):
+    # independent reference: every f-tuple of 0..n with sum n, descending
+    reference = sorted((t for t in product(range(n + 1), repeat=f) if sum(t) == n),
+                       reverse=True)
+    assert list(enumerate_basis(f, exactly(n)).states) == reference
+    below = [s for m in range(n) for s in enumerate_basis(f, exactly(m)).states]
+    assert list(enumerate_basis(f, at_most(n)).states) == below + reference

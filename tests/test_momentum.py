@@ -6,12 +6,12 @@ import pytest
 
 from qeslattice.fock import at_most, enumerate_basis
 from qeslattice.momentum import (MomentumLabel, assemble_h_r, block_dimensions,
-                                 build_momentum_vectors, closed_form_h12,
+                                 block_pencil, build_momentum_vectors, closed_form_h12,
                                  closed_form_h22, expected_block_dimension,
                                  momentum_values, project_block, two_quanta_seed,
                                  two_quanta_seed_count)
-from qeslattice.ops import (apply_hamiltonian, build_hamiltonian, build_translation,
-                           hermiticity_defect)
+from qeslattice.ops import (apply_hamiltonian, build_h_bh, build_h_lambda,
+                           build_hamiltonian, build_translation, hermiticity_defect)
 from qeslattice.suites import momentum_suite
 
 SQRT2 = math.sqrt(2)
@@ -264,6 +264,34 @@ def test_direct_blocks_match_dense_projection(f, gamma, lam):
         assert b.hmatrix.shape == oracle.hmatrix.shape
         assert np.max(np.abs(b.hmatrix - oracle.hmatrix)) < tol
         assert np.max(np.abs(b.vectors - oracle.vectors)) == 0.0
+
+
+@pytest.mark.parametrize("f", range(1, 13))
+@pytest.mark.parametrize("gamma", [3.0, 1.3, 1e3])
+def test_pencil_matches_dense_projection_of_each_term(f, gamma):
+    # B_BH and B_drive separately against V^H H_BH V and V^H H_lam(1) V
+    tol = 1e-12 * max(1.0, gamma)
+    basis = enumerate_basis(f, at_most(2))
+    h_bh = build_h_bh(f, gamma, basis)
+    h_drive = build_h_lambda(f, 1.0, basis)
+    pencils = block_pencil(f, gamma, basis)
+    assert [p.label for p in pencils] == momentum_values(f)
+    for p in pencils:
+        vectors = build_momentum_vectors(f, p.label, basis)
+        assert np.max(np.abs(p.b_bh - project_block(h_bh, vectors, p.label).hmatrix)) < tol
+        assert np.max(np.abs(p.b_drive - project_block(h_drive, vectors, p.label).hmatrix)) < 1e-12
+        assert np.max(np.abs(p.vectors - np.column_stack(vectors))) == 0.0
+
+
+@pytest.mark.parametrize("f", [1, 2, 5, 6])
+def test_pencil_splits_by_total_quanta(f):
+    basis = enumerate_basis(f, at_most(2))
+    for p in block_pencil(f, 3.0, basis):
+        # each column's quanta is the sector its block vector lives in
+        for column, n in zip(p.vectors.T, p.quanta):
+            assert np.all(column[[sum(s) != n for s in basis.states]] == 0)
+        same = p.quanta[:, None] == p.quanta[None, :]
+        assert np.all(p.b_drive[same] == 0) and np.all(p.b_bh[~same] == 0)
 
 
 @pytest.mark.parametrize("f", range(1, 9))

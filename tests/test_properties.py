@@ -1,0 +1,70 @@
+"""Property tests: the sweep engine against the single-point solver and the
+symmetries of the model, on randomly drawn small rings and grids."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from qeslattice.spectra import quanta_tag, solve_spectrum, sweep  # noqa: E402
+
+# reproducible draws, bounded so the module runs in about a second
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@st.composite
+def sweeps(draw):
+    """``(f, gamma, grid)`` with ``f <= 8``, ``gamma`` in [0.5, 5] and an
+    ascending grid of 2..12 couplings in [-1, 1]."""
+    f = draw(st.integers(1, 8))
+    gamma = draw(st.floats(0.5, 5.0))
+    points = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=12, unique=True))
+    return f, gamma, sorted(points)
+
+
+@PROPERTY
+@given(sweeps())
+def test_sweep_energies_equal_solve_spectrum_at_every_point(case):
+    f, gamma, grid = case
+    result = sweep(f, gamma, grid)
+    for i, lam in enumerate(grid):
+        tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
+        point = solve_spectrum(f, gamma, lam)
+        for b, bs in zip(result.blocks, point.blocks, strict=True):
+            assert b.label == bs.label
+            assert np.max(np.abs(np.sort(b.energies[i]) - bs.eigenvalues)) < tol
+
+
+@PROPERTY
+@given(sweeps())
+def test_sweep_tags_equal_quanta_tag_at_the_first_point(case):
+    f, gamma, grid = case
+    result = sweep(f, gamma, grid)
+    first = solve_spectrum(f, gamma, grid[0])
+    for b, bs in zip(result.blocks, first.blocks, strict=True):
+        assert b.tags == tuple(quanta_tag(v, first.basis) for v in bs.eigenvectors.T)
+
+
+@PROPERTY
+@given(sweeps())
+def test_opposite_momenta_are_degenerate_at_every_point(case):
+    f, gamma, grid = case
+    by_nu = {b.label.nu: b.energies for b in sweep(f, gamma, grid).blocks}
+    for nu, energies in by_nu.items():
+        if -nu in by_nu:
+            mirror = by_nu[-nu]
+            assert np.max(np.abs(np.sort(energies, axis=1) - np.sort(mirror, axis=1))) < 1e-9
+
+
+@PROPERTY
+@given(sweeps())
+def test_spectrum_is_even_in_the_coupling(case):
+    # (-1)^N maps H(lam) to H(-lam) and commutes with translations
+    f, gamma, grid = case
+    ahead = sweep(f, gamma, grid)
+    behind = sweep(f, gamma, [-lam for lam in reversed(grid)])
+    for a, b in zip(ahead.blocks, behind.blocks, strict=True):
+        tol = 1e-12 * max(1.0, abs(gamma), float(np.max(np.abs(grid))))
+        assert np.max(np.abs(np.sort(a.energies, axis=1)
+                             - np.sort(b.energies[::-1], axis=1))) < tol

@@ -9,8 +9,9 @@ from qeslattice.momentum import MomentumBlock, MomentumLabel, assemble_h_r, mome
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
-from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, brute_force_eigenvalues, char_poly,
-                                diagonalize, quanta_tag, solve_spectrum, soliton_band, sweep,
+from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS,
+                                brute_force_eigenvalues, char_poly, diagonalize, eigh_checked,
+                                quanta_tag, solve_spectrum, soliton_band, sweep,
                                 verify_eigenvector_formulas)
 
 TABLE_TOL = 1.5e-3
@@ -45,6 +46,25 @@ def test_diagonalize_rejects_non_hermitian():
                                          dtype=complex))
     with pytest.raises(ValueError):
         diagonalize(bad)
+
+
+def test_eigh_checked_stack_equals_one_matrix_at_a_time():
+    blocks = [blocks_by_nu(5, 3.0, lam)[2].hmatrix for lam in (-0.4, 0.0, 0.3)]
+    w, v = eigh_checked(np.stack(blocks))
+    assert w.shape == (3, 4) and v.shape == (3, 4, 4)
+    for i, h in enumerate(blocks):
+        w1, _ = eigh_checked(h)
+        assert np.max(np.abs(w[i] - w1)) < 1e-12
+        assert np.max(np.abs(h @ v[i] - v[i] * w[i])) < 1e-9
+
+
+def test_eigh_checked_rejects_one_bad_matrix_in_a_stack():
+    stack = np.zeros((4, 3, 3), dtype=complex)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigh_checked(stack)
+    with pytest.raises(ValueError, match="square"):
+        eigh_checked(np.zeros((4, 3, 2), dtype=complex))
 
 
 @pytest.mark.parametrize("gamma, lam", [(float("nan"), 0.1), (3.0, float("inf")),
@@ -83,6 +103,21 @@ def test_solve_spectrum_rejects_site_count_before_any_basis(no_basis, f):
 def test_sweep_rejects_site_count_before_any_basis(no_basis):
     with pytest.raises(ValueError, match=f"f = {MAX_SITES + 1}"):
         sweep(MAX_SITES + 1, 3.0, [0.0, 0.1])
+
+
+def test_sweep_rejects_too_many_rows_before_any_basis(no_basis):
+    # f = 1 has 3 levels: 666_667 couplings make MAX_SWEEP_ROWS + 1 rows
+    assert 3 * 666_667 == MAX_SWEEP_ROWS + 1
+    with pytest.raises(ValueError, match="666667 couplings x 3 levels"):
+        sweep(1, 3.0, np.linspace(0.0, 1.0, 666_667))
+
+
+def test_sweep_at_the_row_cap_passes_the_guard(no_basis):
+    # f = 3 has 10 levels: 200_000 couplings make exactly MAX_SWEEP_ROWS rows;
+    # the refused basis is the first thing built after the guards
+    assert 10 * 200_000 == MAX_SWEEP_ROWS
+    with pytest.raises(AssertionError, match="a basis was enumerated"):
+        sweep(3, 3.0, np.linspace(0.0, 1.0, 200_000))
 
 
 @pytest.mark.parametrize("f", [47, 48])
