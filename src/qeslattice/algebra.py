@@ -255,20 +255,25 @@ def verify_osp_structure(f: int, headroom: int = 2) -> list[Check]:
               f=f, dim=enumerate_basis(f, at_most(2)).size),
     ]
 
+    dim = basis.sector_indices(n_assert).stop
     cut = lambda m: _restrict_upto(m, basis, n_assert)
-    even_span = [cut(m) for _, m in even] + [np.eye(basis.sector_indices(n_assert).stop)]
+    # the leading dim x dim block of x @ y, without forming the rest
+    cut_product = lambda x, y: x[:dim] @ y[:, :dim]
+    even_span = [cut(m) for _, m in even] + [np.eye(dim)]
     odd_span = [cut(m) for _, m in odd]
 
     worst = 0.0
     for (_, x), (_, y) in itertools.combinations_with_replacement(odd, 2):
-        worst = max(worst, _span_coefficients(cut(x @ y + y @ x), even_span)[1])
+        anti = cut_product(x, y) + cut_product(y, x)
+        worst = max(worst, _span_coefficients(anti, even_span)[1])
     checks.append(check("odd x odd anticommutators close in even span + identity",
                         worst < SPAN_TOL, residual=worst, f=f))
 
     worst = 0.0
     for _, e in even:
         for _, o in odd:
-            worst = max(worst, _span_coefficients(cut(e @ o - o @ e), odd_span)[1])
+            comm = cut_product(e, o) - cut_product(o, e)
+            worst = max(worst, _span_coefficients(comm, odd_span)[1])
     checks.append(check("even x odd commutators close in odd span",
                         worst < SPAN_TOL, residual=worst, f=f))
     return checks
@@ -280,17 +285,18 @@ def verify_canonical_relations(f: int, headroom: int = 2) -> list[Check]:
     states with two quanta of headroom below the truncation."""
     n_assert = 2
     a, ad, basis = _ladders(f, n_assert + headroom)
-    cut = lambda m: _restrict_upto(m, basis, n_assert)
     dim = basis.sector_indices(n_assert).stop
+    # the leading dim x dim block of x @ y, without forming the rest
+    cut_product = lambda x, y: x[:dim] @ y[:, :dim]
     worst_ccr = 0.0
     worst_comm = 0.0
     for i in range(f):
         for j in range(f):
             delta = np.eye(dim) if i == j else np.zeros((dim, dim))
             worst_ccr = max(worst_ccr, float(np.max(np.abs(
-                cut(a[i] @ ad[j] - ad[j] @ a[i]) - delta))))
+                cut_product(a[i], ad[j]) - cut_product(ad[j], a[i]) - delta))))
             worst_comm = max(worst_comm, float(np.max(np.abs(
-                cut(a[i] @ a[j] - a[j] @ a[i])))))
+                cut_product(a[i], a[j]) - cut_product(a[j], a[i])))))
     checks = [
         check("[a_i, a_j+] = delta_ij on padded interior", worst_ccr < SPAN_TOL,
               residual=worst_ccr, f=f),
@@ -298,8 +304,8 @@ def verify_canonical_relations(f: int, headroom: int = 2) -> list[Check]:
               residual=worst_comm, f=f),
     ]
     if f == 1:
-        shifted = cut(2 * (ad[0] @ a[0])) + np.eye(dim)
-        r = float(np.max(np.abs(cut(a[0] @ ad[0] + ad[0] @ a[0]) - shifted)))
+        shifted = 2 * cut_product(ad[0], a[0]) + np.eye(dim)
+        r = float(np.max(np.abs(cut_product(a[0], ad[0]) + cut_product(ad[0], a[0]) - shifted)))
         checks.append(check("{a, a+} = 2N + 1 on padded interior", r < SPAN_TOL,
                             residual=r, f=f))
     return checks

@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
 from .reference import REFERENCE_GAMMA, TABLE_TOL
 from .report import as_records, failures
-from .spectra import MAX_SITES, quanta_tag, solve_spectrum, sweep
+from .spectra import MAX_SITES, quanta_tags, solve_spectrum, sweep
 from .suites import SUITES, run_suites, table_comparisons
 
 USAGE_ERROR = 1
@@ -76,67 +75,84 @@ def _parse_lambda(text: str) -> list[float]:
     return [start + i * step for i in range(int(span) + 1)]
 
 
-@dataclass
-class _Row:
-    lam: float
-    nu: int
-    level: int
-    n_tag: int
-    energy: float
-    band: bool | None = None
-
-    def csv(self) -> str:
-        cells = [_fmt(self.lam), str(self.nu), str(self.level), str(self.n_tag),
-                 _fmt(self.energy)]
-        if self.band is not None:
-            cells.append("true" if self.band else "false")
-        return ",".join(cells)
-
-    def record(self, f: int, gamma: float) -> dict:
-        rec = {
-            "f": f, "gamma": float(_fmt(gamma)), "lambda": float(_fmt(self.lam)),
-            "nu": self.nu, "k": float(_fmt(2.0 * np.pi * self.nu / f)),
-            "level": self.level, "n_tag": self.n_tag,
-            "energy": float(_fmt(self.energy)),
-        }
-        if self.band is not None:
-            rec["band"] = self.band
-        return rec
+def _blocks(groups):
+    """``(lambda text, nu, levels)`` per momentum block, ``levels`` one
+    ``(level, n_tag, energy, band)`` per row.  ``groups`` holds ``(lam,
+    blocks)`` per coupling and ``blocks`` ``(nu, energies, tags,
+    band_level)``, levels in order; ``band`` is ``None`` when
+    ``band_level`` is.  Each coupling is formatted once."""
+    for lam, blocks in groups:
+        lam_text = _fmt(lam)
+        for nu, energies, tags, band_level in blocks:
+            bands = [None if band_level is None else level == band_level
+                     for level in range(len(tags))]
+            yield lam_text, nu, zip(range(len(tags)), tags, energies.tolist(), bands)
 
 
-def _emit(rows: list[_Row], f: int, gamma: float, fmt: str, out: str | None,
+_BAND_CELL = {None: "", True: ",true", False: ",false"}
+
+
+def _csv_chunks(groups, with_band: bool):
+    yield "lambda,nu,level,n_tag,energy" + (",band" if with_band else "") + "\n"
+    for lam_text, nu, levels in _blocks(groups):
+        head = f"{lam_text},{nu},"
+        yield "".join(f"{head}{level},{tag},{energy:.12g}{_BAND_CELL[band]}\n"
+                      for level, tag, energy, band in levels)
+
+
+def _json_chunks(groups, f: int, gamma: float):
+    """The text of ``json.dumps(records, indent=2)``, one block of records
+    at a time: a block's list, dumped the same way, holds the same text
+    between its brackets."""
+    sep = "[\n"
+    for lam_text, nu, levels in _blocks(groups):
+        common = {"f": f, "gamma": float(_fmt(gamma)), "lambda": float(lam_text), "nu": nu,
+                  "k": float(_fmt(2.0 * np.pi * nu / f))}
+        records = []
+        for level, tag, energy, band in levels:
+            rec = dict(common, level=level, n_tag=tag, energy=float(_fmt(energy)))
+            if band is not None:
+                rec["band"] = band
+            records.append(rec)
+        if records:
+            yield sep + json.dumps(records, indent=2)[2:-2]
+            sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def _emit(groups, f: int, gamma: float, fmt: str, out: str | None,
           with_band: bool) -> None:
+    """Write the rows of every block in ``groups`` (see :func:`_blocks`) as
+    CSV or as one JSON list, streamed a block at a time."""
     if fmt == "csv":
-        header = "lambda,nu,level,n_tag,energy" + (",band" if with_band else "")
-        text = "\n".join([header] + [r.csv() for r in rows]) + "\n"
+        chunks = _csv_chunks(groups, with_band)
     else:
-        text = json.dumps([r.record(f, gamma) for r in rows], indent=2) + "\n"
+        chunks = _json_chunks(groups, f, gamma)
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _spectrum_rows(f: int, gamma: float, lam: float, band_flags: bool) -> list[_Row]:
+def _spectrum_group(f: int, gamma: float, lam: float, band_flags: bool):
+    """One coupling's ``(lam, blocks)`` for :func:`_emit`, tags read in block
+    coordinates."""
     result = solve_spectrum(f, gamma, lam)
-    rows = []
+    blocks = []
     for bs in result.blocks:  # nu descending by construction
         band_level = int(np.argmin(bs.eigenvalues)) if band_flags else None
-        for level, energy in enumerate(bs.eigenvalues):
-            tag = quanta_tag(bs.eigenvectors[:, level], result.basis)
-            rows.append(_Row(lam=lam, nu=bs.label.nu, level=level, n_tag=tag,
-                             energy=float(energy),
-                             band=(level == band_level) if band_flags else None))
-    return rows
+        tags = quanta_tags(bs.coefficients, bs.block.frame.quanta)
+        blocks.append((bs.label.nu, bs.eigenvalues, tags, band_level))
+    return lam, blocks
 
 
 def cmd_spectrum(args) -> int:
     lams = _parse_lambda(args.lam)
     if len(lams) != 1:
         return _Parser.exit_with("spectrum expects a single coupling, not a grid")
-    rows = _spectrum_rows(args.f, args.gamma, lams[0], band_flags=False)
-    _emit(rows, args.f, args.gamma, args.format, args.out, with_band=False)
+    group = _spectrum_group(args.f, args.gamma, lams[0], band_flags=False)
+    _emit([group], args.f, args.gamma, args.format, args.out, with_band=False)
     return 0
 
 
@@ -145,22 +161,16 @@ def cmd_sweep(args) -> int:
     if len(lams) < 2:
         return _Parser.exit_with("sweep needs a start:stop:step grid")
     result = sweep(args.f, args.gamma, lams)
-    rows = []
-    for i, lam in enumerate(result.lambdas):
-        for bs in result.blocks:
-            for level in range(bs.energies.shape[1]):
-                rows.append(_Row(lam=float(lam), nu=bs.label.nu, level=level,
-                                 n_tag=bs.tags[level],
-                                 energy=float(bs.energies[i, level])))
-    _emit(rows, args.f, args.gamma, args.format, args.out, with_band=False)
+    groups = ((lam, [(bs.label.nu, bs.energies[i], bs.tags, None) for bs in result.blocks])
+              for i, lam in enumerate(result.lambdas.tolist()))
+    _emit(groups, args.f, args.gamma, args.format, args.out, with_band=False)
     return 0
 
 
 def cmd_figure2(args) -> int:
-    rows = []
-    for lam in _parse_lambda(args.lam):
-        rows.extend(_spectrum_rows(args.f, args.gamma, lam, band_flags=True))
-    _emit(rows, args.f, args.gamma, args.format, args.out, with_band=True)
+    groups = [_spectrum_group(args.f, args.gamma, lam, band_flags=True)
+              for lam in _parse_lambda(args.lam)]
+    _emit(groups, args.f, args.gamma, args.format, args.out, with_band=True)
     return 0
 
 

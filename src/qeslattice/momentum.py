@@ -43,9 +43,15 @@ coupling is ``B(lam) = B_BH + lam * B_drive`` exactly.
 :func:`assemble_h_r` evaluates that pencil at one ``lam``; a coupling sweep
 builds it once and evaluates it on the whole grid.
 
-No ``H`` over the occupation basis is built: the images of all seeds take
-``O(f^2)`` work in total, and the only arrays over the occupation basis are
-the block vectors themselves.  This is the production path.
+Each block's vectors are held as an :class:`OrbitFrame`, the nonzeros of
+the ``D x d`` matrix ``V`` of block vectors: one entry per member of each
+surviving orbit, its row in the basis, its column and its amplitude
+``e^{ikr}/sqrt(P)``.  Distinct orbits share no occupation state, so
+``V^H V = I`` reduces to distinct rows (checked once per orbit table) and
+unit column norms (checked per block), ``O(D)`` work.  No ``H`` and no array
+over the occupation basis is built: the images of all seeds take ``O(f^2)``
+work in total, and the dense ``V`` exists only once ``.vectors`` is read.
+This is the production path.
 :func:`project_block` (``V^H H V`` with an explicitly built dense ``H``) is
 its independent oracle; :func:`closed_form_h22` and :func:`closed_form_h12`
 transcribe the known closed-form per-``nu`` blocks and are cross-checks as
@@ -57,6 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,21 +92,67 @@ class MomentumLabel:
 
 
 @dataclass(frozen=True)
+class OrbitFrame:
+    """Block vectors ``V`` (``size x dim``, columns over the occupation
+    basis) held as their nonzeros: entry ``i`` is ``V[rows[i], cols[i]] =
+    amps[i]``.
+
+    In an orbit frame every entry is one member of a surviving orbit and
+    ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s).
+    A frame read off arbitrary vectors (:meth:`of_dense`) has no ``quanta``.
+    """
+
+    size: int
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    amps: np.ndarray
+    quanta: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for array in (self.rows, self.cols, self.amps, self.quanta):
+            if array is not None:
+                array.setflags(write=False)
+
+    @classmethod
+    def of_dense(cls, v: np.ndarray) -> "OrbitFrame":
+        """The nonzeros of a dense ``size x dim`` array of column vectors."""
+        rows, cols = np.nonzero(v)
+        return cls(size=v.shape[0], dim=v.shape[1], rows=rows, cols=cols, amps=v[rows, cols])
+
+    def dense(self) -> np.ndarray:
+        """``V`` as a new dense complex array."""
+        v = np.zeros((self.size, self.dim), dtype=complex)
+        v[self.rows, self.cols] = self.amps
+        return v
+
+
+def _read_only_dense(frame: OrbitFrame) -> np.ndarray:
+    v = frame.dense()
+    v.setflags(write=False)
+    return v
+
+
+@dataclass(frozen=True)
 class MomentumBlock:
     """One Hermitian block of the restricted Hamiltonian.
 
-    ``vectors`` holds the orthonormal block basis as columns over the
-    occupation basis, ordered vacuum (nu = 0 only), one-quantum vector, then
-    two-quantum vectors by increasing pair separation.
+    ``frame`` holds the orthonormal block basis, ordered vacuum (nu = 0
+    only), one-quantum vector, then two-quantum vectors by increasing pair
+    separation; ``vectors`` is the same basis as dense columns over the
+    occupation basis, built on first read.
     """
 
     label: MomentumLabel
-    vectors: np.ndarray
+    frame: OrbitFrame
     hmatrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self.vectors.setflags(write=False)
         self.hmatrix.setflags(write=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return _read_only_dense(self.frame)
 
     @property
     def dim(self) -> int:
@@ -145,16 +198,18 @@ class _Orbits:
     """Translation orbits of the 0+1+2-quanta space, shared by all labels.
 
     Seeds are ordered vacuum, one quantum, then the two-quanta seeds by
-    increasing ``b``, which is the column order of every block.  ``where``
-    maps each occupation to ``(seed, r)`` with occupation ``= T^r |seed>``;
-    ``rows``, ``seed_of`` and ``shift`` list the same members as arrays, with
-    ``rows`` their positions in one basis of ``size`` states.
+    increasing ``b``, which is the column order of every block; ``quanta``
+    holds each seed's total quanta.  ``where`` maps each occupation to
+    ``(seed, r)`` with occupation ``= T^r |seed>``; ``rows``, ``seed_of`` and
+    ``shift`` list the same members as arrays, with ``rows`` their positions
+    in one basis of ``size`` states.
     """
 
     f: int
     size: int
     seeds: tuple[Occupation, ...]
     periods: np.ndarray
+    quanta: np.ndarray
     where: dict[Occupation, tuple[int, int]]
     rows: np.ndarray
     seed_of: np.ndarray
@@ -164,19 +219,18 @@ class _Orbits:
         """Seeds whose Fourier sum survives at ``nu``: ``nu * P % f == 0``."""
         return np.flatnonzero(nu * self.periods % self.f == 0)
 
-    def vectors(self, nu: int) -> np.ndarray:
-        """Orthonormal block vectors as columns over the basis:
-        ``e^{ikr} / sqrt(P)`` on the ``r``-th translate of each surviving
-        seed."""
+    def frame(self, nu: int) -> OrbitFrame:
+        """The block vectors at ``nu``: ``e^{ikr} / sqrt(P)`` on the
+        ``r``-th translate of each surviving seed, one column per seed."""
         alive = self.alive(nu)
         column = np.full(len(self.seeds), -1)
         column[alive] = np.arange(alive.size)
         member = column[self.seed_of] >= 0
         seed = self.seed_of[member]
-        v = np.zeros((self.size, alive.size), dtype=complex)
-        v[self.rows[member], column[seed]] = (
-            _phase(nu, self.shift[member], self.f) / np.sqrt(self.periods[seed]))
-        return v
+        return OrbitFrame(
+            size=self.size, dim=alive.size, rows=self.rows[member], cols=column[seed],
+            amps=_phase(nu, self.shift[member], self.f) / np.sqrt(self.periods[seed]),
+            quanta=self.quanta[alive])
 
 
 def _phase(nu: int | np.ndarray, r: np.ndarray, f: int) -> np.ndarray:
@@ -199,7 +253,8 @@ def _orbits(f: int, basis: FockBasis) -> _Orbits:
         periods.append(r)
     seed_of, shift = np.array(list(where.values())).T
     return _Orbits(f=f, size=basis.size, seeds=tuple(seeds), periods=np.array(periods),
-                   where=where, rows=np.array([basis.index[state] for state in where]),
+                   quanta=np.array([sum(seed) for seed in seeds]), where=where,
+                   rows=np.array([basis.index[state] for state in where]),
                    seed_of=seed_of, shift=shift)
 
 
@@ -217,12 +272,28 @@ def build_momentum_vectors(
         raise ValueError(f"nu={label.nu} is not a momentum value for f={f}")
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
-    return list(np.ascontiguousarray(_orbits(f, basis).vectors(label.nu).T))
+    return list(np.ascontiguousarray(_orbits(f, basis).frame(label.nu).dense().T))
 
 
 def _check_orthonormal(v: np.ndarray) -> None:
+    """Dense ``V^H V = I`` to ``GRAM_TOL``, for arbitrary vectors."""
     gram = v.conj().T @ v
     if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > GRAM_TOL:
+        raise ValueError("block vectors are not orthonormal")
+
+
+def _check_disjoint_rows(rows: np.ndarray, size: int) -> None:
+    """Frame entries on distinct basis rows: then no two columns share a
+    row and every off-diagonal entry of ``V^H V`` is exactly 0."""
+    if rows.size and np.bincount(rows, minlength=size).max() > 1:
+        raise ValueError("block vectors are not orthonormal: a basis row repeats")
+
+
+def _check_unit_columns(frame: OrbitFrame) -> None:
+    """Column norms within ``GRAM_TOL`` of 1: with disjoint rows, the
+    diagonal of ``V^H V = I`` at the tolerance of :func:`_check_orthonormal`."""
+    norms = np.bincount(frame.cols, weights=np.abs(frame.amps) ** 2, minlength=frame.dim)
+    if np.max(np.abs(norms - 1.0), initial=0.0) > GRAM_TOL:
         raise ValueError("block vectors are not orthonormal")
 
 
@@ -231,14 +302,14 @@ def project_block(
 ) -> MomentumBlock:
     """Project a Hermitian matrix onto the span of orthonormal vectors.
 
-    Raises if the vectors are not orthonormal; the projected matrix inherits
-    hermiticity from ``h``.  This is the dense oracle for
-    :func:`assemble_h_r`.
+    Raises if the vectors are not orthonormal (checked densely); the
+    projected matrix inherits hermiticity from ``h``.  This is the dense
+    oracle for :func:`assemble_h_r`.
     """
     v = np.column_stack(vectors) if isinstance(vectors, list) else vectors
     _check_orthonormal(v)
     hmat = v.conj().T @ h @ v
-    return MomentumBlock(label=label, vectors=v, hmatrix=hmat)
+    return MomentumBlock(label=label, frame=OrbitFrame.of_dense(v), hmatrix=hmat)
 
 
 def expected_block_dimension(f: int, nu: int) -> int:
@@ -262,19 +333,26 @@ class BlockPencil:
     """One momentum block as a function of the drive coupling,
     ``B(lam) = b_bh + lam * b_drive``.
 
-    ``vectors`` is the block basis of :class:`MomentumBlock`; ``quanta``
-    holds the total quanta of each column (0 vacuum, 1, then 2s).
+    ``frame`` and ``vectors`` are the block basis of :class:`MomentumBlock`;
+    ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s).
     """
 
     label: MomentumLabel
-    vectors: np.ndarray
-    quanta: np.ndarray
+    frame: OrbitFrame
     b_bh: np.ndarray
     b_drive: np.ndarray
 
     def __post_init__(self) -> None:
-        for array in (self.vectors, self.quanta, self.b_bh, self.b_drive):
-            array.setflags(write=False)
+        self.b_bh.setflags(write=False)
+        self.b_drive.setflags(write=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return _read_only_dense(self.frame)
+
+    @property
+    def quanta(self) -> np.ndarray:
+        return self.frame.quanta
 
     def matrix(self, lam: float | np.ndarray) -> np.ndarray:
         """``b_bh + lam * b_drive``; an array of couplings gives the stack of
@@ -288,7 +366,8 @@ def block_pencil(f: int, gamma: float, basis: FockBasis | None = None) -> list[B
     One pass over the orbit seeds with ``apply_hamiltonian(f, gamma, 1.0,
     seed)``; the block entries are split by the total quanta of their row
     and column seeds (see the module docstring).  The block vectors are
-    checked orthonormal.  Pencils are returned ``nu`` descending.
+    checked orthonormal on their frames.  Pencils are returned ``nu``
+    descending.
     """
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
@@ -309,16 +388,16 @@ def block_pencil(f: int, gamma: float, basis: FockBasis | None = None) -> list[B
     n = len(orbits.seeds)
     full = np.zeros((len(labels), n, n), dtype=complex)
     np.add.at(full, (slice(None), rows, cols), weights * _phase(nus, -np.array(shifts), f))
-    quanta = np.array([sum(seed) for seed in orbits.seeds])
-    same = quanta[:, None] == quanta[None, :]
+    same = orbits.quanta[:, None] == orbits.quanta[None, :]
     b_bh, b_drive = np.where(same, full, 0.0), np.where(same, 0.0, full)
+    _check_disjoint_rows(orbits.rows, orbits.size)
     pencils = []
     for i, label in enumerate(labels):
         alive = orbits.alive(label.nu)
-        vectors = orbits.vectors(label.nu)
-        _check_orthonormal(vectors)
+        frame = orbits.frame(label.nu)
+        _check_unit_columns(frame)
         rows = alive[:, None]
-        pencils.append(BlockPencil(label=label, vectors=vectors, quanta=quanta[alive],
+        pencils.append(BlockPencil(label=label, frame=frame,
                                    b_bh=b_bh[i, rows, alive], b_drive=b_drive[i, rows, alive]))
     return pencils
 
@@ -332,7 +411,7 @@ def assemble_h_r(
     dense ``H``.  The union of the block spectra reproduces the spectrum of
     the full restricted Hamiltonian; blocks are returned ``nu`` descending.
     """
-    return [MomentumBlock(label=p.label, vectors=p.vectors, hmatrix=p.matrix(lam))
+    return [MomentumBlock(label=p.label, frame=p.frame, hmatrix=p.matrix(lam))
             for p in block_pencil(f, gamma, basis)]
 
 

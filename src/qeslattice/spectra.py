@@ -10,6 +10,7 @@ determinant expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -26,17 +27,20 @@ RESIDUAL_TOL = 1e-9
 # gamma ~ 1..7) and well below where the absolute tolerances above start to
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
-# Largest accepted ring: the dense block vectors and the eigenvectors, both
-# over the (f+1)(f+2)/2 = D occupation states, take 32 * D^2 bytes together,
-# about 1.74 GB at f = 120.
+# Largest accepted ring.  A solve builds no array over the (f+1)(f+2)/2 = D
+# occupation states, only the f block frames (D entries each) and d x d block
+# matrices, so its memory grows as f^3: `qeslattice spectrum --f 120` peaked at
+# 115 MB RSS (ru_maxrss, x86-64, one BLAS thread).  The cap bounds what a
+# caller can still ask for: reading `.vectors` and `.eigenvectors` on every
+# block builds dense arrays of 32 * D^2 bytes, about 1.74 GB at f = 120.
 MAX_SITES = 120
 # Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2.  Every block
 # has d^2 <= 3 (f+1)(f+2)/2, so one block's (n_points, d, d) complex stack
 # takes at most 16 * 3 * MAX_SWEEP_ROWS = 96 MB.  The largest accepted grid on
 # the largest ring, `qeslattice sweep --f 120` over 270 points (1,992,870
-# rows), peaked at 1.52 GB RSS (ru_maxrss, x86-64, one BLAS thread): 1.04 GB
-# while solving, mostly the block vectors (16 * 7381^2 B = 0.87 GB), then the
-# CLI's rows and CSV text.  That stays below the 1.74 GB of MAX_SITES.
+# rows), peaked at 240 MB RSS (ru_maxrss, x86-64, one BLAS thread): the
+# stacks and eigenvectors of one block at a time plus the energy table; the
+# CLI writes the CSV a block at a time.
 MAX_SWEEP_ROWS = 2_000_000
 
 
@@ -88,21 +92,46 @@ def diagonalize(block: MomentumBlock) -> tuple[np.ndarray, np.ndarray]:
     return w, block.vectors @ v
 
 
+def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray) -> tuple[int, ...]:
+    """Dominant total-quanta sector of each eigenvector column, read in
+    block coordinates; ``quanta`` is the sector of each block vector.
+
+    Every block vector lies in one sector and they are orthonormal, so a
+    level's weight in sector ``n`` is its ``|c|^2`` summed over the columns
+    of that sector, the weight :func:`quanta_tag` sums over the occupation
+    basis.  Ties go to the lowest sector, as there.
+    """
+    mass = np.abs(coefficients) ** 2
+    sectors = [mass[quanta == n].sum(axis=0) for n in range(3)]
+    return tuple(np.argmax(sectors, axis=0).tolist())
+
+
 @dataclass(frozen=True)
 class BlockSpectrum:
-    """Sorted spectrum of one momentum block."""
+    """Sorted spectrum of one momentum block.
+
+    ``coefficients`` holds the eigenvectors as columns in block coordinates;
+    ``eigenvectors`` is ``block.vectors @ coefficients``, columns over the
+    occupation basis, built on first read.
+    """
 
     block: MomentumBlock
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, over the occupation basis
+    coefficients: np.ndarray
 
     def __post_init__(self) -> None:
         self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        self.coefficients.setflags(write=False)
 
     @property
     def label(self) -> MomentumLabel:
         return self.block.label
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        v = self.block.vectors @ self.coefficients
+        v.setflags(write=False)
+        return v
 
 
 @dataclass(frozen=True)
@@ -137,8 +166,8 @@ def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     basis = enumerate_basis(f, at_most(2))
     spectra = []
     for block in assemble_h_r(f, gamma, lam, basis):
-        w, vecs = diagonalize(block)
-        spectra.append(BlockSpectrum(block=block, eigenvalues=w, eigenvectors=vecs))
+        w, v = eigh_checked(block.hmatrix)
+        spectra.append(BlockSpectrum(block=block, eigenvalues=w, coefficients=v))
     return SpectrumResult(f=f, gamma=gamma, lam=lam, basis=basis, blocks=tuple(spectra))
 
 
@@ -148,7 +177,7 @@ def char_poly(block: MomentumBlock) -> np.ndarray:
     Built as ``prod (E - E_i)`` from the eigenvalues; imaginary residues are
     checked against ``1e-10`` and discarded.
     """
-    w, _ = diagonalize(block)
+    w, _ = eigh_checked(block.hmatrix)
     coeffs = np.poly(w)
     if np.iscomplexobj(coeffs):
         if float(np.max(np.abs(coeffs.imag))) > 1e-10:
@@ -237,11 +266,7 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     block_sweeps = []
     for pencil in block_pencil(f, gamma, enumerate_basis(f, at_most(2))):
         w, v = eigh_checked(pencil.matrix(grid))
-        # dominant quanta sector of each level at the first grid point, ties
-        # to the lowest sector as in quanta_tag
-        mass = np.abs(v[0]) ** 2
-        sectors = [mass[pencil.quanta == n].sum(axis=0) for n in range(3)]
-        tags = tuple(int(n) for n in np.argmax(sectors, axis=0))
+        tags = quanta_tags(v[0], pencil.quanta)
         energies = np.empty_like(w)
         energies[0] = w[0]
         prev = v[0]

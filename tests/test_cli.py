@@ -126,6 +126,30 @@ def test_spectrum_json_mirror(capsys):
     assert r["k"] == pytest.approx(2 * np.pi * r["nu"] / 2, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--f", "5", "--lambda", "0.3"),
+    ("sweep", "--f", "4", "--lambda", "0:0.2:0.05"),
+    ("figure2", "--f", "4"),
+])
+def test_json_is_the_indented_dump_of_the_csv_rows(capsys, argv):
+    # streamed JSON text equals json.dumps(records, indent=2), row for row
+    # the CSV rows
+    code, text, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    records = json.loads(text)
+    assert text == json.dumps(records, indent=2) + "\n"
+    code, csv_text, _ = run(capsys, *argv)
+    assert code == 0
+    header, rows = csv_rows(csv_text)
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        cells = dict(zip(header, row))
+        assert float(cells["lambda"]) == rec["lambda"] and float(cells["energy"]) == rec["energy"]
+        assert (int(cells["nu"]), int(cells["level"]), int(cells["n_tag"])) == (
+            rec["nu"], rec["level"], rec["n_tag"])
+        assert cells.get("band") == (None if "band" not in rec else str(rec["band"]).lower())
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_row_count_and_values(tmp_path, capsys):

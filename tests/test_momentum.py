@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qeslattice.fock import at_most, enumerate_basis
-from qeslattice.momentum import (MomentumLabel, assemble_h_r, block_dimensions,
+from qeslattice.momentum import (GRAM_TOL, MomentumLabel, OrbitFrame, _check_disjoint_rows,
+                                 _check_unit_columns, assemble_h_r, block_dimensions,
                                  block_pencil, build_momentum_vectors, closed_form_h12,
                                  closed_form_h22, expected_block_dimension,
                                  momentum_values, project_block, two_quanta_seed,
@@ -344,3 +345,61 @@ def test_momentum_suite_records_dense_projection_agreement():
     records = [c for c in momentum_suite() if c.name == "blocks equal the projection of dense H"]
     assert [c.params["f"] for c in records] == list(range(1, 7))
     assert all(c.passed and c.residual < 1e-12 for c in records)
+
+
+# ------------------------------------------------------------- orbit frames
+
+@pytest.mark.parametrize("f", range(1, 13))
+def test_lazy_vectors_equal_the_dense_reference(f):
+    basis = enumerate_basis(f, at_most(2))
+    blocks = assemble_h_r(f, 3.0, 0.5, basis)
+    pencils = block_pencil(f, 3.0, basis)
+    for b, p in zip(blocks, pencils):
+        assert "vectors" not in vars(b) and "vectors" not in vars(p)
+        reference = np.column_stack(build_momentum_vectors(f, b.label, basis))
+        assert np.max(np.abs(b.vectors - reference)) == 0.0
+        assert np.max(np.abs(p.vectors - reference)) == 0.0
+        assert b.vectors is b.vectors and not b.vectors.flags.writeable
+        assert b.frame.size == basis.size and b.frame.dim == b.dim
+
+
+def _frame(rows, cols, amps):
+    return OrbitFrame(size=4, dim=2, rows=np.array(rows), cols=np.array(cols),
+                      amps=np.array(amps, dtype=complex), quanta=np.array([1, 2]))
+
+
+def test_frame_gram_check_accepts_an_orthonormal_frame():
+    s = 1 / math.sqrt(2)
+    frame = _frame([0, 3, 1], [0, 0, 1], [s, 1j * s, -1.0])
+    _check_disjoint_rows(frame.rows, frame.size)
+    _check_unit_columns(frame)
+    gram = frame.dense().conj().T @ frame.dense()
+    assert np.max(np.abs(gram - np.eye(2))) < 1e-15
+
+
+def test_frame_gram_check_rejects_a_repeated_row():
+    s = 1 / math.sqrt(2)
+    frame = _frame([0, 3, 3], [0, 0, 1], [s, s, 1.0])
+    _check_unit_columns(frame)  # unit columns, but they overlap on row 3
+    with pytest.raises(ValueError, match="not orthonormal"):
+        _check_disjoint_rows(frame.rows, frame.size)
+
+
+@pytest.mark.parametrize("excess", [3 * GRAM_TOL, -3 * GRAM_TOL])
+def test_frame_gram_check_rejects_a_column_norm_off_by_more_than_the_tolerance(excess):
+    frame = _frame([0, 1], [0, 1], [1.0, math.sqrt(1.0 + excess)])
+    _check_disjoint_rows(frame.rows, frame.size)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        _check_unit_columns(frame)
+
+
+def test_frame_gram_check_rejects_an_empty_column():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        _check_unit_columns(_frame([0], [0], [1.0]))
+
+
+def test_frame_of_dense_vectors_round_trips():
+    v = np.column_stack(build_momentum_vectors(5, MomentumLabel(5, 2)))
+    frame = OrbitFrame.of_dense(v)
+    assert frame.quanta is None and (frame.size, frame.dim) == v.shape
+    assert np.max(np.abs(frame.dense() - v)) == 0.0

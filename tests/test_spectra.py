@@ -1,17 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qeslattice import spectra
 from qeslattice.fock import at_most, enumerate_basis, exactly
-from qeslattice.momentum import MomentumBlock, MomentumLabel, assemble_h_r, momentum_values
+from qeslattice.momentum import (MomentumBlock, MomentumLabel, OrbitFrame, assemble_h_r,
+                                 build_momentum_vectors, momentum_values)
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
 from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS,
                                 brute_force_eigenvalues, char_poly, diagonalize, eigh_checked,
-                                quanta_tag, solve_spectrum, soliton_band, sweep,
+                                quanta_tag, quanta_tags, solve_spectrum, soliton_band, sweep,
                                 verify_eigenvector_formulas)
 
 TABLE_TOL = 1.5e-3
@@ -41,7 +43,7 @@ def test_two_site_antiperiodic_block():
 
 def test_diagonalize_rejects_non_hermitian():
     bad = MomentumBlock(label=MomentumLabel(1, 0),
-                        vectors=np.eye(3, dtype=complex),
+                        frame=OrbitFrame.of_dense(np.eye(3, dtype=complex)),
                         hmatrix=np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]],
                                          dtype=complex))
     with pytest.raises(ValueError):
@@ -144,6 +146,31 @@ def test_eigenvectors_are_orthonormal_and_satisfy_residual():
 
 
 # ---------------------------------------------------------- char_poly
+
+@pytest.mark.parametrize("f", range(1, 13))
+def test_lazy_eigenvectors_equal_the_dense_reference(f):
+    result = solve_spectrum(f, 3.0, 0.5)
+    for bs in result.blocks:
+        assert "eigenvectors" not in vars(bs) and "vectors" not in vars(bs.block)
+        vectors = np.column_stack(build_momentum_vectors(f, bs.label, result.basis))
+        reference = vectors @ np.linalg.eigh(bs.block.hmatrix)[1]
+        assert np.max(np.abs(bs.eigenvectors - reference)) == 0.0
+        assert bs.eigenvectors is bs.eigenvectors and not bs.eigenvectors.flags.writeable
+
+
+def test_ring_solve_memory_stays_below_one_dense_array():
+    # half of one dense D x D complex array at f = 48 (D = 1225): 12 MB
+    f = 48
+    limit = 16 * ((f + 1) * (f + 2) // 2) ** 2 // 2
+    solve_spectrum(f, 3.0, 0.5)  # warm imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        soliton_band(solve_spectrum(f, 3.0, 0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
 
 def test_char_poly_is_monic_real_and_degree_matches():
     block = blocks_by_nu(4, 3.0, 0.3)[0]
@@ -369,6 +396,15 @@ def test_quanta_tag_reads_dominant_sector():
     assert quanta_tag(v, basis) == 2
     v[basis.index[(0, 0)]] = 2.0
     assert quanta_tag(v, basis) == 0
+
+
+@pytest.mark.parametrize("f", [12, 47, 48])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
+def test_block_coordinate_tags_equal_quanta_tag(f, lam):
+    result = solve_spectrum(f, 3.0, lam)
+    for bs in result.blocks:
+        oracle = tuple(quanta_tag(v, result.basis) for v in bs.eigenvectors.T)
+        assert quanta_tags(bs.coefficients, bs.block.frame.quanta) == oracle
 
 
 @pytest.mark.parametrize("table", REFERENCE_TABLES, ids=lambda t: t.name)
