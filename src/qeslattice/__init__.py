@@ -9,14 +9,15 @@ constructs and verifies.
 """
 
 from .fock import FockBasis, Selector, at_most, enumerate_basis, exactly, translate
-from .momentum import (BlockPencil, MomentumBlock, MomentumLabel, OrbitFrame, assemble_h_r,
-                       block_dimensions, block_pencil, build_momentum_vectors, closed_form_h12, closed_form_h22,
-                       momentum_values, project_block)
+from .momentum import (BlockPencil, MomentumBlock, MomentumLabel, OrbitFrame, PencilStack,
+                       assemble_h_r, block_dimensions, block_frame, block_pencil,
+                       build_momentum_vectors, momentum_values, orbit_block_pencil,
+                       pencil_stacks, project_block)
 from .ops import (annihilation, apply_hamiltonian, build_h_bh, build_h_lambda,
                   build_hamiltonian, build_number, build_translation, commutator,
                   creation, hermiticity_defect, sector_block)
 from .spectra import (BlockSpectrum, SolitonBand, SpectrumResult, SweepResult,
-                      brute_force_eigenvalues, char_poly, diagonalize, quanta_tag,
+                      brute_force_eigenvalues, char_poly, eigh_checked, quanta_tag,
                       quanta_tags, solve_spectrum, soliton_band, sweep, verify_eigenvector_formulas)
 
 __version__ = "0.1.0"
@@ -26,12 +27,11 @@ __all__ = [
     "annihilation", "creation", "commutator", "apply_hamiltonian", "build_h_bh",
     "build_h_lambda", "build_hamiltonian", "build_number", "build_translation",
     "hermiticity_defect", "sector_block",
-    "BlockPencil", "MomentumBlock", "MomentumLabel", "OrbitFrame", "assemble_h_r", "block_dimensions",
-    "block_pencil",
-    "build_momentum_vectors", "closed_form_h12", "closed_form_h22",
-    "momentum_values", "project_block",
+    "BlockPencil", "MomentumBlock", "MomentumLabel", "OrbitFrame", "PencilStack", "assemble_h_r",
+    "block_dimensions", "block_frame", "block_pencil", "build_momentum_vectors",
+    "momentum_values", "orbit_block_pencil", "pencil_stacks", "project_block",
     "BlockSpectrum", "SolitonBand", "SpectrumResult", "SweepResult",
-    "brute_force_eigenvalues", "char_poly", "diagonalize", "quanta_tag",
+    "brute_force_eigenvalues", "char_poly", "eigh_checked", "quanta_tag",
     "quanta_tags", "solve_spectrum", "soliton_band", "sweep", "verify_eigenvector_formulas",
     "__version__",
 ]

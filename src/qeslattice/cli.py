@@ -142,7 +142,7 @@ def _spectrum_group(f: int, gamma: float, lam: float, band_flags: bool):
     blocks = []
     for bs in result.blocks:  # nu descending by construction
         band_level = int(np.argmin(bs.eigenvalues)) if band_flags else None
-        tags = quanta_tags(bs.coefficients, bs.block.frame.quanta)
+        tags = quanta_tags(bs.coefficients, bs.block.quanta)
         blocks.append((bs.label.nu, bs.eigenvalues, tags, band_level))
     return lam, blocks
 

@@ -26,43 +26,57 @@ resulting block dimensions are
   ``(f+2)/2`` (odd ``nu``) and ``(f-2)/2`` blocks of ``(f+4)/2``
   (even ``nu != 0``),
 
-which always total ``(f+1)(f+2)/2``.
+which always total ``(f+1)(f+2)/2``.  Columns are ordered vacuum (``nu = 0``
+only), one quantum, then the pairs by increasing separation ``s = b - 1``.
 
-:func:`block_pencil` builds every block directly, the standard
-momentum-state construction, as a pencil in the drive coupling: ``H`` (with
-``lam = 1``) is applied once to each seed
-(:func:`~qeslattice.ops.apply_hamiltonian`), every image is mapped to its
-orbit representative ``a`` and shift ``r`` (image ``= T^r |a>``), and
+:func:`pencil_stacks` writes every block down from its known shape, as a
+pencil in the drive coupling, ``B(lam) = B_BH + lam * B_drive``, for all
+``nu`` at once and with the pair separation as the index (``w = e^{ik}``,
+every phase read from one table of the ``f`` roots of unity at
+``nu * j mod f``):
+
+* ``B_BH`` is ``-2 cos k`` on the one-quantum column and tridiagonal on the
+  pair columns: diagonal ``-gamma`` at ``s = 0``, zero elsewhere except
+  ``-2 cos(k (f+1)/2)`` at the last separation of an odd ring; coupling
+  ``-(1 + w)`` from ``s`` to ``s + 1``, times ``sqrt(2)`` out of the doubly
+  occupied pair and again into the antipodal pair;
+* ``B_drive`` couples the one-quantum column to the vacuum with
+  ``-2 sqrt(f)`` and to the pair at separation ``s`` with
+  ``-(1 + w^-s)``, or ``-sqrt(2)`` for the doubly occupied and the
+  antipodal pair, and has no other entry.
+
+``f = 1`` and ``f = 2`` fold these rules onto one or two sites; both are
+handled by the same builder.  Blocks of one dimension share one shape, so
+the pencils come as at most three ``(n_nu, d, d)`` stacks, and a solve
+diagonalizes each stack with one batched ``eigh``.  No occupation state,
+orbit table or dense ``H`` is built on this path.
+
+Each block's vectors are an :class:`OrbitFrame`, the nonzeros of the
+``D x d`` matrix ``V`` of block vectors: one entry per orbit member, its row
+in the occupation basis (from the positions of its quanta), its column and
+its amplitude ``e^{ikr}/sqrt(P)``.  A block builds its frame only when
+``.frame`` or ``.vectors`` is read, in ``O(D)`` work, and checks it then:
+distinct orbits share no occupation state, so ``V^H V = I`` reduces to
+distinct rows and unit column norms.
+
+Two independent constructions are the oracles.  :func:`orbit_block_pencil`
+is the standard momentum-state construction: ``H`` is applied once to each
+seed (:func:`~qeslattice.ops.apply_hamiltonian`), every image is mapped to
+its orbit representative ``a`` and shift ``r`` (image ``= T^r |a>``) through
+an orbit table built with :func:`~qeslattice.fock.translate`, and
 
     ``B_k[a, b] = sqrt(P_b / P_a) * sum_images h * e^{-ik r}``.
 
-``H_BH`` keeps the total quanta of a state and the drive moves it by one, so
-each entry comes from one term group only: entries between seeds of equal
-total quanta form ``B_BH``, the others ``B_drive``, and the block at any
-coupling is ``B(lam) = B_BH + lam * B_drive`` exactly.
-:func:`assemble_h_r` evaluates that pencil at one ``lam``; a coupling sweep
-builds it once and evaluates it on the whole grid.
-
-Each block's vectors are held as an :class:`OrbitFrame`, the nonzeros of
-the ``D x d`` matrix ``V`` of block vectors: one entry per member of each
-surviving orbit, its row in the basis, its column and its amplitude
-``e^{ikr}/sqrt(P)``.  Distinct orbits share no occupation state, so
-``V^H V = I`` reduces to distinct rows (checked once per orbit table) and
-unit column norms (checked per block), ``O(D)`` work.  No ``H`` and no array
-over the occupation basis is built: the images of all seeds take ``O(f^2)``
-work in total, and the dense ``V`` exists only once ``.vectors`` is read.
-This is the production path.
-:func:`project_block` (``V^H H V`` with an explicitly built dense ``H``) is
-its independent oracle; :func:`closed_form_h22` and :func:`closed_form_h12`
-transcribe the known closed-form per-``nu`` blocks and are cross-checks as
-well.
+:func:`project_block` projects an explicitly built dense ``H`` onto the
+vectors of :func:`build_momentum_vectors`, which come from the same orbit
+table.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -71,6 +85,7 @@ from .fock import FockBasis, Occupation, at_most, enumerate_basis, translate
 from .ops import apply_hamiltonian
 
 GRAM_TOL = 1e-10
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -133,32 +148,6 @@ def _read_only_dense(frame: OrbitFrame) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class MomentumBlock:
-    """One Hermitian block of the restricted Hamiltonian.
-
-    ``frame`` holds the orthonormal block basis, ordered vacuum (nu = 0
-    only), one-quantum vector, then two-quantum vectors by increasing pair
-    separation; ``vectors`` is the same basis as dense columns over the
-    occupation basis, built on first read.
-    """
-
-    label: MomentumLabel
-    frame: OrbitFrame
-    hmatrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.hmatrix.setflags(write=False)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return _read_only_dense(self.frame)
-
-    @property
-    def dim(self) -> int:
-        return self.hmatrix.shape[0]
-
-
 def momentum_values(f: int) -> list[MomentumLabel]:
     """The ``f`` momentum labels, ``nu`` descending."""
     if f < 1:
@@ -191,6 +180,260 @@ def two_quanta_seed(f: int, b: int) -> Occupation:
         occ[0] = 1
         occ[b - 1] = 1
     return tuple(occ)
+
+
+def _roots(f: int) -> np.ndarray:
+    """``e^{2 pi i j / f}`` for ``j = 0..f-1``; the phase ``e^{ikr}`` is entry
+    ``nu * r % f``, so no angle outside ``[0, 2 pi)`` reaches ``exp``."""
+    return np.exp(2j * math.pi * np.arange(f) / f)
+
+
+def _has_antipodal_pair(f: int, nu: int) -> bool:
+    """The antipodal pair (even rings, period ``f/2``) survives at even ``nu``."""
+    return f % 2 == 0 and nu % 2 == 0
+
+
+def _pair_separations(f: int, nu: int) -> np.ndarray:
+    """Separations ``s`` of the pair columns of the block at ``nu``."""
+    return np.arange(two_quanta_seed_count(f) - (f % 2 == 0 and not _has_antipodal_pair(f, nu)))
+
+
+def _block_quanta(f: int, nu: int) -> np.ndarray:
+    """Total quanta of each column: ``[0]`` (``nu = 0`` only), ``[1]``, then ``2``s."""
+    return np.array([0] * (nu == 0) + [1] + [2] * _pair_separations(f, nu).size)
+
+
+def block_frame(label: MomentumLabel) -> OrbitFrame:
+    """The block vectors at ``label`` from index arithmetic, checked
+    orthonormal: ``e^{ikr} / sqrt(P)`` on the ``r``-th translate of each
+    surviving seed, one column per seed, ``O(D)`` work.
+
+    The one-quantum translate ``r`` has its quantum on site ``r``; the pair
+    at separation ``s`` has its quanta on sites ``r`` and ``(r + s) % f``.
+    With ``i <= j`` the sites of a pair, its basis row is ``1 + f`` plus the
+    number of pairs ``(i', j')`` with ``i' < i``, plus ``j - i``.
+    """
+    f, nu = label.f, label.nu
+    roots = _roots(f)
+    r = np.arange(f)
+    seps = _pair_separations(f, nu)[:, None]
+    period = np.where(2 * seps == f, f // 2, f)
+    shift = np.broadcast_to(r, (seps.size, f))[r < period]
+    sep = np.broadcast_to(seps, (seps.size, f))[r < period]
+    lo, hi = np.minimum(shift, (shift + sep) % f), np.maximum(shift, (shift + sep) % f)
+    one = int(nu == 0)  # column of the one-quantum vector
+    rows = [np.zeros(one, dtype=int), 1 + r, 1 + f + lo * f - lo * (lo - 1) // 2 + hi - lo]
+    cols = [np.zeros(one, dtype=int), np.full(f, one), one + 1 + np.repeat(seps[:, 0], period[:, 0])]
+    amps = [roots[:one], roots[nu * r % f] / np.sqrt(f),
+            roots[nu * shift % f] / np.sqrt(np.repeat(period[:, 0], period[:, 0]))]
+    frame = OrbitFrame(size=(f + 1) * (f + 2) // 2, dim=one + 1 + seps.size,
+                       rows=np.concatenate(rows), cols=np.concatenate(cols),
+                       amps=np.concatenate(amps), quanta=_block_quanta(f, nu))
+    _check_disjoint_rows(frame.rows, frame.size)
+    _check_unit_columns(frame)
+    return frame
+
+
+@dataclass(frozen=True)
+class MomentumBlock:
+    """One Hermitian block of the restricted Hamiltonian.
+
+    ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s).
+    ``frame`` holds the orthonormal block basis, ordered vacuum (nu = 0
+    only), one-quantum vector, then two-quantum vectors by increasing pair
+    separation; ``vectors`` is the same basis as dense columns over the
+    occupation basis.  Both are built on first read: the orbit frame of
+    ``label``, or ``given_frame`` when the block was made from explicit
+    vectors (:func:`project_block`).
+    """
+
+    label: MomentumLabel
+    hmatrix: np.ndarray
+    quanta: np.ndarray | None = None
+    given_frame: OrbitFrame | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.hmatrix.setflags(write=False)
+
+    @cached_property
+    def frame(self) -> OrbitFrame:
+        return self.given_frame if self.given_frame is not None else block_frame(self.label)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return _read_only_dense(self.frame)
+
+    @property
+    def dim(self) -> int:
+        return self.hmatrix.shape[0]
+
+
+@dataclass(frozen=True)
+class BlockPencil:
+    """One momentum block as a function of the drive coupling,
+    ``B(lam) = b_bh + lam * b_drive``.
+
+    ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s);
+    ``frame`` is the block basis of :class:`MomentumBlock`, built on first
+    read.
+    """
+
+    label: MomentumLabel
+    quanta: np.ndarray
+    b_bh: np.ndarray
+    b_drive: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.b_bh.setflags(write=False)
+        self.b_drive.setflags(write=False)
+
+    @cached_property
+    def frame(self) -> OrbitFrame:
+        return block_frame(self.label)
+
+    def matrix(self, lam: float | np.ndarray) -> np.ndarray:
+        """``b_bh + lam * b_drive``; an array of couplings gives the stack of
+        their matrices, shape ``lam.shape + (d, d)``."""
+        return self.b_bh + np.multiply.outer(lam, self.b_drive)
+
+
+@dataclass(frozen=True)
+class PencilStack:
+    """The pencils of every block of one dimension: block ``i`` has label
+    ``labels[i]`` and matrix ``b_bh[i] + lam * b_drive[i]``; all share the
+    column quanta ``quanta``."""
+
+    labels: tuple[MomentumLabel, ...]
+    quanta: np.ndarray
+    b_bh: np.ndarray  # (n_nu, d, d)
+    b_drive: np.ndarray  # (n_nu, d, d)
+
+    def __post_init__(self) -> None:
+        for array in (self.quanta, self.b_bh, self.b_drive):
+            array.setflags(write=False)
+
+    def matrix(self, lam: float) -> np.ndarray:
+        """The ``(n_nu, d, d)`` stack of block matrices at one coupling."""
+        return self.b_bh + lam * self.b_drive
+
+
+def _stack(f: int, gamma: float, labels: list[MomentumLabel]) -> PencilStack:
+    """The pencils of blocks that share one shape (see the module docstring)."""
+    nu = np.array([label.nu for label in labels])[:, None]
+    roots = _roots(f)
+    vacuum, antipodal = labels[0].nu == 0, _has_antipodal_pair(f, labels[0].nu)
+    quanta = _block_quanta(f, labels[0].nu)
+    one, d = int(vacuum), quanta.size
+    s = _pair_separations(f, labels[0].nu)
+    pairs = one + 1 + s  # pair columns
+    b_bh = np.zeros((len(labels), d, d), dtype=complex)
+    b_drive = np.zeros_like(b_bh)
+
+    # lower triangles written as the sums of hop terms the orbit construction
+    # forms, upper triangles as their conjugates (eigh reads the lower one)
+    w = roots[nu % f]
+    b_bh[:, one, one] = -(w + roots[-nu % f])[:, 0].real
+    b_bh[:, pairs[0], pairs[0]] = -gamma
+    if f == 1:  # both hops of the doubly occupied site land on itself
+        b_bh[:, pairs[0], pairs[0]] -= 4.0
+    elif f % 2 == 1:  # the widest pair hops onto its own orbit, either way
+        b_bh[:, pairs[-1], pairs[-1]] = -(roots[-nu * ((f + 1) // 2) % f]
+                                          + roots[-nu * ((f - 1) // 2) % f])[:, 0].real
+    hop = np.repeat(-1.0 - w, s.size - 1, axis=1)  # s -> s + 1
+    if f == 2:  # the doubly occupied pair hops into the antipodal one both ways
+        hop[:] = -4.0
+    elif hop.shape[1]:
+        hop[:, 0] = -SQRT2 - SQRT2 * w[:, 0]
+        if antipodal:
+            hop[:, -1] = -SQRT2 - SQRT2 * w[:, 0]
+    b_bh[:, pairs[1:], pairs[:-1]] = hop
+    b_bh[:, pairs[:-1], pairs[1:]] = hop.conj()
+
+    column = -1.0 - roots[nu * s % f]
+    column[:, 0] = -SQRT2
+    if antipodal:
+        column[:, -1] = -SQRT2
+    b_drive[:, pairs, one] = column
+    b_drive[:, one, pairs] = column.conj()
+    if vacuum:
+        b_drive[:, 0, 1] = b_drive[:, 1, 0] = -2.0 * math.sqrt(f)
+    return PencilStack(labels=tuple(labels), quanta=quanta, b_bh=b_bh, b_drive=b_drive)
+
+
+def pencil_stacks(f: int, gamma: float) -> list[PencilStack]:
+    """Every momentum block's pencil, one stack per block shape (at most
+    three), each stack ``nu`` descending."""
+    shapes: dict[tuple[bool, bool], list[MomentumLabel]] = {}
+    for label in momentum_values(f):
+        shapes.setdefault((label.nu == 0, _has_antipodal_pair(f, label.nu)), []).append(label)
+    return [_stack(f, gamma, labels) for labels in shapes.values()]
+
+
+def _nu_descending(items: list, label_of) -> list:
+    return sorted(items, key=lambda item: -label_of(item).nu)
+
+
+def block_pencil(f: int, gamma: float) -> list[BlockPencil]:
+    """All momentum blocks of ``H_BH`` and of the drive at unit coupling,
+    ``nu`` descending: the slices of :func:`pencil_stacks`."""
+    pencils = [BlockPencil(label=label, quanta=stack.quanta, b_bh=bh, b_drive=drive)
+               for stack in pencil_stacks(f, gamma)
+               for label, bh, drive in zip(stack.labels, stack.b_bh, stack.b_drive)]
+    return _nu_descending(pencils, lambda p: p.label)
+
+
+def assemble_h_r(f: int, gamma: float, lam: float) -> list[MomentumBlock]:
+    """All momentum blocks of ``H = H_BH + H_lam`` on the 0+1+2-quanta space.
+
+    Each block is its pencil at ``lam``, with no dense ``H``.  The union of
+    the block spectra reproduces the spectrum of the full restricted
+    Hamiltonian; blocks are returned ``nu`` descending.
+    """
+    blocks = [MomentumBlock(label=label, hmatrix=h, quanta=stack.quanta)
+              for stack in pencil_stacks(f, gamma)
+              for label, h in zip(stack.labels, stack.matrix(lam))]
+    return _nu_descending(blocks, lambda b: b.label)
+
+
+def expected_block_dimension(f: int, nu: int) -> int:
+    """Closed-form block dimension for one momentum label."""
+    if f % 2 == 1:
+        return (f + 5) // 2 if nu == 0 else (f + 3) // 2
+    if nu == 0:
+        return (f + 6) // 2
+    if nu % 2 != 0:
+        return (f + 2) // 2
+    return (f + 4) // 2
+
+
+def block_dimensions(f: int) -> list[int]:
+    """Expected dimensions aligned with :func:`momentum_values` order."""
+    return [expected_block_dimension(f, label.nu) for label in momentum_values(f)]
+
+
+def _check_orthonormal(v: np.ndarray) -> None:
+    """Dense ``V^H V = I`` to ``GRAM_TOL``, for arbitrary vectors."""
+    gram = v.conj().T @ v
+    if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > GRAM_TOL:
+        raise ValueError("block vectors are not orthonormal")
+
+
+def _check_disjoint_rows(rows: np.ndarray, size: int) -> None:
+    """Frame entries on distinct basis rows: then no two columns share a
+    row and every off-diagonal entry of ``V^H V`` is exactly 0."""
+    if rows.size and np.bincount(rows, minlength=size).max() > 1:
+        raise ValueError("block vectors are not orthonormal: a basis row repeats")
+
+
+def _check_unit_columns(frame: OrbitFrame) -> None:
+    """Column norms within ``GRAM_TOL`` of 1: with disjoint rows, the
+    diagonal of ``V^H V = I`` at the tolerance of :func:`_check_orthonormal`."""
+    norms = np.bincount(frame.cols, weights=np.abs(frame.amps) ** 2, minlength=frame.dim)
+    if np.max(np.abs(norms - 1.0), initial=0.0) > GRAM_TOL:
+        raise ValueError("block vectors are not orthonormal")
+
+
+# ------------------------------------------------------------------ oracles
 
 
 @dataclass(frozen=True)
@@ -229,15 +472,8 @@ class _Orbits:
         seed = self.seed_of[member]
         return OrbitFrame(
             size=self.size, dim=alive.size, rows=self.rows[member], cols=column[seed],
-            amps=_phase(nu, self.shift[member], self.f) / np.sqrt(self.periods[seed]),
+            amps=_roots(self.f)[nu * self.shift[member] % self.f] / np.sqrt(self.periods[seed]),
             quanta=self.quanta[alive])
-
-
-def _phase(nu: int | np.ndarray, r: np.ndarray, f: int) -> np.ndarray:
-    """``e^{ikr}``, ``k = 2 pi nu / f``, for integer ``nu`` and shifts ``r``
-    (broadcast).  ``nu * r`` is reduced modulo ``f`` first, so the angle
-    stays below ``2 pi`` and keeps full precision on large rings."""
-    return np.exp(2j * math.pi * (nu * r % f) / f)
 
 
 def _orbits(f: int, basis: FockBasis) -> _Orbits:
@@ -261,7 +497,8 @@ def _orbits(f: int, basis: FockBasis) -> _Orbits:
 def build_momentum_vectors(
     f: int, label: MomentumLabel, basis: FockBasis | None = None
 ) -> list[np.ndarray]:
-    """Unit-norm block basis vectors for one momentum label.
+    """Unit-norm block basis vectors for one momentum label, from the orbit
+    table (the dense reference for :func:`block_frame`).
 
     Orbits whose Fourier sum vanishes at this momentum contribute no vector;
     each survivor is ``(1/sqrt(P)) sum_r e^{ikr} T^r |seed>``.
@@ -275,28 +512,6 @@ def build_momentum_vectors(
     return list(np.ascontiguousarray(_orbits(f, basis).frame(label.nu).dense().T))
 
 
-def _check_orthonormal(v: np.ndarray) -> None:
-    """Dense ``V^H V = I`` to ``GRAM_TOL``, for arbitrary vectors."""
-    gram = v.conj().T @ v
-    if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > GRAM_TOL:
-        raise ValueError("block vectors are not orthonormal")
-
-
-def _check_disjoint_rows(rows: np.ndarray, size: int) -> None:
-    """Frame entries on distinct basis rows: then no two columns share a
-    row and every off-diagonal entry of ``V^H V`` is exactly 0."""
-    if rows.size and np.bincount(rows, minlength=size).max() > 1:
-        raise ValueError("block vectors are not orthonormal: a basis row repeats")
-
-
-def _check_unit_columns(frame: OrbitFrame) -> None:
-    """Column norms within ``GRAM_TOL`` of 1: with disjoint rows, the
-    diagonal of ``V^H V = I`` at the tolerance of :func:`_check_orthonormal`."""
-    norms = np.bincount(frame.cols, weights=np.abs(frame.amps) ** 2, minlength=frame.dim)
-    if np.max(np.abs(norms - 1.0), initial=0.0) > GRAM_TOL:
-        raise ValueError("block vectors are not orthonormal")
-
-
 def project_block(
     h: np.ndarray, vectors: list[np.ndarray] | np.ndarray, label: MomentumLabel
 ) -> MomentumBlock:
@@ -304,69 +519,23 @@ def project_block(
 
     Raises if the vectors are not orthonormal (checked densely); the
     projected matrix inherits hermiticity from ``h``.  This is the dense
-    oracle for :func:`assemble_h_r`.
+    oracle for :func:`pencil_stacks`.
     """
     v = np.column_stack(vectors) if isinstance(vectors, list) else vectors
     _check_orthonormal(v)
-    hmat = v.conj().T @ h @ v
-    return MomentumBlock(label=label, frame=OrbitFrame.of_dense(v), hmatrix=hmat)
+    return MomentumBlock(label=label, hmatrix=v.conj().T @ h @ v,
+                         given_frame=OrbitFrame.of_dense(v))
 
 
-def expected_block_dimension(f: int, nu: int) -> int:
-    """Closed-form block dimension for one momentum label."""
-    if f % 2 == 1:
-        return (f + 5) // 2 if nu == 0 else (f + 3) // 2
-    if nu == 0:
-        return (f + 6) // 2
-    if nu % 2 != 0:
-        return (f + 2) // 2
-    return (f + 4) // 2
+def orbit_block_pencil(f: int, gamma: float,
+                       basis: FockBasis | None = None) -> list[BlockPencil]:
+    """The oracle for :func:`block_pencil`: every block built from the
+    images of the orbit seeds.
 
-
-def block_dimensions(f: int) -> list[int]:
-    """Expected dimensions aligned with :func:`momentum_values` order."""
-    return [expected_block_dimension(f, label.nu) for label in momentum_values(f)]
-
-
-@dataclass(frozen=True)
-class BlockPencil:
-    """One momentum block as a function of the drive coupling,
-    ``B(lam) = b_bh + lam * b_drive``.
-
-    ``frame`` and ``vectors`` are the block basis of :class:`MomentumBlock`;
-    ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s).
-    """
-
-    label: MomentumLabel
-    frame: OrbitFrame
-    b_bh: np.ndarray
-    b_drive: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.b_bh.setflags(write=False)
-        self.b_drive.setflags(write=False)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return _read_only_dense(self.frame)
-
-    @property
-    def quanta(self) -> np.ndarray:
-        return self.frame.quanta
-
-    def matrix(self, lam: float | np.ndarray) -> np.ndarray:
-        """``b_bh + lam * b_drive``; an array of couplings gives the stack of
-        their matrices, shape ``lam.shape + (d, d)``."""
-        return self.b_bh + np.multiply.outer(lam, self.b_drive)
-
-
-def block_pencil(f: int, gamma: float, basis: FockBasis | None = None) -> list[BlockPencil]:
-    """All momentum blocks of ``H_BH`` and of the drive at unit coupling.
-
-    One pass over the orbit seeds with ``apply_hamiltonian(f, gamma, 1.0,
-    seed)``; the block entries are split by the total quanta of their row
-    and column seeds (see the module docstring).  The block vectors are
-    checked orthonormal on their frames.  Pencils are returned ``nu``
+    One pass over the seeds with ``apply_hamiltonian(f, gamma, 1.0, seed)``;
+    each image is looked up in the orbit table, and the entries are split by
+    the total quanta of their row and column seeds: ``H_BH`` keeps the
+    quanta and the drive moves them by one.  Pencils are returned ``nu``
     descending.
     """
     if basis is None:
@@ -387,91 +556,13 @@ def block_pencil(f: int, gamma: float, basis: FockBasis | None = None) -> list[B
     nus = np.array([label.nu for label in labels])[:, None]
     n = len(orbits.seeds)
     full = np.zeros((len(labels), n, n), dtype=complex)
-    np.add.at(full, (slice(None), rows, cols), weights * _phase(nus, -np.array(shifts), f))
+    np.add.at(full, (slice(None), rows, cols), weights * _roots(f)[-nus * np.array(shifts) % f])
     same = orbits.quanta[:, None] == orbits.quanta[None, :]
     b_bh, b_drive = np.where(same, full, 0.0), np.where(same, 0.0, full)
-    _check_disjoint_rows(orbits.rows, orbits.size)
     pencils = []
     for i, label in enumerate(labels):
         alive = orbits.alive(label.nu)
-        frame = orbits.frame(label.nu)
-        _check_unit_columns(frame)
         rows = alive[:, None]
-        pencils.append(BlockPencil(label=label, frame=frame,
+        pencils.append(BlockPencil(label=label, quanta=orbits.quanta[alive],
                                    b_bh=b_bh[i, rows, alive], b_drive=b_drive[i, rows, alive]))
     return pencils
-
-
-def assemble_h_r(
-    f: int, gamma: float, lam: float, basis: FockBasis | None = None
-) -> list[MomentumBlock]:
-    """All momentum blocks of ``H = H_BH + H_lam`` on the 0+1+2-quanta space.
-
-    Each block is the pencil of :func:`block_pencil` at ``lam``, with no
-    dense ``H``.  The union of the block spectra reproduces the spectrum of
-    the full restricted Hamiltonian; blocks are returned ``nu`` descending.
-    """
-    return [MomentumBlock(label=p.label, frame=p.frame, hmatrix=p.matrix(lam))
-            for p in block_pencil(f, gamma, basis)]
-
-
-def closed_form_h22(f: int, gamma: float, label: MomentumLabel) -> np.ndarray:
-    """Closed-form two-quanta block for one momentum value (cross-check only).
-
-    With ``q = 1 + e^{2i pi nu/f}`` the block is tridiagonal over the pair
-    separation index: diagonal ``(-gamma, 0, ..., 0)`` plus, for odd ``f``, a
-    final entry ``-p`` with ``p = e^{i(f+1)pi nu/f} + e^{i(f-1)pi nu/f}``;
-    the first coupling is ``-sqrt(2) q`` and the inner ones ``-q`` (upper
-    triangle conjugated).  On even rings the antipodal family only exists for
-    even ``nu`` and couples with strength ``-sqrt(2) q``.  The small rings
-    ``f = 1`` (scalar ``-gamma - 4``) and ``f = 2`` are degenerate shapes and
-    are handled explicitly.
-    """
-    nu = label.nu
-    if f == 1:
-        return np.array([[-gamma - 4.0]], dtype=complex)
-    if f == 2:
-        if nu % 2 == 0:
-            return np.array([[-gamma, -4.0], [-4.0, 0.0]], dtype=complex)
-        return np.array([[-gamma]], dtype=complex)
-    q = 1.0 + cmath.exp(2j * math.pi * nu / f)
-    if f % 2 == 1:
-        m = (f + 1) // 2
-        out = np.zeros((m, m), dtype=complex)
-        out[0, 0] = -gamma
-        p = cmath.exp(1j * (f + 1) * math.pi * nu / f) + cmath.exp(1j * (f - 1) * math.pi * nu / f)
-        out[m - 1, m - 1] = -p
-        couplings = [-math.sqrt(2) * q] + [-q] * (m - 2)
-    else:
-        m = f // 2 + 1 if nu % 2 == 0 else f // 2
-        out = np.zeros((m, m), dtype=complex)
-        out[0, 0] = -gamma
-        couplings = [-math.sqrt(2) * q] + [-q] * (f // 2 - 2)
-        if nu % 2 == 0:
-            couplings.append(-math.sqrt(2) * q)
-    for i, c in enumerate(couplings):
-        out[i + 1, i] = c
-        out[i, i + 1] = c.conjugate()
-    return out
-
-
-def closed_form_h12(f: int, lam: float, label: MomentumLabel) -> np.ndarray:
-    """Closed-form one-to-two-quanta coupling row for one momentum value.
-
-    Entry ``b`` couples the one-quantum vector to the ``b``-th two-quantum
-    vector: ``-sqrt(2) lam`` for the doubly occupied family, conjugate of
-    ``-lam (1 + e^{2i pi (b-1) nu/f})`` for separated pairs, and
-    ``-sqrt(2) lam`` for the antipodal family on even rings (even ``nu``
-    only).  Aligned with the surviving columns of the projected block.
-    """
-    nu = label.nu
-    entries: list[complex] = [-math.sqrt(2) * lam]
-    if f % 2 == 1:
-        for j in range(1, (f + 1) // 2):
-            entries.append(-lam * (1.0 + cmath.exp(2j * math.pi * j * nu / f)).conjugate())
-    else:
-        for j in range(1, f // 2):
-            entries.append(-lam * (1.0 + cmath.exp(2j * math.pi * j * nu / f)).conjugate())
-        if nu % 2 == 0:
-            entries.append(-math.sqrt(2) * lam)
-    return np.array(entries, dtype=complex)

@@ -9,6 +9,7 @@ determinant expansion.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -16,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .fock import FockBasis, at_most, enumerate_basis
-from .momentum import MomentumBlock, MomentumLabel, assemble_h_r, block_pencil
+from .momentum import MomentumBlock, MomentumLabel, block_pencil, pencil_stacks
 from .ops import build_hamiltonian, hermiticity_defect
 from .reference import EIGENSTATE_FORMULAS, EIGENSTATE_RESIDUAL_TOL
 from .report import Check, check, skip
@@ -28,11 +29,14 @@ RESIDUAL_TOL = 1e-9
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
 # Largest accepted ring.  A solve builds no array over the (f+1)(f+2)/2 = D
-# occupation states, only the f block frames (D entries each) and d x d block
-# matrices, so its memory grows as f^3: `qeslattice spectrum --f 120` peaked at
-# 115 MB RSS (ru_maxrss, x86-64, one BLAS thread).  The cap bounds what a
-# caller can still ask for: reading `.vectors` and `.eigenvectors` on every
-# block builds dense arrays of 32 * D^2 bytes, about 1.74 GB at f = 120.
+# occupation states and no block frame, only the f block matrices of d ~ f/2
+# rows (in at most three (n_nu, d, d) stacks) and their eigenvectors, so its
+# memory grows as f^3 / 2 complex entries: about 1 MB at f = 120, where
+# `qeslattice spectrum --f 120` peaked at 61 MB RSS (ru_maxrss, x86-64, one
+# BLAS thread), most of it the interpreter and numpy.  The cap bounds what a
+# caller can still ask for: a block frame read costs O(D), but reading
+# `.vectors` and `.eigenvectors` on every block builds dense arrays of
+# 32 * D^2 bytes, about 1.74 GB at f = 120.
 MAX_SITES = 120
 # Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2.  Every block
 # has d^2 <= 3 (f+1)(f+2)/2, so one block's (n_points, d, d) complex stack
@@ -44,15 +48,22 @@ MAX_SITES = 120
 MAX_SWEEP_ROWS = 2_000_000
 
 
-def _check_sites(f: int) -> None:
-    """Reject a ring size outside ``1..MAX_SITES`` before any basis is built."""
+def _check_sites(f: int) -> int:
+    """``f`` as an ``int``; rejects anything but an integer (``bool``
+    included) in ``1..MAX_SITES`` before any array is built."""
+    if isinstance(f, (bool, np.bool_)) or not isinstance(f, numbers.Integral):
+        raise ValueError(f"site count f = {f!r} is not an integer")
     if not 1 <= f <= MAX_SITES:
         raise ValueError(f"site count f = {f!r} is outside [1, {MAX_SITES}]")
+    return int(f)
 
 
 def _check_coupling(name: str, value: float) -> None:
-    """Reject a coupling larger than ``MAX_COUPLING`` in magnitude; NaN and
-    infinities fail the comparison too."""
+    """Reject a coupling that is not a real number (``bool`` included) or is
+    larger than ``MAX_COUPLING`` in magnitude; NaN and infinities fail the
+    comparison too."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} = {value!r} is not a real number")
     if not abs(value) <= MAX_COUPLING:
         raise ValueError(f"{name} = {value!r} is outside [-{MAX_COUPLING:g}, {MAX_COUPLING:g}]")
 
@@ -80,16 +91,6 @@ def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if residual > RESIDUAL_TOL:
         raise ArithmeticError(f"eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")
     return w, v
-
-
-def diagonalize(block: MomentumBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of one block.
-
-    Eigenvectors are returned as columns over the occupation basis.  The
-    checks are those of :func:`eigh_checked`.
-    """
-    w, v = eigh_checked(block.hmatrix)
-    return w, block.vectors @ v
 
 
 def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray) -> tuple[int, ...]:
@@ -136,13 +137,17 @@ class BlockSpectrum:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Full block-resolved spectrum at one parameter point."""
+    """Full block-resolved spectrum at one parameter point; ``basis`` is the
+    occupation basis, enumerated on first read."""
 
     f: int
     gamma: float
     lam: float
-    basis: FockBasis
     blocks: tuple[BlockSpectrum, ...]
+
+    @cached_property
+    def basis(self) -> FockBasis:
+        return enumerate_basis(self.f, at_most(2))
 
     def block_for(self, nu: int) -> BlockSpectrum:
         for bs in self.blocks:
@@ -155,20 +160,26 @@ class SpectrumResult:
 
 
 def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
-    """Assemble all momentum blocks of ``H`` and diagonalize each.
+    """Assemble all momentum blocks of ``H`` and diagonalize them, one
+    :func:`eigh_checked` call per stack of equal-sized blocks.
 
-    Raises ``ValueError`` for a ring size ``f`` outside ``1..MAX_SITES``, a
-    non-finite coupling or one larger than ``MAX_COUPLING`` in magnitude.
+    Raises ``ValueError`` for a ring size ``f`` that is not an integer in
+    ``1..MAX_SITES``, and for a coupling that is not a real number, is not
+    finite or is larger than ``MAX_COUPLING`` in magnitude.  Blocks are
+    returned ``nu`` descending.
     """
-    _check_sites(f)
+    f = _check_sites(f)
     _check_coupling("gamma", gamma)
     _check_coupling("lambda", lam)
-    basis = enumerate_basis(f, at_most(2))
     spectra = []
-    for block in assemble_h_r(f, gamma, lam, basis):
-        w, v = eigh_checked(block.hmatrix)
-        spectra.append(BlockSpectrum(block=block, eigenvalues=w, coefficients=v))
-    return SpectrumResult(f=f, gamma=gamma, lam=lam, basis=basis, blocks=tuple(spectra))
+    for stack in pencil_stacks(f, gamma):
+        h = stack.matrix(lam)
+        w, v = eigh_checked(h)
+        spectra += [BlockSpectrum(block=MomentumBlock(label=label, hmatrix=h[i], quanta=stack.quanta),
+                                  eigenvalues=w[i], coefficients=v[i])
+                    for i, label in enumerate(stack.labels)]
+    spectra.sort(key=lambda bs: -bs.label.nu)
+    return SpectrumResult(f=f, gamma=gamma, lam=lam, blocks=tuple(spectra))
 
 
 def char_poly(block: MomentumBlock) -> np.ndarray:
@@ -195,6 +206,17 @@ def quanta_tag(vector: np.ndarray, basis: FockBasis) -> int:
         if mass > best_mass:
             best_n, best_mass = n, mass
     return best_n
+
+
+def _real_grid(points: list) -> np.ndarray:
+    """The couplings as a float array; rejects the first one that is not a
+    real number (``bool`` included)."""
+    grid = np.asarray(points)
+    if grid.ndim != 1 or grid.dtype.kind not in "iuf":
+        for lam in points:
+            _check_coupling("lambda", lam)
+        raise ValueError(f"coupling grid {points!r} is not a list of real numbers")
+    return grid.astype(float)
 
 
 @dataclass(frozen=True)
@@ -225,35 +247,24 @@ class SweepResult:
     def __post_init__(self) -> None:
         self.lambdas.setflags(write=False)
 
-    def continuity_ratios(self) -> np.ndarray:
-        """``|dE| / (d_lambda * (1 + |E|))`` for every curve segment; the
-        curves are continuous when these stay below ~10."""
-        ratios = []
-        dl = np.diff(self.lambdas)
-        for bs in self.blocks:
-            de = np.abs(np.diff(bs.energies, axis=0))
-            scale = dl[:, None] * (1.0 + np.abs(bs.energies[:-1]))
-            ratios.append((de / scale).ravel())
-        return np.concatenate(ratios)
-
 
 def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     """Eigenvalue curves over an ascending coupling grid.
 
-    The basis and the block pencils ``B_BH + lam * B_drive`` are built once;
+    The block pencils ``B_BH + lam * B_drive`` are built once;
     each block's whole grid is then one stack of ``(n_points, d, d)``
     matrices, diagonalized in one :func:`eigh_checked` call.  Levels are
     matched across adjacent grid points by eigenvector overlap (optimal
     assignment), which keeps each column of the table on one physical curve
     even where curves cross.  The block vectors are orthonormal, so overlaps
     and quanta tags are read in block coordinates.  Rejects the inputs
-    :func:`solve_spectrum` rejects, and grids of more than
-    ``MAX_SWEEP_ROWS`` output rows, before any basis is built.
+    :func:`solve_spectrum` rejects, empty or unsorted grids and grids of
+    more than ``MAX_SWEEP_ROWS`` output rows, before any block is built.
     """
     from scipy.optimize import linear_sum_assignment  # slow import, needed only here
 
-    _check_sites(f)
-    grid = np.asarray(list(lambdas), dtype=float)
+    f = _check_sites(f)
+    grid = _real_grid(list(lambdas))
     if grid.size == 0:
         raise ValueError("empty coupling grid")
     if np.any(np.diff(grid) <= 0):
@@ -264,7 +275,7 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
         _check_coupling("lambda", float(lam))
 
     block_sweeps = []
-    for pencil in block_pencil(f, gamma, enumerate_basis(f, at_most(2))):
+    for pencil in block_pencil(f, gamma):
         w, v = eigh_checked(pencil.matrix(grid))
         tags = quanta_tags(v[0], pencil.quanta)
         energies = np.empty_like(w)

@@ -19,8 +19,7 @@ import numpy as np
 from . import algebra
 from .fock import at_most, enumerate_basis, exactly
 from .momentum import (assemble_h_r, block_dimensions, build_momentum_vectors,
-                       closed_form_h12, closed_form_h22, expected_block_dimension,
-                       momentum_values)
+                       expected_block_dimension, momentum_values, orbit_block_pencil)
 from .ops import (build_h_bh, build_h_lambda, build_hamiltonian, build_number,
                   build_translation, commutator, hermiticity_defect, sector_block)
 from .reference import (CHARPOLY_SAMPLES, CHARPOLY_TOL, REFERENCE_CHAR_POLYS,
@@ -76,7 +75,8 @@ def ops_suite(f_max: int = 6) -> list[Check]:
 
 def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
     """Block dimensions, orthonormality, translation eigenvectors, coupling
-    structure, and agreement with the closed-form block matrices."""
+    structure, and agreement of the closed-form block matrices with the
+    projection of dense ``H`` and with the orbit construction."""
     checks: list[Check] = []
     for f in range(1, f_max_dims + 1):
         dims = block_dimensions(f)
@@ -94,7 +94,7 @@ def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
         basis = enumerate_basis(f, at_most(2))
         t_op = build_translation(f, basis)
         h = build_hamiltonian(f, gamma, lam, basis)
-        blocks = assemble_h_r(f, gamma, lam, basis)
+        blocks = assemble_h_r(f, gamma, lam)
         dim_dev = max(abs(b.dim - expected_block_dimension(f, b.label.nu)) for b in blocks)
         checks.append(check("constructed block dimensions", dim_dev == 0,
                             residual=dim_dev, f=f))
@@ -141,18 +141,17 @@ def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
 
     for f in range(1, 6):
         for gam in (1.0, 3.0):
-            blocks = assemble_h_r(f, gam, lam)
             worst22 = 0.0
             worst12 = 0.0
-            for b in blocks:
+            # the closed-form blocks against the orbit construction
+            for b, oracle in zip(assemble_h_r(f, gam, lam), orbit_block_pencil(f, gam)):
+                ref = oracle.matrix(lam)
                 i0 = 2 if b.label.nu == 0 else 1
-                ref22 = closed_form_h22(f, gam, b.label)
                 e_block = np.sort(np.linalg.eigvalsh(b.hmatrix[i0:, i0:]))
-                e_ref = np.sort(np.linalg.eigvalsh(ref22))
+                e_ref = np.sort(np.linalg.eigvalsh(ref[i0:, i0:]))
                 worst22 = max(worst22, float(np.max(np.abs(e_block - e_ref))))
-                ref12 = closed_form_h12(f, lam, b.label)
                 worst12 = max(worst12, float(np.max(np.abs(
-                    b.hmatrix[i0 - 1, i0:] - ref12))))
+                    b.hmatrix[i0 - 1, i0:] - ref[i0 - 1, i0:]))))
             checks.append(check("closed-form two-quanta block (eigenvalues)",
                                 worst22 < ORACLE_TOL, residual=worst22, f=f, gamma=gam))
             checks.append(check("closed-form one-to-two coupling row",

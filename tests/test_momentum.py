@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from qeslattice.fock import at_most, enumerate_basis
+from qeslattice import momentum
 from qeslattice.momentum import (GRAM_TOL, MomentumLabel, OrbitFrame, _check_disjoint_rows,
                                  _check_unit_columns, assemble_h_r, block_dimensions,
-                                 block_pencil, build_momentum_vectors, closed_form_h12,
-                                 closed_form_h22, expected_block_dimension,
-                                 momentum_values, project_block, two_quanta_seed,
-                                 two_quanta_seed_count)
+                                 block_pencil, build_momentum_vectors,
+                                 expected_block_dimension, momentum_values,
+                                 orbit_block_pencil, pencil_stacks, project_block,
+                                 two_quanta_seed, two_quanta_seed_count)
 from qeslattice.ops import (apply_hamiltonian, build_h_bh, build_h_lambda,
                            build_hamiltonian, build_translation, hermiticity_defect)
+from qeslattice.spectra import MAX_SITES
 from qeslattice.suites import momentum_suite
 
 SQRT2 = math.sqrt(2)
@@ -24,6 +26,12 @@ def labels_of(f):
 
 def block_map(f, gamma, lam):
     return {b.label.nu: b for b in assemble_h_r(f, gamma, lam)}
+
+
+def two_quanta_block(f, gamma, nu):
+    """The two-quanta part of ``B_BH`` at ``nu``, as the builder writes it."""
+    pencil = {p.label.nu: p for p in block_pencil(f, gamma)}[nu]
+    return pencil.b_bh[pencil.quanta == 2][:, pencil.quanta == 2]
 
 
 # ------------------------------------------------------------- labels
@@ -152,17 +160,15 @@ def test_vacuum_coupling_strength(f, lam):
 # ------------------------------------------------- closed-form cross-checks
 
 def test_closed_form_h22_small_rings():
-    assert np.allclose(closed_form_h22(1, 3.0, MomentumLabel(1, 0)), [[-7.0]])
-    assert np.allclose(closed_form_h22(2, 3.0, MomentumLabel(2, 0)),
-                       [[-3.0, -4.0], [-4.0, 0.0]])
-    assert np.allclose(closed_form_h22(2, 3.0, MomentumLabel(2, 1)), [[-3.0]])
+    assert np.allclose(two_quanta_block(1, 3.0, 0), [[-7.0]])
+    assert np.allclose(two_quanta_block(2, 3.0, 0), [[-3.0, -4.0], [-4.0, 0.0]])
+    assert np.allclose(two_quanta_block(2, 3.0, 1), [[-3.0]])
 
 
 def test_closed_form_h22_three_sites():
-    label = MomentumLabel(3, 1)
     q = 1 + cmath.exp(2j * math.pi / 3)
     p = cmath.exp(4j * math.pi / 3) + cmath.exp(2j * math.pi / 3)
-    out = closed_form_h22(3, 3.0, label)
+    out = two_quanta_block(3, 3.0, 1)
     expected = np.array([[-3.0, -SQRT2 * q.conjugate()], [-SQRT2 * q, -p]])
     assert np.max(np.abs(out - expected)) < 1e-14
 
@@ -170,16 +176,16 @@ def test_closed_form_h22_three_sites():
 @pytest.mark.parametrize("f", range(1, 6))
 @pytest.mark.parametrize("gamma", [1.0, 3.0])
 def test_closed_forms_match_projected_blocks(f, gamma):
+    # the closed-form blocks against the orbit construction
     lam = 0.45
-    for b in assemble_h_r(f, gamma, lam):
+    for b, oracle in zip(assemble_h_r(f, gamma, lam), orbit_block_pencil(f, gamma), strict=True):
+        ref = oracle.matrix(lam)
         i0 = 2 if b.label.nu == 0 else 1
-        ref22 = closed_form_h22(f, gamma, b.label)
         # eigenvalue agreement (the contract) and entrywise agreement (stronger)
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(b.hmatrix[i0:, i0:]))
-                             - np.sort(np.linalg.eigvalsh(ref22)))) < 1e-9
-        assert np.max(np.abs(b.hmatrix[i0:, i0:] - ref22)) < 1e-12
-        ref12 = closed_form_h12(f, lam, b.label)
-        assert np.max(np.abs(b.hmatrix[i0 - 1, i0:] - ref12)) < 1e-12
+                             - np.sort(np.linalg.eigvalsh(ref[i0:, i0:])))) < 1e-9
+        assert np.max(np.abs(b.hmatrix[i0:, i0:] - ref[i0:, i0:])) < 1e-12
+        assert np.max(np.abs(b.hmatrix[i0 - 1, i0:] - ref[i0 - 1, i0:])) < 1e-12
 
 
 # ------------------------------------------------------------- assembly
@@ -215,7 +221,7 @@ def test_constructed_blocks_have_expected_dimensions(f):
 def test_block_union_matches_brute_force_spectrum(f):
     basis = enumerate_basis(f, at_most(2))
     h = build_hamiltonian(f, 3.0, 0.5, basis)
-    blocks = assemble_h_r(f, 3.0, 0.5, basis)
+    blocks = assemble_h_r(f, 3.0, 0.5)
     union = np.sort(np.concatenate([np.linalg.eigvalsh(b.hmatrix) for b in blocks]))
     full = np.sort(np.linalg.eigvalsh(h))
     assert np.max(np.abs(union - full)) < 1e-9
@@ -225,7 +231,7 @@ def test_block_union_matches_brute_force_spectrum(f):
 def test_no_matrix_elements_between_blocks(f):
     basis = enumerate_basis(f, at_most(2))
     h = build_hamiltonian(f, 3.0, 0.5, basis)
-    blocks = assemble_h_r(f, 3.0, 0.5, basis)
+    blocks = assemble_h_r(f, 3.0, 0.5)
     for i, bi in enumerate(blocks):
         for bj in blocks[i + 1:]:
             cross = bi.vectors.conj().T @ h @ bj.vectors
@@ -258,7 +264,7 @@ def test_direct_blocks_match_dense_projection(f, gamma, lam):
     tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
     basis = enumerate_basis(f, at_most(2))
     h = build_hamiltonian(f, gamma, lam, basis)
-    blocks = assemble_h_r(f, gamma, lam, basis)
+    blocks = assemble_h_r(f, gamma, lam)
     assert [b.label for b in blocks] == momentum_values(f)
     for b in blocks:
         oracle = project_block(h, build_momentum_vectors(f, b.label, basis), b.label)
@@ -275,21 +281,21 @@ def test_pencil_matches_dense_projection_of_each_term(f, gamma):
     basis = enumerate_basis(f, at_most(2))
     h_bh = build_h_bh(f, gamma, basis)
     h_drive = build_h_lambda(f, 1.0, basis)
-    pencils = block_pencil(f, gamma, basis)
+    pencils = block_pencil(f, gamma)
     assert [p.label for p in pencils] == momentum_values(f)
     for p in pencils:
         vectors = build_momentum_vectors(f, p.label, basis)
         assert np.max(np.abs(p.b_bh - project_block(h_bh, vectors, p.label).hmatrix)) < tol
         assert np.max(np.abs(p.b_drive - project_block(h_drive, vectors, p.label).hmatrix)) < 1e-12
-        assert np.max(np.abs(p.vectors - np.column_stack(vectors))) == 0.0
+        assert np.max(np.abs(p.frame.dense() - np.column_stack(vectors))) == 0.0
 
 
 @pytest.mark.parametrize("f", [1, 2, 5, 6])
 def test_pencil_splits_by_total_quanta(f):
     basis = enumerate_basis(f, at_most(2))
-    for p in block_pencil(f, 3.0, basis):
+    for p in block_pencil(f, 3.0):
         # each column's quanta is the sector its block vector lives in
-        for column, n in zip(p.vectors.T, p.quanta):
+        for column, n in zip(p.frame.dense().T, p.quanta):
             assert np.all(column[[sum(s) != n for s in basis.states]] == 0)
         same = p.quanta[:, None] == p.quanta[None, :]
         assert np.all(p.b_drive[same] == 0) and np.all(p.b_bh[~same] == 0)
@@ -352,13 +358,13 @@ def test_momentum_suite_records_dense_projection_agreement():
 @pytest.mark.parametrize("f", range(1, 13))
 def test_lazy_vectors_equal_the_dense_reference(f):
     basis = enumerate_basis(f, at_most(2))
-    blocks = assemble_h_r(f, 3.0, 0.5, basis)
-    pencils = block_pencil(f, 3.0, basis)
+    blocks = assemble_h_r(f, 3.0, 0.5)
+    pencils = block_pencil(f, 3.0)
     for b, p in zip(blocks, pencils):
-        assert "vectors" not in vars(b) and "vectors" not in vars(p)
+        assert "frame" not in vars(b) and "vectors" not in vars(b) and "frame" not in vars(p)
         reference = np.column_stack(build_momentum_vectors(f, b.label, basis))
         assert np.max(np.abs(b.vectors - reference)) == 0.0
-        assert np.max(np.abs(p.vectors - reference)) == 0.0
+        assert np.max(np.abs(p.frame.dense() - reference)) == 0.0
         assert b.vectors is b.vectors and not b.vectors.flags.writeable
         assert b.frame.size == basis.size and b.frame.dim == b.dim
 
@@ -403,3 +409,61 @@ def test_frame_of_dense_vectors_round_trips():
     frame = OrbitFrame.of_dense(v)
     assert frame.quanta is None and (frame.size, frame.dim) == v.shape
     assert np.max(np.abs(frame.dense() - v)) == 0.0
+
+
+# ------------------------------------------------ structured builder vs orbits
+
+@pytest.mark.parametrize("f", range(1, MAX_SITES + 1))
+def test_structured_blocks_match_the_orbit_pencil(f):
+    basis = enumerate_basis(f, at_most(2))
+    for gamma, lam in [(3.0, 0.5), (1.3, -0.7), (1e3, -1e3)]:
+        tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
+        pencils = block_pencil(f, gamma)
+        oracle = orbit_block_pencil(f, gamma, basis)
+        assert [p.label for p in pencils] == [o.label for o in oracle] == momentum_values(f)
+        for p, o in zip(pencils, oracle):
+            assert p.b_bh.shape == (expected_block_dimension(f, p.label.nu),) * 2
+            assert np.array_equal(p.quanta, o.quanta)
+            assert np.max(np.abs(p.b_bh - o.b_bh)) < tol
+            assert np.max(np.abs(p.b_drive - o.b_drive)) < tol
+            assert np.max(np.abs(p.matrix(lam) - o.matrix(lam))) < tol
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4, 7, 10, 119, 120])
+def test_pencil_stacks_hold_one_block_shape_each(f):
+    stacks = pencil_stacks(f, 3.0)
+    assert len(stacks) <= 3
+    assert len({s.b_bh.shape[1:] for s in stacks}) == len(stacks)
+    assert sorted((l for s in stacks for l in s.labels), key=lambda l: -l.nu) == momentum_values(f)
+    for s in stacks:
+        assert [l.nu for l in s.labels] == sorted((l.nu for l in s.labels), reverse=True)
+        assert s.b_bh.shape == s.b_drive.shape == (len(s.labels),) + (s.quanta.size,) * 2
+        vacuum = s.labels[0].nu == 0
+        pairs = s.quanta.size - 1 - vacuum
+        assert list(s.quanta) == [0] * vacuum + [1] + [2] * pairs
+
+
+def test_frames_are_built_only_when_read_and_from_no_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an occupation basis or orbit table was built")
+    monkeypatch.setattr(momentum, "enumerate_basis", refuse)
+    monkeypatch.setattr(momentum, "_orbits", refuse)
+    checked = []
+    monkeypatch.setattr(momentum, "_check_unit_columns",
+                        lambda frame: checked.append(frame.dim))
+    f = MAX_SITES
+    blocks = assemble_h_r(f, 3.0, 0.5)
+    assert checked == [] and not any("frame" in vars(b) for b in blocks)
+    frame = blocks[0].frame
+    assert checked == [blocks[0].dim] and frame is blocks[0].frame
+    assert frame.size == (f + 1) * (f + 2) // 2 and frame.rows.size <= frame.size
+    assert np.array_equal(frame.quanta, blocks[0].quanta)
+    assert block_pencil(f, 3.0)[1].frame.dim == blocks[1].dim and len(checked) == 2
+
+
+def test_frame_build_rejects_repeated_rows(monkeypatch):
+    # the row check runs on every frame that is built
+    monkeypatch.setattr(momentum, "_check_disjoint_rows",
+                        lambda rows, size: _check_disjoint_rows(rows % 3, size))
+    with pytest.raises(ValueError, match="a basis row repeats"):
+        assemble_h_r(4, 3.0, 0.5)[0].frame

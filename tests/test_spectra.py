@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,13 +7,12 @@ import pytest
 
 from qeslattice import spectra
 from qeslattice.fock import at_most, enumerate_basis, exactly
-from qeslattice.momentum import (MomentumBlock, MomentumLabel, OrbitFrame, assemble_h_r,
-                                 build_momentum_vectors, momentum_values)
+from qeslattice.momentum import assemble_h_r, build_momentum_vectors, momentum_values
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
 from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS,
-                                brute_force_eigenvalues, char_poly, diagonalize, eigh_checked,
+                                brute_force_eigenvalues, char_poly, eigh_checked,
                                 quanta_tag, quanta_tags, solve_spectrum, soliton_band, sweep,
                                 verify_eigenvector_formulas)
 
@@ -21,6 +21,23 @@ TABLE_TOL = 1.5e-3
 
 def blocks_by_nu(f, gamma, lam):
     return {b.label.nu: b for b in assemble_h_r(f, gamma, lam)}
+
+
+def diagonalize(block):
+    """Eigenvalues and eigenvectors of one block, in block coordinates."""
+    return eigh_checked(block.hmatrix)
+
+
+def continuity_ratios(result):
+    """``|dE| / (d_lambda * (1 + |E|))`` for every curve segment of a sweep;
+    the curves are continuous when these stay below ~10."""
+    ratios = []
+    dl = np.diff(result.lambdas)
+    for bs in result.blocks:
+        de = np.abs(np.diff(bs.energies, axis=0))
+        scale = dl[:, None] * (1.0 + np.abs(bs.energies[:-1]))
+        ratios.append((de / scale).ravel())
+    return np.concatenate(ratios)
 
 
 # ---------------------------------------------------------- diagonalize
@@ -42,12 +59,9 @@ def test_two_site_antiperiodic_block():
 
 
 def test_diagonalize_rejects_non_hermitian():
-    bad = MomentumBlock(label=MomentumLabel(1, 0),
-                        frame=OrbitFrame.of_dense(np.eye(3, dtype=complex)),
-                        hmatrix=np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]],
-                                         dtype=complex))
+    bad = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
-        diagonalize(bad)
+        eigh_checked(bad)
 
 
 def test_eigh_checked_stack_equals_one_matrix_at_a_time():
@@ -90,10 +104,11 @@ def test_sweep_rejects_bad_grid_point():
 
 @pytest.fixture
 def no_basis(monkeypatch):
-    """Fail any attempt to enumerate a basis inside ``spectra``."""
+    """Fail any attempt to enumerate a basis or build a block inside ``spectra``."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a basis was enumerated")
-    monkeypatch.setattr(spectra, "enumerate_basis", refuse)
+        raise AssertionError("a basis or block was built")
+    for builder in ("enumerate_basis", "pencil_stacks", "block_pencil"):
+        monkeypatch.setattr(spectra, builder, refuse)
 
 
 @pytest.mark.parametrize("f", [0, MAX_SITES + 1])
@@ -107,6 +122,50 @@ def test_sweep_rejects_site_count_before_any_basis(no_basis):
         sweep(MAX_SITES + 1, 3.0, [0.0, 0.1])
 
 
+@pytest.mark.parametrize("f", [5.5, 6.0, True, np.True_, "5", None])
+def test_solve_spectrum_rejects_a_site_count_that_is_not_an_integer(no_basis, f):
+    with pytest.raises(ValueError, match=f"f = {f!r} is not an integer"):
+        solve_spectrum(f, 3.0, 0.5)
+
+
+@pytest.mark.parametrize("f", [5.5, 6.0, False])
+def test_sweep_rejects_a_site_count_that_is_not_an_integer(no_basis, f):
+    with pytest.raises(ValueError, match=f"f = {f!r} is not an integer"):
+        sweep(f, 3.0, [0.0, 0.1])
+
+
+@pytest.mark.parametrize("gamma, lam, name, shown", [
+    (3 + 1j, 0.3, "gamma", "(3+1j)"), (3.0, 0.3j, "lambda", "0.3j"),
+    ("3", 0.3, "gamma", "'3'"), (None, 0.3, "gamma", "None"),
+    (3.0, True, "lambda", "True")])
+def test_solve_spectrum_rejects_a_coupling_that_is_not_real(no_basis, gamma, lam, name, shown):
+    with pytest.raises(ValueError, match=f"{name} = {re.escape(shown)} is not a real number"):
+        solve_spectrum(5, gamma, lam)
+
+
+@pytest.mark.parametrize("grid, shown", [([0.0, 0.1 + 0.2j], r"\(0\.1\+0\.2j\)"),
+                                         ([0.0, "0.1"], "'0.1'"), ([0.0, None], "None"),
+                                         (np.array([0.0, 0.1j]), ".*0j.*")])
+def test_sweep_rejects_a_grid_point_that_is_not_real(no_basis, grid, shown):
+    with pytest.raises(ValueError, match=f"lambda = {shown} is not a real number"):
+        sweep(5, 3.0, grid)
+
+
+def test_sweep_rejects_a_gamma_that_is_not_real(no_basis):
+    with pytest.raises(ValueError, match="gamma = 3j is not a real number"):
+        sweep(5, 3j, [0.0, 0.1])
+
+
+def test_numpy_integers_and_floats_are_accepted():
+    plain = solve_spectrum(5, 3.0, 0.25)
+    typed = solve_spectrum(np.int64(5), np.float64(3.0), np.float32(0.25))
+    assert type(typed.f) is int and typed.f == 5
+    assert np.array_equal(typed.all_eigenvalues(), plain.all_eigenvalues())
+    curves = sweep(np.int32(5), np.float32(3.0), np.array([0, 1], dtype=np.int16))
+    assert np.array_equal(curves.lambdas, [0.0, 1.0])
+    assert [b.label for b in curves.blocks] == [bs.label for bs in plain.blocks]
+
+
 def test_sweep_rejects_too_many_rows_before_any_basis(no_basis):
     # f = 1 has 3 levels: 666_667 couplings make MAX_SWEEP_ROWS + 1 rows
     assert 3 * 666_667 == MAX_SWEEP_ROWS + 1
@@ -116,13 +175,13 @@ def test_sweep_rejects_too_many_rows_before_any_basis(no_basis):
 
 def test_sweep_at_the_row_cap_passes_the_guard(no_basis):
     # f = 3 has 10 levels: 200_000 couplings make exactly MAX_SWEEP_ROWS rows;
-    # the refused basis is the first thing built after the guards
+    # the refused block is the first thing built after the guards
     assert 10 * 200_000 == MAX_SWEEP_ROWS
-    with pytest.raises(AssertionError, match="a basis was enumerated"):
+    with pytest.raises(AssertionError, match="a basis or block was built"):
         sweep(3, 3.0, np.linspace(0.0, 1.0, 200_000))
 
 
-@pytest.mark.parametrize("f", [47, 48])
+@pytest.mark.parametrize("f", [47, 48, MAX_SITES - 1, MAX_SITES])
 @pytest.mark.parametrize("gamma", [3.0, 5.0])
 def test_large_ring_band_matches_infinite_lattice_bound_state(f, gamma):
     # at lam = 0 the band is the two-boson bound state, whose infinite-ring
@@ -133,6 +192,34 @@ def test_large_ring_band_matches_infinite_lattice_bound_state(f, gamma):
     for nu, e_min in band.minima:
         exact = -math.sqrt(gamma ** 2 + 16.0 * math.cos(math.pi * nu / f) ** 2)
         assert abs(e_min - exact) < 1e-12
+
+
+def test_largest_ring_opposite_momenta_are_degenerate():
+    result = solve_spectrum(MAX_SITES, 3.0, 0.3)
+    present = {bs.label.nu for bs in result.blocks}
+    pairs = 0
+    for bs in result.blocks:
+        if bs.label.nu > 0 and -bs.label.nu in present:
+            mirror = result.block_for(-bs.label.nu)
+            assert np.max(np.abs(bs.eigenvalues - mirror.eigenvalues)) < 1e-9
+            pairs += 1
+    assert pairs == MAX_SITES // 2 - 1
+
+
+def test_largest_ring_spectrum_is_even_in_the_coupling():
+    plus = solve_spectrum(MAX_SITES, 3.0, 0.4).all_eigenvalues()
+    minus = solve_spectrum(MAX_SITES, 3.0, -0.4).all_eigenvalues()
+    assert plus.size == (MAX_SITES + 1) * (MAX_SITES + 2) // 2
+    assert np.max(np.abs(plus - minus)) < 1e-9
+
+
+def test_solve_builds_no_frame_and_no_basis_until_read(monkeypatch):
+    result = solve_spectrum(12, 3.0, 0.5)
+    assert "basis" not in vars(result)
+    for bs in result.blocks:
+        assert "frame" not in vars(bs.block) and "vectors" not in vars(bs.block)
+        assert bs.block.hmatrix.shape == (bs.block.quanta.size,) * 2
+    assert result.basis is result.basis and result.basis.size == 91
 
 
 def test_eigenvectors_are_orthonormal_and_satisfy_residual():
@@ -228,7 +315,7 @@ def test_sweep_tags_at_zero_coupling():
 
 def test_sweep_curves_are_continuous():
     result = sweep(4, 3.0, [round(0.02 * i, 10) for i in range(26)])
-    assert float(np.max(result.continuity_ratios())) < 10.0
+    assert float(np.max(continuity_ratios(result))) < 10.0
 
 
 def test_sweep_rejects_bad_grids():
