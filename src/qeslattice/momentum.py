@@ -221,7 +221,8 @@ def block_frame(label: MomentumLabel) -> OrbitFrame:
     shift = np.broadcast_to(r, (seps.size, f))[r < period]
     sep = np.broadcast_to(seps, (seps.size, f))[r < period]
     lo, hi = np.minimum(shift, (shift + sep) % f), np.maximum(shift, (shift + sep) % f)
-    one = int(nu == 0)  # column of the one-quantum vector
+    one = int(nu == 0)  # column of the one-quantum vector, and the number of vacuum columns
+    # the vacuum (row 0, amplitude 1), the one-quantum translates, the pairs
     rows = [np.zeros(one, dtype=int), 1 + r, 1 + f + lo * f - lo * (lo - 1) // 2 + hi - lo]
     cols = [np.zeros(one, dtype=int), np.full(f, one), one + 1 + np.repeat(seps[:, 0], period[:, 0])]
     amps = [roots[:one], roots[nu * r % f] / np.sqrt(f),
@@ -369,8 +370,8 @@ def pencil_stacks(f: int, gamma: float) -> list[PencilStack]:
     return [_stack(f, gamma, labels) for labels in shapes.values()]
 
 
-def _nu_descending(items: list, label_of) -> list:
-    return sorted(items, key=lambda item: -label_of(item).nu)
+def _nu_descending(items: list) -> list:
+    return sorted(items, key=lambda item: -item.label.nu)
 
 
 def block_pencil(f: int, gamma: float) -> list[BlockPencil]:
@@ -379,7 +380,7 @@ def block_pencil(f: int, gamma: float) -> list[BlockPencil]:
     pencils = [BlockPencil(label=label, quanta=stack.quanta, b_bh=bh, b_drive=drive)
                for stack in pencil_stacks(f, gamma)
                for label, bh, drive in zip(stack.labels, stack.b_bh, stack.b_drive)]
-    return _nu_descending(pencils, lambda p: p.label)
+    return _nu_descending(pencils)
 
 
 def assemble_h_r(f: int, gamma: float, lam: float) -> list[MomentumBlock]:
@@ -392,7 +393,7 @@ def assemble_h_r(f: int, gamma: float, lam: float) -> list[MomentumBlock]:
     blocks = [MomentumBlock(label=label, hmatrix=h, quanta=stack.quanta)
               for stack in pencil_stacks(f, gamma)
               for label, h in zip(stack.labels, stack.matrix(lam))]
-    return _nu_descending(blocks, lambda b: b.label)
+    return _nu_descending(blocks)
 
 
 def expected_block_dimension(f: int, nu: int) -> int:

@@ -29,22 +29,22 @@ RESIDUAL_TOL = 1e-9
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
 # Largest accepted ring.  A solve builds no array over the (f+1)(f+2)/2 = D
-# occupation states and no block frame, only the f block matrices of d ~ f/2
-# rows (in at most three (n_nu, d, d) stacks) and their eigenvectors, so its
-# memory grows as f^3 / 2 complex entries: about 1 MB at f = 120, where
-# `qeslattice spectrum --f 120` peaked at 61 MB RSS (ru_maxrss, x86-64, one
-# BLAS thread), most of it the interpreter and numpy.  The cap bounds what a
-# caller can still ask for: a block frame read costs O(D), but reading
-# `.vectors` and `.eigenvectors` on every block builds dense arrays of
-# 32 * D^2 bytes, about 1.74 GB at f = 120.
+# occupation states and no block frame, only the f block pencils of d ~ f/2
+# rows, in at most three (n_nu, d, d) stacks, and their eigenvectors: four
+# arrays of about f^3 / 4 complex entries, 7 MB each at f = 120, so memory
+# grows as f^3.  `qeslattice spectrum --f 120` took 0.35 s and peaked at 67 MB
+# RSS (ru_maxrss, x86-64, one BLAS thread).  The cap bounds what a caller can
+# still ask for: a block frame read costs O(D), but reading `.vectors` and
+# `.eigenvectors` on every block builds dense arrays of 32 * D^2 bytes, about
+# 1.74 GB at f = 120.
 MAX_SITES = 120
 # Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2.  Every block
 # has d^2 <= 3 (f+1)(f+2)/2, so one block's (n_points, d, d) complex stack
 # takes at most 16 * 3 * MAX_SWEEP_ROWS = 96 MB.  The largest accepted grid on
 # the largest ring, `qeslattice sweep --f 120` over 270 points (1,992,870
-# rows), peaked at 240 MB RSS (ru_maxrss, x86-64, one BLAS thread): the
-# stacks and eigenvectors of one block at a time plus the energy table; the
-# CLI writes the CSV a block at a time.
+# rows), took 41 s and peaked at 208 MB RSS (ru_maxrss, x86-64, one BLAS
+# thread): the stacks and eigenvectors of one block at a time plus the energy
+# table; the CLI writes the CSV a block at a time.
 MAX_SWEEP_ROWS = 2_000_000
 
 

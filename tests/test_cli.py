@@ -110,6 +110,17 @@ def test_sweep_rejects_nan_grid(capsys):
     assert "'nan'" in err
 
 
+def test_spectrum_builds_no_frame_and_no_basis(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frame or an occupation basis was built")
+    monkeypatch.setattr(qeslattice.momentum, "block_frame", refuse)
+    monkeypatch.setattr(qeslattice.spectra, "enumerate_basis", refuse)
+    code, out, err = run(capsys, "spectrum", "--f", "12", "--lambda", "0.3")
+    assert code == 0 and err == ""
+    header, rows = csv_rows(out)
+    assert len(rows) == 13 * 14 // 2 and {row[3] for row in rows} == {"0", "1", "2"}
+
+
 def test_spectrum_rejects_grid(capsys):
     code, _, _ = run(capsys, "spectrum", "--f", "2", "--lambda", "0:0.5:0.1")
     assert code == 1
