@@ -12,13 +12,14 @@ from .fock import FockBasis, Selector, at_most, enumerate_basis, exactly, transl
 from .momentum import (BlockPencil, MomentumBlock, MomentumLabel, OrbitFrame, PencilStack,
                        assemble_h_r, block_dimensions, block_frame, block_pencil,
                        build_momentum_vectors, momentum_values, orbit_block_pencil,
-                       pencil_stacks, project_block)
+                       pencil_stacks, project_block, to_orbit_frame)
 from .ops import (annihilation, apply_hamiltonian, build_h_bh, build_h_lambda,
                   build_hamiltonian, build_number, build_translation, commutator,
                   creation, hermiticity_defect, sector_block)
 from .spectra import (BlockSpectrum, SolitonBand, SpectrumResult, SweepResult,
                       brute_force_eigenvalues, char_poly, eigh_checked, quanta_tag,
-                      quanta_tags, solve_spectrum, soliton_band, sweep, verify_eigenvector_formulas)
+                      quanta_tags, solve_spectrum, soliton_band, sweep, track_levels,
+                      verify_eigenvector_formulas)
 
 __version__ = "0.1.0"
 
@@ -29,9 +30,10 @@ __all__ = [
     "hermiticity_defect", "sector_block",
     "BlockPencil", "MomentumBlock", "MomentumLabel", "OrbitFrame", "PencilStack", "assemble_h_r",
     "block_dimensions", "block_frame", "block_pencil", "build_momentum_vectors",
-    "momentum_values", "orbit_block_pencil", "pencil_stacks", "project_block",
+    "momentum_values", "orbit_block_pencil", "pencil_stacks", "project_block", "to_orbit_frame",
     "BlockSpectrum", "SolitonBand", "SpectrumResult", "SweepResult",
     "brute_force_eigenvalues", "char_poly", "eigh_checked", "quanta_tag",
-    "quanta_tags", "solve_spectrum", "soliton_band", "sweep", "verify_eigenvector_formulas",
+    "quanta_tags", "solve_spectrum", "soliton_band", "sweep", "track_levels",
+    "verify_eigenvector_formulas",
     "__version__",
 ]

@@ -78,26 +78,44 @@ def _parse_lambda(text: str) -> list[float]:
 def _blocks(groups):
     """``(lambda text, nu, levels)`` per momentum block, ``levels`` one
     ``(level, n_tag, energy, band)`` per row.  ``groups`` holds ``(lam,
-    blocks)`` per coupling and ``blocks`` ``(nu, energies, tags,
-    band_level)``, levels in order; ``band`` is ``None`` when
-    ``band_level`` is.  Each coupling is formatted once."""
-    for lam, blocks in groups:
+    blocks, energies)`` per coupling: ``blocks`` lists ``(nu, tags,
+    band_level)`` per block and ``energies`` the levels of every block in
+    that order; ``band`` is ``None`` when ``band_level`` is.  Each coupling
+    is formatted once."""
+    for lam, blocks, energies in groups:
         lam_text = _fmt(lam)
-        for nu, energies, tags, band_level in blocks:
+        energies = energies.tolist()
+        stop = 0
+        for nu, tags, band_level in blocks:
+            start, stop = stop, stop + len(tags)
             bands = [None if band_level is None else level == band_level
                      for level in range(len(tags))]
-            yield lam_text, nu, zip(range(len(tags)), tags, energies.tolist(), bands)
+            yield lam_text, nu, zip(range(len(tags)), tags, energies[start:stop], bands)
 
 
 _BAND_CELL = {None: "", True: ",true", False: ",false"}
 
 
+def _row_template(blocks) -> str:
+    """One ``%``-template for the CSV rows of a coupling: per row ``%s``
+    for the coupling and ``%.12g`` for the energy, the rest written in."""
+    return "".join(
+        f"%s,{nu},{level},{tag},%.12g"
+        f"{_BAND_CELL[None if band_level is None else level == band_level]}\n"
+        for nu, tags, band_level in blocks for level, tag in enumerate(tags))
+
+
 def _csv_chunks(groups, with_band: bool):
+    """The CSV text, one coupling at a time: each coupling fills its row
+    template once; consecutive couplings with the same blocks share one."""
     yield "lambda,nu,level,n_tag,energy" + (",band" if with_band else "") + "\n"
-    for lam_text, nu, levels in _blocks(groups):
-        head = f"{lam_text},{nu},"
-        yield "".join(f"{head}{level},{tag},{energy:.12g}{_BAND_CELL[band]}\n"
-                      for level, tag, energy, band in levels)
+    shape = template = None
+    for lam, blocks, energies in groups:
+        if blocks is not shape:
+            shape, template = blocks, _row_template(blocks)
+        cells = [_fmt(lam)] * (2 * len(energies))
+        cells[1::2] = energies.tolist()
+        yield template % tuple(cells)
 
 
 def _json_chunks(groups, f: int, gamma: float):
@@ -136,15 +154,15 @@ def _emit(groups, f: int, gamma: float, fmt: str, out: str | None,
 
 
 def _spectrum_group(f: int, gamma: float, lam: float, band_flags: bool):
-    """One coupling's ``(lam, blocks)`` for :func:`_emit`, tags read in block
-    coordinates."""
+    """One coupling's ``(lam, blocks, energies)`` for :func:`_emit`, tags
+    read in block coordinates."""
     result = solve_spectrum(f, gamma, lam)
     blocks = []
     for bs in result.blocks:  # nu descending by construction
         band_level = int(np.argmin(bs.eigenvalues)) if band_flags else None
         tags = quanta_tags(bs.coefficients, bs.block.quanta)
-        blocks.append((bs.label.nu, bs.eigenvalues, tags, band_level))
-    return lam, blocks
+        blocks.append((bs.label.nu, tags, band_level))
+    return lam, blocks, np.concatenate([bs.eigenvalues for bs in result.blocks])
 
 
 def cmd_spectrum(args) -> int:
@@ -161,8 +179,9 @@ def cmd_sweep(args) -> int:
     if len(lams) < 2:
         return _Parser.exit_with("sweep needs a start:stop:step grid")
     result = sweep(args.f, args.gamma, lams)
-    groups = ((lam, [(bs.label.nu, bs.energies[i], bs.tags, None) for bs in result.blocks])
-              for i, lam in enumerate(result.lambdas.tolist()))
+    blocks = [(bs.label.nu, bs.tags, None) for bs in result.blocks]
+    table = np.hstack([bs.energies for bs in result.blocks])
+    groups = ((lam, blocks, row) for lam, row in zip(result.lambdas.tolist(), table))
     _emit(groups, args.f, args.gamma, args.format, args.out, with_band=False)
     return 0
 

@@ -29,27 +29,33 @@ resulting block dimensions are
 which always total ``(f+1)(f+2)/2``.  Columns are ordered vacuum (``nu = 0``
 only), one quantum, then the pairs by increasing separation ``s = b - 1``.
 
-:func:`pencil_stacks` writes every block down from its known shape, as a
+Each block is written in the *centre-of-mass gauge*: the pair column at
+separation ``s`` is the orbit vector times ``e^{iks/2}``, so the amplitude on
+a pair reads ``e^{ik(r + s/2)}``, the phase at the pair's centre of mass.
+With ``P`` the diagonal of these unit phases (``1`` on the vacuum and
+one-quantum columns), the orbit-frame block is ``P B Pᴴ`` and ``B`` is real
+symmetric.  :func:`pencil_stacks` writes it down from its known shape, as a
 pencil in the drive coupling, ``B(lam) = B_BH + lam * B_drive``, for all
-``nu`` at once and with the pair separation as the index (``w = e^{ik}``,
-every phase read from one table of the ``f`` roots of unity at
-``nu * j mod f``):
+``nu`` at once and with the pair separation as the index (every cosine read
+from one table of the ``2f`` roots ``e^{i pi j / f}``, ``cos(k j / 2)`` at
+``nu * j mod 2f``):
 
 * ``B_BH`` is ``-2 cos k`` on the one-quantum column and tridiagonal on the
   pair columns: diagonal ``-gamma`` at ``s = 0``, zero elsewhere except
-  ``-2 cos(k (f+1)/2)`` at the last separation of an odd ring; coupling
-  ``-(1 + w)`` from ``s`` to ``s + 1``, times ``sqrt(2)`` out of the doubly
-  occupied pair and again into the antipodal pair;
+  ``-2 cos(k (f+1)/2)`` at the last separation of an odd ring; hop
+  ``-2 cos(k/2)`` between ``s`` and ``s + 1``, times ``sqrt(2)`` out of the
+  doubly occupied pair and again into the antipodal pair;
 * ``B_drive`` couples the one-quantum column to the vacuum with
-  ``-2 sqrt(f)`` and to the pair at separation ``s`` with
-  ``-(1 + w^-s)``, or ``-sqrt(2)`` for the doubly occupied and the
-  antipodal pair, and has no other entry.
+  ``-2 sqrt(f)`` and to the pair at separation ``s`` with ``-2 cos(k s/2)``,
+  or ``-sqrt(2)`` for the doubly occupied pair and ``-sqrt(2) cos(k f/4)
+  = -sqrt(2) (-1)^(nu/2)`` for the antipodal pair, and has no other entry.
 
 ``f = 1`` and ``f = 2`` fold these rules onto one or two sites; both are
 handled by the same builder.  Blocks of one dimension share one shape, so
-the pencils come as at most three ``(n_nu, d, d)`` stacks, and a solve
-diagonalizes each stack with one batched ``eigh``.  No occupation state,
-orbit table or dense ``H`` is built on this path.
+the pencils come as at most three real ``(n_nu, d, d)`` stacks, and a solve
+diagonalizes each stack with one batched real ``eigh``; an eigenvector ``u``
+of ``B`` is the eigenvector ``P u`` of the orbit-frame block.  No occupation
+state, orbit table or dense ``H`` is built on this path.
 
 Each block's vectors are an :class:`OrbitFrame`, the nonzeros of the
 ``D x d`` matrix ``V`` of block vectors: one entry per orbit member, its row
@@ -184,8 +190,19 @@ def two_quanta_seed(f: int, b: int) -> Occupation:
 
 def _roots(f: int) -> np.ndarray:
     """``e^{2 pi i j / f}`` for ``j = 0..f-1``; the phase ``e^{ikr}`` is entry
-    ``nu * r % f``, so no angle outside ``[0, 2 pi)`` reaches ``exp``."""
+    ``nu * r % f``, so no angle outside ``[0, 2 pi)`` reaches ``exp``.  Entry
+    ``2 j`` of ``_roots(2 f)`` equals entry ``j`` of ``_roots(f)`` bit for bit
+    (the angle is the same correctly rounded quotient)."""
     return np.exp(2j * math.pi * np.arange(f) / f)
+
+
+def to_orbit_frame(matrix: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """``P M Pᴴ`` with ``P = diag(phases)``: a block written in the
+    centre-of-mass gauge, read in the orbit frame.  The product is averaged
+    with its conjugate transpose, which changes a symmetric ``M``'s image
+    only by rounding and makes it exactly Hermitian."""
+    h = matrix * np.multiply.outer(phases, phases.conj())
+    return (h + h.conj().T) * 0.5
 
 
 def _has_antipodal_pair(f: int, nu: int) -> bool:
@@ -239,6 +256,10 @@ def block_frame(label: MomentumLabel) -> OrbitFrame:
 class MomentumBlock:
     """One Hermitian block of the restricted Hamiltonian.
 
+    ``matrix`` is the block in the centre-of-mass gauge (real symmetric) with
+    ``phases`` its column phases, or, when ``phases`` is ``None``, the block
+    in the frame itself.  ``hmatrix`` is the block in the frame, ``P B Pᴴ``
+    (:func:`to_orbit_frame`), built on first read.
     ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s).
     ``frame`` holds the orthonormal block basis, ordered vacuum (nu = 0
     only), one-quantum vector, then two-quantum vectors by increasing pair
@@ -249,12 +270,21 @@ class MomentumBlock:
     """
 
     label: MomentumLabel
-    hmatrix: np.ndarray
+    matrix: np.ndarray
+    phases: np.ndarray | None = None
     quanta: np.ndarray | None = None
     given_frame: OrbitFrame | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.hmatrix.setflags(write=False)
+        self.matrix.setflags(write=False)
+
+    @cached_property
+    def hmatrix(self) -> np.ndarray:
+        if self.phases is None:
+            return self.matrix
+        h = to_orbit_frame(self.matrix, self.phases)
+        h.setflags(write=False)
+        return h
 
     @cached_property
     def frame(self) -> OrbitFrame:
@@ -266,13 +296,14 @@ class MomentumBlock:
 
     @property
     def dim(self) -> int:
-        return self.hmatrix.shape[0]
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
 class BlockPencil:
     """One momentum block as a function of the drive coupling,
-    ``B(lam) = b_bh + lam * b_drive``.
+    ``B(lam) = b_bh + lam * b_drive``, in the gauge of the column phases
+    ``phases``: the block in the orbit frame is ``P B(lam) Pᴴ``.
 
     ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s);
     ``frame`` is the block basis of :class:`MomentumBlock`, built on first
@@ -283,10 +314,11 @@ class BlockPencil:
     quanta: np.ndarray
     b_bh: np.ndarray
     b_drive: np.ndarray
+    phases: np.ndarray
 
     def __post_init__(self) -> None:
-        self.b_bh.setflags(write=False)
-        self.b_drive.setflags(write=False)
+        for array in (self.b_bh, self.b_drive, self.phases):
+            array.setflags(write=False)
 
     @cached_property
     def frame(self) -> OrbitFrame:
@@ -301,16 +333,18 @@ class BlockPencil:
 @dataclass(frozen=True)
 class PencilStack:
     """The pencils of every block of one dimension: block ``i`` has label
-    ``labels[i]`` and matrix ``b_bh[i] + lam * b_drive[i]``; all share the
+    ``labels[i]``, real symmetric matrix ``b_bh[i] + lam * b_drive[i]`` in
+    the centre-of-mass gauge and column phases ``phases[i]``; all share the
     column quanta ``quanta``."""
 
     labels: tuple[MomentumLabel, ...]
     quanta: np.ndarray
-    b_bh: np.ndarray  # (n_nu, d, d)
-    b_drive: np.ndarray  # (n_nu, d, d)
+    b_bh: np.ndarray  # (n_nu, d, d) float64
+    b_drive: np.ndarray  # (n_nu, d, d) float64
+    phases: np.ndarray  # (n_nu, d) complex, unit modulus
 
     def __post_init__(self) -> None:
-        for array in (self.quanta, self.b_bh, self.b_drive):
+        for array in (self.quanta, self.b_bh, self.b_drive, self.phases):
             array.setflags(write=False)
 
     def matrix(self, lam: float) -> np.ndarray:
@@ -321,44 +355,44 @@ class PencilStack:
 def _stack(f: int, gamma: float, labels: list[MomentumLabel]) -> PencilStack:
     """The pencils of blocks that share one shape (see the module docstring)."""
     nu = np.array([label.nu for label in labels])[:, None]
-    roots = _roots(f)
+    root = _roots(2 * f)  # e^{ikj/2} at nu * j % 2f, e^{ikj} at 2 nu j % 2f
     vacuum, antipodal = labels[0].nu == 0, _has_antipodal_pair(f, labels[0].nu)
     quanta = _block_quanta(f, labels[0].nu)
     one, d = int(vacuum), quanta.size
     s = _pair_separations(f, labels[0].nu)
     pairs = one + 1 + s  # pair columns
-    b_bh = np.zeros((len(labels), d, d), dtype=complex)
+    b_bh = np.zeros((len(labels), d, d))
     b_drive = np.zeros_like(b_bh)
 
-    # lower triangles written as the sums of hop terms the orbit construction
-    # forms, upper triangles as their conjugates (eigh reads the lower one)
-    w = roots[nu % f]
-    b_bh[:, one, one] = -(w + roots[-nu % f])[:, 0].real
+    # diagonals as the sums of the two hop terms the orbit construction forms
+    b_bh[:, one, one] = -(root[2 * nu % (2 * f)] + root[-2 * nu % (2 * f)])[:, 0].real
     b_bh[:, pairs[0], pairs[0]] = -gamma
     if f == 1:  # both hops of the doubly occupied site land on itself
         b_bh[:, pairs[0], pairs[0]] -= 4.0
     elif f % 2 == 1:  # the widest pair hops onto its own orbit, either way
-        b_bh[:, pairs[-1], pairs[-1]] = -(roots[-nu * ((f + 1) // 2) % f]
-                                          + roots[-nu * ((f - 1) // 2) % f])[:, 0].real
-    hop = np.repeat(-1.0 - w, s.size - 1, axis=1)  # s -> s + 1
+        b_bh[:, pairs[-1], pairs[-1]] = -(root[-nu * (f + 1) % (2 * f)]
+                                          + root[-nu * (f - 1) % (2 * f)])[:, 0].real
+    hop = np.repeat(-2.0 * root[nu % (2 * f)].real, s.size - 1, axis=1)  # s <-> s + 1
     if f == 2:  # the doubly occupied pair hops into the antipodal one both ways
         hop[:] = -4.0
     elif hop.shape[1]:
-        hop[:, 0] = -SQRT2 - SQRT2 * w[:, 0]
+        hop[:, 0] *= SQRT2
         if antipodal:
-            hop[:, -1] = -SQRT2 - SQRT2 * w[:, 0]
-    b_bh[:, pairs[1:], pairs[:-1]] = hop
-    b_bh[:, pairs[:-1], pairs[1:]] = hop.conj()
+            hop[:, -1] *= SQRT2
+    b_bh[:, pairs[1:], pairs[:-1]] = b_bh[:, pairs[:-1], pairs[1:]] = hop
 
-    column = -1.0 - roots[nu * s % f]
-    column[:, 0] = -SQRT2
+    gauge = root[nu * s % (2 * f)]  # e^{iks/2} on the pair at separation s
+    row = -2.0 * gauge.real
+    row[:, 0] = -SQRT2
     if antipodal:
-        column[:, -1] = -SQRT2
-    b_drive[:, pairs, one] = column
-    b_drive[:, one, pairs] = column.conj()
+        row[:, -1] = -SQRT2 * gauge[:, -1].real
+    b_drive[:, pairs, one] = b_drive[:, one, pairs] = row
     if vacuum:
         b_drive[:, 0, 1] = b_drive[:, 1, 0] = -2.0 * math.sqrt(f)
-    return PencilStack(labels=tuple(labels), quanta=quanta, b_bh=b_bh, b_drive=b_drive)
+    phases = np.ones((len(labels), d), dtype=complex)
+    phases[:, pairs] = gauge
+    return PencilStack(labels=tuple(labels), quanta=quanta, b_bh=b_bh, b_drive=b_drive,
+                       phases=phases)
 
 
 def pencil_stacks(f: int, gamma: float) -> list[PencilStack]:
@@ -377,22 +411,25 @@ def _nu_descending(items: list) -> list:
 def block_pencil(f: int, gamma: float) -> list[BlockPencil]:
     """All momentum blocks of ``H_BH`` and of the drive at unit coupling,
     ``nu`` descending: the slices of :func:`pencil_stacks`."""
-    pencils = [BlockPencil(label=label, quanta=stack.quanta, b_bh=bh, b_drive=drive)
+    pencils = [BlockPencil(label=label, quanta=stack.quanta, b_bh=bh, b_drive=drive,
+                           phases=phases)
                for stack in pencil_stacks(f, gamma)
-               for label, bh, drive in zip(stack.labels, stack.b_bh, stack.b_drive)]
+               for label, bh, drive, phases in zip(stack.labels, stack.b_bh, stack.b_drive,
+                                                   stack.phases)]
     return _nu_descending(pencils)
 
 
 def assemble_h_r(f: int, gamma: float, lam: float) -> list[MomentumBlock]:
     """All momentum blocks of ``H = H_BH + H_lam`` on the 0+1+2-quanta space.
 
-    Each block is its pencil at ``lam``, with no dense ``H``.  The union of
+    Each block is its pencil at ``lam``, with no dense ``H``; ``hmatrix``
+    is built on first read.  The union of
     the block spectra reproduces the spectrum of the full restricted
     Hamiltonian; blocks are returned ``nu`` descending.
     """
-    blocks = [MomentumBlock(label=label, hmatrix=h, quanta=stack.quanta)
+    blocks = [MomentumBlock(label=label, matrix=h, phases=phases, quanta=stack.quanta)
               for stack in pencil_stacks(f, gamma)
-              for label, h in zip(stack.labels, stack.matrix(lam))]
+              for label, h, phases in zip(stack.labels, stack.matrix(lam), stack.phases)]
     return _nu_descending(blocks)
 
 
@@ -524,7 +561,7 @@ def project_block(
     """
     v = np.column_stack(vectors) if isinstance(vectors, list) else vectors
     _check_orthonormal(v)
-    return MomentumBlock(label=label, hmatrix=v.conj().T @ h @ v,
+    return MomentumBlock(label=label, matrix=v.conj().T @ h @ v,
                          given_frame=OrbitFrame.of_dense(v))
 
 
@@ -536,8 +573,8 @@ def orbit_block_pencil(f: int, gamma: float,
     One pass over the seeds with ``apply_hamiltonian(f, gamma, 1.0, seed)``;
     each image is looked up in the orbit table, and the entries are split by
     the total quanta of their row and column seeds: ``H_BH`` keeps the
-    quanta and the drive moves them by one.  Pencils are returned ``nu``
-    descending.
+    quanta and the drive moves them by one.  The pencils are complex, in the
+    orbit frame itself (unit ``phases``), and returned ``nu`` descending.
     """
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
@@ -565,5 +602,6 @@ def orbit_block_pencil(f: int, gamma: float,
         alive = orbits.alive(label.nu)
         rows = alive[:, None]
         pencils.append(BlockPencil(label=label, quanta=orbits.quanta[alive],
-                                   b_bh=b_bh[i, rows, alive], b_drive=b_drive[i, rows, alive]))
+                                   b_bh=b_bh[i, rows, alive], b_drive=b_drive[i, rows, alive],
+                                   phases=np.ones(alive.size, dtype=complex)))
     return pencils

@@ -2,13 +2,16 @@
 
 The restricted Hamiltonian is real symmetric in the occupation basis, so
 every block spectrum is real and the blocks for ``+nu`` and ``-nu`` are
-degenerate with complex-conjugate eigenvectors.  Characteristic polynomials
-are assembled from eigenvalues (stable at these dimensions) rather than by
-determinant expansion.
+degenerate with complex-conjugate eigenvectors.  Every block is solved in
+the centre-of-mass gauge of :mod:`~qeslattice.momentum`, where it is real
+symmetric, and its eigenvectors are carried back to the orbit frame.
+Characteristic polynomials are assembled from eigenvalues (stable at these
+dimensions) rather than by determinant expansion.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,22 +33,27 @@ RESIDUAL_TOL = 1e-9
 MAX_COUPLING = 1e3
 # Largest accepted ring.  A solve builds no array over the (f+1)(f+2)/2 = D
 # occupation states and no block frame, only the f block pencils of d ~ f/2
-# rows, in at most three (n_nu, d, d) stacks, and their eigenvectors: four
-# arrays of about f^3 / 4 complex entries, 7 MB each at f = 120, so memory
-# grows as f^3.  `qeslattice spectrum --f 120` took 0.35 s and peaked at 67 MB
+# rows, in at most three real (n_nu, d, d) stacks, and their eigenvectors:
+# three real arrays of about f^3 / 4 entries, 3.5 MB each at f = 120, and the
+# complex orbit-frame coefficients, 7 MB, so memory grows as f^3.
+# `qeslattice spectrum --f 120` took 0.30 s and peaked at 53 MB
 # RSS (ru_maxrss, x86-64, one BLAS thread).  The cap bounds what a caller can
 # still ask for: a block frame read costs O(D), but reading `.vectors` and
 # `.eigenvectors` on every block builds dense arrays of 32 * D^2 bytes, about
 # 1.74 GB at f = 120.
 MAX_SITES = 120
 # Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2.  Every block
-# has d^2 <= 3 (f+1)(f+2)/2, so one block's (n_points, d, d) complex stack
-# takes at most 16 * 3 * MAX_SWEEP_ROWS = 96 MB.  The largest accepted grid on
-# the largest ring, `qeslattice sweep --f 120` over 270 points (1,992,870
-# rows), took 41 s and peaked at 208 MB RSS (ru_maxrss, x86-64, one BLAS
-# thread): the stacks and eigenvectors of one block at a time plus the energy
-# table; the CLI writes the CSV a block at a time.
+# has d^2 <= 3 (f+1)(f+2)/2, so one block's real (n_points, d, d) stack takes
+# at most 8 * 3 * MAX_SWEEP_ROWS = 48 MB.  The largest accepted grid on the
+# largest ring, `qeslattice sweep --f 120` over 270 points (1,992,870 rows),
+# took 20 s and peaked at 143 MB RSS (ru_maxrss, x86-64, one BLAS
+# thread): the stacks, eigenvectors and step overlaps of one block at a time
+# plus the energy table; the CLI writes the CSV a grid point at a time.
 MAX_SWEEP_ROWS = 2_000_000
+# Levels whose energies at one grid point differ by at most this much,
+# relative to the largest |E| of the block there (and at least absolutely),
+# are one degenerate group for level tracking.
+DEGENERACY_TOL = 1e-10
 
 
 def _check_sites(f: int) -> int:
@@ -160,8 +168,9 @@ class SpectrumResult:
 
 
 def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
-    """Assemble all momentum blocks of ``H`` and diagonalize them, one
-    :func:`eigh_checked` call per stack of equal-sized blocks.
+    """Assemble all momentum blocks of ``H`` and diagonalize them, one real
+    :func:`eigh_checked` call per stack of equal-sized blocks; each block's
+    ``coefficients`` are its eigenvectors in the orbit frame.
 
     Raises ``ValueError`` for a ring size ``f`` that is not an integer in
     ``1..MAX_SITES``, and for a coupling that is not a real number, is not
@@ -175,8 +184,10 @@ def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     for stack in pencil_stacks(f, gamma):
         h = stack.matrix(lam)
         w, v = eigh_checked(h)
-        spectra += [BlockSpectrum(block=MomentumBlock(label=label, hmatrix=h[i], quanta=stack.quanta),
-                                  eigenvalues=w[i], coefficients=v[i])
+        coefficients = stack.phases[:, :, None] * v  # P u: back to the orbit frame
+        spectra += [BlockSpectrum(block=MomentumBlock(label=label, matrix=h[i],
+                                                      phases=stack.phases[i], quanta=stack.quanta),
+                                  eigenvalues=w[i], coefficients=coefficients[i])
                     for i, label in enumerate(stack.labels)]
     spectra.sort(key=lambda bs: -bs.label.nu)
     return SpectrumResult(f=f, gamma=gamma, lam=lam, blocks=tuple(spectra))
@@ -185,10 +196,11 @@ def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
 def char_poly(block: MomentumBlock) -> np.ndarray:
     """Monic real characteristic polynomial of a block, highest power first.
 
-    Built as ``prod (E - E_i)`` from the eigenvalues; imaginary residues are
-    checked against ``1e-10`` and discarded.
+    Built as ``prod (E - E_i)`` from the eigenvalues of ``block.matrix``
+    (the block in its gauge, same spectrum); imaginary residues are checked
+    against ``1e-10`` and discarded.
     """
-    w, _ = eigh_checked(block.hmatrix)
+    w, _ = eigh_checked(block.matrix)
     coeffs = np.poly(w)
     if np.iscomplexobj(coeffs):
         if float(np.max(np.abs(coeffs.imag))) > 1e-10:
@@ -248,21 +260,85 @@ class SweepResult:
         self.lambdas.setflags(write=False)
 
 
+def _assignment(overlap: np.ndarray) -> np.ndarray:
+    """``order[r]``: the column matched to row ``r`` by the optimal
+    assignment of ``overlap``, which maximizes the summed overlap."""
+    from scipy.optimize import linear_sum_assignment  # slow import, rarely needed
+
+    rows, cols = linear_sum_assignment(-overlap)
+    order = np.empty_like(cols)
+    order[rows] = cols
+    return order
+
+
+def _clear_matches(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack ``(n, d, d)`` of overlaps between orthonormal bases: the
+    column of each row's largest overlap, and per matrix whether those
+    columns are the unique optimal assignment.  They are when every row's
+    maximum exceeds ``1/sqrt(2)`` and the maxima lie in distinct columns:
+    a row of unit norm then holds no second entry above ``sqrt(1 - 1/2)``,
+    so any other assignment loses overlap in every row it changes."""
+    step = overlap.argmax(axis=-1)
+    peak = np.take_along_axis(overlap, step[..., None], axis=-1)[..., 0]
+    distinct = (np.sort(step, axis=-1) == np.arange(step.shape[-1])).all(axis=-1)
+    return step, distinct & (peak > math.sqrt(0.5)).all(axis=-1)
+
+
+def track_levels(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Follow each eigenvalue curve over a grid: ``order[i, c]`` is the
+    position of curve ``c`` among the ascending eigenvalues ``w[i]`` of grid
+    point ``i``, and curve ``c`` starts at position ``c``.
+
+    Adjacent points are paired by the optimal assignment of the overlaps
+    ``|V_iᴴ V_{i+1}|`` of their orthonormal eigenvectors ``v[i]``, all
+    computed in one batched product.  Where the row maxima are that
+    assignment's unique optimum (:func:`_clear_matches`) they are used as
+    they are; only the other steps solve the assignment.
+    Curves that are one degenerate group at point ``i`` (energies within
+    ``DEGENERACY_TOL``) take their continuations at ``i + 1`` in ascending
+    energy, so the order inside a degenerate eigenspace does not depend on
+    the basis ``eigh`` returned for it.
+    """
+    n, d = w.shape
+    order = np.empty((n, d), dtype=np.intp)
+    order[0] = np.arange(d)
+    left = v[:-1].swapaxes(-1, -2)
+    overlap = np.abs((left.conj() if np.iscomplexobj(left) else left) @ v[1:])
+    step, unique = _clear_matches(overlap)
+    for i in np.flatnonzero(~unique):
+        step[i] = _assignment(overlap[i])
+    scale = DEGENERACY_TOL * np.maximum(1.0, np.abs(w[:-1]).max(axis=1, keepdims=True))
+    tied = np.diff(w[:-1], axis=1) <= scale
+    # the curves keep their positions across every other step
+    moving = (step != order[0]).any(axis=1) | tied.any(axis=1)
+    here, start = order[0], 0
+    for i in np.flatnonzero(moving):
+        order[start:i + 1] = here
+        ahead = step[i, here]
+        # runs of tied neighbours at point i: positions first..last
+        edges = np.diff(np.concatenate(([0], tied[i].astype(np.int8), [0])))
+        for first, last in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+            group = (here >= first) & (here <= last)
+            ahead[group] = np.sort(ahead[group])
+        here, start = ahead, i + 1
+    order[start:] = here
+    return order
+
+
 def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     """Eigenvalue curves over an ascending coupling grid.
 
-    The block pencils ``B_BH + lam * B_drive`` are built once;
-    each block's whole grid is then one stack of ``(n_points, d, d)``
-    matrices, diagonalized in one :func:`eigh_checked` call.  Levels are
-    matched across adjacent grid points by eigenvector overlap (optimal
-    assignment), which keeps each column of the table on one physical curve
-    even where curves cross.  The block vectors are orthonormal, so overlaps
-    and quanta tags are read in block coordinates.  Rejects the inputs
-    :func:`solve_spectrum` rejects, empty or unsorted grids and grids of
-    more than ``MAX_SWEEP_ROWS`` output rows, before any block is built.
+    The block pencils ``B_BH + lam * B_drive`` are built once, real in the
+    centre-of-mass gauge; each block's whole grid is then one stack of
+    ``(n_points, d, d)`` matrices, diagonalized in one :func:`eigh_checked`
+    call, and its levels are followed across the grid by
+    :func:`track_levels`, which keeps each column of the table on one
+    physical curve even where curves cross.  The block vectors are
+    orthonormal and the gauge is unitary, so overlaps and quanta tags are
+    read in gauge coordinates.  Rejects the inputs :func:`solve_spectrum`
+    rejects, empty or unsorted grids and grids of more than
+    ``MAX_SWEEP_ROWS`` output rows, before any block is built.
     """
-    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
-
     f = _check_sites(f)
     grid = _real_grid(list(lambdas))
     if grid.size == 0:
@@ -277,18 +353,9 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     block_sweeps = []
     for pencil in block_pencil(f, gamma):
         w, v = eigh_checked(pencil.matrix(grid))
-        tags = quanta_tags(v[0], pencil.quanta)
-        energies = np.empty_like(w)
-        energies[0] = w[0]
-        prev = v[0]
-        for i in range(1, grid.size):
-            overlap = np.abs(prev.conj().T @ v[i])
-            rows, cols = linear_sum_assignment(-overlap)
-            order = np.empty_like(cols)
-            order[rows] = cols
-            energies[i] = w[i, order]
-            prev = v[i][:, order]
-        block_sweeps.append(BlockSweep(label=pencil.label, energies=energies, tags=tags))
+        energies = np.take_along_axis(w, track_levels(w, v), axis=1)
+        block_sweeps.append(BlockSweep(label=pencil.label, energies=energies,
+                                       tags=quanta_tags(v[0], pencil.quanta)))
     return SweepResult(f=f, gamma=gamma, lambdas=grid, blocks=tuple(block_sweeps))
 
 

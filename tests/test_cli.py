@@ -9,7 +9,7 @@ import pytest
 
 import qeslattice
 from qeslattice.cli import MAX_GRID_POINTS, main, _parse_lambda
-from qeslattice.spectra import MAX_SITES
+from qeslattice.spectra import MAX_SITES, quanta_tags, solve_spectrum, sweep
 
 
 def run(capsys, *argv):
@@ -95,6 +95,26 @@ def test_import_leaves_scipy_optimize_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_sweeps_without_a_hard_step_leave_scipy_optimize_unloaded():
+    # a rejected sweep, and a sweep whose every step is matched by its
+    # overlap maxima, never reach the assignment solver
+    src = str(Path(qeslattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys\n"
+            "from qeslattice.spectra import sweep\n"
+            "try:\n"
+            "    sweep(2, 3.0, [0.0, 0.1, 2e3])\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('sweep accepted lambda = 2e3')\n"
+            "assert 'scipy.optimize' not in sys.modules, 'rejected sweep imported it'\n"
+            "sweep(15, 4.0, [0.27 + 0.004 * i for i in range(101)])\n"
+            "assert 'scipy.optimize' not in sys.modules, 'sweep imported it'\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 @pytest.mark.parametrize("flag, value, shown", [
     ("--gamma", "nan", "nan"), ("--lambda", "inf", "inf"),
     ("--lambda", "1e308", "1e+308"), ("--gamma", "2e3", "2000.0")])
@@ -159,6 +179,37 @@ def test_json_is_the_indented_dump_of_the_csv_rows(capsys, argv):
         assert (int(cells["nu"]), int(cells["level"]), int(cells["n_tag"])) == (
             rec["nu"], rec["level"], rec["n_tag"])
         assert cells.get("band") == (None if "band" not in rec else str(rec["band"]).lower())
+
+
+def reference_csv(groups, with_band):
+    """The CSV text formatted one row at a time; ``groups`` holds ``(lam,
+    blocks)`` with ``blocks`` one ``(nu, energies, tags, band_level)`` each."""
+    lines = ["lambda,nu,level,n_tag,energy" + (",band" if with_band else "")]
+    for lam, blocks in groups:
+        for nu, energies, tags, band_level in blocks:
+            for level, (tag, energy) in enumerate(zip(tags, energies)):
+                band = "" if band_level is None else "," + str(level == band_level).lower()
+                lines.append(f"{lam:.12g},{nu},{level},{tag},{energy:.12g}{band}")
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_templates_write_each_row_as_formatted_alone(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    points = _parse_lambda("0:0.3:0.05")
+    result = sweep(6, 2.5, points)
+    run(capsys, "sweep", "--f", "6", "--gamma", "2.5", "--lambda", "0:0.3:0.05", "--out", str(out))
+    groups = [(lam, [(bs.label.nu, bs.energies[i], bs.tags, None) for bs in result.blocks])
+              for i, lam in enumerate(points)]
+    assert out.read_text() == reference_csv(groups, with_band=False)
+
+    run(capsys, "figure2", "--f", "5", "--out", str(out))
+    groups = []
+    for lam in _parse_lambda("0:0.5:0.5"):
+        blocks = solve_spectrum(5, 3.0, lam).blocks
+        groups.append((lam, [(bs.label.nu, bs.eigenvalues,
+                              quanta_tags(bs.coefficients, bs.block.quanta),
+                              int(np.argmin(bs.eigenvalues))) for bs in blocks]))
+    assert out.read_text() == reference_csv(groups, with_band=True)
 
 
 # ---------------------------------------------------------------- sweep

@@ -11,7 +11,7 @@ from qeslattice.momentum import (GRAM_TOL, MomentumLabel, OrbitFrame, _check_dis
                                  block_pencil, build_momentum_vectors,
                                  expected_block_dimension, momentum_values,
                                  orbit_block_pencil, pencil_stacks, project_block,
-                                 two_quanta_seed, two_quanta_seed_count)
+                                 to_orbit_frame, two_quanta_seed, two_quanta_seed_count)
 from qeslattice.ops import (apply_hamiltonian, build_h_bh, build_h_lambda,
                            build_hamiltonian, build_translation, hermiticity_defect)
 from qeslattice.spectra import MAX_SITES
@@ -29,9 +29,11 @@ def block_map(f, gamma, lam):
 
 
 def two_quanta_block(f, gamma, nu):
-    """The two-quanta part of ``B_BH`` at ``nu``, as the builder writes it."""
+    """The two-quanta part of ``B_BH`` at ``nu``, as the builder writes it,
+    in the orbit frame."""
     pencil = {p.label.nu: p for p in block_pencil(f, gamma)}[nu]
-    return pencil.b_bh[pencil.quanta == 2][:, pencil.quanta == 2]
+    b_bh = to_orbit_frame(pencil.b_bh, pencil.phases)
+    return b_bh[pencil.quanta == 2][:, pencil.quanta == 2]
 
 
 # ------------------------------------------------------------- labels
@@ -285,8 +287,9 @@ def test_pencil_matches_dense_projection_of_each_term(f, gamma):
     assert [p.label for p in pencils] == momentum_values(f)
     for p in pencils:
         vectors = build_momentum_vectors(f, p.label, basis)
-        assert np.max(np.abs(p.b_bh - project_block(h_bh, vectors, p.label).hmatrix)) < tol
-        assert np.max(np.abs(p.b_drive - project_block(h_drive, vectors, p.label).hmatrix)) < 1e-12
+        b_bh, b_drive = (to_orbit_frame(b, p.phases) for b in (p.b_bh, p.b_drive))
+        assert np.max(np.abs(b_bh - project_block(h_bh, vectors, p.label).hmatrix)) < tol
+        assert np.max(np.abs(b_drive - project_block(h_drive, vectors, p.label).hmatrix)) < 1e-12
         assert np.max(np.abs(p.frame.dense() - np.column_stack(vectors))) == 0.0
 
 
@@ -415,6 +418,7 @@ def test_frame_of_dense_vectors_round_trips():
 
 @pytest.mark.parametrize("f", range(1, MAX_SITES + 1))
 def test_structured_blocks_match_the_orbit_pencil(f):
+    # the real gauged pencil B, carried to the orbit frame as P B P^H
     basis = enumerate_basis(f, at_most(2))
     for gamma, lam in [(3.0, 0.5), (1.3, -0.7), (1e3, -1e3)]:
         tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
@@ -424,9 +428,13 @@ def test_structured_blocks_match_the_orbit_pencil(f):
         for p, o in zip(pencils, oracle):
             assert p.b_bh.shape == (expected_block_dimension(f, p.label.nu),) * 2
             assert np.array_equal(p.quanta, o.quanta)
-            assert np.max(np.abs(p.b_bh - o.b_bh)) < tol
-            assert np.max(np.abs(p.b_drive - o.b_drive)) < tol
-            assert np.max(np.abs(p.matrix(lam) - o.matrix(lam))) < tol
+            assert p.b_bh.dtype == p.b_drive.dtype == np.float64
+            assert np.array_equal(p.b_bh, p.b_bh.T) and np.array_equal(p.b_drive, p.b_drive.T)
+            assert np.max(np.abs(np.abs(p.phases) - 1.0)) < 1e-15
+            assert np.max(np.abs(to_orbit_frame(p.b_bh, p.phases) - o.b_bh)) < tol
+            assert np.max(np.abs(to_orbit_frame(p.b_drive, p.phases) - o.b_drive)) < tol
+            assert np.max(np.abs(to_orbit_frame(p.matrix(lam), p.phases)
+                                 - o.matrix(lam))) < tol
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 7, 10, 119, 120])
@@ -467,3 +475,9 @@ def test_frame_build_rejects_repeated_rows(monkeypatch):
                         lambda rows, size: _check_disjoint_rows(rows % 3, size))
     with pytest.raises(ValueError, match="a basis row repeats"):
         assemble_h_r(4, 3.0, 0.5)[0].frame
+
+
+def test_half_angle_roots_hold_the_full_angle_roots_bit_for_bit():
+    # the builder reads e^{ikj} at entry 2 nu j of the 2f-root table
+    for f in range(1, MAX_SITES + 1):
+        assert np.array_equal(momentum._roots(2 * f)[::2], momentum._roots(f))

@@ -7,7 +7,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qeslattice.spectra import quanta_tag, solve_spectrum, sweep  # noqa: E402
+from qeslattice.spectra import (_assignment, _clear_matches, quanta_tag,  # noqa: E402
+                                solve_spectrum, sweep)
 
 # reproducible draws, bounded so the module runs in about a second
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -21,6 +22,40 @@ def sweeps(draw):
     gamma = draw(st.floats(0.5, 5.0))
     points = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=12, unique=True))
     return f, gamma, sorted(points)
+
+
+@st.composite
+def orthogonal_matrices(draw):
+    """A random orthogonal ``d x d`` matrix; half of them mix two rows at an
+    angle within ``1e-3`` of ``pi/4``, so their largest entries lie near
+    ``1/sqrt(2)``, and the rest are near a random permutation."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        return q * np.sign(np.diag(r))
+    q = np.eye(d)[rng.permutation(d)]
+    if d > 1:
+        a, b = rng.choice(d, size=2, replace=False)
+        angle = np.pi / 4 + draw(st.floats(-1e-3, 1e-3))
+        turn = np.eye(d)
+        turn[[a, a, b, b], [a, b, a, b]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
+        q = q @ turn
+    small = draw(st.floats(0.0, 1e-3)) * rng.standard_normal((d, d))
+    return q @ np.linalg.qr(np.eye(d) + small - small.T)[0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(orthogonal_matrices())
+def test_clear_matches_are_the_unique_optimal_assignment(q):
+    overlap = np.abs(q)
+    step, unique = _clear_matches(overlap[None])
+    if unique[0]:
+        assert np.array_equal(step[0], _assignment(overlap))
+    else:
+        # declined only where a row maximum is not above 1/sqrt(2) or two coincide
+        assert (np.min(overlap.max(axis=1)) <= np.sqrt(0.5)
+                or np.unique(step[0]).size < q.shape[0])
 
 
 @PROPERTY

@@ -7,13 +7,15 @@ import pytest
 
 from qeslattice import spectra
 from qeslattice.fock import at_most, enumerate_basis, exactly
-from qeslattice.momentum import assemble_h_r, build_momentum_vectors, momentum_values
+from qeslattice.momentum import (assemble_h_r, block_pencil, build_momentum_vectors,
+                                 momentum_values, orbit_block_pencil, to_orbit_frame)
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
-from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS,
-                                brute_force_eigenvalues, char_poly, eigh_checked,
-                                quanta_tag, quanta_tags, solve_spectrum, soliton_band, sweep,
+from qeslattice.spectra import (DEGENERACY_TOL, MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS,
+                                _assignment, _clear_matches, brute_force_eigenvalues,
+                                char_poly, eigh_checked, quanta_tag, quanta_tags,
+                                solve_spectrum, soliton_band, sweep, track_levels,
                                 verify_eigenvector_formulas)
 
 TABLE_TOL = 1.5e-3
@@ -213,6 +215,18 @@ def test_largest_ring_spectrum_is_even_in_the_coupling():
     assert np.max(np.abs(plus - minus)) < 1e-9
 
 
+def test_hmatrix_is_the_gauged_block_in_the_orbit_frame_built_on_first_read():
+    for bs in solve_spectrum(12, 3.0, 0.5).blocks:
+        block = bs.block
+        assert "hmatrix" not in vars(block) and block.matrix.dtype == np.float64
+        h = block.hmatrix
+        assert h is block.hmatrix and not h.flags.writeable
+        assert np.array_equal(h, h.conj().T)
+        assert np.max(np.abs(h - to_orbit_frame(block.matrix, block.phases))) == 0.0
+        residual = h @ bs.coefficients - bs.coefficients * bs.eigenvalues
+        assert np.max(np.abs(residual)) < 1e-12
+
+
 def test_solve_builds_no_frame_and_no_basis_until_read(monkeypatch):
     result = solve_spectrum(12, 3.0, 0.5)
     assert "basis" not in vars(result)
@@ -240,8 +254,12 @@ def test_lazy_eigenvectors_equal_the_dense_reference(f):
     for bs in result.blocks:
         assert "eigenvectors" not in vars(bs) and "vectors" not in vars(bs.block)
         vectors = np.column_stack(build_momentum_vectors(f, bs.label, result.basis))
-        reference = vectors @ np.linalg.eigh(bs.block.hmatrix)[1]
+        # the real eigenvectors of the gauged block, times the column phases
+        coefficients = bs.block.phases[:, None] * np.linalg.eigh(bs.block.matrix)[1]
+        reference = vectors @ coefficients
         assert np.max(np.abs(bs.eigenvectors - reference)) == 0.0
+        residual = bs.block.hmatrix @ coefficients - coefficients * bs.eigenvalues
+        assert np.max(np.abs(residual)) < 1e-12
         assert bs.eigenvectors is bs.eigenvectors and not bs.eigenvectors.flags.writeable
 
 
@@ -323,6 +341,93 @@ def test_sweep_rejects_bad_grids():
         sweep(2, 3.0, [])
     with pytest.raises(ValueError):
         sweep(2, 3.0, [0.2, 0.1])
+
+
+def grid(start, stop, step):
+    """The points of ``qeslattice sweep --lambda start:stop:step``."""
+    return [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
+
+
+def overlaps(v):
+    """``|V_i^H V_{i+1}|`` for every step of a stack of eigenvector bases."""
+    return np.abs(v[:-1].conj().swapaxes(-1, -2) @ v[1:])
+
+
+@pytest.mark.parametrize("f, gamma, points", [(15, 4.0, grid(0.27, 0.67, 0.004)),
+                                              (16, 3.0, grid(0.0, 0.49, 0.01)),
+                                              (48, 3.0, grid(0.0, 0.49, 0.01))])
+def test_clear_matches_are_the_optimal_assignment_at_every_sweep_step(f, gamma, points):
+    checked = 0
+    for pencil in block_pencil(f, gamma):
+        _, v = eigh_checked(pencil.matrix(np.array(points)))
+        overlap = overlaps(v)
+        step, unique = _clear_matches(overlap)
+        for i in np.flatnonzero(unique):
+            assert np.array_equal(step[i], _assignment(overlap[i]))
+        checked += int(unique.sum())
+    assert checked > 0
+
+
+def test_clear_matches_decline_row_maxima_not_above_one_over_sqrt2():
+    limit = math.sqrt(0.5)
+    for peak, expected in [(0.75, True), (np.nextafter(limit, 1.0), True), (limit, False),
+                           (0.7, False)]:
+        overlap = np.full((3, 3), math.sqrt((1.0 - peak**2) / 2))
+        np.fill_diagonal(overlap, peak)
+        step, unique = _clear_matches(overlap[None])
+        assert step.tolist() == [[0, 1, 2]] and unique.tolist() == [expected]
+    step, unique = _clear_matches(np.array([[[0.8, 0.6], [0.9, 0.1]]]))
+    assert step.tolist() == [[0, 0]] and unique.tolist() == [False]
+
+
+def degenerate_groups(w):
+    """Runs of positions whose eigenvalues are tied to ``DEGENERACY_TOL``."""
+    tol = DEGENERACY_TOL * max(1.0, float(np.max(np.abs(w))))
+    groups, start = [], 0
+    for j in range(1, w.size + 1):
+        if j == w.size or w[j] - w[j - 1] > tol:
+            if j - start > 1:
+                groups.append(slice(start, j))
+            start = j
+    return groups
+
+
+@pytest.mark.parametrize("f", [12, 16])
+def test_tracking_ignores_the_basis_chosen_in_a_degenerate_eigenspace(f):
+    # the k = pi block of a ring divisible by 4 is many-fold degenerate at lam = 0
+    rng = np.random.default_rng(f)
+    points = np.array(grid(0.0, 0.49, 0.01))
+    rotated_any = False
+    for pencil in block_pencil(f, 3.0):
+        w, v = eigh_checked(pencil.matrix(points))
+        turned = v.copy()
+        for i in range(points.size):
+            for group in degenerate_groups(w[i]):
+                q, _ = np.linalg.qr(rng.standard_normal((group.stop - group.start,) * 2))
+                turned[i][:, group] = v[i][:, group] @ q
+                rotated_any = True
+        expected = np.take_along_axis(w, track_levels(w, v), axis=1)
+        assert np.array_equal(np.take_along_axis(w, track_levels(w, turned), axis=1), expected)
+    assert rotated_any
+
+
+@pytest.mark.parametrize("f, points", [(16, grid(0.0, 0.49, 0.01)), (120, grid(0.0, 0.09, 0.01))])
+def test_real_gauge_sweep_tracks_like_complex_eigh_of_the_orbit_pencil(f, points):
+    result = sweep(f, 3.0, points)
+    for oracle, bs in zip(orbit_block_pencil(f, 3.0), result.blocks, strict=True):
+        w, v = np.linalg.eigh(oracle.matrix(np.array(points)))
+        tracked = np.take_along_axis(w, track_levels(w, v), axis=1)
+        assert np.max(np.abs(tracked - bs.energies)) < 1e-9
+
+
+def test_degenerate_curves_continue_in_ascending_energy():
+    # two curves tied at the first point; their overlaps alone would cross them
+    w = np.array([[0.0, 0.0], [-1.0, 1.0]])
+    v = np.array([np.eye(2), np.eye(2)[:, ::-1]])
+    assert track_levels(w, v).tolist() == [[0, 1], [0, 1]]
+    assert track_levels(w[:1], v[:1]).tolist() == [[0, 1]]
+    w[0, 1] = 1.0  # untied: the overlaps decide
+    assert track_levels(w, v).tolist() == [[0, 1], [1, 0]]
 
 
 def test_four_site_zero_block_table_row():
