@@ -26,9 +26,10 @@ def sweeps(draw):
 
 @st.composite
 def orthogonal_matrices(draw):
-    """A random orthogonal ``d x d`` matrix; half of them mix two rows at an
-    angle within ``1e-3`` of ``pi/4``, so their largest entries lie near
-    ``1/sqrt(2)``, and the rest are near a random permutation."""
+    """A random orthogonal ``d x d`` matrix: Haar-distributed, or a random
+    permutation whose two rows are mixed at an angle within ``1e-3`` of
+    ``pi/4`` and then turned slightly, so its largest entries lie near
+    ``1/sqrt(2)``."""
     d = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
