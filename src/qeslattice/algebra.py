@@ -21,6 +21,17 @@ defining relations in the Fock-matrix realization:
 All operators are built with two quanta of headroom above the sector being
 asserted on, so ladder-product truncation cannot leak in; thresholds of
 ``1e-10`` are slack for accumulated rounding only.
+
+Two rules keep the checks cheap.  A product is only formed on the block it
+is asserted on: ``(x @ y)[sl, sl] == x[sl, :] @ y[:, sl]`` holds for any
+matrices, so every bracket multiplies row slices by column slices.
+``_sector_products`` does all pairs of two small families in one stacked
+matmul; the osp even x odd brackets go one odd generator at a time and the
+canonical relations pair by pair, so that no stacked copy outgrows the
+operators themselves.  And each span is factorised once per check:
+``_span_coefficients`` takes all targets of the check together and expands
+them through one pseudo-inverse of the generator matrix, which gives the
+minimum-norm least-squares solution.
 """
 
 from __future__ import annotations
@@ -34,6 +45,8 @@ from .ops import annihilation, build_h_bh, build_translation, creation
 from .report import Check, check
 
 SPAN_TOL = 1e-10
+# targets whose span residuals are formed at once; bounds the temporaries
+_RESIDUAL_CHUNK = 16
 
 
 def _ladders(f: int, n_pad: int) -> tuple[list[np.ndarray], list[np.ndarray], object]:
@@ -49,18 +62,33 @@ def _restrict(m: np.ndarray, idx: range) -> np.ndarray:
     return m[sl, sl]
 
 
-def _restrict_upto(m: np.ndarray, basis, n_max: int) -> np.ndarray:
-    stop = basis.sector_indices(n_max).stop
-    return m[:stop, :stop]
+def _sector_products(xs: list[np.ndarray], ys: list[np.ndarray], idx: range) -> np.ndarray:
+    """``_restrict(x @ y, idx)`` for every ``x`` in ``xs`` and ``y`` in
+    ``ys``, shape ``(len(xs), len(ys), d, d)``, from one stacked matmul of
+    row slices by column slices, without forming the rest of any product."""
+    sl = slice(idx.start, idx.stop)
+    rows = np.stack([x[sl] for x in xs])
+    cols = np.stack([y[:, sl] for y in ys])
+    return rows[:, None] @ cols[None]
 
 
-def _span_coefficients(target: np.ndarray, generators: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Least-squares expansion of ``target`` in ``generators`` and the
-    distance from ``target`` to their span."""
+def _span_coefficients(targets: np.ndarray,
+                       generators: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares expansion of each of the stacked ``targets`` in
+    ``generators`` and each target's distance to their span.
+
+    The generator matrix is factorised once; the pseudo-inverse cut-off
+    ``eps * max(shape)`` is the one ``lstsq(rcond=None)`` uses, so the
+    coefficients are the same minimum-norm solution."""
     cols = np.column_stack([g.ravel() for g in generators])
-    rhs = target.ravel()
-    coeff, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-    return coeff, float(np.linalg.norm(cols @ coeff - rhs))
+    rhs = targets.reshape(len(targets), -1)
+    inverse = np.linalg.pinv(cols, rcond=np.finfo(float).eps * max(cols.shape))
+    coeffs = rhs @ inverse.T
+    dists = np.empty(len(rhs))
+    for start in range(0, len(rhs), _RESIDUAL_CHUNK):
+        part = slice(start, start + _RESIDUAL_CHUNK)
+        dists[part] = np.linalg.norm(coeffs[part] @ cols.T - rhs[part], axis=1)
+    return coeffs, dists
 
 
 def verify_sl2(n_values: tuple[int, ...] = (0, 1, 2, 3, 4), headroom: int = 2) -> list[Check]:
@@ -102,36 +130,33 @@ def verify_grading_closure(f: int, n: int, headroom: int = 2) -> list[Check]:
 
     mats: list[np.ndarray] = []
     gradings: list[int] = []
-    names: list[str] = []
     for j in range(1, f + 1):
         for k in range(1, f + 1):
             if j != k:
                 mats.append(ad[j - 1] @ a[k - 1])
                 gradings.append(j - k)
-                names.append(f"a{j}+a{k}")
     for j in range(1, f):
         mats.append(ad[j] @ a[j] - ad[j - 1] @ a[j - 1])
         gradings.append(0)
-        names.append(f"n{j+1}-n{j}")
 
     checks = [check("sl(f) generator count = f^2-1", len(mats) == f * f - 1,
                     residual=abs(len(mats) - (f * f - 1)), f=f, count=len(mats))]
 
-    restricted = [_restrict(m, idx) for m in mats]
-    span = restricted + [np.eye(len(idx))]
-    span_names = names + ["identity"]
-    worst_span = 0.0
-    worst_grading = 0.0
-    for (i, gi), (j, gj) in itertools.combinations(enumerate(gradings), 2):
-        comm = _restrict(mats[i] @ mats[j] - mats[j] @ mats[i], idx)
-        coeff, resid = _span_coefficients(comm, span)
-        worst_span = max(worst_span, resid)
-        if float(np.max(np.abs(comm))) < SPAN_TOL:
-            continue
-        # every generator contributing to the expansion must carry grading gi+gj
-        for c, g_name, grading in zip(coeff, span_names, gradings + [0]):
-            if abs(c) > 1e-8 and grading != gi + gj:
-                worst_grading = max(worst_grading, abs(c))
+    first, second = np.array(list(itertools.combinations(range(len(mats)), 2))).T
+    products = _sector_products(mats, mats, idx)
+    comms = products[first, second] - products[second, first]
+    span = [_restrict(m, idx) for m in mats] + [np.eye(len(idx))]
+    coeffs, resids = _span_coefficients(comms, span)
+    worst_span = float(resids.max())
+    # every generator contributing to a nonzero bracket must carry the sum of
+    # the two bracketed gradings
+    span_gradings = np.array(gradings + [0])
+    bracket_gradings = span_gradings[first] + span_gradings[second]
+    nonzero = np.abs(comms).max(axis=(1, 2)) >= SPAN_TOL
+    size = np.abs(coeffs)
+    stray = ((span_gradings[None] != bracket_gradings[:, None])
+             & (size > 1e-8) & nonzero[:, None])
+    worst_grading = float(size[stray].max(initial=0.0))
     checks.append(check("sl(f) bracket closure on sector", worst_span < SPAN_TOL,
                         residual=worst_span, f=f, n=n))
     checks.append(check("sl(f) gradings add under bracket", worst_grading < SPAN_TOL,
@@ -236,44 +261,44 @@ def verify_osp_structure(f: int, headroom: int = 2) -> list[Check]:
     n_assert = 2
     a, ad, basis = _ladders(f, n_assert + headroom)
 
-    odd = [("a%d" % (j + 1), a[j]) for j in range(f)]
-    odd += [("a%d+" % (j + 1), ad[j]) for j in range(f)]
-    even = [("a%d+a%d" % (j + 1, k + 1), ad[j] @ a[k])
-            for j in range(f) for k in range(f)]
-    even += [("a%d+a%d+" % (j + 1, k + 1), ad[j] @ ad[k])
-             for j in range(f) for k in range(j, f)]
-    even += [("a%da%d" % (j + 1, k + 1), a[j] @ a[k])
-             for j in range(f) for k in range(j, f)]
+    odd = a + ad
+    even = [(ad[j], a[k]) for j in range(f) for k in range(f)]
+    even += [(ad[j], ad[k]) for j in range(f) for k in range(j, f)]
+    even += [(a[j], a[k]) for j in range(f) for k in range(j, f)]
 
+    invariant_dim = enumerate_basis(f, at_most(2)).size
     checks = [
         check("osp even generator count = 2f^2+f", len(even) == 2 * f * f + f,
               residual=abs(len(even) - (2 * f * f + f)), f=f, count=len(even)),
         check("osp odd generator count = 2f", len(odd) == 2 * f,
               residual=abs(len(odd) - 2 * f), f=f, count=len(odd)),
         check("invariant subspace dimension = (f+1)(f+2)/2",
-              enumerate_basis(f, at_most(2)).size == (f + 1) * (f + 2) // 2,
-              f=f, dim=enumerate_basis(f, at_most(2)).size),
+              invariant_dim == (f + 1) * (f + 2) // 2, f=f, dim=invariant_dim),
     ]
 
-    dim = basis.sector_indices(n_assert).stop
-    cut = lambda m: _restrict_upto(m, basis, n_assert)
-    # the leading dim x dim block of x @ y, without forming the rest
-    cut_product = lambda x, y: x[:dim] @ y[:, :dim]
-    even_span = [cut(m) for _, m in even] + [np.eye(dim)]
-    odd_span = [cut(m) for _, m in odd]
+    interior = range(basis.sector_indices(n_assert).stop)
+    dim = len(interior)
+    # an even generator x @ y is only read on its interior rows and columns,
+    # kept side by side so that each odd generator meets all of them in one
+    # matmul per side
+    even_rows = np.concatenate([x[:dim] @ y for x, y in even])
+    even_cols = np.concatenate([x @ y[:, :dim] for x, y in even], axis=1)
+    even_span = list(even_rows.reshape(len(even), dim, -1)[:, :, :dim]) + [np.eye(dim)]
+    odd_span = [_restrict(m, interior) for m in odd]
 
-    worst = 0.0
-    for (_, x), (_, y) in itertools.combinations_with_replacement(odd, 2):
-        anti = cut_product(x, y) + cut_product(y, x)
-        worst = max(worst, _span_coefficients(anti, even_span)[1])
+    first, second = np.array(list(itertools.combinations_with_replacement(range(len(odd)), 2))).T
+    targets = _sector_products(odd, odd, interior)
+    targets = targets[first, second] + targets[second, first]
+    worst = float(_span_coefficients(targets, even_span)[1].max())
     checks.append(check("odd x odd anticommutators close in even span + identity",
                         worst < SPAN_TOL, residual=worst, f=f))
 
-    worst = 0.0
-    for _, e in even:
-        for _, o in odd:
-            comm = cut_product(e, o) - cut_product(o, e)
-            worst = max(worst, _span_coefficients(comm, odd_span)[1])
+    # [e, o] on the interior for every even e, one odd o at a time
+    targets = np.empty((len(even), len(odd), dim, dim), dtype=complex)
+    for i, o in enumerate(odd):
+        targets[:, i] = ((even_rows @ o[:, :dim]).reshape(len(even), dim, dim)
+                         - (o[:dim] @ even_cols).reshape(dim, len(even), dim).swapaxes(0, 1))
+    worst = float(_span_coefficients(targets.reshape(-1, dim, dim), odd_span)[1].max())
     checks.append(check("even x odd commutators close in odd span",
                         worst < SPAN_TOL, residual=worst, f=f))
     return checks
@@ -286,17 +311,20 @@ def verify_canonical_relations(f: int, headroom: int = 2) -> list[Check]:
     n_assert = 2
     a, ad, basis = _ladders(f, n_assert + headroom)
     dim = basis.sector_indices(n_assert).stop
-    # the leading dim x dim block of x @ y, without forming the rest
-    cut_product = lambda x, y: x[:dim] @ y[:, :dim]
+    # pair by pair on views of the cut operands: stacking them copies more
+    # than the f^2 small products cost; [a_i, a_i] = 0 and [a_j, a_i] =
+    # -[a_i, a_j] need no products of their own
+    eye = np.eye(dim)
     worst_ccr = 0.0
     worst_comm = 0.0
-    for i in range(f):
-        for j in range(f):
-            delta = np.eye(dim) if i == j else np.zeros((dim, dim))
-            worst_ccr = max(worst_ccr, float(np.max(np.abs(
-                cut_product(a[i], ad[j]) - cut_product(ad[j], a[i]) - delta))))
-            worst_comm = max(worst_comm, float(np.max(np.abs(
-                cut_product(a[i], a[j]) - cut_product(a[j], a[i])))))
+    for i, j in itertools.product(range(f), repeat=2):
+        ccr = a[i][:dim] @ ad[j][:, :dim] - ad[j][:dim] @ a[i][:, :dim]
+        if i == j:
+            ccr -= eye
+        worst_ccr = max(worst_ccr, float(np.max(np.abs(ccr))))
+        if i < j:
+            comm = a[i][:dim] @ a[j][:, :dim] - a[j][:dim] @ a[i][:, :dim]
+            worst_comm = max(worst_comm, float(np.max(np.abs(comm))))
     checks = [
         check("[a_i, a_j+] = delta_ij on padded interior", worst_ccr < SPAN_TOL,
               residual=worst_ccr, f=f),
@@ -304,8 +332,8 @@ def verify_canonical_relations(f: int, headroom: int = 2) -> list[Check]:
               residual=worst_comm, f=f),
     ]
     if f == 1:
-        shifted = 2 * cut_product(ad[0], a[0]) + np.eye(dim)
-        r = float(np.max(np.abs(cut_product(a[0], ad[0]) + cut_product(ad[0], a[0]) - shifted)))
+        a_ad, ad_a = a[0][:dim] @ ad[0][:, :dim], ad[0][:dim] @ a[0][:, :dim]
+        r = float(np.max(np.abs(a_ad + ad_a - (2 * ad_a + eye))))
         checks.append(check("{a, a+} = 2N + 1 on padded interior", r < SPAN_TOL,
                             residual=r, f=f))
     return checks

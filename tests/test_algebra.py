@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qeslattice.algebra import (verify_canonical_relations, verify_grading_closure,
+from qeslattice.algebra import (_ladders, _restrict, _sector_products, _span_coefficients,
+                                verify_canonical_relations, verify_grading_closure,
                                 verify_osp_structure, verify_sl2, verify_sl3_diagonal,
                                 verify_translation_f3)
 from qeslattice.fock import at_most, enumerate_basis
@@ -138,3 +139,100 @@ def test_osp_rejects_out_of_range():
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
 def test_canonical_relations(f):
     all_pass(verify_canonical_relations(f))
+
+
+# ------------------------------------------- span solve and sector products
+
+def lstsq_reference(target, generators):
+    """Per-target least squares: coefficients and distance to the span."""
+    cols = np.column_stack([g.ravel() for g in generators])
+    coeff, *_ = np.linalg.lstsq(cols, target.ravel(), rcond=None)
+    return coeff, float(np.linalg.norm(cols @ coeff - target.ravel()))
+
+
+def grading_problem(f, n):
+    """Every bracket of the sl(f) family on the n-quanta sector, from full
+    products restricted afterwards, and the span it must close in."""
+    a, ad, basis = _ladders(f, n + 2)
+    idx = basis.sector_indices(n)
+    mats = [ad[j] @ a[k] for j in range(f) for k in range(f) if j != k]
+    mats += [ad[j] @ a[j] - ad[j - 1] @ a[j - 1] for j in range(1, f)]
+    targets = [_restrict(x @ y - y @ x, idx)
+               for i, x in enumerate(mats) for y in mats[i + 1:]]
+    return np.array(targets), [_restrict(m, idx) for m in mats] + [np.eye(len(idx))]
+
+
+def osp_problems(f):
+    """The odd x odd anticommutators with the even span + identity, and the
+    even x odd commutators with the odd span, on the 0+1+2-quanta subspace."""
+    a, ad, basis = _ladders(f, 4)
+    interior = range(basis.sector_indices(2).stop)
+    odd = a + ad
+    even = [ad[j] @ a[k] for j in range(f) for k in range(f)]
+    even += [x[j] @ x[k] for x in (ad, a) for j in range(f) for k in range(j, f)]
+    anti = [_restrict(x @ y + y @ x, interior)
+            for i, x in enumerate(odd) for y in odd[i:]]
+    comms = [_restrict(e @ o - o @ e, interior) for e in even for o in odd]
+    cut = lambda ms: [_restrict(m, interior) for m in ms]
+    return ((np.array(anti), cut(even) + [np.eye(len(interior))]),
+            (np.array(comms), cut(odd)))
+
+
+def assert_matches_reference(targets, span, coeff_tol=None):
+    coeffs, dists = _span_coefficients(targets, span)
+    assert coeffs.shape == (len(targets), len(span)) and dists.shape == (len(targets),)
+    for target, coeff, dist in zip(targets, coeffs, dists):
+        ref_coeff, ref_dist = lstsq_reference(target, span)
+        assert abs(dist - ref_dist) < 1e-13
+        if coeff_tol is not None:
+            assert np.max(np.abs(coeff - ref_coeff)) < coeff_tol
+    return dists
+
+
+@pytest.mark.parametrize("f,n", [(2, 2), (3, 2), (4, 2), (5, 1)])
+def test_grading_span_solve_matches_per_target_lstsq(f, n):
+    targets, span = grading_problem(f, n)
+    dists = assert_matches_reference(targets, span, coeff_tol=1e-10)
+    record = find(verify_grading_closure(f, n), "bracket closure")[0]
+    assert abs(record.residual - dists.max()) < 1e-13
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_osp_span_solve_matches_per_target_lstsq(f):
+    (anti, even_span), (comms, odd_span) = osp_problems(f)
+    anti_dists = assert_matches_reference(anti, even_span)
+    comm_dists = assert_matches_reference(comms, odd_span)
+    checks = verify_osp_structure(f)
+    assert abs(find(checks, "odd x odd")[0].residual - anti_dists.max()) < 1e-13
+    assert abs(find(checks, "even x odd")[0].residual - comm_dists.max()) < 1e-13
+
+
+@pytest.mark.parametrize("f", [1, 4])
+def test_span_solve_sees_a_defect_outside_the_odd_span(f):
+    # E_00 (the vacuum projector) has no overlap with any ladder operator
+    _, (comms, odd_span) = osp_problems(f)
+    e00 = np.zeros_like(comms[0])
+    e00[0, 0] = 1.0
+    for hit in (0, len(comms) // 2, len(comms) - 1):
+        mutated = comms.copy()
+        mutated[hit] += 1e-6 * e00
+        dists = _span_coefficients(mutated, odd_span)[1]
+        assert abs(dists[hit] - 1e-6) < 1e-9
+        assert np.max(np.delete(dists, hit)) < 1e-13
+        assert abs(lstsq_reference(mutated[hit], odd_span)[1] - 1e-6) < 1e-9
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_sector_products_equal_restricted_full_products(f):
+    basis = enumerate_basis(f, at_most(4))
+    rng = np.random.default_rng(f)
+    shape = (basis.size, basis.size)
+    xs = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2)]
+    ys = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
+    for n in range(5):
+        idx = basis.sector_indices(n)
+        products = _sector_products(xs, ys, idx)
+        assert products.shape == (2, 3, len(idx), len(idx))
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert np.max(np.abs(products[i, j] - _restrict(x @ y, idx))) < 1e-13
