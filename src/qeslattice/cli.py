@@ -69,7 +69,11 @@ def _parse_lambda(text: str) -> list[float]:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must be >= start")
-    span = np.floor((stop - start) / step + 1e-12)
+    # the quotient carries the rounding of the three decimals read, up to
+    # 2 eps (|start| + |stop|) / step: a stop that close below a grid point
+    # counts as on it
+    slack = 4.0 * np.finfo(float).eps * (abs(start) + abs(stop)) / step
+    span = np.floor((stop - start) / step + 1e-12 + slack)
     if not span < MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return [start + i * step for i in range(int(span) + 1)]

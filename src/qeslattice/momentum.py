@@ -51,11 +51,24 @@ from one table of the ``2f`` roots ``e^{i pi j / f}``, ``cos(k j / 2)`` at
   = -sqrt(2) (-1)^(nu/2)`` for the antipodal pair, and has no other entry.
 
 ``f = 1`` and ``f = 2`` fold these rules onto one or two sites; both are
-handled by the same builder.  Blocks of one dimension share one shape, so
-the pencils come as at most three real ``(n_nu, d, d)`` stacks, and a solve
-diagonalizes each stack with one batched real ``eigh``; an eigenvector ``u``
-of ``B`` is the eigenvector ``P u`` of the orbit-frame block.  No occupation
-state, orbit table or dense ``H`` is built on this path.
+handled by the same builder.
+
+``H`` is real in the occupation basis, so complex conjugation (time
+reversal) commutes with it and maps the block at ``nu`` onto the block at
+``-nu``: the orbit vectors at ``-nu`` are the conjugates of those at ``nu``,
+the orbit-frame block at ``-nu`` is the conjugate of the one at ``nu``, and
+in the centre-of-mass gauge both are the same real matrix ``B``, with column
+phases ``P`` at ``nu`` and ``conj(P)`` at ``-nu``.  Only the ``floor(f/2) + 1``
+labels ``nu >= 0`` are therefore built; :meth:`PencilStack.blocks_of` is
+the one place that turns a block at ``nu > 0`` into its mirror at ``-nu``
+(same arrays, conjugate phases), for every ``nu`` but ``0`` and, on even
+rings, ``f/2``, which are their own mirrors.  Blocks of one dimension share
+one shape, so the distinct pencils come as at most three real
+``(n_nu, d, d)`` stacks, and a solve diagonalizes each stack with one
+batched real ``eigh``; an eigenvector ``u`` of ``B`` is the eigenvector
+``P u`` of the orbit-frame block at ``nu`` and ``conj(P) u`` of the one at
+``-nu``.  No occupation state, orbit table or dense ``H`` is built on this
+path.
 
 Each block's vectors are an :class:`OrbitFrame`, the nonzeros of the
 ``D x d`` matrix ``V`` of block vectors: one entry per orbit member, its row
@@ -332,10 +345,11 @@ class BlockPencil:
 
 @dataclass(frozen=True)
 class PencilStack:
-    """The pencils of every block of one dimension: block ``i`` has label
-    ``labels[i]``, real symmetric matrix ``b_bh[i] + lam * b_drive[i]`` in
-    the centre-of-mass gauge and column phases ``phases[i]``; all share the
-    column quanta ``quanta``."""
+    """The pencils of every distinct block (``nu >= 0``) of one dimension:
+    row ``i`` has label ``labels[i]``, real symmetric matrix ``b_bh[i] + lam
+    * b_drive[i]`` in the centre-of-mass gauge and column phases
+    ``phases[i]``; all share the column quanta ``quanta``.  Each row also
+    stands for the mirror block at ``-nu`` (:meth:`blocks_of`)."""
 
     labels: tuple[MomentumLabel, ...]
     quanta: np.ndarray
@@ -350,6 +364,18 @@ class PencilStack:
     def matrix(self, lam: float) -> np.ndarray:
         """The ``(n_nu, d, d)`` stack of block matrices at one coupling."""
         return self.b_bh + lam * self.b_drive
+
+    def blocks_of(self, i: int) -> list[tuple[MomentumLabel, np.ndarray]]:
+        """``(label, phases)`` of every block row ``i`` stands for: its own
+        label ``nu`` with ``phases[i]`` and, when ``-nu`` is another label of
+        the ring (``0 < 2 nu < f``), the mirror ``-nu`` with the conjugate
+        phases, which time reversal gives the same real matrix."""
+        label, phases = self.labels[i], self.phases[i]
+        if not 0 < 2 * label.nu < label.f:
+            return [(label, phases)]
+        mirror = phases.conj()
+        mirror.setflags(write=False)
+        return [(label, phases), (MomentumLabel(f=label.f, nu=-label.nu), mirror)]
 
 
 def _stack(f: int, gamma: float, labels: list[MomentumLabel]) -> PencilStack:
@@ -396,11 +422,15 @@ def _stack(f: int, gamma: float, labels: list[MomentumLabel]) -> PencilStack:
 
 
 def pencil_stacks(f: int, gamma: float) -> list[PencilStack]:
-    """Every momentum block's pencil, one stack per block shape (at most
-    three), each stack ``nu`` descending."""
+    """The pencils of the distinct momentum blocks, the labels ``nu >= 0``,
+    one stack per block shape (at most three), each stack ``nu``
+    descending; :meth:`PencilStack.blocks_of` names the blocks ``-nu`` each
+    row also stands for."""
     shapes: dict[tuple[bool, bool], list[MomentumLabel]] = {}
     for label in momentum_values(f):
-        shapes.setdefault((label.nu == 0, _has_antipodal_pair(f, label.nu)), []).append(label)
+        if label.nu >= 0:
+            key = (label.nu == 0, _has_antipodal_pair(f, label.nu))
+            shapes.setdefault(key, []).append(label)
     return [_stack(f, gamma, labels) for labels in shapes.values()]
 
 
@@ -410,26 +440,30 @@ def _nu_descending(items: list) -> list:
 
 def block_pencil(f: int, gamma: float) -> list[BlockPencil]:
     """All momentum blocks of ``H_BH`` and of the drive at unit coupling,
-    ``nu`` descending: the slices of :func:`pencil_stacks`."""
-    pencils = [BlockPencil(label=label, quanta=stack.quanta, b_bh=bh, b_drive=drive,
-                           phases=phases)
+    ``nu`` descending: the rows of :func:`pencil_stacks`, each block ``-nu``
+    sharing the read-only arrays of ``nu`` with the conjugate phases."""
+    pencils = [BlockPencil(label=label, quanta=stack.quanta, b_bh=stack.b_bh[i],
+                           b_drive=stack.b_drive[i], phases=phases)
                for stack in pencil_stacks(f, gamma)
-               for label, bh, drive, phases in zip(stack.labels, stack.b_bh, stack.b_drive,
-                                                   stack.phases)]
+               for i in range(len(stack.labels))
+               for label, phases in stack.blocks_of(i)]
     return _nu_descending(pencils)
 
 
 def assemble_h_r(f: int, gamma: float, lam: float) -> list[MomentumBlock]:
     """All momentum blocks of ``H = H_BH + H_lam`` on the 0+1+2-quanta space.
 
-    Each block is its pencil at ``lam``, with no dense ``H``; ``hmatrix``
-    is built on first read.  The union of
-    the block spectra reproduces the spectrum of the full restricted
-    Hamiltonian; blocks are returned ``nu`` descending.
+    Each block is its pencil at ``lam``, with no dense ``H``; a block
+    ``-nu`` shares the read-only matrix of ``nu`` with the conjugate phases,
+    and ``hmatrix`` is built on first read.  The union of the block spectra
+    reproduces the spectrum of the full restricted Hamiltonian; blocks are
+    returned ``nu`` descending.
     """
-    blocks = [MomentumBlock(label=label, matrix=h, phases=phases, quanta=stack.quanta)
-              for stack in pencil_stacks(f, gamma)
-              for label, h, phases in zip(stack.labels, stack.matrix(lam), stack.phases)]
+    blocks = []
+    for stack in pencil_stacks(f, gamma):
+        h = stack.matrix(lam)
+        blocks += [MomentumBlock(label=label, matrix=h[i], phases=phases, quanta=stack.quanta)
+                   for i in range(len(stack.labels)) for label, phases in stack.blocks_of(i)]
     return _nu_descending(blocks)
 
 

@@ -1,10 +1,15 @@
 """Diagonalization of momentum blocks, coupling sweeps and band structure.
 
 The restricted Hamiltonian is real symmetric in the occupation basis, so
-every block spectrum is real and the blocks for ``+nu`` and ``-nu`` are
-degenerate with complex-conjugate eigenvectors.  Every block is solved in
-the centre-of-mass gauge of :mod:`~qeslattice.momentum`, where it is real
-symmetric, and its eigenvectors are carried back to the orbit frame.
+every block spectrum is real and, by time reversal, the blocks for ``+nu``
+and ``-nu`` are degenerate with complex-conjugate eigenvectors.  Every block
+is solved in the centre-of-mass gauge of :mod:`~qeslattice.momentum`, where
+it is real symmetric and the same matrix at ``nu`` and ``-nu``: only the
+distinct blocks ``nu >= 0`` are diagonalized, and each pair ``+-nu`` gets the
+same eigenvalues, with its eigenvectors carried back to the two orbit frames
+by conjugate phases.  The ``+-nu`` degeneracy therefore holds by
+construction; the tests and ``verify`` check it against blocks built
+independently at ``-nu``.
 Characteristic polynomials are assembled from eigenvalues (stable at these
 dimensions) rather than by determinant expansion.
 """
@@ -20,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .fock import FockBasis, at_most, enumerate_basis
-from .momentum import MomentumBlock, MomentumLabel, block_pencil, pencil_stacks
+from .momentum import MomentumBlock, MomentumLabel, pencil_stacks
 from .ops import build_hamiltonian, hermiticity_defect
 from .reference import EIGENSTATE_FORMULAS, EIGENSTATE_RESIDUAL_TOL
 from .report import Check, check, skip
@@ -32,12 +37,13 @@ RESIDUAL_TOL = 1e-9
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
 # Largest accepted ring.  A solve builds no array over the (f+1)(f+2)/2 = D
-# occupation states and no block frame, only the f block pencils of d ~ f/2
-# rows, in at most three real (n_nu, d, d) stacks, and their eigenvectors:
-# three real arrays of about f^3 / 4 entries, 3.5 MB each at f = 120, and the
-# complex orbit-frame coefficients, 7 MB, so memory grows as f^3.
-# `qeslattice spectrum --f 120` took 0.30 s and peaked at 53 MB
-# RSS (ru_maxrss, x86-64, one BLAS thread).  The cap bounds what a caller can
+# occupation states and no block frame, only the f/2 + 1 distinct block
+# pencils (nu >= 0) of d ~ f/2 rows, in at most three real (n_nu, d, d)
+# stacks, and their eigenvectors: three real arrays of about f^3 / 8 entries,
+# 1.9 MB each at f = 120, and the complex orbit-frame coefficients of all f
+# blocks, 7 MB, so memory grows as f^3.  `qeslattice spectrum --f 120` took
+# 0.24 s and peaked at 45 MB RSS (whole process, ru_maxrss, 2-vCPU x86-64,
+# one BLAS thread).  The cap bounds what a caller can
 # still ask for: a block frame read costs O(D), but reading `.vectors` and
 # `.eigenvectors` on every block builds dense arrays of 32 * D^2 bytes, about
 # 1.74 GB at f = 120.
@@ -46,9 +52,10 @@ MAX_SITES = 120
 # has d^2 <= 3 (f+1)(f+2)/2, so one block's real (n_points, d, d) stack takes
 # at most 8 * 3 * MAX_SWEEP_ROWS = 48 MB.  The largest accepted grid on the
 # largest ring, `qeslattice sweep --f 120` over 270 points (1,992,870 rows),
-# took 20 s and peaked at 143 MB RSS (ru_maxrss, x86-64, one BLAS
-# thread): the stacks, eigenvectors and step overlaps of one block at a time
-# plus the energy table; the CLI writes the CSV a grid point at a time.
+# took 11.8 s and peaked at 133 MB RSS (whole process, ru_maxrss, 2-vCPU
+# x86-64, one BLAS thread): the stacks, eigenvectors and step overlaps of one
+# distinct block at a time plus the energy table; the CLI writes the CSV a
+# grid point at a time.
 MAX_SWEEP_ROWS = 2_000_000
 # Levels whose energies at one grid point differ by at most this much,
 # relative to the largest |E| of the block there (and at least absolutely),
@@ -169,8 +176,10 @@ class SpectrumResult:
 
 def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     """Assemble all momentum blocks of ``H`` and diagonalize them, one real
-    :func:`eigh_checked` call per stack of equal-sized blocks; each block's
-    ``coefficients`` are its eigenvectors in the orbit frame.
+    :func:`eigh_checked` call per stack of equal-sized distinct blocks
+    (``nu >= 0``); each block's ``coefficients`` are its eigenvectors in the
+    orbit frame, and a block ``-nu`` shares the eigenvalues of ``nu`` and
+    has the conjugate coefficients.
 
     Raises ``ValueError`` for a ring size ``f`` that is not an integer in
     ``1..MAX_SITES``, and for a coupling that is not a real number, is not
@@ -184,11 +193,13 @@ def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     for stack in pencil_stacks(f, gamma):
         h = stack.matrix(lam)
         w, v = eigh_checked(h)
-        coefficients = stack.phases[:, :, None] * v  # P u: back to the orbit frame
-        spectra += [BlockSpectrum(block=MomentumBlock(label=label, matrix=h[i],
-                                                      phases=stack.phases[i], quanta=stack.quanta),
-                                  eigenvalues=w[i], coefficients=coefficients[i])
-                    for i, label in enumerate(stack.labels)]
+        for i in range(len(stack.labels)):
+            for label, phases in stack.blocks_of(i):
+                block = MomentumBlock(label=label, matrix=h[i], phases=phases,
+                                      quanta=stack.quanta)
+                # P u: back to the orbit frame
+                spectra.append(BlockSpectrum(block=block, eigenvalues=w[i],
+                                             coefficients=phases[:, None] * v[i]))
     spectra.sort(key=lambda bs: -bs.label.nu)
     return SpectrumResult(f=f, gamma=gamma, lam=lam, blocks=tuple(spectra))
 
@@ -271,17 +282,43 @@ def _assignment(overlap: np.ndarray) -> np.ndarray:
     return order
 
 
-def _clear_matches(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack ``(n, d, d)`` of overlaps between orthonormal bases: the
-    column of each row's largest overlap, and per matrix whether those
-    columns are the unique optimal assignment.  They are when every row's
-    maximum exceeds ``1/sqrt(2)`` and the maxima lie in distinct columns:
-    a row of unit norm then holds no second entry above ``sqrt(1 - 1/2)``,
-    so any other assignment loses overlap in every row it changes."""
+def _tied_runs(tied: np.ndarray) -> list[tuple[int, int]]:
+    """``(first, last)`` positions of each run of neighbours tied at one
+    grid point, from the ``d - 1`` flags ``tied[j]``: ``j`` and ``j + 1``
+    are tied."""
+    edges = np.diff(np.concatenate(([0], tied.astype(np.int8), [0])))
+    return list(zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()))
+
+
+def _clear_matches(overlap: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack ``(n, d, d)`` of overlaps between orthonormal bases, rows
+    grouped by the ties ``(n, d - 1)`` between neighbouring rows (see
+    :func:`_tied_runs`): the columns each group of ``g`` rows takes, and per
+    matrix whether the match is clear.
+
+    A group takes the ``g`` columns of largest summed squared overlap over
+    its rows, its *mass* in each column; for an untied row (``g = 1``) that
+    is its largest overlap.  The match is clear when every taken mass
+    exceeds ``1/2`` and no column is taken twice.  With no ties a clear
+    match is the unique optimal assignment: a row of unit norm holds no
+    second overlap above ``sqrt(1 - 1/2)``, so any other assignment loses
+    overlap in every row it changes.  A group's mass in a column is the
+    squared norm of the column's projection onto the group's span, so it
+    does not change under rotations inside a degenerate eigenspace, where
+    the overlaps of single rows do; the order of the columns inside a group
+    is left to the caller."""
     step = overlap.argmax(axis=-1)
     peak = np.take_along_axis(overlap, step[..., None], axis=-1)[..., 0]
+    clear = peak > math.sqrt(0.5)
+    for i in np.flatnonzero(tied.any(axis=-1)):
+        for first, last in _tied_runs(tied[i]):
+            rows = slice(first, last + 1)
+            mass = np.square(overlap[i, rows]).sum(axis=0)
+            taken = np.argsort(-mass, kind="stable")[:last + 1 - first]
+            step[i, rows] = taken
+            clear[i, rows] = mass[taken] > 0.5
     distinct = (np.sort(step, axis=-1) == np.arange(step.shape[-1])).all(axis=-1)
-    return step, distinct & (peak > math.sqrt(0.5)).all(axis=-1)
+    return step, distinct & clear.all(axis=-1)
 
 
 def track_levels(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -291,11 +328,11 @@ def track_levels(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Adjacent points are paired by the optimal assignment of the overlaps
     ``|V_iᴴ V_{i+1}|`` of their orthonormal eigenvectors ``v[i]``, all
-    computed in one batched product.  Where the row maxima are that
-    assignment's unique optimum (:func:`_clear_matches`) they are used as
-    they are; only the other steps solve the assignment.
-    Curves that are one degenerate group at point ``i`` (energies within
-    ``DEGENERACY_TOL``) take their continuations at ``i + 1`` in ascending
+    computed in one batched product.  Curves that are one degenerate group
+    at point ``i`` (energies within ``DEGENERACY_TOL``) are matched as a
+    group.  Where the overlaps give a clear match (:func:`_clear_matches`)
+    it is used as it is; only the other steps solve the assignment.  A
+    degenerate group takes its continuations at ``i + 1`` in ascending
     energy, so the order inside a degenerate eigenspace does not depend on
     the basis ``eigh`` returned for it.
     """
@@ -304,20 +341,18 @@ def track_levels(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     order[0] = np.arange(d)
     left = v[:-1].swapaxes(-1, -2)
     overlap = np.abs((left.conj() if np.iscomplexobj(left) else left) @ v[1:])
-    step, unique = _clear_matches(overlap)
-    for i in np.flatnonzero(~unique):
-        step[i] = _assignment(overlap[i])
     scale = DEGENERACY_TOL * np.maximum(1.0, np.abs(w[:-1]).max(axis=1, keepdims=True))
     tied = np.diff(w[:-1], axis=1) <= scale
+    step, clear = _clear_matches(overlap, tied)
+    for i in np.flatnonzero(~clear):
+        step[i] = _assignment(overlap[i])
     # the curves keep their positions across every other step
     moving = (step != order[0]).any(axis=1) | tied.any(axis=1)
     here, start = order[0], 0
     for i in np.flatnonzero(moving):
         order[start:i + 1] = here
         ahead = step[i, here]
-        # runs of tied neighbours at point i: positions first..last
-        edges = np.diff(np.concatenate(([0], tied[i].astype(np.int8), [0])))
-        for first, last in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+        for first, last in _tied_runs(tied[i]):
             group = (here >= first) & (here <= last)
             ahead[group] = np.sort(ahead[group])
         here, start = ahead, i + 1
@@ -329,13 +364,15 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     """Eigenvalue curves over an ascending coupling grid.
 
     The block pencils ``B_BH + lam * B_drive`` are built once, real in the
-    centre-of-mass gauge; each block's whole grid is then one stack of
-    ``(n_points, d, d)`` matrices, diagonalized in one :func:`eigh_checked`
-    call, and its levels are followed across the grid by
-    :func:`track_levels`, which keeps each column of the table on one
+    centre-of-mass gauge; each distinct block's (``nu >= 0``) whole grid is
+    then one stack of ``(n_points, d, d)`` matrices, diagonalized in one
+    :func:`eigh_checked` call, and its levels are followed across the grid
+    by :func:`track_levels`, which keeps each column of the table on one
     physical curve even where curves cross.  The block vectors are
     orthonormal and the gauge is unitary, so overlaps and quanta tags are
-    read in gauge coordinates.  Rejects the inputs :func:`solve_spectrum`
+    read in gauge coordinates.  A block ``-nu`` is the same real matrix
+    (:mod:`~qeslattice.momentum`) and shares the energies and tags of
+    ``nu``.  Rejects the inputs :func:`solve_spectrum`
     rejects, empty or unsorted grids and grids of more than
     ``MAX_SWEEP_ROWS`` output rows, before any block is built.
     """
@@ -351,11 +388,14 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
         _check_coupling("lambda", float(lam))
 
     block_sweeps = []
-    for pencil in block_pencil(f, gamma):
-        w, v = eigh_checked(pencil.matrix(grid))
-        energies = np.take_along_axis(w, track_levels(w, v), axis=1)
-        block_sweeps.append(BlockSweep(label=pencil.label, energies=energies,
-                                       tags=quanta_tags(v[0], pencil.quanta)))
+    for stack in pencil_stacks(f, gamma):
+        for i in range(len(stack.labels)):
+            w, v = eigh_checked(stack.b_bh[i] + np.multiply.outer(grid, stack.b_drive[i]))
+            energies = np.take_along_axis(w, track_levels(w, v), axis=1)
+            tags = quanta_tags(v[0], stack.quanta)
+            block_sweeps += [BlockSweep(label=label, energies=energies, tags=tags)
+                             for label, _ in stack.blocks_of(i)]
+    block_sweeps.sort(key=lambda bs: -bs.label.nu)
     return SweepResult(f=f, gamma=gamma, lambdas=grid, blocks=tuple(block_sweeps))
 
 

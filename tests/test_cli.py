@@ -96,8 +96,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_sweeps_without_a_hard_step_leave_scipy_optimize_unloaded():
-    # a rejected sweep, and a sweep whose every step is matched by its
-    # overlap maxima, never reach the assignment solver
+    # a rejected sweep, and sweeps whose every step is matched by its
+    # overlaps, tied levels as a group, never reach the assignment solver
     src = str(Path(qeslattice.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -111,7 +111,12 @@ def test_sweeps_without_a_hard_step_leave_scipy_optimize_unloaded():
             "    raise AssertionError('sweep accepted lambda = 2e3')\n"
             "assert 'scipy.optimize' not in sys.modules, 'rejected sweep imported it'\n"
             "sweep(15, 4.0, [0.27 + 0.004 * i for i in range(101)])\n"
-            "assert 'scipy.optimize' not in sys.modules, 'sweep imported it'\n")
+            "assert 'scipy.optimize' not in sys.modules, 'sweep imported it'\n"
+            "import os\n"
+            "from qeslattice.cli import main\n"
+            "assert main(['sweep', '--f', '16', '--lambda', '0:0.49:0.01',"
+            " '--out', os.devnull]) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'f = 16 sweep imported it'\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

@@ -14,7 +14,7 @@ from qeslattice.momentum import (GRAM_TOL, MomentumLabel, OrbitFrame, _check_dis
                                  to_orbit_frame, two_quanta_seed, two_quanta_seed_count)
 from qeslattice.ops import (apply_hamiltonian, build_h_bh, build_h_lambda,
                            build_hamiltonian, build_translation, hermiticity_defect)
-from qeslattice.spectra import MAX_SITES
+from qeslattice.spectra import MAX_SITES, solve_spectrum
 from qeslattice.suites import momentum_suite
 
 SQRT2 = math.sqrt(2)
@@ -418,7 +418,8 @@ def test_frame_of_dense_vectors_round_trips():
 
 @pytest.mark.parametrize("f", range(1, MAX_SITES + 1))
 def test_structured_blocks_match_the_orbit_pencil(f):
-    # the real gauged pencil B, carried to the orbit frame as P B P^H
+    # the real gauged pencil B, carried to the orbit frame as P B P^H, and
+    # the solved spectra at -nu
     basis = enumerate_basis(f, at_most(2))
     for gamma, lam in [(3.0, 0.5), (1.3, -0.7), (1e3, -1e3)]:
         tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
@@ -435,6 +436,13 @@ def test_structured_blocks_match_the_orbit_pencil(f):
             assert np.max(np.abs(to_orbit_frame(p.b_drive, p.phases) - o.b_drive)) < tol
             assert np.max(np.abs(to_orbit_frame(p.matrix(lam), p.phases)
                                  - o.matrix(lam))) < tol
+        # the solve gives -nu the spectrum of nu; the orbit pencil builds the
+        # complex block at -nu on its own
+        mirrors = {o.label.nu: o for o in oracle if o.label.nu < 0}
+        solved = {bs.label.nu: bs for bs in solve_spectrum(f, gamma, lam).blocks}
+        for nu, o in mirrors.items():
+            expected = np.linalg.eigvalsh(o.matrix(lam))
+            assert np.max(np.abs(solved[nu].eigenvalues - expected)) < tol
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 7, 10, 119, 120])
@@ -442,7 +450,12 @@ def test_pencil_stacks_hold_one_block_shape_each(f):
     stacks = pencil_stacks(f, 3.0)
     assert len(stacks) <= 3
     assert len({s.b_bh.shape[1:] for s in stacks}) == len(stacks)
-    assert sorted((l for s in stacks for l in s.labels), key=lambda l: -l.nu) == momentum_values(f)
+    # the distinct labels nu >= 0; with their mirrors -nu, every label once
+    distinct = sorted((l for s in stacks for l in s.labels), key=lambda l: -l.nu)
+    assert distinct == [l for l in momentum_values(f) if l.nu >= 0]
+    named = [(l, p) for s in stacks for i in range(len(s.labels)) for l, p in s.blocks_of(i)]
+    assert sorted((l for l, _ in named), key=lambda l: -l.nu) == momentum_values(f)
+    assert not any(p.flags.writeable for _, p in named)
     for s in stacks:
         assert [l.nu for l in s.labels] == sorted((l.nu for l in s.labels), reverse=True)
         assert s.b_bh.shape == s.b_drive.shape == (len(s.labels),) + (s.quanta.size,) * 2

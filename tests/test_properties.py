@@ -1,12 +1,15 @@
 """Property tests: the sweep engine against the single-point solver and the
 symmetries of the model, on randomly drawn small rings and grids."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from qeslattice.cli import _parse_lambda  # noqa: E402
 from qeslattice.spectra import (_assignment, _clear_matches, quanta_tag,  # noqa: E402
                                 solve_spectrum, sweep)
 
@@ -50,7 +53,7 @@ def orthogonal_matrices(draw):
 @given(orthogonal_matrices())
 def test_clear_matches_are_the_unique_optimal_assignment(q):
     overlap = np.abs(q)
-    step, unique = _clear_matches(overlap[None])
+    step, unique = _clear_matches(overlap[None], np.zeros((1, q.shape[0] - 1), dtype=bool))
     if unique[0]:
         assert np.array_equal(step[0], _assignment(overlap))
     else:
@@ -104,3 +107,26 @@ def test_spectrum_is_even_in_the_coupling(case):
         tol = 1e-12 * max(1.0, abs(gamma), float(np.max(np.abs(grid))))
         assert np.max(np.abs(np.sort(a.energies, axis=1)
                              - np.sort(b.energies[::-1], axis=1))) < tol
+
+
+@st.composite
+def grid_texts(draw):
+    """``(text, start, stop, count)``: a ``start:stop:step`` grid written in
+    decimals, ``start`` in [-10, 10] to two places, a step of one or two
+    significant digits between 1e-5 and 9.9, and ``stop`` on the last of
+    ``count`` points."""
+    start = Decimal(draw(st.integers(-1000, 1000))).scaleb(-2)
+    step = Decimal(draw(st.integers(1, 99))).scaleb(-draw(st.integers(1, 5)))
+    count = draw(st.integers(1, 2000))
+    stop = start + (count - 1) * step
+    return f"{start}:{stop}:{step}", float(start), float(stop), count
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(grid_texts())
+def test_lambda_grid_text_round_trips(case):
+    text, start, stop, count = case
+    grid = _parse_lambda(text)
+    assert len(grid) == count and grid[0] == start
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+    assert abs(grid[-1] - stop) <= 1e-12 * max(1.0, abs(start), abs(stop))

