@@ -9,16 +9,15 @@ constructs and verifies.
 """
 
 from .fock import FockBasis, Selector, at_most, enumerate_basis, exactly, translate
-from .momentum import (BlockPencil, MomentumBlock, MomentumLabel, OrbitFrame, PencilStack,
-                       assemble_h_r, block_dimensions, block_frame, block_pencil,
-                       build_momentum_vectors, momentum_values, orbit_block_pencil,
-                       pencil_stacks, project_block, to_orbit_frame)
+from .momentum import (BlockPencil, MomentumBlock, MomentumLabel, PencilStack, assemble_h_r,
+                       block_dimensions, block_frame, build_momentum_vectors, momentum_values,
+                       orbit_block_pencil, pencil_stacks, project_block, to_orbit_frame)
 from .ops import (annihilation, apply_hamiltonian, build_h_bh, build_h_lambda,
                   build_hamiltonian, build_number, build_translation, commutator,
                   creation, hermiticity_defect, sector_block)
 from .spectra import (BlockSpectrum, SolitonBand, SpectrumResult, SweepResult,
-                      brute_force_eigenvalues, char_poly, eigh_checked, quanta_tag,
-                      quanta_tags, solve_spectrum, soliton_band, sweep, track_levels,
+                      brute_force_eigenvalues, char_poly, eigh_checked, quanta_tags,
+                      solve_spectrum, soliton_band, sweep, track_levels,
                       verify_eigenvector_formulas)
 
 __version__ = "0.1.0"
@@ -28,12 +27,11 @@ __all__ = [
     "annihilation", "creation", "commutator", "apply_hamiltonian", "build_h_bh",
     "build_h_lambda", "build_hamiltonian", "build_number", "build_translation",
     "hermiticity_defect", "sector_block",
-    "BlockPencil", "MomentumBlock", "MomentumLabel", "OrbitFrame", "PencilStack", "assemble_h_r",
-    "block_dimensions", "block_frame", "block_pencil", "build_momentum_vectors",
+    "BlockPencil", "MomentumBlock", "MomentumLabel", "PencilStack", "assemble_h_r",
+    "block_dimensions", "block_frame", "build_momentum_vectors",
     "momentum_values", "orbit_block_pencil", "pencil_stacks", "project_block", "to_orbit_frame",
     "BlockSpectrum", "SolitonBand", "SpectrumResult", "SweepResult",
-    "brute_force_eigenvalues", "char_poly", "eigh_checked", "quanta_tag",
-    "quanta_tags", "solve_spectrum", "soliton_band", "sweep", "track_levels",
-    "verify_eigenvector_formulas",
+    "brute_force_eigenvalues", "char_poly", "eigh_checked", "quanta_tags", "solve_spectrum",
+    "soliton_band", "sweep", "track_levels", "verify_eigenvector_formulas",
     "__version__",
 ]

@@ -299,6 +299,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except OSError as exc:  # an --out path that cannot be written, or a closed stdout
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -70,13 +70,13 @@ batched real ``eigh``; an eigenvector ``u`` of ``B`` is the eigenvector
 ``-nu``.  No occupation state, orbit table or dense ``H`` is built on this
 path.
 
-Each block's vectors are an :class:`OrbitFrame`, the nonzeros of the
-``D x d`` matrix ``V`` of block vectors: one entry per orbit member, its row
-in the occupation basis (from the positions of its quanta), its column and
-its amplitude ``e^{ikr}/sqrt(P)``.  A block builds its frame only when
-``.frame`` or ``.vectors`` is read, in ``O(D)`` work, and checks it then:
-distinct orbits share no occupation state, so ``V^H V = I`` reduces to
-distinct rows and unit column norms.
+Each block's vectors are the ``D x d`` matrix ``V`` of block vectors over the
+occupation basis, a read-only complex array.  A block builds ``V`` only when
+``.vectors`` is read (:func:`block_frame`): one entry per orbit member, its
+row in the occupation basis (from the positions of its quanta), its column
+and its amplitude ``e^{ikr}/sqrt(P)``, checked before they are scattered
+into ``V``: distinct orbits share no occupation state, so ``V^H V = I``
+reduces to distinct rows and unit column norms.
 
 Two independent constructions are the oracles.  :func:`orbit_block_pencil`
 is the standard momentum-state construction: ``H`` is applied once to each
@@ -95,7 +95,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -123,48 +123,6 @@ class MomentumLabel:
         """Eigenvalue of ``T`` on this block's vectors (``e^{-ik}`` under the
         phase convention used in :func:`build_momentum_vectors`)."""
         return cmath.exp(-1j * self.k)
-
-
-@dataclass(frozen=True)
-class OrbitFrame:
-    """Block vectors ``V`` (``size x dim``, columns over the occupation
-    basis) held as their nonzeros: entry ``i`` is ``V[rows[i], cols[i]] =
-    amps[i]``.
-
-    In an orbit frame every entry is one member of a surviving orbit and
-    ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s).
-    A frame read off arbitrary vectors (:meth:`of_dense`) has no ``quanta``.
-    """
-
-    size: int
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    amps: np.ndarray
-    quanta: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        for array in (self.rows, self.cols, self.amps, self.quanta):
-            if array is not None:
-                array.setflags(write=False)
-
-    @classmethod
-    def of_dense(cls, v: np.ndarray) -> "OrbitFrame":
-        """The nonzeros of a dense ``size x dim`` array of column vectors."""
-        rows, cols = np.nonzero(v)
-        return cls(size=v.shape[0], dim=v.shape[1], rows=rows, cols=cols, amps=v[rows, cols])
-
-    def dense(self) -> np.ndarray:
-        """``V`` as a new dense complex array."""
-        v = np.zeros((self.size, self.dim), dtype=complex)
-        v[self.rows, self.cols] = self.amps
-        return v
-
-
-def _read_only_dense(frame: OrbitFrame) -> np.ndarray:
-    v = frame.dense()
-    v.setflags(write=False)
-    return v
 
 
 def momentum_values(f: int) -> list[MomentumLabel]:
@@ -233,10 +191,11 @@ def _block_quanta(f: int, nu: int) -> np.ndarray:
     return np.array([0] * (nu == 0) + [1] + [2] * _pair_separations(f, nu).size)
 
 
-def block_frame(label: MomentumLabel) -> OrbitFrame:
-    """The block vectors at ``label`` from index arithmetic, checked
-    orthonormal: ``e^{ikr} / sqrt(P)`` on the ``r``-th translate of each
-    surviving seed, one column per seed, ``O(D)`` work.
+def block_frame(label: MomentumLabel) -> np.ndarray:
+    """The block vectors at ``label`` from index arithmetic, as a read-only
+    ``(D, d)`` array checked orthonormal: ``e^{ikr} / sqrt(P)`` on the
+    ``r``-th translate of each surviving seed, one column per seed; the
+    entries take ``O(D)`` work.
 
     The one-quantum translate ``r`` has its quantum on site ``r``; the pair
     at separation ``s`` has its quanta on sites ``r`` and ``(r + s) % f``.
@@ -257,55 +216,46 @@ def block_frame(label: MomentumLabel) -> OrbitFrame:
     cols = [np.zeros(one, dtype=int), np.full(f, one), one + 1 + np.repeat(seps[:, 0], period[:, 0])]
     amps = [roots[:one], roots[nu * r % f] / np.sqrt(f),
             roots[nu * shift % f] / np.sqrt(np.repeat(period[:, 0], period[:, 0]))]
-    frame = OrbitFrame(size=(f + 1) * (f + 2) // 2, dim=one + 1 + seps.size,
-                       rows=np.concatenate(rows), cols=np.concatenate(cols),
-                       amps=np.concatenate(amps), quanta=_block_quanta(f, nu))
-    _check_disjoint_rows(frame.rows, frame.size)
-    _check_unit_columns(frame)
-    return frame
+    rows, cols, amps = np.concatenate(rows), np.concatenate(cols), np.concatenate(amps)
+    v = np.zeros(((f + 1) * (f + 2) // 2, one + 1 + seps.size), dtype=complex)
+    _check_disjoint_rows(rows, v.shape[0])
+    _check_unit_columns(cols, amps, v.shape[1])
+    v[rows, cols] = amps
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
 class MomentumBlock:
     """One Hermitian block of the restricted Hamiltonian.
 
-    ``matrix`` is the block in the centre-of-mass gauge (real symmetric) with
-    ``phases`` its column phases, or, when ``phases`` is ``None``, the block
-    in the frame itself.  ``hmatrix`` is the block in the frame, ``P B Pᴴ``
-    (:func:`to_orbit_frame`), built on first read.
-    ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s).
-    ``frame`` holds the orthonormal block basis, ordered vacuum (nu = 0
-    only), one-quantum vector, then two-quantum vectors by increasing pair
-    separation; ``vectors`` is the same basis as dense columns over the
-    occupation basis.  Both are built on first read: the orbit frame of
-    ``label``, or ``given_frame`` when the block was made from explicit
-    vectors (:func:`project_block`).
+    ``matrix`` is the block in the centre-of-mass gauge (real symmetric) and
+    ``phases`` its column phases; ``hmatrix`` is the block in the orbit
+    frame, ``P B Pᴴ`` (:func:`to_orbit_frame`).  ``quanta`` holds the total
+    quanta of each column (0 vacuum, 1, then 2s).  ``vectors`` is the
+    orthonormal block basis as read-only dense columns over the occupation
+    basis (:func:`block_frame`), ordered vacuum (nu = 0 only), one-quantum
+    vector, then two-quantum vectors by increasing pair separation.
+    ``hmatrix`` and ``vectors`` are built on first read.
     """
 
     label: MomentumLabel
     matrix: np.ndarray
-    phases: np.ndarray | None = None
-    quanta: np.ndarray | None = None
-    given_frame: OrbitFrame | None = field(default=None, repr=False)
+    phases: np.ndarray
+    quanta: np.ndarray
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
 
     @cached_property
     def hmatrix(self) -> np.ndarray:
-        if self.phases is None:
-            return self.matrix
         h = to_orbit_frame(self.matrix, self.phases)
         h.setflags(write=False)
         return h
 
     @cached_property
-    def frame(self) -> OrbitFrame:
-        return self.given_frame if self.given_frame is not None else block_frame(self.label)
-
-    @cached_property
     def vectors(self) -> np.ndarray:
-        return _read_only_dense(self.frame)
+        return block_frame(self.label)
 
     @property
     def dim(self) -> int:
@@ -314,33 +264,22 @@ class MomentumBlock:
 
 @dataclass(frozen=True)
 class BlockPencil:
-    """One momentum block as a function of the drive coupling,
-    ``B(lam) = b_bh + lam * b_drive``, in the gauge of the column phases
-    ``phases``: the block in the orbit frame is ``P B(lam) Pᴴ``.
-
-    ``quanta`` holds the total quanta of each column (0 vacuum, 1, then 2s);
-    ``frame`` is the block basis of :class:`MomentumBlock`, built on first
-    read.
-    """
+    """One momentum block of the orbit construction
+    (:func:`orbit_block_pencil`) as a function of the drive coupling,
+    ``b_bh + lam * b_drive``, in the orbit frame; ``quanta`` holds the total
+    quanta of each column (0 vacuum, 1, then 2s)."""
 
     label: MomentumLabel
     quanta: np.ndarray
     b_bh: np.ndarray
     b_drive: np.ndarray
-    phases: np.ndarray
 
     def __post_init__(self) -> None:
-        for array in (self.b_bh, self.b_drive, self.phases):
+        for array in (self.b_bh, self.b_drive):
             array.setflags(write=False)
 
-    @cached_property
-    def frame(self) -> OrbitFrame:
-        return block_frame(self.label)
-
-    def matrix(self, lam: float | np.ndarray) -> np.ndarray:
-        """``b_bh + lam * b_drive``; an array of couplings gives the stack of
-        their matrices, shape ``lam.shape + (d, d)``."""
-        return self.b_bh + np.multiply.outer(lam, self.b_drive)
+    def matrix(self, lam: float) -> np.ndarray:
+        return self.b_bh + lam * self.b_drive
 
 
 @dataclass(frozen=True)
@@ -376,6 +315,13 @@ class PencilStack:
         mirror = phases.conj()
         mirror.setflags(write=False)
         return [(label, phases), (MomentumLabel(f=label.f, nu=-label.nu), mirror)]
+
+    def blocks(self, h: np.ndarray) -> list[tuple[int, MomentumBlock]]:
+        """``(i, block)`` for every block of :meth:`blocks_of`, given ``h``,
+        the ``(n_nu, d, d)`` stack of matrices at one coupling: the block
+        ``-nu`` shares the read-only ``h[i]`` of ``nu``."""
+        return [(i, MomentumBlock(label=label, matrix=h[i], phases=phases, quanta=self.quanta))
+                for i in range(len(self.labels)) for label, phases in self.blocks_of(i)]
 
 
 def _stack(f: int, gamma: float, labels: list[MomentumLabel]) -> PencilStack:
@@ -438,18 +384,6 @@ def _nu_descending(items: list) -> list:
     return sorted(items, key=lambda item: -item.label.nu)
 
 
-def block_pencil(f: int, gamma: float) -> list[BlockPencil]:
-    """All momentum blocks of ``H_BH`` and of the drive at unit coupling,
-    ``nu`` descending: the rows of :func:`pencil_stacks`, each block ``-nu``
-    sharing the read-only arrays of ``nu`` with the conjugate phases."""
-    pencils = [BlockPencil(label=label, quanta=stack.quanta, b_bh=stack.b_bh[i],
-                           b_drive=stack.b_drive[i], phases=phases)
-               for stack in pencil_stacks(f, gamma)
-               for i in range(len(stack.labels))
-               for label, phases in stack.blocks_of(i)]
-    return _nu_descending(pencils)
-
-
 def assemble_h_r(f: int, gamma: float, lam: float) -> list[MomentumBlock]:
     """All momentum blocks of ``H = H_BH + H_lam`` on the 0+1+2-quanta space.
 
@@ -459,12 +393,8 @@ def assemble_h_r(f: int, gamma: float, lam: float) -> list[MomentumBlock]:
     reproduces the spectrum of the full restricted Hamiltonian; blocks are
     returned ``nu`` descending.
     """
-    blocks = []
-    for stack in pencil_stacks(f, gamma):
-        h = stack.matrix(lam)
-        blocks += [MomentumBlock(label=label, matrix=h[i], phases=phases, quanta=stack.quanta)
-                   for i in range(len(stack.labels)) for label, phases in stack.blocks_of(i)]
-    return _nu_descending(blocks)
+    return _nu_descending([block for stack in pencil_stacks(f, gamma)
+                           for _, block in stack.blocks(stack.matrix(lam))])
 
 
 def expected_block_dimension(f: int, nu: int) -> int:
@@ -497,10 +427,11 @@ def _check_disjoint_rows(rows: np.ndarray, size: int) -> None:
         raise ValueError("block vectors are not orthonormal: a basis row repeats")
 
 
-def _check_unit_columns(frame: OrbitFrame) -> None:
-    """Column norms within ``GRAM_TOL`` of 1: with disjoint rows, the
+def _check_unit_columns(cols: np.ndarray, amps: np.ndarray, dim: int) -> None:
+    """Norms of the ``dim`` columns of the entries ``amps`` (entry ``i`` in
+    column ``cols[i]``) within ``GRAM_TOL`` of 1: with disjoint rows, the
     diagonal of ``V^H V = I`` at the tolerance of :func:`_check_orthonormal`."""
-    norms = np.bincount(frame.cols, weights=np.abs(frame.amps) ** 2, minlength=frame.dim)
+    norms = np.bincount(cols, weights=np.abs(amps) ** 2, minlength=dim)
     if np.max(np.abs(norms - 1.0), initial=0.0) > GRAM_TOL:
         raise ValueError("block vectors are not orthonormal")
 
@@ -534,18 +465,19 @@ class _Orbits:
         """Seeds whose Fourier sum survives at ``nu``: ``nu * P % f == 0``."""
         return np.flatnonzero(nu * self.periods % self.f == 0)
 
-    def frame(self, nu: int) -> OrbitFrame:
-        """The block vectors at ``nu``: ``e^{ikr} / sqrt(P)`` on the
-        ``r``-th translate of each surviving seed, one column per seed."""
+    def frame(self, nu: int) -> np.ndarray:
+        """The ``(size, d)`` block vectors at ``nu``: ``e^{ikr} / sqrt(P)``
+        on the ``r``-th translate of each surviving seed, one column per
+        seed."""
         alive = self.alive(nu)
         column = np.full(len(self.seeds), -1)
         column[alive] = np.arange(alive.size)
         member = column[self.seed_of] >= 0
         seed = self.seed_of[member]
-        return OrbitFrame(
-            size=self.size, dim=alive.size, rows=self.rows[member], cols=column[seed],
-            amps=_roots(self.f)[nu * self.shift[member] % self.f] / np.sqrt(self.periods[seed]),
-            quanta=self.quanta[alive])
+        v = np.zeros((self.size, alive.size), dtype=complex)
+        v[self.rows[member], column[seed]] = (_roots(self.f)[nu * self.shift[member] % self.f]
+                                              / np.sqrt(self.periods[seed]))
+        return v
 
 
 def _orbits(f: int, basis: FockBasis) -> _Orbits:
@@ -581,13 +513,12 @@ def build_momentum_vectors(
         raise ValueError(f"nu={label.nu} is not a momentum value for f={f}")
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
-    return list(np.ascontiguousarray(_orbits(f, basis).frame(label.nu).dense().T))
+    return list(np.ascontiguousarray(_orbits(f, basis).frame(label.nu).T))
 
 
-def project_block(
-    h: np.ndarray, vectors: list[np.ndarray] | np.ndarray, label: MomentumLabel
-) -> MomentumBlock:
-    """Project a Hermitian matrix onto the span of orthonormal vectors.
+def project_block(h: np.ndarray, vectors: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """``Vᴴ h V``: a Hermitian matrix projected onto the span of orthonormal
+    vectors, given as a list or as the columns of ``V``.
 
     Raises if the vectors are not orthonormal (checked densely); the
     projected matrix inherits hermiticity from ``h``.  This is the dense
@@ -595,20 +526,19 @@ def project_block(
     """
     v = np.column_stack(vectors) if isinstance(vectors, list) else vectors
     _check_orthonormal(v)
-    return MomentumBlock(label=label, matrix=v.conj().T @ h @ v,
-                         given_frame=OrbitFrame.of_dense(v))
+    return v.conj().T @ h @ v
 
 
 def orbit_block_pencil(f: int, gamma: float,
                        basis: FockBasis | None = None) -> list[BlockPencil]:
-    """The oracle for :func:`block_pencil`: every block built from the
+    """The oracle for :func:`pencil_stacks`: every block built from the
     images of the orbit seeds.
 
     One pass over the seeds with ``apply_hamiltonian(f, gamma, 1.0, seed)``;
     each image is looked up in the orbit table, and the entries are split by
     the total quanta of their row and column seeds: ``H_BH`` keeps the
     quanta and the drive moves them by one.  The pencils are complex, in the
-    orbit frame itself (unit ``phases``), and returned ``nu`` descending.
+    orbit frame itself, and returned ``nu`` descending.
     """
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
@@ -636,6 +566,5 @@ def orbit_block_pencil(f: int, gamma: float,
         alive = orbits.alive(label.nu)
         rows = alive[:, None]
         pencils.append(BlockPencil(label=label, quanta=orbits.quanta[alive],
-                                   b_bh=b_bh[i, rows, alive], b_drive=b_drive[i, rows, alive],
-                                   phases=np.ones(alive.size, dtype=complex)))
+                                   b_bh=b_bh[i, rows, alive], b_drive=b_drive[i, rows, alive]))
     return pencils

@@ -37,16 +37,15 @@ RESIDUAL_TOL = 1e-9
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
 # Largest accepted ring.  A solve builds no array over the (f+1)(f+2)/2 = D
-# occupation states and no block frame, only the f/2 + 1 distinct block
+# occupation states and no block vectors, only the f/2 + 1 distinct block
 # pencils (nu >= 0) of d ~ f/2 rows, in at most three real (n_nu, d, d)
 # stacks, and their eigenvectors: three real arrays of about f^3 / 8 entries,
 # 1.9 MB each at f = 120, and the complex orbit-frame coefficients of all f
 # blocks, 7 MB, so memory grows as f^3.  `qeslattice spectrum --f 120` took
 # 0.24 s and peaked at 45 MB RSS (whole process, ru_maxrss, 2-vCPU x86-64,
 # one BLAS thread).  The cap bounds what a caller can
-# still ask for: a block frame read costs O(D), but reading `.vectors` and
-# `.eigenvectors` on every block builds dense arrays of 32 * D^2 bytes, about
-# 1.74 GB at f = 120.
+# still ask for: reading `.vectors` and `.eigenvectors` on every block builds
+# dense arrays of 32 * D^2 bytes, about 1.74 GB at f = 120.
 MAX_SITES = 120
 # Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2.  Every block
 # has d^2 <= 3 (f+1)(f+2)/2, so one block's real (n_points, d, d) stack takes
@@ -114,8 +113,8 @@ def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray) -> tuple[int, ...]
 
     Every block vector lies in one sector and they are orthonormal, so a
     level's weight in sector ``n`` is its ``|c|^2`` summed over the columns
-    of that sector, the weight :func:`quanta_tag` sums over the occupation
-    basis.  Ties go to the lowest sector, as there.
+    of that sector, the same weight as summed over the occupation basis.
+    Ties go to the lowest sector.
     """
     mass = np.abs(coefficients) ** 2
     sectors = [mass[quanta == n].sum(axis=0) for n in range(3)]
@@ -193,13 +192,10 @@ def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     for stack in pencil_stacks(f, gamma):
         h = stack.matrix(lam)
         w, v = eigh_checked(h)
-        for i in range(len(stack.labels)):
-            for label, phases in stack.blocks_of(i):
-                block = MomentumBlock(label=label, matrix=h[i], phases=phases,
-                                      quanta=stack.quanta)
-                # P u: back to the orbit frame
-                spectra.append(BlockSpectrum(block=block, eigenvalues=w[i],
-                                             coefficients=phases[:, None] * v[i]))
+        # P u: back to the orbit frame
+        spectra += [BlockSpectrum(block=block, eigenvalues=w[i],
+                                  coefficients=block.phases[:, None] * v[i])
+                    for i, block in stack.blocks(h)]
     spectra.sort(key=lambda bs: -bs.label.nu)
     return SpectrumResult(f=f, gamma=gamma, lam=lam, blocks=tuple(spectra))
 
@@ -218,17 +214,6 @@ def char_poly(block: MomentumBlock) -> np.ndarray:
             raise ArithmeticError("characteristic polynomial has complex coefficients")
         coeffs = coeffs.real
     return coeffs
-
-
-def quanta_tag(vector: np.ndarray, basis: FockBasis) -> int:
-    """Dominant total-quanta sector of a vector over an occupation basis."""
-    best_n, best_mass = 0, -1.0
-    for n in basis.selector.totals():
-        idx = basis.sector_indices(n)
-        mass = float(np.sum(np.abs(vector[idx.start : idx.stop]) ** 2))
-        if mass > best_mass:
-            best_n, best_mass = n, mass
-    return best_n
 
 
 def _real_grid(points: list) -> np.ndarray:

@@ -193,7 +193,7 @@ def spectra_suite() -> list[Check]:
             # the solve gives -nu the spectrum of nu: compare both with the
             # dense projection of H onto the orbit vectors at -nu
             vectors = build_momentum_vectors(f, mirror.label, result.basis)
-            projected = np.linalg.eigvalsh(project_block(h, vectors, mirror.label).matrix)
+            projected = np.linalg.eigvalsh(project_block(h, vectors))
             for w in (bs.eigenvalues, mirror.eigenvalues):
                 worst_pair = max(worst_pair, float(np.max(np.abs(w - projected))))
             frame = mirror.block.vectors

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -144,6 +145,28 @@ def test_spectrum_builds_no_frame_and_no_basis(capsys, monkeypatch):
     assert code == 0 and err == ""
     header, rows = csv_rows(out)
     assert len(rows) == 13 * 14 // 2 and {row[3] for row in rows} == {"0", "1", "2"}
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--f", "3"), ("sweep", "--f", "3", "--lambda", "0:0.5:0.1"),
+                                  ("figure2", "--f", "3"), ("tables",), ("verify", "--suite", "tables")],
+                         ids=lambda argv: argv[0])
+def test_unwritable_out_path_is_an_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 1 and out == "" and not path.parent.exists()
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def test_closed_stdout_is_an_error_line(capsys, monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        writelines = write
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    code = main(["spectrum", "--f", "3"])
+    assert code == 1 and capsys.readouterr().err == f"error: {os.strerror(errno.EPIPE)}\n"
 
 
 def test_spectrum_rejects_grid(capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from qeslattice.fock import at_most, enumerate_basis
 from qeslattice import momentum
-from qeslattice.momentum import (GRAM_TOL, MomentumLabel, OrbitFrame, _check_disjoint_rows,
+from qeslattice.momentum import (GRAM_TOL, MomentumLabel, _check_disjoint_rows,
                                  _check_unit_columns, assemble_h_r, block_dimensions,
-                                 block_pencil, build_momentum_vectors,
+                                 block_frame, build_momentum_vectors,
                                  expected_block_dimension, momentum_values,
                                  orbit_block_pencil, pencil_stacks, project_block,
                                  to_orbit_frame, two_quanta_seed, two_quanta_seed_count)
@@ -28,12 +28,21 @@ def block_map(f, gamma, lam):
     return {b.label.nu: b for b in assemble_h_r(f, gamma, lam)}
 
 
+def pencil_rows(f, gamma):
+    """``(label, quanta, b_bh, b_drive, phases)`` of every block, ``nu``
+    descending: each row of :func:`pencil_stacks` and its mirror ``-nu``."""
+    rows = [(label, s.quanta, s.b_bh[i], s.b_drive[i], phases)
+            for s in pencil_stacks(f, gamma) for i in range(len(s.labels))
+            for label, phases in s.blocks_of(i)]
+    return sorted(rows, key=lambda row: -row[0].nu)
+
+
 def two_quanta_block(f, gamma, nu):
     """The two-quanta part of ``B_BH`` at ``nu``, as the builder writes it,
     in the orbit frame."""
-    pencil = {p.label.nu: p for p in block_pencil(f, gamma)}[nu]
-    b_bh = to_orbit_frame(pencil.b_bh, pencil.phases)
-    return b_bh[pencil.quanta == 2][:, pencil.quanta == 2]
+    _, quanta, b_bh, _, phases = next(row for row in pencil_rows(f, gamma) if row[0].nu == nu)
+    b_bh = to_orbit_frame(b_bh, phases)
+    return b_bh[quanta == 2][:, quanta == 2]
 
 
 # ------------------------------------------------------------- labels
@@ -138,7 +147,7 @@ def test_project_block_rejects_non_orthonormal_vectors():
     vecs = build_momentum_vectors(f, label, basis)
     vecs[0] = vecs[0] + vecs[1]  # breaks orthonormality
     with pytest.raises(ValueError):
-        project_block(h, vecs, label)
+        project_block(h, vecs)
 
 
 @pytest.mark.parametrize("f", range(1, 9))
@@ -269,10 +278,11 @@ def test_direct_blocks_match_dense_projection(f, gamma, lam):
     blocks = assemble_h_r(f, gamma, lam)
     assert [b.label for b in blocks] == momentum_values(f)
     for b in blocks:
-        oracle = project_block(h, build_momentum_vectors(f, b.label, basis), b.label)
-        assert b.hmatrix.shape == oracle.hmatrix.shape
-        assert np.max(np.abs(b.hmatrix - oracle.hmatrix)) < tol
-        assert np.max(np.abs(b.vectors - oracle.vectors)) == 0.0
+        vectors = build_momentum_vectors(f, b.label, basis)
+        oracle = project_block(h, vectors)
+        assert b.hmatrix.shape == oracle.shape
+        assert np.max(np.abs(b.hmatrix - oracle)) < tol
+        assert np.max(np.abs(b.vectors - np.column_stack(vectors))) == 0.0
 
 
 @pytest.mark.parametrize("f", range(1, 13))
@@ -283,25 +293,25 @@ def test_pencil_matches_dense_projection_of_each_term(f, gamma):
     basis = enumerate_basis(f, at_most(2))
     h_bh = build_h_bh(f, gamma, basis)
     h_drive = build_h_lambda(f, 1.0, basis)
-    pencils = block_pencil(f, gamma)
-    assert [p.label for p in pencils] == momentum_values(f)
-    for p in pencils:
-        vectors = build_momentum_vectors(f, p.label, basis)
-        b_bh, b_drive = (to_orbit_frame(b, p.phases) for b in (p.b_bh, p.b_drive))
-        assert np.max(np.abs(b_bh - project_block(h_bh, vectors, p.label).hmatrix)) < tol
-        assert np.max(np.abs(b_drive - project_block(h_drive, vectors, p.label).hmatrix)) < 1e-12
-        assert np.max(np.abs(p.frame.dense() - np.column_stack(vectors))) == 0.0
+    rows = pencil_rows(f, gamma)
+    assert [label for label, *_ in rows] == momentum_values(f)
+    for label, _, b_bh, b_drive, phases in rows:
+        vectors = build_momentum_vectors(f, label, basis)
+        b_bh, b_drive = (to_orbit_frame(b, phases) for b in (b_bh, b_drive))
+        assert np.max(np.abs(b_bh - project_block(h_bh, vectors))) < tol
+        assert np.max(np.abs(b_drive - project_block(h_drive, vectors))) < 1e-12
+        assert np.max(np.abs(block_frame(label) - np.column_stack(vectors))) == 0.0
 
 
 @pytest.mark.parametrize("f", [1, 2, 5, 6])
 def test_pencil_splits_by_total_quanta(f):
     basis = enumerate_basis(f, at_most(2))
-    for p in block_pencil(f, 3.0):
+    for label, quanta, b_bh, b_drive, _ in pencil_rows(f, 3.0):
         # each column's quanta is the sector its block vector lives in
-        for column, n in zip(p.frame.dense().T, p.quanta):
+        for column, n in zip(block_frame(label).T, quanta):
             assert np.all(column[[sum(s) != n for s in basis.states]] == 0)
-        same = p.quanta[:, None] == p.quanta[None, :]
-        assert np.all(p.b_drive[same] == 0) and np.all(p.b_bh[~same] == 0)
+        same = quanta[:, None] == quanta[None, :]
+        assert np.all(b_drive[same] == 0) and np.all(b_bh[~same] == 0)
 
 
 @pytest.mark.parametrize("f", range(1, 9))
@@ -356,62 +366,57 @@ def test_momentum_suite_records_dense_projection_agreement():
     assert all(c.passed and c.residual < 1e-12 for c in records)
 
 
-# ------------------------------------------------------------- orbit frames
+# ------------------------------------------------------------- block vectors
 
 @pytest.mark.parametrize("f", range(1, 13))
 def test_lazy_vectors_equal_the_dense_reference(f):
     basis = enumerate_basis(f, at_most(2))
-    blocks = assemble_h_r(f, 3.0, 0.5)
-    pencils = block_pencil(f, 3.0)
-    for b, p in zip(blocks, pencils):
-        assert "frame" not in vars(b) and "vectors" not in vars(b) and "frame" not in vars(p)
+    for b in assemble_h_r(f, 3.0, 0.5):
+        assert "vectors" not in vars(b)
         reference = np.column_stack(build_momentum_vectors(f, b.label, basis))
         assert np.max(np.abs(b.vectors - reference)) == 0.0
-        assert np.max(np.abs(p.frame.dense() - reference)) == 0.0
         assert b.vectors is b.vectors and not b.vectors.flags.writeable
-        assert b.frame.size == basis.size and b.frame.dim == b.dim
+        assert b.vectors.shape == (basis.size, b.dim)
 
 
-def _frame(rows, cols, amps):
-    return OrbitFrame(size=4, dim=2, rows=np.array(rows), cols=np.array(cols),
-                      amps=np.array(amps, dtype=complex), quanta=np.array([1, 2]))
+# the entries of a 4 x 2 frame: V[rows[i], cols[i]] = amps[i]
+SIZE, DIM = 4, 2
+
+
+def _entries(rows, cols, amps):
+    return np.array(rows), np.array(cols), np.array(amps, dtype=complex)
 
 
 def test_frame_gram_check_accepts_an_orthonormal_frame():
     s = 1 / math.sqrt(2)
-    frame = _frame([0, 3, 1], [0, 0, 1], [s, 1j * s, -1.0])
-    _check_disjoint_rows(frame.rows, frame.size)
-    _check_unit_columns(frame)
-    gram = frame.dense().conj().T @ frame.dense()
-    assert np.max(np.abs(gram - np.eye(2))) < 1e-15
+    rows, cols, amps = _entries([0, 3, 1], [0, 0, 1], [s, 1j * s, -1.0])
+    _check_disjoint_rows(rows, SIZE)
+    _check_unit_columns(cols, amps, DIM)
+    v = np.zeros((SIZE, DIM), dtype=complex)
+    v[rows, cols] = amps
+    assert np.max(np.abs(v.conj().T @ v - np.eye(DIM))) < 1e-15
 
 
 def test_frame_gram_check_rejects_a_repeated_row():
     s = 1 / math.sqrt(2)
-    frame = _frame([0, 3, 3], [0, 0, 1], [s, s, 1.0])
-    _check_unit_columns(frame)  # unit columns, but they overlap on row 3
+    rows, cols, amps = _entries([0, 3, 3], [0, 0, 1], [s, s, 1.0])
+    _check_unit_columns(cols, amps, DIM)  # unit columns, but they overlap on row 3
     with pytest.raises(ValueError, match="not orthonormal"):
-        _check_disjoint_rows(frame.rows, frame.size)
+        _check_disjoint_rows(rows, SIZE)
 
 
 @pytest.mark.parametrize("excess", [3 * GRAM_TOL, -3 * GRAM_TOL])
 def test_frame_gram_check_rejects_a_column_norm_off_by_more_than_the_tolerance(excess):
-    frame = _frame([0, 1], [0, 1], [1.0, math.sqrt(1.0 + excess)])
-    _check_disjoint_rows(frame.rows, frame.size)
+    rows, cols, amps = _entries([0, 1], [0, 1], [1.0, math.sqrt(1.0 + excess)])
+    _check_disjoint_rows(rows, SIZE)
     with pytest.raises(ValueError, match="not orthonormal"):
-        _check_unit_columns(frame)
+        _check_unit_columns(cols, amps, DIM)
 
 
 def test_frame_gram_check_rejects_an_empty_column():
+    _, cols, amps = _entries([0], [0], [1.0])
     with pytest.raises(ValueError, match="not orthonormal"):
-        _check_unit_columns(_frame([0], [0], [1.0]))
-
-
-def test_frame_of_dense_vectors_round_trips():
-    v = np.column_stack(build_momentum_vectors(5, MomentumLabel(5, 2)))
-    frame = OrbitFrame.of_dense(v)
-    assert frame.quanta is None and (frame.size, frame.dim) == v.shape
-    assert np.max(np.abs(frame.dense() - v)) == 0.0
+        _check_unit_columns(cols, amps, DIM)
 
 
 # ------------------------------------------------ structured builder vs orbits
@@ -423,18 +428,18 @@ def test_structured_blocks_match_the_orbit_pencil(f):
     basis = enumerate_basis(f, at_most(2))
     for gamma, lam in [(3.0, 0.5), (1.3, -0.7), (1e3, -1e3)]:
         tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
-        pencils = block_pencil(f, gamma)
+        rows = pencil_rows(f, gamma)
         oracle = orbit_block_pencil(f, gamma, basis)
-        assert [p.label for p in pencils] == [o.label for o in oracle] == momentum_values(f)
-        for p, o in zip(pencils, oracle):
-            assert p.b_bh.shape == (expected_block_dimension(f, p.label.nu),) * 2
-            assert np.array_equal(p.quanta, o.quanta)
-            assert p.b_bh.dtype == p.b_drive.dtype == np.float64
-            assert np.array_equal(p.b_bh, p.b_bh.T) and np.array_equal(p.b_drive, p.b_drive.T)
-            assert np.max(np.abs(np.abs(p.phases) - 1.0)) < 1e-15
-            assert np.max(np.abs(to_orbit_frame(p.b_bh, p.phases) - o.b_bh)) < tol
-            assert np.max(np.abs(to_orbit_frame(p.b_drive, p.phases) - o.b_drive)) < tol
-            assert np.max(np.abs(to_orbit_frame(p.matrix(lam), p.phases)
+        assert [row[0] for row in rows] == [o.label for o in oracle] == momentum_values(f)
+        for (label, quanta, b_bh, b_drive, phases), o in zip(rows, oracle):
+            assert b_bh.shape == (expected_block_dimension(f, label.nu),) * 2
+            assert np.array_equal(quanta, o.quanta)
+            assert b_bh.dtype == b_drive.dtype == np.float64
+            assert np.array_equal(b_bh, b_bh.T) and np.array_equal(b_drive, b_drive.T)
+            assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-15
+            assert np.max(np.abs(to_orbit_frame(b_bh, phases) - o.b_bh)) < tol
+            assert np.max(np.abs(to_orbit_frame(b_drive, phases) - o.b_drive)) < tol
+            assert np.max(np.abs(to_orbit_frame(b_bh + lam * b_drive, phases)
                                  - o.matrix(lam))) < tol
         # the solve gives -nu the spectrum of nu; the orbit pencil builds the
         # complex block at -nu on its own
@@ -471,15 +476,20 @@ def test_frames_are_built_only_when_read_and_from_no_basis(monkeypatch):
     monkeypatch.setattr(momentum, "_orbits", refuse)
     checked = []
     monkeypatch.setattr(momentum, "_check_unit_columns",
-                        lambda frame: checked.append(frame.dim))
+                        lambda cols, amps, dim: checked.append(dim))
     f = MAX_SITES
     blocks = assemble_h_r(f, 3.0, 0.5)
-    assert checked == [] and not any("frame" in vars(b) for b in blocks)
-    frame = blocks[0].frame
-    assert checked == [blocks[0].dim] and frame is blocks[0].frame
-    assert frame.size == (f + 1) * (f + 2) // 2 and frame.rows.size <= frame.size
-    assert np.array_equal(frame.quanta, blocks[0].quanta)
-    assert block_pencil(f, 3.0)[1].frame.dim == blocks[1].dim and len(checked) == 2
+    assert checked == [] and not any("vectors" in vars(b) for b in blocks)
+    v = blocks[0].vectors
+    assert checked == [blocks[0].dim] and v is blocks[0].vectors
+    assert v.shape == ((f + 1) * (f + 2) // 2, blocks[0].dim)
+    assert np.count_nonzero(v) <= v.shape[0]
+    # each column within the sector of its quanta: row 0 the vacuum, rows
+    # 1..f one quantum, the rest two
+    sector = np.minimum(np.arange(v.shape[0]), 1) + (np.arange(v.shape[0]) > f)
+    rows, cols = np.nonzero(v)
+    assert np.array_equal(sector[rows], blocks[0].quanta[cols])
+    assert blocks[1].vectors.shape[1] == blocks[1].dim and len(checked) == 2
 
 
 def test_frame_build_rejects_repeated_rows(monkeypatch):
@@ -487,7 +497,7 @@ def test_frame_build_rejects_repeated_rows(monkeypatch):
     monkeypatch.setattr(momentum, "_check_disjoint_rows",
                         lambda rows, size: _check_disjoint_rows(rows % 3, size))
     with pytest.raises(ValueError, match="a basis row repeats"):
-        assemble_h_r(4, 3.0, 0.5)[0].frame
+        assemble_h_r(4, 3.0, 0.5)[0].vectors
 
 
 def test_half_angle_roots_hold_the_full_angle_roots_bit_for_bit():

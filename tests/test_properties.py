@@ -10,8 +10,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qeslattice.cli import _parse_lambda  # noqa: E402
-from qeslattice.spectra import (_assignment, _clear_matches, quanta_tag,  # noqa: E402
-                                solve_spectrum, sweep)
+from qeslattice.spectra import (_assignment, _clear_matches,  # noqa: E402
+                                brute_force_eigenvalues, solve_spectrum, sweep)
+
+from oracles import quanta_tag  # noqa: E402
 
 # reproducible draws, bounded so the module runs in about a second
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -60,6 +62,17 @@ def test_clear_matches_are_the_unique_optimal_assignment(q):
         # declined only where a row maximum is not above 1/sqrt(2) or two coincide
         assert (np.min(overlap.max(axis=1)) <= np.sqrt(0.5)
                 or np.unique(step[0]).size < q.shape[0])
+
+
+ORACLE_TOL = 1e-9
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.floats(0.5, 7.0), st.floats(-1.0, 1.0))
+def test_block_spectra_equal_brute_force(f, gamma, lam):
+    # the union of the momentum blocks against the dense H on the occupation basis
+    blocks = solve_spectrum(f, gamma, lam).all_eigenvalues()
+    assert np.max(np.abs(blocks - brute_force_eigenvalues(f, gamma, lam))) < ORACLE_TOL
 
 
 @PROPERTY

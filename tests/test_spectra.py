@@ -7,22 +7,31 @@ import pytest
 
 from qeslattice import spectra
 from qeslattice.fock import at_most, enumerate_basis, exactly
-from qeslattice.momentum import (assemble_h_r, block_pencil, build_momentum_vectors,
-                                 momentum_values, orbit_block_pencil, to_orbit_frame)
+from qeslattice.momentum import (assemble_h_r, build_momentum_vectors, momentum_values,
+                                 orbit_block_pencil, pencil_stacks, to_orbit_frame)
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
 from qeslattice.spectra import (DEGENERACY_TOL, MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS,
                                 _assignment, _clear_matches, brute_force_eigenvalues,
-                                char_poly, eigh_checked, quanta_tag, quanta_tags,
+                                char_poly, eigh_checked, quanta_tags,
                                 solve_spectrum, soliton_band, sweep, track_levels,
                                 verify_eigenvector_formulas)
+
+from oracles import quanta_tag
 
 TABLE_TOL = 1.5e-3
 
 
 def blocks_by_nu(f, gamma, lam):
     return {b.label.nu: b for b in assemble_h_r(f, gamma, lam)}
+
+
+def distinct_pencils(f, gamma):
+    """``(b_bh, b_drive)`` of every distinct block (``nu >= 0``), the rows of
+    :func:`pencil_stacks`."""
+    return [(s.b_bh[i], s.b_drive[i]) for s in pencil_stacks(f, gamma)
+            for i in range(len(s.labels))]
 
 
 def diagonalize(block):
@@ -231,7 +240,7 @@ def test_solve_builds_no_frame_and_no_basis_until_read(monkeypatch):
     result = solve_spectrum(12, 3.0, 0.5)
     assert "basis" not in vars(result)
     for bs in result.blocks:
-        assert "frame" not in vars(bs.block) and "vectors" not in vars(bs.block)
+        assert "vectors" not in vars(bs.block)
         assert bs.block.hmatrix.shape == (bs.block.quanta.size,) * 2
     assert result.basis is result.basis and result.basis.size == 91
 
@@ -368,8 +377,8 @@ def ties(w):
                                               (48, 3.0, grid(0.0, 0.49, 0.01))])
 def test_clear_matches_are_the_optimal_assignment_at_every_sweep_step(f, gamma, points):
     checked = grouped = 0
-    for pencil in block_pencil(f, gamma):
-        w, v = eigh_checked(pencil.matrix(np.array(points)))
+    for b_bh, b_drive in distinct_pencils(f, gamma):
+        w, v = eigh_checked(b_bh + np.multiply.outer(points, b_drive))
         overlap = overlaps(v)
         step, unique = _clear_matches(overlap, ties(w))
         for i in np.flatnonzero(unique):
@@ -436,8 +445,8 @@ def test_tracking_ignores_the_basis_chosen_in_a_degenerate_eigenspace(f):
     rng = np.random.default_rng(f)
     points = np.array(grid(0.0, 0.49, 0.01))
     rotated_any = False
-    for pencil in block_pencil(f, 3.0):
-        w, v = eigh_checked(pencil.matrix(points))
+    for b_bh, b_drive in distinct_pencils(f, 3.0):
+        w, v = eigh_checked(b_bh + np.multiply.outer(points, b_drive))
         turned = v.copy()
         for i in range(points.size):
             for group in degenerate_groups(w[i]):
@@ -453,7 +462,7 @@ def test_tracking_ignores_the_basis_chosen_in_a_degenerate_eigenspace(f):
 def test_real_gauge_sweep_tracks_like_complex_eigh_of_the_orbit_pencil(f, points):
     result = sweep(f, 3.0, points)
     for oracle, bs in zip(orbit_block_pencil(f, 3.0), result.blocks, strict=True):
-        w, v = np.linalg.eigh(oracle.matrix(np.array(points)))
+        w, v = np.linalg.eigh(oracle.b_bh + np.multiply.outer(points, oracle.b_drive))
         tracked = np.take_along_axis(w, track_levels(w, v), axis=1)
         assert np.max(np.abs(tracked - bs.energies)) < 1e-9
 
@@ -634,7 +643,7 @@ def test_block_coordinate_tags_equal_quanta_tag(f, lam):
     result = solve_spectrum(f, 3.0, lam)
     for bs in result.blocks:
         oracle = tuple(quanta_tag(v, result.basis) for v in bs.eigenvectors.T)
-        assert quanta_tags(bs.coefficients, bs.block.frame.quanta) == oracle
+        assert quanta_tags(bs.coefficients, bs.block.quanta) == oracle
 
 
 @pytest.mark.parametrize("table", REFERENCE_TABLES, ids=lambda t: t.name)
