@@ -17,8 +17,7 @@ from .ops import (annihilation, apply_hamiltonian, build_h_bh, build_h_lambda,
                   creation, hermiticity_defect, sector_block)
 from .spectra import (BlockSpectrum, SolitonBand, SpectrumResult, SweepResult,
                       brute_force_eigenvalues, char_poly, eigh_checked, quanta_tags,
-                      solve_spectrum, soliton_band, sweep, track_levels,
-                      verify_eigenvector_formulas)
+                      solve_spectrum, soliton_band, sweep, verify_eigenvector_formulas)
 
 __version__ = "0.1.0"
 
@@ -32,6 +31,6 @@ __all__ = [
     "momentum_values", "orbit_block_pencil", "pencil_stacks", "project_block", "to_orbit_frame",
     "BlockSpectrum", "SolitonBand", "SpectrumResult", "SweepResult",
     "brute_force_eigenvalues", "char_poly", "eigh_checked", "quanta_tags", "solve_spectrum",
-    "soliton_band", "sweep", "track_levels", "verify_eigenvector_formulas",
+    "soliton_band", "sweep", "verify_eigenvector_formulas",
     "__version__",
 ]

@@ -51,15 +51,11 @@ MAX_SITES = 120
 # has d^2 <= 3 (f+1)(f+2)/2, so one block's real (n_points, d, d) stack takes
 # at most 8 * 3 * MAX_SWEEP_ROWS = 48 MB.  The largest accepted grid on the
 # largest ring, `qeslattice sweep --f 120` over 270 points (1,992,870 rows),
-# took 11.8 s and peaked at 133 MB RSS (whole process, ru_maxrss, 2-vCPU
-# x86-64, one BLAS thread): the stacks, eigenvectors and step overlaps of one
+# took 11.1 s and peaked at 85 MB RSS (whole process, ru_maxrss, median of
+# 3, 2-vCPU x86-64, one BLAS thread): the stack and eigenvectors of one
 # distinct block at a time plus the energy table; the CLI writes the CSV a
 # grid point at a time.
 MAX_SWEEP_ROWS = 2_000_000
-# Levels whose energies at one grid point differ by at most this much,
-# relative to the largest |E| of the block there (and at least absolutely),
-# are one degenerate group for level tracking.
-DEGENERACY_TOL = 1e-10
 
 
 def _check_sites(f: int) -> int:
@@ -231,10 +227,10 @@ def _real_grid(points: list) -> np.ndarray:
 class BlockSweep:
     """Eigenvalue curves of one block over a coupling grid.
 
-    Row ``i`` of ``energies`` belongs to grid point ``i``; columns follow one
-    continuous level curve each (paired across adjacent grid points by
-    eigenvector overlap).  ``tags`` carries the quanta label each curve has
-    at the first grid point.
+    Row ``i`` of ``energies`` belongs to grid point ``i``; column ``c`` is
+    one level curve, the block's ``c``-th level in ascending order at every
+    grid point (:func:`sweep` says why that is the continuation).  ``tags``
+    carries the quanta label each curve has at the first grid point.
     """
 
     label: MomentumLabel
@@ -256,93 +252,52 @@ class SweepResult:
         self.lambdas.setflags(write=False)
 
 
-def _assignment(overlap: np.ndarray) -> np.ndarray:
-    """``order[r]``: the column matched to row ``r`` by the optimal
-    assignment of ``overlap``, which maximizes the summed overlap."""
-    from scipy.optimize import linear_sum_assignment  # slow import, rarely needed
+def _coupled_part(b_bh: np.ndarray, b_drive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``3 x 3`` coupled pencil of the ``k = pi`` block of an even ring
+    ``f >= 4``.
 
-    rows, cols = linear_sum_assignment(-overlap)
-    order = np.empty_like(cols)
-    order[rows] = cols
-    return order
-
-
-def _tied_runs(tied: np.ndarray) -> list[tuple[int, int]]:
-    """``(first, last)`` positions of each run of neighbours tied at one
-    grid point, from the ``d - 1`` flags ``tied[j]``: ``j`` and ``j + 1``
-    are tied."""
-    edges = np.diff(np.concatenate(([0], tied.astype(np.int8), [0])))
-    return list(zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()))
-
-
-def _clear_matches(overlap: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack ``(n, d, d)`` of overlaps between orthonormal bases, rows
-    grouped by the ties ``(n, d - 1)`` between neighbouring rows (see
-    :func:`_tied_runs`): the columns each group of ``g`` rows takes, and per
-    matrix whether the match is clear.
-
-    A group takes the ``g`` columns of largest summed squared overlap over
-    its rows, its *mass* in each column; for an untied row (``g = 1``) that
-    is its largest overlap.  The match is clear when every taken mass
-    exceeds ``1/2`` and no column is taken twice.  With no ties a clear
-    match is the unique optimal assignment: a row of unit norm holds no
-    second overlap above ``sqrt(1 - 1/2)``, so any other assignment loses
-    overlap in every row it changes.  A group's mass in a column is the
-    squared norm of the column's projection onto the group's span, so it
-    does not change under rotations inside a degenerate eigenspace, where
-    the overlaps of single rows do; the order of the columns inside a group
-    is left to the caller."""
-    step = overlap.argmax(axis=-1)
-    peak = np.take_along_axis(overlap, step[..., None], axis=-1)[..., 0]
-    clear = peak > math.sqrt(0.5)
-    for i in np.flatnonzero(tied.any(axis=-1)):
-        for first, last in _tied_runs(tied[i]):
-            rows = slice(first, last + 1)
-            mass = np.square(overlap[i, rows]).sum(axis=0)
-            taken = np.argsort(-mass, kind="stable")[:last + 1 - first]
-            step[i, rows] = taken
-            clear[i, rows] = mass[taken] > 0.5
-    distinct = (np.sort(step, axis=-1) == np.arange(step.shape[-1])).all(axis=-1)
-    return step, distinct & clear.all(axis=-1)
-
-
-def track_levels(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Follow each eigenvalue curve over a grid: ``order[i, c]`` is the
-    position of curve ``c`` among the ascending eigenvalues ``w[i]`` of grid
-    point ``i``, and curve ``c`` starts at position ``c``.
-
-    Adjacent points are paired by the optimal assignment of the overlaps
-    ``|V_iᴴ V_{i+1}|`` of their orthonormal eigenvectors ``v[i]``, all
-    computed in one batched product.  Curves that are one degenerate group
-    at point ``i`` (energies within ``DEGENERACY_TOL``) are matched as a
-    group.  Where the overlaps give a clear match (:func:`_clear_matches`)
-    it is used as it is; only the other steps solve the assignment.  A
-    degenerate group takes its continuations at ``i + 1`` in ascending
-    energy, so the order inside a degenerate eigenspace does not depend on
-    the basis ``eigh`` returned for it.
+    The block's first column is the one-quantum vector and its second the
+    doubly occupied pair; the pair columns at ``s >= 1`` have no diagonal
+    and no hops (``-2 cos(pi/2) = 0``), so ``B_BH`` vanishes on them.  One
+    reflection of the drive row over those columns leaves a single
+    combination of them coupled, and the other ``d - 3`` are zero levels at
+    every coupling.  Their rows and columns are checked to be below
+    ``EIGH_HERMITICITY_TOL`` in both matrices, then dropped.
     """
-    n, d = w.shape
-    order = np.empty((n, d), dtype=np.intp)
-    order[0] = np.arange(d)
-    left = v[:-1].swapaxes(-1, -2)
-    overlap = np.abs((left.conj() if np.iscomplexobj(left) else left) @ v[1:])
-    scale = DEGENERACY_TOL * np.maximum(1.0, np.abs(w[:-1]).max(axis=1, keepdims=True))
-    tied = np.diff(w[:-1], axis=1) <= scale
-    step, clear = _clear_matches(overlap, tied)
-    for i in np.flatnonzero(~clear):
-        step[i] = _assignment(overlap[i])
-    # the curves keep their positions across every other step
-    moving = (step != order[0]).any(axis=1) | tied.any(axis=1)
-    here, start = order[0], 0
-    for i in np.flatnonzero(moving):
-        order[start:i + 1] = here
-        ahead = step[i, here]
-        for first, last in _tied_runs(tied[i]):
-            group = (here >= first) & (here <= last)
-            ahead[group] = np.sort(ahead[group])
-        here, start = ahead, i + 1
-    order[start:] = here
-    return order
+    z = b_drive[0, 2:]
+    u = z.copy()
+    u[0] += math.copysign(float(np.linalg.norm(z)), z[0])
+    t = np.eye(z.size + 2)
+    t[2:, 2:] -= 2.0 * np.outer(u, u) / (u @ u)
+    b_bh, b_drive = t @ b_bh @ t, t @ b_drive @ t
+    for b in (b_bh, b_drive):
+        if max(np.max(np.abs(b[3:])), np.max(np.abs(b[:, 3:]))) > EIGH_HERMITICITY_TOL:
+            raise ArithmeticError("the zero levels of the k = pi block are not decoupled")
+    return b_bh[:3, :3], b_drive[:3, :3]
+
+
+def _with_zero_levels(w: np.ndarray, tags: tuple[int, ...],
+                      count: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The curves and tags of a ``k = pi`` block from the ascending levels
+    ``w`` of its coupled pencil (:func:`_coupled_part`), their tags, and
+    ``count`` zero levels, exact ``0.0`` with tag ``2`` (they lie in the
+    pair columns).
+
+    The column order is fixed for the whole grid: a coupled curve goes
+    below the zeros when its level at the first point is negative, or, when
+    that level is within ``RESIDUAL_TOL`` of zero (``lam = 0``), when its
+    level at the second point is.  Zero is a pole of the coupled pencil, so
+    for ``gamma != 0`` no coupled level reaches it at ``lam != 0``
+    (interlacing) and the order is the ascending one at every point.
+    """
+    start = w[0].copy()
+    if w.shape[0] > 1:
+        tied = np.abs(start) <= RESIDUAL_TOL
+        start[tied] = w[1, tied]
+    below = int(np.count_nonzero(start < 0))
+    zeros = np.zeros((w.shape[0], count))
+    return (np.concatenate([w[:, :below], zeros, w[:, below:]], axis=1),
+            tags[:below] + (2,) * count + tags[below:])
 
 
 def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
@@ -351,15 +306,24 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     The block pencils ``B_BH + lam * B_drive`` are built once, real in the
     centre-of-mass gauge; each distinct block's (``nu >= 0``) whole grid is
     then one stack of ``(n_points, d, d)`` matrices, diagonalized in one
-    :func:`eigh_checked` call, and its levels are followed across the grid
-    by :func:`track_levels`, which keeps each column of the table on one
-    physical curve even where curves cross.  The block vectors are
-    orthonormal and the gauge is unitary, so overlaps and quanta tags are
-    read in gauge coordinates.  A block ``-nu`` is the same real matrix
-    (:mod:`~qeslattice.momentum`) and shares the energies and tags of
-    ``nu``.  Rejects the inputs :func:`solve_spectrum`
-    rejects, empty or unsorted grids and grids of more than
-    ``MAX_SWEEP_ROWS`` output rows, before any block is built.
+    :func:`eigh_checked` call, and curve ``c`` of the block is its ``c``-th
+    ascending level at every grid point.  Only the one-quantum row and
+    column of a block depend on ``lam``, so each block is an arrowhead
+    matrix over the ``lam``-independent rest.  Every block but the
+    ``k = pi`` block of an even ring ``f >= 4`` is an unreduced arrowhead:
+    for ``lam != 0`` its levels are simple and strictly interlace the
+    eigenvalues of the rest (O'Leary & Stewart, J. Comput. Phys. 90 (1990)
+    497), so no two curves cross and the ascending order is the
+    continuation, on any grid.  The ``k = pi`` block is split first: its
+    ``d - 3`` decoupled zero levels are exact zeros and only its three
+    coupled levels are diagonalized (:func:`_coupled_part`,
+    :func:`_with_zero_levels`).  Quanta tags are read from the eigenvectors
+    at the first grid point, in gauge coordinates (the block vectors are
+    orthonormal and the gauge is unitary).  A block ``-nu`` is the same real
+    matrix (:mod:`~qeslattice.momentum`) and shares the energies and tags
+    of ``nu``.  Rejects the inputs :func:`solve_spectrum` rejects, empty or
+    unsorted grids and grids of more than ``MAX_SWEEP_ROWS`` output rows,
+    before any block is built.
     """
     f = _check_sites(f)
     grid = _real_grid(list(lambdas))
@@ -374,10 +338,15 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
 
     block_sweeps = []
     for stack in pencil_stacks(f, gamma):
-        for i in range(len(stack.labels)):
-            w, v = eigh_checked(stack.b_bh[i] + np.multiply.outer(grid, stack.b_drive[i]))
-            energies = np.take_along_axis(w, track_levels(w, v), axis=1)
-            tags = quanta_tags(v[0], stack.quanta)
+        for i, label in enumerate(stack.labels):
+            b_bh, b_drive = stack.b_bh[i], stack.b_drive[i]
+            split = 2 * label.nu == f >= 4
+            if split:
+                b_bh, b_drive = _coupled_part(b_bh, b_drive)
+            energies, v = eigh_checked(b_bh + np.multiply.outer(grid, b_drive))
+            tags = quanta_tags(v[0], stack.quanta[:energies.shape[1]])
+            if split:
+                energies, tags = _with_zero_levels(energies, tags, stack.quanta.size - 3)
             block_sweeps += [BlockSweep(label=label, energies=energies, tags=tags)
                              for label, _ in stack.blocks_of(i)]
     block_sweeps.sort(key=lambda bs: -bs.label.nu)

@@ -10,8 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qeslattice.cli import _parse_lambda  # noqa: E402
-from qeslattice.spectra import (_assignment, _clear_matches,  # noqa: E402
-                                brute_force_eigenvalues, solve_spectrum, sweep)
+from qeslattice.spectra import brute_force_eigenvalues, solve_spectrum, sweep  # noqa: E402
 
 from oracles import quanta_tag  # noqa: E402
 
@@ -27,41 +26,6 @@ def sweeps(draw):
     gamma = draw(st.floats(0.5, 5.0))
     points = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=12, unique=True))
     return f, gamma, sorted(points)
-
-
-@st.composite
-def orthogonal_matrices(draw):
-    """A random orthogonal ``d x d`` matrix: Haar-distributed, or a random
-    permutation whose two rows are mixed at an angle within ``1e-3`` of
-    ``pi/4`` and then turned slightly, so its largest entries lie near
-    ``1/sqrt(2)``."""
-    d = draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        q, r = np.linalg.qr(rng.standard_normal((d, d)))
-        return q * np.sign(np.diag(r))
-    q = np.eye(d)[rng.permutation(d)]
-    if d > 1:
-        a, b = rng.choice(d, size=2, replace=False)
-        angle = np.pi / 4 + draw(st.floats(-1e-3, 1e-3))
-        turn = np.eye(d)
-        turn[[a, a, b, b], [a, b, a, b]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
-        q = q @ turn
-    small = draw(st.floats(0.0, 1e-3)) * rng.standard_normal((d, d))
-    return q @ np.linalg.qr(np.eye(d) + small - small.T)[0]
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(orthogonal_matrices())
-def test_clear_matches_are_the_unique_optimal_assignment(q):
-    overlap = np.abs(q)
-    step, unique = _clear_matches(overlap[None], np.zeros((1, q.shape[0] - 1), dtype=bool))
-    if unique[0]:
-        assert np.array_equal(step[0], _assignment(overlap))
-    else:
-        # declined only where a row maximum is not above 1/sqrt(2) or two coincide
-        assert (np.min(overlap.max(axis=1)) <= np.sqrt(0.5)
-                or np.unique(step[0]).size < q.shape[0])
 
 
 ORACLE_TOL = 1e-9

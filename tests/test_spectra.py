@@ -8,15 +8,13 @@ import pytest
 from qeslattice import spectra
 from qeslattice.fock import at_most, enumerate_basis, exactly
 from qeslattice.momentum import (assemble_h_r, build_momentum_vectors, momentum_values,
-                                 orbit_block_pencil, pencil_stacks, to_orbit_frame)
+                                 orbit_block_pencil, to_orbit_frame)
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
-from qeslattice.spectra import (DEGENERACY_TOL, MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS,
-                                _assignment, _clear_matches, brute_force_eigenvalues,
-                                char_poly, eigh_checked, quanta_tags,
-                                solve_spectrum, soliton_band, sweep, track_levels,
-                                verify_eigenvector_formulas)
+from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS,
+                                brute_force_eigenvalues, char_poly, eigh_checked, quanta_tags,
+                                solve_spectrum, soliton_band, sweep, verify_eigenvector_formulas)
 
 from oracles import quanta_tag
 
@@ -25,13 +23,6 @@ TABLE_TOL = 1.5e-3
 
 def blocks_by_nu(f, gamma, lam):
     return {b.label.nu: b for b in assemble_h_r(f, gamma, lam)}
-
-
-def distinct_pencils(f, gamma):
-    """``(b_bh, b_drive)`` of every distinct block (``nu >= 0``), the rows of
-    :func:`pencil_stacks`."""
-    return [(s.b_bh[i], s.b_drive[i]) for s in pencil_stacks(f, gamma)
-            for i in range(len(s.labels))]
 
 
 def diagonalize(block):
@@ -357,124 +348,70 @@ def grid(start, stop, step):
     return [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
 
 
-def overlaps(v):
-    """``|V_i^H V_{i+1}|`` for every step of a stack of eigenvector bases."""
-    return np.abs(v[:-1].conj().swapaxes(-1, -2) @ v[1:])
+@pytest.mark.parametrize("f, gamma, stop", [(12, 3.0, 0.49), (47, 3.0, 0.49), (48, 3.0, 0.49),
+                                            (15, 1.0, 1.0)])
+def test_sweep_levels_do_not_depend_on_the_grid_step(f, gamma, stop):
+    coarse = sweep(f, gamma, grid(0.0, stop, 0.01))
+    fine = sweep(f, gamma, grid(0.0, stop, 0.001))
+    for a, b in zip(coarse.blocks, fine.blocks, strict=True):
+        assert np.max(np.abs(a.energies - b.energies[::10])) < 1e-9, (a.label.nu, f)
 
 
-def ties(w):
-    """``tied[i, j]``: positions ``j`` and ``j + 1`` are tied at grid point
-    ``i``, for every point but the last."""
-    tied = np.zeros((w.shape[0] - 1, w.shape[1] - 1), dtype=bool)
-    for i in range(w.shape[0] - 1):
-        for group in degenerate_groups(w[i]):
-            tied[i, group.start:group.stop - 1] = True
-    return tied
+def k_pi_block(f, label):
+    """The ``k = pi`` block of an even ring ``f >= 4``: split, not interlaced."""
+    return 2 * label.nu == f >= 4
 
 
-@pytest.mark.parametrize("f, gamma, points", [(15, 4.0, grid(0.27, 0.67, 0.004)),
-                                              (16, 3.0, grid(0.0, 0.49, 0.01)),
-                                              (48, 3.0, grid(0.0, 0.49, 0.01))])
-def test_clear_matches_are_the_optimal_assignment_at_every_sweep_step(f, gamma, points):
-    checked = grouped = 0
-    for b_bh, b_drive in distinct_pencils(f, gamma):
-        w, v = eigh_checked(b_bh + np.multiply.outer(points, b_drive))
-        overlap = overlaps(v)
-        step, unique = _clear_matches(overlap, ties(w))
-        for i in np.flatnonzero(unique):
-            best = _assignment(overlap[i])
-            alone = np.ones(w.shape[1], dtype=bool)
-            for group in degenerate_groups(w[i]):
-                # a tied group takes the same columns; their order is set later
-                assert sorted(step[i, group]) == sorted(best[group])
-                alone[group] = False
-            assert np.array_equal(step[i, alone], best[alone])
-            grouped += int(not alone.all())
-        checked += int(unique.sum())
-    assert checked > 0
-    # the even rings start at lam = 0, where the k = pi block has tied levels
-    assert (grouped > 0) == (f % 2 == 0)
+@pytest.mark.parametrize("f, gamma", [(3, 3.0), (12, 3.0), (15, 1.0), (16, 3.0), (47, 3.0),
+                                      (48, 3.0)])
+def test_sweep_levels_strictly_interlace_the_coupling_free_part(f, gamma):
+    # each block is an arrowhead over its one-quantum row: at lam != 0 the
+    # levels of an unreduced one lie strictly between the eigenvalues of the rest
+    points = [-0.5, -0.1, 0.01, 0.05, 0.2, 0.5]
+    result = sweep(f, gamma, points)
+    checked = 0
+    for oracle, bs in zip(orbit_block_pencil(f, gamma), result.blocks, strict=True):
+        if k_pi_block(f, bs.label):
+            continue
+        keep = oracle.quanta != 1
+        poles = np.linalg.eigvalsh(oracle.b_bh[np.ix_(keep, keep)])
+        assert np.all(bs.energies[:, :-1] < poles) and np.all(poles < bs.energies[:, 1:])
+        checked += 1
+    assert checked == len(result.blocks) - (f % 2 == 0)
 
 
-def test_clear_matches_decline_row_maxima_not_above_one_over_sqrt2():
-    limit = math.sqrt(0.5)
-    for peak, expected in [(0.75, True), (np.nextafter(limit, 1.0), True), (limit, False),
-                           (0.7, False)]:
-        overlap = np.full((3, 3), math.sqrt((1.0 - peak**2) / 2))
-        np.fill_diagonal(overlap, peak)
-        step, unique = _clear_matches(overlap[None], np.zeros((1, 2), dtype=bool))
-        assert step.tolist() == [[0, 1, 2]] and unique.tolist() == [expected]
-    step, unique = _clear_matches(np.array([[[0.8, 0.6], [0.9, 0.1]]]),
-                                  np.zeros((1, 1), dtype=bool))
-    assert step.tolist() == [[0, 0]] and unique.tolist() == [False]
-
-
-def test_clear_matches_decline_a_tied_group_whose_mass_is_not_above_one_half():
-    # rows 0 and 1 tied; rows 2 and 3 each hold an overlap above 1/sqrt(2)
-    # in their own column, and the group's summed squared overlaps in the
-    # columns are (1, m, (1 - m) / 2, (1 - m) / 2)
-    tied = np.array([[True, False, False]])
-    for m, expected in [(0.6, True), (0.4, False)]:
-        n = np.sqrt([m, (1 - m) / 2, (1 - m) / 2])  # row 1 on columns 1..3
-        row2 = np.eye(3)[1] - n[1] * n
-        row2 /= np.linalg.norm(row2)
-        q = np.zeros((4, 4))
-        q[0, 0] = 1.0
-        q[1:, 1:] = [n, row2, np.cross(n, row2)]
-        assert np.max(np.abs(q @ q.T - np.eye(4))) < 1e-15
-        step, unique = _clear_matches(np.abs(q)[None], tied)
-        assert sorted(step[0, :2]) == [0, 1] and step[0, 2:].tolist() == [2, 3]
-        assert unique.tolist() == [expected]
-
-
-def degenerate_groups(w):
-    """Runs of positions whose eigenvalues are tied to ``DEGENERACY_TOL``."""
-    tol = DEGENERACY_TOL * max(1.0, float(np.max(np.abs(w))))
-    groups, start = [], 0
-    for j in range(1, w.size + 1):
-        if j == w.size or w[j] - w[j - 1] > tol:
-            if j - start > 1:
-                groups.append(slice(start, j))
-            start = j
-    return groups
-
-
-@pytest.mark.parametrize("f", [12, 16])
-def test_tracking_ignores_the_basis_chosen_in_a_degenerate_eigenspace(f):
-    # the k = pi block of a ring divisible by 4 is many-fold degenerate at lam = 0
-    rng = np.random.default_rng(f)
-    points = np.array(grid(0.0, 0.49, 0.01))
-    rotated_any = False
-    for b_bh, b_drive in distinct_pencils(f, 3.0):
-        w, v = eigh_checked(b_bh + np.multiply.outer(points, b_drive))
-        turned = v.copy()
-        for i in range(points.size):
-            for group in degenerate_groups(w[i]):
-                q, _ = np.linalg.qr(rng.standard_normal((group.stop - group.start,) * 2))
-                turned[i][:, group] = v[i][:, group] @ q
-                rotated_any = True
-        expected = np.take_along_axis(w, track_levels(w, v), axis=1)
-        assert np.array_equal(np.take_along_axis(w, track_levels(w, turned), axis=1), expected)
-    assert rotated_any
+@pytest.mark.parametrize("f", [4, 6, 12, 48])
+def test_k_pi_block_has_exact_zero_levels_and_sorted_coupled_levels(f):
+    points = np.array(grid(-0.3, 0.49, 0.01))
+    block = next(b for b in sweep(f, 3.0, points).blocks if k_pi_block(f, b.label))
+    d = block.energies.shape[1]
+    zero = np.all(block.energies == 0.0, axis=0)
+    assert np.count_nonzero(zero) == d - 3
+    assert all(block.tags[c] == 2 for c in np.flatnonzero(zero))
+    assert np.all(np.diff(block.energies[:, ~zero], axis=1) > 0)
+    # a coupled level reaches zero, up to rounding, only at lam = 0
+    off = block.energies[points != 0.0]
+    assert np.all(np.count_nonzero(off == 0.0, axis=1) == d - 3)
+    assert np.all(np.diff(off, axis=1) >= 0)
 
 
 @pytest.mark.parametrize("f, points", [(16, grid(0.0, 0.49, 0.01)), (120, grid(0.0, 0.09, 0.01))])
 def test_real_gauge_sweep_tracks_like_complex_eigh_of_the_orbit_pencil(f, points):
+    # curve c is the c-th ascending level of the complex orbit-frame pencil;
+    # at k = pi the d - 3 zero levels are split off from the oracle first
     result = sweep(f, 3.0, points)
     for oracle, bs in zip(orbit_block_pencil(f, 3.0), result.blocks, strict=True):
-        w, v = np.linalg.eigh(oracle.b_bh + np.multiply.outer(points, oracle.b_drive))
-        tracked = np.take_along_axis(w, track_levels(w, v), axis=1)
-        assert np.max(np.abs(tracked - bs.energies)) < 1e-9
-
-
-def test_degenerate_curves_continue_in_ascending_energy():
-    # two curves tied at the first point; their overlaps alone would cross them
-    w = np.array([[0.0, 0.0], [-1.0, 1.0]])
-    v = np.array([np.eye(2), np.eye(2)[:, ::-1]])
-    assert track_levels(w, v).tolist() == [[0, 1], [0, 1]]
-    assert track_levels(w[:1], v[:1]).tolist() == [[0, 1]]
-    w[0, 1] = 1.0  # untied: the overlaps decide
-    assert track_levels(w, v).tolist() == [[0, 1], [1, 0]]
+        w = np.linalg.eigvalsh(oracle.b_bh + np.multiply.outer(points, oracle.b_drive))
+        energies = bs.energies
+        if k_pi_block(f, bs.label):
+            zero = np.all(energies == 0.0, axis=0)
+            assert np.count_nonzero(zero) == w.shape[1] - 3
+            nearest = np.argsort(np.abs(w), axis=1)[:, :w.shape[1] - 3]
+            assert np.max(np.abs(np.take_along_axis(w, nearest, axis=1))) < 1e-9
+            coupled = np.ones(w.shape, dtype=bool)
+            np.put_along_axis(coupled, nearest, False, axis=1)
+            w, energies = w[coupled].reshape(len(points), 3), energies[:, ~zero]
+        assert np.max(np.abs(w - energies)) < 1e-9
 
 
 def test_four_site_zero_block_table_row():
