@@ -86,16 +86,38 @@ def test_site_count_cap(capsys, command):
     assert f"error: argument --f: site count f must be <= {MAX_SITES}" in err
 
 
-def test_cli_sweep_leaves_scipy_unloaded():
-    # the package needs numpy only, the sweep included
+def test_import_leaves_scipy_optimize_unloaded():
+    # the package needs numpy only
     src = str(Path(qeslattice.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import os, sys\n"
+    code = ("import sys, qeslattice, qeslattice.cli; "
+            "assert 'scipy' not in sys.modules, 'scipy imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_sweeps_without_a_hard_step_leave_scipy_optimize_unloaded():
+    # a rejected sweep, a library sweep and a sweep through the CLI
+    # order levels by sorting and never load scipy
+    src = str(Path(qeslattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys\n"
+            "from qeslattice.spectra import sweep\n"
+            "try:\n"
+            "    sweep(2, 3.0, [0.0, 0.1, 2e3])\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('sweep accepted lambda = 2e3')\n"
+            "assert 'scipy' not in sys.modules, 'rejected sweep imported it'\n"
+            "sweep(15, 4.0, [0.27 + 0.004 * i for i in range(101)])\n"
+            "assert 'scipy' not in sys.modules, 'sweep imported it'\n"
+            "import os\n"
             "import qeslattice.cli\n"
             "assert qeslattice.cli.main(['sweep', '--f', '16', '--lambda', '0:0.49:0.01',"
             " '--out', os.devnull]) == 0\n"
-            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+            "assert 'scipy' not in sys.modules, 'f = 16 sweep imported it'\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
