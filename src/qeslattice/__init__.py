@@ -9,9 +9,9 @@ constructs and verifies.
 """
 
 from .fock import FockBasis, Selector, at_most, enumerate_basis, exactly, translate
-from .momentum import (BlockPencil, MomentumBlock, MomentumLabel, PencilStack, assemble_h_r,
-                       block_dimensions, block_frame, build_momentum_vectors, momentum_values,
-                       orbit_block_pencil, pencil_stacks, project_block, to_orbit_frame)
+from .momentum import (BlockPencil, MomentumLabel, PencilStack, block_dimensions, block_frame,
+                       build_momentum_vectors, momentum_values, orbit_block_pencil,
+                       pencil_stacks, project_block, to_orbit_frame)
 from .ops import (annihilation, apply_hamiltonian, build_h_bh, build_h_lambda,
                   build_hamiltonian, build_number, build_translation, commutator,
                   creation, hermiticity_defect, sector_block)
@@ -26,9 +26,8 @@ __all__ = [
     "annihilation", "creation", "commutator", "apply_hamiltonian", "build_h_bh",
     "build_h_lambda", "build_hamiltonian", "build_number", "build_translation",
     "hermiticity_defect", "sector_block",
-    "BlockPencil", "MomentumBlock", "MomentumLabel", "PencilStack", "assemble_h_r",
-    "block_dimensions", "block_frame", "build_momentum_vectors",
-    "momentum_values", "orbit_block_pencil", "pencil_stacks", "project_block", "to_orbit_frame",
+    "BlockPencil", "MomentumLabel", "PencilStack", "block_dimensions", "block_frame",
+    "build_momentum_vectors", "momentum_values", "orbit_block_pencil", "pencil_stacks", "project_block", "to_orbit_frame",
     "BlockSpectrum", "SolitonBand", "SpectrumResult", "SweepResult",
     "brute_force_eigenvalues", "char_poly", "eigh_checked", "quanta_tags", "solve_spectrum",
     "soliton_band", "sweep", "verify_eigenvector_formulas",

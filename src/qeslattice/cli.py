@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from itertools import groupby
 
 import numpy as np
@@ -142,30 +144,41 @@ def _json_chunks(groups, f: int, gamma: float):
     yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-def _emit(groups, f: int, gamma: float, fmt: str, out: str | None,
-          with_band: bool) -> None:
-    """Write the rows of every block in ``groups`` (see :func:`_blocks`) as
-    CSV or as one JSON list, streamed a block at a time."""
+@contextmanager
+def _output(path: str | None):
+    """The ``--out`` file opened for writing, or stdout when there is none.
+
+    Opened before any work, so an unwritable path fails at once; a run that
+    then fails with an exception leaves no file behind."""
+    if not path:
+        yield sys.stdout
+        return
+    fh = open(path, "w")
+    try:
+        with fh:
+            yield fh
+    except Exception:
+        os.remove(path)
+        raise
+
+
+def _emit(groups, f: int, gamma: float, fmt: str, out, with_band: bool) -> None:
+    """Write the rows of every block in ``groups`` (see :func:`_blocks`) to
+    ``out`` as CSV or as one JSON list, streamed a block at a time."""
     if fmt == "csv":
-        chunks = _csv_chunks(groups, with_band)
+        out.writelines(_csv_chunks(groups, with_band))
     else:
-        chunks = _json_chunks(groups, f, gamma)
-    if out:
-        with open(out, "w") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+        out.writelines(_json_chunks(groups, f, gamma))
 
 
 def _spectrum_group(f: int, gamma: float, lam: float, band_flags: bool):
     """One coupling's ``(lam, blocks, energies)`` for :func:`_emit`, tags
-    read in block coordinates."""
+    read from the real eigenvectors of the gauged blocks."""
     result = solve_spectrum(f, gamma, lam)
     blocks = []
     for bs in result.blocks:  # nu descending by construction
         band_level = int(np.argmin(bs.eigenvalues)) if band_flags else None
-        tags = quanta_tags(bs.coefficients, bs.block.quanta)
-        blocks.append((bs.label.nu, tags, band_level))
+        blocks.append((bs.label.nu, quanta_tags(bs.u, bs.quanta), band_level))
     return lam, blocks, np.concatenate([bs.eigenvalues for bs in result.blocks])
 
 
@@ -173,8 +186,9 @@ def cmd_spectrum(args) -> int:
     lams = _parse_lambda(args.lam)
     if len(lams) != 1:
         return _Parser.exit_with("spectrum expects a single coupling, not a grid")
-    group = _spectrum_group(args.f, args.gamma, lams[0], band_flags=False)
-    _emit([group], args.f, args.gamma, args.format, args.out, with_band=False)
+    with _output(args.out) as out:
+        group = _spectrum_group(args.f, args.gamma, lams[0], band_flags=False)
+        _emit([group], args.f, args.gamma, args.format, out, with_band=False)
     return 0
 
 
@@ -182,59 +196,49 @@ def cmd_sweep(args) -> int:
     lams = _parse_lambda(args.lam)
     if len(lams) < 2:
         return _Parser.exit_with("sweep needs a start:stop:step grid")
-    result = sweep(args.f, args.gamma, lams)
-    blocks = [(bs.label.nu, bs.tags, None) for bs in result.blocks]
-    table = np.hstack([bs.energies for bs in result.blocks])
-    groups = ((lam, blocks, row) for lam, row in zip(result.lambdas.tolist(), table))
-    _emit(groups, args.f, args.gamma, args.format, args.out, with_band=False)
+    with _output(args.out) as out:
+        result = sweep(args.f, args.gamma, lams)
+        blocks = [(bs.label.nu, bs.tags, None) for bs in result.blocks]
+        table = np.hstack([bs.energies for bs in result.blocks])
+        groups = ((lam, blocks, row) for lam, row in zip(result.lambdas.tolist(), table))
+        _emit(groups, args.f, args.gamma, args.format, out, with_band=False)
     return 0
 
 
 def cmd_figure2(args) -> int:
-    groups = [_spectrum_group(args.f, args.gamma, lam, band_flags=True)
-              for lam in _parse_lambda(args.lam)]
-    _emit(groups, args.f, args.gamma, args.format, args.out, with_band=True)
+    lams = _parse_lambda(args.lam)
+    with _output(args.out) as out:
+        groups = [_spectrum_group(args.f, args.gamma, lam, band_flags=True) for lam in lams]
+        _emit(groups, args.f, args.gamma, args.format, out, with_band=True)
     return 0
 
 
 def cmd_tables(args) -> int:
     worst_overall = 0.0
     lines = []
-    for table, rows in groupby(table_comparisons(), key=lambda row: row[0]):
-        lines.append(f"# {table.name} (gamma = {REFERENCE_GAMMA:g})")
-        lines.append("lambda | computed (reference) ... | max|dev|")
-        table_worst = 0.0
-        for _, lam, nu, computed, reference in rows:
-            devs = np.abs(computed - reference)
-            table_worst = max(table_worst, float(np.max(devs)))
-            cells = " ".join(f"{c:+.3f} ({r:+.3f})" for c, r in zip(computed, reference))
-            lines.append(f"{lam:.1f} nu={nu:+d} | {cells} | {np.max(devs):.1e}")
-        verdict = "ok" if table_worst < TABLE_TOL else "MISMATCH"
-        lines.append(f"--> {verdict}: max deviation {table_worst:.2e} "
-                     f"(tolerance {TABLE_TOL:g})")
-        lines.append("")
-        worst_overall = max(worst_overall, table_worst)
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(args.out) as out:
+        for table, rows in groupby(table_comparisons(), key=lambda row: row[0]):
+            lines.append(f"# {table.name} (gamma = {REFERENCE_GAMMA:g})")
+            lines.append("lambda | computed (reference) ... | max|dev|")
+            table_worst = 0.0
+            for _, lam, nu, computed, reference in rows:
+                devs = np.abs(computed - reference)
+                table_worst = max(table_worst, float(np.max(devs)))
+                cells = " ".join(f"{c:+.3f} ({r:+.3f})" for c, r in zip(computed, reference))
+                lines.append(f"{lam:.1f} nu={nu:+d} | {cells} | {np.max(devs):.1e}")
+            verdict = "ok" if table_worst < TABLE_TOL else "MISMATCH"
+            lines.append(f"--> {verdict}: max deviation {table_worst:.2e} "
+                         f"(tolerance {TABLE_TOL:g})")
+            lines.append("")
+            worst_overall = max(worst_overall, table_worst)
+        out.write("\n".join(lines) + "\n")
     return 0 if worst_overall < TABLE_TOL else VERIFY_ERROR
 
 
 def cmd_verify(args) -> int:
-    try:
+    with _output(args.out) as out:
         checks = run_suites(args.suite)
-    except KeyError as exc:
-        return _Parser.exit_with(str(exc))
-    records = as_records(checks)
-    text = json.dumps(records, indent=2, default=str)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        out.write(json.dumps(as_records(checks), indent=2, default=str) + "\n")
     failed = failures(checks)
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed",
           file=sys.stderr)

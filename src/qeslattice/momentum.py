@@ -71,7 +71,8 @@ batched real ``eigh``; an eigenvector ``u`` of ``B`` is the eigenvector
 path.
 
 Each block's vectors are the ``D x d`` matrix ``V`` of block vectors over the
-occupation basis, a read-only complex array.  A block builds ``V`` only when
+occupation basis, a read-only complex array.  A solved block
+(:class:`~qeslattice.spectra.BlockSpectrum`) builds ``V`` only when
 ``.vectors`` is read (:func:`block_frame`): one entry per orbit member, its
 row in the occupation basis (from the positions of its quanta), its column
 and its amplitude ``e^{ikr}/sqrt(P)``, checked before they are scattered
@@ -96,7 +97,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -226,43 +226,6 @@ def block_frame(label: MomentumLabel) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MomentumBlock:
-    """One Hermitian block of the restricted Hamiltonian.
-
-    ``matrix`` is the block in the centre-of-mass gauge (real symmetric) and
-    ``phases`` its column phases; ``hmatrix`` is the block in the orbit
-    frame, ``P B Pᴴ`` (:func:`to_orbit_frame`).  ``quanta`` holds the total
-    quanta of each column (0 vacuum, 1, then 2s).  ``vectors`` is the
-    orthonormal block basis as read-only dense columns over the occupation
-    basis (:func:`block_frame`), ordered vacuum (nu = 0 only), one-quantum
-    vector, then two-quantum vectors by increasing pair separation.
-    ``hmatrix`` and ``vectors`` are built on first read.
-    """
-
-    label: MomentumLabel
-    matrix: np.ndarray
-    phases: np.ndarray
-    quanta: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
-
-    @cached_property
-    def hmatrix(self) -> np.ndarray:
-        h = to_orbit_frame(self.matrix, self.phases)
-        h.setflags(write=False)
-        return h
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return block_frame(self.label)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class BlockPencil:
     """One momentum block of the orbit construction
     (:func:`orbit_block_pencil`) as a function of the drive coupling,
@@ -315,13 +278,6 @@ class PencilStack:
         mirror = phases.conj()
         mirror.setflags(write=False)
         return [(label, phases), (MomentumLabel(f=label.f, nu=-label.nu), mirror)]
-
-    def blocks(self, h: np.ndarray) -> list[tuple[int, MomentumBlock]]:
-        """``(i, block)`` for every block of :meth:`blocks_of`, given ``h``,
-        the ``(n_nu, d, d)`` stack of matrices at one coupling: the block
-        ``-nu`` shares the read-only ``h[i]`` of ``nu``."""
-        return [(i, MomentumBlock(label=label, matrix=h[i], phases=phases, quanta=self.quanta))
-                for i in range(len(self.labels)) for label, phases in self.blocks_of(i)]
 
 
 def _stack(f: int, gamma: float, labels: list[MomentumLabel]) -> PencilStack:
@@ -378,23 +334,6 @@ def pencil_stacks(f: int, gamma: float) -> list[PencilStack]:
             key = (label.nu == 0, _has_antipodal_pair(f, label.nu))
             shapes.setdefault(key, []).append(label)
     return [_stack(f, gamma, labels) for labels in shapes.values()]
-
-
-def _nu_descending(items: list) -> list:
-    return sorted(items, key=lambda item: -item.label.nu)
-
-
-def assemble_h_r(f: int, gamma: float, lam: float) -> list[MomentumBlock]:
-    """All momentum blocks of ``H = H_BH + H_lam`` on the 0+1+2-quanta space.
-
-    Each block is its pencil at ``lam``, with no dense ``H``; a block
-    ``-nu`` shares the read-only matrix of ``nu`` with the conjugate phases,
-    and ``hmatrix`` is built on first read.  The union of the block spectra
-    reproduces the spectrum of the full restricted Hamiltonian; blocks are
-    returned ``nu`` descending.
-    """
-    return _nu_descending([block for stack in pencil_stacks(f, gamma)
-                           for _, block in stack.blocks(stack.matrix(lam))])
 
 
 def expected_block_dimension(f: int, nu: int) -> int:

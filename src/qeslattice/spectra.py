@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .fock import FockBasis, at_most, enumerate_basis
-from .momentum import MomentumBlock, MomentumLabel, pencil_stacks
+from .momentum import MomentumLabel, block_frame, pencil_stacks, to_orbit_frame
 from .ops import build_hamiltonian, hermiticity_defect
 from .reference import EIGENSTATE_FORMULAS, EIGENSTATE_RESIDUAL_TOL
 from .report import Check, check, skip
@@ -37,15 +37,15 @@ RESIDUAL_TOL = 1e-9
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
 # Largest accepted ring.  A solve builds no array over the (f+1)(f+2)/2 = D
-# occupation states and no block vectors, only the f/2 + 1 distinct block
+# occupation states and no complex matrix, only the f/2 + 1 distinct block
 # pencils (nu >= 0) of d ~ f/2 rows, in at most three real (n_nu, d, d)
-# stacks, and their eigenvectors: three real arrays of about f^3 / 8 entries,
-# 1.9 MB each at f = 120, and the complex orbit-frame coefficients of all f
-# blocks, 7 MB, so memory grows as f^3.  `qeslattice spectrum --f 120` took
-# 0.24 s and peaked at 45 MB RSS (whole process, ru_maxrss, 2-vCPU x86-64,
-# one BLAS thread).  The cap bounds what a caller can
-# still ask for: reading `.vectors` and `.eigenvectors` on every block builds
-# dense arrays of 32 * D^2 bytes, about 1.74 GB at f = 120.
+# stacks, their matrices at the coupling and their real eigenvectors: four
+# real arrays of about f^3 / 8 entries, 1.9 MB each at f = 120, so memory
+# grows as f^3.  `qeslattice spectrum --f 120` took 0.34 s and peaked at
+# 41 MB RSS (whole process, ru_maxrss, median of 3, 2-vCPU x86-64, one BLAS
+# thread).  The cap bounds what a caller can still ask for: reading
+# `.vectors` and `.eigenvectors` on every block builds dense arrays of
+# 32 * D^2 bytes, about 1.74 GB at f = 120.
 MAX_SITES = 120
 # Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2.  Every block
 # has d^2 <= 3 (f+1)(f+2)/2, so one block's real (n_points, d, d) stack takes
@@ -103,6 +103,11 @@ def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray) -> tuple[int, ...]:
     """Dominant total-quanta sector of each eigenvector column, read in
     block coordinates; ``quanta`` is the sector of each block vector.
@@ -110,7 +115,9 @@ def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray) -> tuple[int, ...]
     Every block vector lies in one sector and they are orthonormal, so a
     level's weight in sector ``n`` is its ``|c|^2`` summed over the columns
     of that sector, the same weight as summed over the occupation basis.
-    Ties go to the lowest sector.
+    The column phases of the gauge leave every ``|c|^2`` unchanged, so the
+    real eigenvectors ``u`` of a gauged block give the same weights.  Ties
+    go to the lowest sector.
     """
     mass = np.abs(coefficients) ** 2
     sectors = [mass[quanta == n].sum(axis=0) for n in range(3)]
@@ -119,30 +126,47 @@ def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray) -> tuple[int, ...]
 
 @dataclass(frozen=True)
 class BlockSpectrum:
-    """Sorted spectrum of one momentum block.
+    """One solved momentum block, read-only.
 
-    ``coefficients`` holds the eigenvectors as columns in block coordinates;
-    ``eigenvectors`` is ``block.vectors @ coefficients``, columns over the
-    occupation basis, built on first read.
+    ``matrix`` is the block in the centre-of-mass gauge (real symmetric),
+    ``phases`` its column phases and ``quanta`` the total quanta of each
+    column (0 vacuum, 1, then 2s); ``eigenvalues`` are ascending and the
+    columns of ``u`` the matching real eigenvectors of ``matrix``.  Built on
+    first read: ``coefficients``, the eigenvectors ``P u`` in block
+    coordinates; ``hmatrix``, the block in the orbit frame, ``P B Pᴴ``
+    (:func:`~qeslattice.momentum.to_orbit_frame`); ``vectors``, the block
+    basis as dense columns over the occupation basis, ordered vacuum
+    (``nu = 0`` only), one-quantum vector, then two-quanta vectors by
+    increasing pair separation (:func:`~qeslattice.momentum.block_frame`);
+    and ``eigenvectors``, ``vectors @ coefficients``.
     """
 
-    block: MomentumBlock
+    label: MomentumLabel
+    matrix: np.ndarray
+    phases: np.ndarray
+    quanta: np.ndarray
     eigenvalues: np.ndarray
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.eigenvalues.setflags(write=False)
-        self.coefficients.setflags(write=False)
+    u: np.ndarray
 
     @property
-    def label(self) -> MomentumLabel:
-        return self.block.label
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        return _read_only(self.phases[:, None] * self.u)
+
+    @cached_property
+    def hmatrix(self) -> np.ndarray:
+        return _read_only(to_orbit_frame(self.matrix, self.phases))
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return block_frame(self.label)
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        v = self.block.vectors @ self.coefficients
-        v.setflags(write=False)
-        return v
+        return _read_only(self.vectors @ self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -172,9 +196,8 @@ class SpectrumResult:
 def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     """Assemble all momentum blocks of ``H`` and diagonalize them, one real
     :func:`eigh_checked` call per stack of equal-sized distinct blocks
-    (``nu >= 0``); each block's ``coefficients`` are its eigenvectors in the
-    orbit frame, and a block ``-nu`` shares the eigenvalues of ``nu`` and
-    has the conjugate coefficients.
+    (``nu >= 0``); a block ``-nu`` shares the matrix, eigenvalues and real
+    eigenvectors ``u`` of ``nu`` and has the conjugate phases.
 
     Raises ``ValueError`` for a ring size ``f`` that is not an integer in
     ``1..MAX_SITES``, and for a coupling that is not a real number, is not
@@ -188,28 +211,19 @@ def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     for stack in pencil_stacks(f, gamma):
         h = stack.matrix(lam)
         w, v = eigh_checked(h)
-        # P u: back to the orbit frame
-        spectra += [BlockSpectrum(block=block, eigenvalues=w[i],
-                                  coefficients=block.phases[:, None] * v[i])
-                    for i, block in stack.blocks(h)]
+        for array in (h, w, v):
+            array.setflags(write=False)
+        spectra += [BlockSpectrum(label=label, matrix=h[i], phases=phases, quanta=stack.quanta,
+                                  eigenvalues=w[i], u=v[i])
+                    for i in range(len(stack.labels)) for label, phases in stack.blocks_of(i)]
     spectra.sort(key=lambda bs: -bs.label.nu)
     return SpectrumResult(f=f, gamma=gamma, lam=lam, blocks=tuple(spectra))
 
 
-def char_poly(block: MomentumBlock) -> np.ndarray:
-    """Monic real characteristic polynomial of a block, highest power first.
-
-    Built as ``prod (E - E_i)`` from the eigenvalues of ``block.matrix``
-    (the block in its gauge, same spectrum); imaginary residues are checked
-    against ``1e-10`` and discarded.
-    """
-    w, _ = eigh_checked(block.matrix)
-    coeffs = np.poly(w)
-    if np.iscomplexobj(coeffs):
-        if float(np.max(np.abs(coeffs.imag))) > 1e-10:
-            raise ArithmeticError("characteristic polynomial has complex coefficients")
-        coeffs = coeffs.real
-    return coeffs
+def char_poly(block: BlockSpectrum) -> np.ndarray:
+    """Monic real characteristic polynomial of a solved block, highest power
+    first, built as ``prod (E - E_i)`` from its eigenvalues."""
+    return np.poly(block.eigenvalues)
 
 
 def _real_grid(points: list) -> np.ndarray:
@@ -423,7 +437,7 @@ def verify_eigenvector_formulas(f: int, gamma: float, lam: float) -> list:
         if formula.kind == "block":
             block = result.block_for(formula.nu)
             eigenvalues = block.eigenvalues
-            frame = block.block.vectors
+            frame = block.vectors
         else:
             eigenvalues = result.all_eigenvalues()
             frame = None

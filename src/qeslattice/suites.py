@@ -11,6 +11,7 @@ targets.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import groupby
 from typing import Iterator
 
@@ -18,9 +19,8 @@ import numpy as np
 
 from . import algebra
 from .fock import at_most, enumerate_basis, exactly
-from .momentum import (assemble_h_r, block_dimensions, build_momentum_vectors,
-                       expected_block_dimension, momentum_values, orbit_block_pencil,
-                       project_block)
+from .momentum import (block_dimensions, build_momentum_vectors, expected_block_dimension,
+                       momentum_values, orbit_block_pencil, project_block)
 from .ops import (build_h_bh, build_h_lambda, build_hamiltonian, build_number,
                   build_translation, commutator, hermiticity_defect, sector_block)
 from .reference import (CHARPOLY_SAMPLES, CHARPOLY_TOL, REFERENCE_CHAR_POLYS,
@@ -91,11 +91,12 @@ def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
                             residual=abs(sum(dims) - total), f=f))
 
     gamma, lam = 3.0, 0.5
+    blocks_at = cache(lambda f, gam: solve_spectrum(f, gam, lam).blocks)  # solved once per point
     for f in range(1, f_max_blocks + 1):
         basis = enumerate_basis(f, at_most(2))
         t_op = build_translation(f, basis)
         h = build_hamiltonian(f, gamma, lam, basis)
-        blocks = assemble_h_r(f, gamma, lam)
+        blocks = blocks_at(f, gamma)
         dim_dev = max(abs(b.dim - expected_block_dimension(f, b.label.nu)) for b in blocks)
         checks.append(check("constructed block dimensions", dim_dev == 0,
                             residual=dim_dev, f=f))
@@ -145,7 +146,7 @@ def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
             worst22 = 0.0
             worst12 = 0.0
             # the closed-form blocks against the orbit construction
-            for b, oracle in zip(assemble_h_r(f, gam, lam), orbit_block_pencil(f, gam)):
+            for b, oracle in zip(blocks_at(f, gam), orbit_block_pencil(f, gam)):
                 ref = oracle.matrix(lam)
                 i0 = 2 if b.label.nu == 0 else 1
                 e_block = np.sort(np.linalg.eigvalsh(b.hmatrix[i0:, i0:]))
@@ -196,7 +197,7 @@ def spectra_suite() -> list[Check]:
             projected = np.linalg.eigvalsh(project_block(h, vectors))
             for w in (bs.eigenvalues, mirror.eigenvalues):
                 worst_pair = max(worst_pair, float(np.max(np.abs(w - projected))))
-            frame = mirror.block.vectors
+            frame = mirror.vectors
             for i, e in enumerate(bs.eigenvalues):
                 v = bs.eigenvectors[:, i].conj()
                 worst_conj = max(worst_conj, float(
@@ -243,23 +244,24 @@ def soliton_suite() -> list[Check]:
 
 
 def charpoly_suite() -> list[Check]:
-    """The printed block polynomials, sampled over (gamma, lam)."""
-    checks: list[Check] = []
+    """The printed block polynomials, sampled over (gamma, lam); each ring is
+    solved once per sample."""
     gammas, lams = CHARPOLY_SAMPLES
-    for ref in REFERENCE_CHAR_POLYS:
-        worst = 0.0
+    worst = dict.fromkeys(REFERENCE_CHAR_POLYS, 0.0)
+    for f in dict.fromkeys(ref.f for ref in REFERENCE_CHAR_POLYS):
+        refs = [ref for ref in REFERENCE_CHAR_POLYS if ref.f == f]
         for gamma in gammas:
             for lam in lams:
-                blocks = {b.label.nu: b for b in assemble_h_r(ref.f, gamma, lam)}
-                for nu in ref.nus:
-                    computed = char_poly(blocks[nu])
+                result = solve_spectrum(f, gamma, lam)
+                for ref in refs:
                     target = ref.coefficients(gamma, lam)
-                    dev = np.max(np.abs(computed - target)
-                                 / np.maximum(1.0, np.abs(target)))
-                    worst = max(worst, float(dev))
-        checks.append(check(f"characteristic polynomial: {ref.name}",
-                            worst < CHARPOLY_TOL, residual=worst, f=ref.f))
-    return checks
+                    for nu in ref.nus:
+                        computed = char_poly(result.block_for(nu))
+                        dev = np.max(np.abs(computed - target)
+                                     / np.maximum(1.0, np.abs(target)))
+                        worst[ref] = max(worst[ref], float(dev))
+    return [check(f"characteristic polynomial: {ref.name}", worst[ref] < CHARPOLY_TOL,
+                  residual=worst[ref], f=ref.f) for ref in REFERENCE_CHAR_POLYS]
 
 
 def table_comparisons() -> Iterator[tuple]:

@@ -11,8 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from qeslattice.fock import at_most, enumerate_basis
-from qeslattice.momentum import (assemble_h_r, block_dimensions,
-                                 expected_block_dimension)
+from qeslattice.momentum import block_dimensions, expected_block_dimension
 from qeslattice.ops import (build_h_bh, build_hamiltonian, build_number,
                             build_translation, commutator, sector_block)
 from qeslattice.reference import (REFERENCE_CHAR_POLYS, REFERENCE_TABLES,
@@ -83,7 +82,7 @@ def test_criterion_3_two_and_four_site_tables():
         for lam in (0.0, 0.25, 0.5):
             result = solve_spectrum(4, 3.0, lam)
             h = build_hamiltonian(4, 3.0, lam, result.basis)
-            psi22 = result.block_for(2).block.vectors[:, 2]
+            psi22 = result.block_for(2).vectors[:, 2]
             assert np.linalg.norm(h @ psi22) < 1e-9
 
 
@@ -93,7 +92,7 @@ def test_criterion_4_characteristic_polynomials():
         for ref in REFERENCE_CHAR_POLYS:
             for gamma in (1.0, 3.0, 7.0):
                 for lam in (0.0, 0.3, 1.0):
-                    blocks = {b.label.nu: b for b in assemble_h_r(ref.f, gamma, lam)}
+                    blocks = {b.label.nu: b for b in solve_spectrum(ref.f, gamma, lam).blocks}
                     target = ref.coefficients(gamma, lam)
                     for nu in ref.nus:
                         computed = char_poly(blocks[nu])
@@ -113,7 +112,7 @@ def test_criterion_5_block_structure():
                 assert sorted(dims)[:-1] == [(f + 3) // 2] * (f - 1)
             else:
                 assert sum(1 for d in dims if d == (f + 2) // 2) >= f // 2
-            built = assemble_h_r(f, 3.0, 0.3)
+            built = solve_spectrum(f, 3.0, 0.3).blocks
             assert [b.dim for b in built] == dims
             for b in built:
                 assert b.dim == expected_block_dimension(f, b.label.nu)
@@ -171,7 +170,7 @@ def test_criterion_8_soliton_band_and_degeneracy():
                         continue
                     mirror = result.block_for(-bs.label.nu)
                     assert np.max(np.abs(bs.eigenvalues - mirror.eigenvalues)) < 1e-9
-                    frame = mirror.block.vectors
+                    frame = mirror.vectors
                     for i, e in enumerate(bs.eigenvalues):
                         v = bs.eigenvectors[:, i].conj()
                         assert np.linalg.norm(h @ v - e * v) < 1e-8

@@ -140,6 +140,7 @@ def test_spectrum_builds_no_frame_and_no_basis(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a frame or an occupation basis was built")
     monkeypatch.setattr(qeslattice.momentum, "block_frame", refuse)
+    monkeypatch.setattr(qeslattice.spectra, "block_frame", refuse)
     monkeypatch.setattr(qeslattice.spectra, "enumerate_basis", refuse)
     code, out, err = run(capsys, "spectrum", "--f", "12", "--lambda", "0.3")
     assert code == 0 and err == ""
@@ -150,11 +151,24 @@ def test_spectrum_builds_no_frame_and_no_basis(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [("spectrum", "--f", "3"), ("sweep", "--f", "3", "--lambda", "0:0.5:0.1"),
                                   ("figure2", "--f", "3"), ("tables",), ("verify", "--suite", "tables")],
                          ids=lambda argv: argv[0])
-def test_unwritable_out_path_is_an_error_line(tmp_path, capsys, argv):
+def test_unwritable_out_path_is_an_error_line(tmp_path, capsys, monkeypatch, argv):
+    # the path is opened before any work is done
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was opened")
+    for name in ("solve_spectrum", "sweep", "run_suites", "table_comparisons"):
+        monkeypatch.setattr(qeslattice.cli, name, refuse)
     path = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 1 and out == "" and not path.parent.exists()
-    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_out_file_of_a_failed_run_is_removed(tmp_path, capsys):
+    # the solver rejects the coupling after the file was opened
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, "spectrum", "--f", "3", "--gamma", "2e3", "--out", str(path))
+    assert code == 1 and out == "" and err.startswith("error: gamma = 2000.0")
+    assert not path.exists()
 
 
 def test_closed_stdout_is_an_error_line(capsys, monkeypatch):
@@ -235,12 +249,28 @@ def test_csv_templates_write_each_row_as_formatted_alone(tmp_path, capsys):
     for lam in _parse_lambda("0:0.5:0.5"):
         blocks = solve_spectrum(5, 3.0, lam).blocks
         groups.append((lam, [(bs.label.nu, bs.eigenvalues,
-                              quanta_tags(bs.coefficients, bs.block.quanta),
+                              quanta_tags(bs.coefficients, bs.quanta),
                               int(np.argmin(bs.eigenvalues))) for bs in blocks]))
     assert out.read_text() == reference_csv(groups, with_band=True)
 
 
 # ---------------------------------------------------------------- sweep
+
+@pytest.mark.parametrize("f", [5, 15, 47, 6, 16, 48])
+def test_spectrum_equals_the_first_grid_point_of_sweep(capsys, f):
+    # row for row, except the zero levels of the k = pi block of an even
+    # ring: sweep writes them as exact zeros, spectrum as rounding noise
+    _, spectrum, _ = run(capsys, "spectrum", "--f", str(f), "--lambda", "0.3")
+    _, swept, _ = run(capsys, "sweep", "--f", str(f), "--lambda", "0.3:0.31:0.01")
+    header, *rows = swept.splitlines()
+    first = [header] + [row for row in rows if row.startswith("0.3,")]
+    assert len(first) == len(spectrum.splitlines()) == 1 + (f + 1) * (f + 2) // 2
+    for line, row in zip(spectrum.splitlines(), first):
+        if line != row:
+            lam, nu, level, tag, energy = line.split(",")
+            assert f % 2 == 0 and int(nu) == f // 2 and abs(float(energy)) < 1e-14
+            assert row == f"{lam},{nu},{level},{tag},0"
+
 
 def test_sweep_row_count_and_values(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"

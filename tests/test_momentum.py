@@ -7,7 +7,7 @@ import pytest
 from qeslattice.fock import at_most, enumerate_basis
 from qeslattice import momentum
 from qeslattice.momentum import (GRAM_TOL, MomentumLabel, _check_disjoint_rows,
-                                 _check_unit_columns, assemble_h_r, block_dimensions,
+                                 _check_unit_columns, block_dimensions,
                                  block_frame, build_momentum_vectors,
                                  expected_block_dimension, momentum_values,
                                  orbit_block_pencil, pencil_stacks, project_block,
@@ -25,7 +25,7 @@ def labels_of(f):
 
 
 def block_map(f, gamma, lam):
-    return {b.label.nu: b for b in assemble_h_r(f, gamma, lam)}
+    return {b.label.nu: b for b in solve_spectrum(f, gamma, lam).blocks}
 
 
 def pencil_rows(f, gamma):
@@ -152,7 +152,7 @@ def test_project_block_rejects_non_orthonormal_vectors():
 
 @pytest.mark.parametrize("f", range(1, 9))
 def test_one_quantum_diagonal_is_minus_two_cos_k(f):
-    blocks = assemble_h_r(f, 3.0, 0.3)
+    blocks = solve_spectrum(f, 3.0, 0.3).blocks
     for b in blocks:
         i = 1 if b.label.nu == 0 else 0
         assert np.isclose(b.hmatrix[i, i].real, -2 * math.cos(b.label.k), atol=1e-12)
@@ -189,7 +189,7 @@ def test_closed_form_h22_three_sites():
 def test_closed_forms_match_projected_blocks(f, gamma):
     # the closed-form blocks against the orbit construction
     lam = 0.45
-    for b, oracle in zip(assemble_h_r(f, gamma, lam), orbit_block_pencil(f, gamma), strict=True):
+    for b, oracle in zip(solve_spectrum(f, gamma, lam).blocks, orbit_block_pencil(f, gamma), strict=True):
         ref = oracle.matrix(lam)
         i0 = 2 if b.label.nu == 0 else 1
         # eigenvalue agreement (the contract) and entrywise agreement (stronger)
@@ -202,9 +202,9 @@ def test_closed_forms_match_projected_blocks(f, gamma):
 # ------------------------------------------------------------- assembly
 
 def test_assembled_dimensions_examples():
-    assert sorted(b.dim for b in assemble_h_r(3, 3.0, 0.1)) == [3, 3, 4]
-    assert sorted(b.dim for b in assemble_h_r(4, 3.0, 0.1)) == [3, 3, 4, 5]
-    dims7 = sorted(b.dim for b in assemble_h_r(7, 3.0, 0.1))
+    assert sorted(b.dim for b in solve_spectrum(3, 3.0, 0.1).blocks) == [3, 3, 4]
+    assert sorted(b.dim for b in solve_spectrum(4, 3.0, 0.1).blocks) == [3, 3, 4, 5]
+    dims7 = sorted(b.dim for b in solve_spectrum(7, 3.0, 0.1).blocks)
     assert dims7 == [5, 5, 5, 5, 5, 5, 6]
     assert sum(dims7) == 36
 
@@ -224,7 +224,7 @@ def test_block_dimension_identity(f):
 
 @pytest.mark.parametrize("f", range(1, 9))
 def test_constructed_blocks_have_expected_dimensions(f):
-    for b in assemble_h_r(f, 3.0, 0.2):
+    for b in solve_spectrum(f, 3.0, 0.2).blocks:
         assert b.dim == expected_block_dimension(f, b.label.nu)
 
 
@@ -232,7 +232,7 @@ def test_constructed_blocks_have_expected_dimensions(f):
 def test_block_union_matches_brute_force_spectrum(f):
     basis = enumerate_basis(f, at_most(2))
     h = build_hamiltonian(f, 3.0, 0.5, basis)
-    blocks = assemble_h_r(f, 3.0, 0.5)
+    blocks = solve_spectrum(f, 3.0, 0.5).blocks
     union = np.sort(np.concatenate([np.linalg.eigvalsh(b.hmatrix) for b in blocks]))
     full = np.sort(np.linalg.eigvalsh(h))
     assert np.max(np.abs(union - full)) < 1e-9
@@ -242,7 +242,7 @@ def test_block_union_matches_brute_force_spectrum(f):
 def test_no_matrix_elements_between_blocks(f):
     basis = enumerate_basis(f, at_most(2))
     h = build_hamiltonian(f, 3.0, 0.5, basis)
-    blocks = assemble_h_r(f, 3.0, 0.5)
+    blocks = solve_spectrum(f, 3.0, 0.5).blocks
     for i, bi in enumerate(blocks):
         for bj in blocks[i + 1:]:
             cross = bi.vectors.conj().T @ h @ bj.vectors
@@ -250,7 +250,7 @@ def test_no_matrix_elements_between_blocks(f):
 
 
 def test_blocks_are_hermitian():
-    for b in assemble_h_r(6, 3.0, 0.4):
+    for b in solve_spectrum(6, 3.0, 0.4).blocks:
         assert hermiticity_defect(b.hmatrix) < 1e-12
 
 
@@ -275,7 +275,7 @@ def test_direct_blocks_match_dense_projection(f, gamma, lam):
     tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
     basis = enumerate_basis(f, at_most(2))
     h = build_hamiltonian(f, gamma, lam, basis)
-    blocks = assemble_h_r(f, gamma, lam)
+    blocks = solve_spectrum(f, gamma, lam).blocks
     assert [b.label for b in blocks] == momentum_values(f)
     for b in blocks:
         vectors = build_momentum_vectors(f, b.label, basis)
@@ -371,7 +371,7 @@ def test_momentum_suite_records_dense_projection_agreement():
 @pytest.mark.parametrize("f", range(1, 13))
 def test_lazy_vectors_equal_the_dense_reference(f):
     basis = enumerate_basis(f, at_most(2))
-    for b in assemble_h_r(f, 3.0, 0.5):
+    for b in solve_spectrum(f, 3.0, 0.5).blocks:
         assert "vectors" not in vars(b)
         reference = np.column_stack(build_momentum_vectors(f, b.label, basis))
         assert np.max(np.abs(b.vectors - reference)) == 0.0
@@ -478,7 +478,7 @@ def test_frames_are_built_only_when_read_and_from_no_basis(monkeypatch):
     monkeypatch.setattr(momentum, "_check_unit_columns",
                         lambda cols, amps, dim: checked.append(dim))
     f = MAX_SITES
-    blocks = assemble_h_r(f, 3.0, 0.5)
+    blocks = solve_spectrum(f, 3.0, 0.5).blocks
     assert checked == [] and not any("vectors" in vars(b) for b in blocks)
     v = blocks[0].vectors
     assert checked == [blocks[0].dim] and v is blocks[0].vectors
@@ -497,7 +497,7 @@ def test_frame_build_rejects_repeated_rows(monkeypatch):
     monkeypatch.setattr(momentum, "_check_disjoint_rows",
                         lambda rows, size: _check_disjoint_rows(rows % 3, size))
     with pytest.raises(ValueError, match="a basis row repeats"):
-        assemble_h_r(4, 3.0, 0.5)[0].vectors
+        solve_spectrum(4, 3.0, 0.5).blocks[0].vectors
 
 
 def test_half_angle_roots_hold_the_full_angle_roots_bit_for_bit():

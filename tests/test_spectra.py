@@ -7,8 +7,8 @@ import pytest
 
 from qeslattice import spectra
 from qeslattice.fock import at_most, enumerate_basis, exactly
-from qeslattice.momentum import (assemble_h_r, build_momentum_vectors, momentum_values,
-                                 orbit_block_pencil, to_orbit_frame)
+from qeslattice.momentum import (build_momentum_vectors, momentum_values, orbit_block_pencil,
+                                 to_orbit_frame)
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
@@ -22,7 +22,7 @@ TABLE_TOL = 1.5e-3
 
 
 def blocks_by_nu(f, gamma, lam):
-    return {b.label.nu: b for b in assemble_h_r(f, gamma, lam)}
+    return {b.label.nu: b for b in solve_spectrum(f, gamma, lam).blocks}
 
 
 def diagonalize(block):
@@ -217,23 +217,39 @@ def test_largest_ring_spectrum_is_even_in_the_coupling():
 
 def test_hmatrix_is_the_gauged_block_in_the_orbit_frame_built_on_first_read():
     for bs in solve_spectrum(12, 3.0, 0.5).blocks:
-        block = bs.block
-        assert "hmatrix" not in vars(block) and block.matrix.dtype == np.float64
-        h = block.hmatrix
-        assert h is block.hmatrix and not h.flags.writeable
+        assert "hmatrix" not in vars(bs) and bs.matrix.dtype == np.float64
+        h = bs.hmatrix
+        assert h is bs.hmatrix and not h.flags.writeable
         assert np.array_equal(h, h.conj().T)
-        assert np.max(np.abs(h - to_orbit_frame(block.matrix, block.phases))) == 0.0
+        assert np.max(np.abs(h - to_orbit_frame(bs.matrix, bs.phases))) == 0.0
         residual = h @ bs.coefficients - bs.coefficients * bs.eigenvalues
         assert np.max(np.abs(residual)) < 1e-12
 
 
+LAZY = ("coefficients", "hmatrix", "vectors", "eigenvectors")
+
+
 def test_solve_builds_no_frame_and_no_basis_until_read(monkeypatch):
-    result = solve_spectrum(12, 3.0, 0.5)
-    assert "basis" not in vars(result)
-    for bs in result.blocks:
-        assert "vectors" not in vars(bs.block)
-        assert bs.block.hmatrix.shape == (bs.block.quanta.size,) * 2
-    assert result.basis is result.basis and result.basis.size == 91
+    # a solve and a band read build none of the lazy arrays, and a block -nu
+    # holds the arrays of nu
+    for f, lam in ((12, 0.5), (48, 0.3)):
+        result = solve_spectrum(f, 3.0, lam)
+        soliton_band(result)
+        assert "basis" not in vars(result)
+        by_nu = {bs.label.nu: bs for bs in result.blocks}
+        for bs in result.blocks:
+            assert not [name for name in LAZY if name in vars(bs)]
+            arrays = (bs.matrix, bs.phases, bs.quanta, bs.eigenvalues, bs.u)
+            assert not any(array.flags.writeable for array in arrays)
+            if bs.label.nu < 0:
+                mirror = by_nu[-bs.label.nu]
+                for name in ("matrix", "eigenvalues", "u"):
+                    assert np.shares_memory(getattr(bs, name), getattr(mirror, name))
+                assert np.array_equal(bs.phases, mirror.phases.conj())
+        for bs in result.blocks:
+            assert bs.hmatrix.shape == (bs.quanta.size,) * 2
+            assert not bs.hmatrix.flags.writeable and not bs.coefficients.flags.writeable
+        assert result.basis is result.basis and result.basis.size == (f + 1) * (f + 2) // 2
 
 
 def test_eigenvectors_are_orthonormal_and_satisfy_residual():
@@ -252,13 +268,13 @@ def test_eigenvectors_are_orthonormal_and_satisfy_residual():
 def test_lazy_eigenvectors_equal_the_dense_reference(f):
     result = solve_spectrum(f, 3.0, 0.5)
     for bs in result.blocks:
-        assert "eigenvectors" not in vars(bs) and "vectors" not in vars(bs.block)
+        assert "eigenvectors" not in vars(bs) and "vectors" not in vars(bs)
         vectors = np.column_stack(build_momentum_vectors(f, bs.label, result.basis))
         # the real eigenvectors of the gauged block, times the column phases
-        coefficients = bs.block.phases[:, None] * np.linalg.eigh(bs.block.matrix)[1]
+        coefficients = bs.phases[:, None] * np.linalg.eigh(bs.matrix)[1]
         reference = vectors @ coefficients
         assert np.max(np.abs(bs.eigenvectors - reference)) == 0.0
-        residual = bs.block.hmatrix @ coefficients - coefficients * bs.eigenvalues
+        residual = bs.hmatrix @ coefficients - coefficients * bs.eigenvalues
         assert np.max(np.abs(residual)) < 1e-12
         assert bs.eigenvectors is bs.eigenvectors and not bs.eigenvectors.flags.writeable
 
@@ -505,7 +521,7 @@ def test_mirror_momentum_degeneracy_and_conjugation(f):
             continue
         mirror = result.block_for(-bs.label.nu)
         assert np.max(np.abs(bs.eigenvalues - mirror.eigenvalues)) < 1e-9
-        frame = mirror.block.vectors
+        frame = mirror.vectors
         for i, e in enumerate(bs.eigenvalues):
             v = bs.eigenvectors[:, i].conj()
             assert np.linalg.norm(h @ v - e * v) < 1e-8
@@ -559,7 +575,7 @@ def test_four_site_null_energy_eigenstate_is_exact():
     result = solve_spectrum(4, 3.0, 0.5)
     h = build_hamiltonian(4, 3.0, 0.5, result.basis)
     block = result.block_for(2)
-    psi22 = block.block.vectors[:, 2]
+    psi22 = block.vectors[:, 2]
     assert np.linalg.norm(h @ psi22) < 1e-9
 
 
@@ -580,7 +596,7 @@ def test_block_coordinate_tags_equal_quanta_tag(f, lam):
     result = solve_spectrum(f, 3.0, lam)
     for bs in result.blocks:
         oracle = tuple(quanta_tag(v, result.basis) for v in bs.eigenvectors.T)
-        assert quanta_tags(bs.coefficients, bs.block.quanta) == oracle
+        assert quanta_tags(bs.u, bs.quanta) == quanta_tags(bs.coefficients, bs.quanta) == oracle
 
 
 @pytest.mark.parametrize("table", REFERENCE_TABLES, ids=lambda t: t.name)
