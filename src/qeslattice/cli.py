@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from itertools import groupby
@@ -146,19 +147,29 @@ def _json_chunks(groups, f: int, gamma: float):
 
 @contextmanager
 def _output(path: str | None):
-    """The ``--out`` file opened for writing, or stdout when there is none.
+    """A function returning the stream to write to: stdout, or the ``--out``
+    file.
 
-    Opened before any work, so an unwritable path fails at once; a run that
-    then fails with an exception leaves no file behind."""
+    The file is opened before any work, so an unwritable path fails at once,
+    but truncated only when the function is called, once the work is done.
+    A run that fails with an exception removes the file if it created it and
+    otherwise leaves it as it found it, up to what it had written."""
     if not path:
-        yield sys.stdout
+        yield lambda: sys.stdout
         return
-    fh = open(path, "w")
+    created = not os.path.lexists(path)
+    fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
+
+    def stream():
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(0)
+        return fh
     try:
         with fh:
-            yield fh
+            yield stream
     except Exception:
-        os.remove(path)
+        if created:
+            os.remove(path)
         raise
 
 
@@ -188,7 +199,7 @@ def cmd_spectrum(args) -> int:
         return _Parser.exit_with("spectrum expects a single coupling, not a grid")
     with _output(args.out) as out:
         group = _spectrum_group(args.f, args.gamma, lams[0], band_flags=False)
-        _emit([group], args.f, args.gamma, args.format, out, with_band=False)
+        _emit([group], args.f, args.gamma, args.format, out(), with_band=False)
     return 0
 
 
@@ -201,7 +212,7 @@ def cmd_sweep(args) -> int:
         blocks = [(bs.label.nu, bs.tags, None) for bs in result.blocks]
         table = np.hstack([bs.energies for bs in result.blocks])
         groups = ((lam, blocks, row) for lam, row in zip(result.lambdas.tolist(), table))
-        _emit(groups, args.f, args.gamma, args.format, out, with_band=False)
+        _emit(groups, args.f, args.gamma, args.format, out(), with_band=False)
     return 0
 
 
@@ -209,7 +220,7 @@ def cmd_figure2(args) -> int:
     lams = _parse_lambda(args.lam)
     with _output(args.out) as out:
         groups = [_spectrum_group(args.f, args.gamma, lam, band_flags=True) for lam in lams]
-        _emit(groups, args.f, args.gamma, args.format, out, with_band=True)
+        _emit(groups, args.f, args.gamma, args.format, out(), with_band=True)
     return 0
 
 
@@ -231,14 +242,14 @@ def cmd_tables(args) -> int:
                          f"(tolerance {TABLE_TOL:g})")
             lines.append("")
             worst_overall = max(worst_overall, table_worst)
-        out.write("\n".join(lines) + "\n")
+        out().write("\n".join(lines) + "\n")
     return 0 if worst_overall < TABLE_TOL else VERIFY_ERROR
 
 
 def cmd_verify(args) -> int:
     with _output(args.out) as out:
         checks = run_suites(args.suite)
-        out.write(json.dumps(as_records(checks), indent=2, default=str) + "\n")
+        out().write(json.dumps(as_records(checks), indent=2, default=str) + "\n")
     failed = failures(checks)
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed",
           file=sys.stderr)

@@ -209,10 +209,8 @@ def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     _check_coupling("lambda", lam)
     spectra = []
     for stack in pencil_stacks(f, gamma):
-        h = stack.matrix(lam)
-        w, v = eigh_checked(h)
-        for array in (h, w, v):
-            array.setflags(write=False)
+        h = _read_only(stack.matrix(lam))
+        w, v = map(_read_only, eigh_checked(h))
         spectra += [BlockSpectrum(label=label, matrix=h[i], phases=phases, quanta=stack.quanta,
                                   eigenvalues=w[i], u=v[i])
                     for i in range(len(stack.labels)) for label, phases in stack.blocks_of(i)]

@@ -11,7 +11,6 @@ targets.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import groupby
 from typing import Iterator
 
@@ -91,12 +90,11 @@ def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
                             residual=abs(sum(dims) - total), f=f))
 
     gamma, lam = 3.0, 0.5
-    blocks_at = cache(lambda f, gam: solve_spectrum(f, gam, lam).blocks)  # solved once per point
     for f in range(1, f_max_blocks + 1):
         basis = enumerate_basis(f, at_most(2))
         t_op = build_translation(f, basis)
         h = build_hamiltonian(f, gamma, lam, basis)
-        blocks = blocks_at(f, gamma)
+        blocks = solve_spectrum(f, gamma, lam).blocks
         dim_dev = max(abs(b.dim - expected_block_dimension(f, b.label.nu)) for b in blocks)
         checks.append(check("constructed block dimensions", dim_dev == 0,
                             residual=dim_dev, f=f))
@@ -146,7 +144,7 @@ def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
             worst22 = 0.0
             worst12 = 0.0
             # the closed-form blocks against the orbit construction
-            for b, oracle in zip(blocks_at(f, gam), orbit_block_pencil(f, gam)):
+            for b, oracle in zip(solve_spectrum(f, gam, lam).blocks, orbit_block_pencil(f, gam)):
                 ref = oracle.matrix(lam)
                 i0 = 2 if b.label.nu == 0 else 1
                 e_block = np.sort(np.linalg.eigvalsh(b.hmatrix[i0:, i0:]))

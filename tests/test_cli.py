@@ -171,6 +171,20 @@ def test_out_file_of_a_failed_run_is_removed(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_out_file_that_existed_is_kept_by_a_failed_run(tmp_path, capsys):
+    # a file the run did not create is neither removed nor truncated by a failure
+    path = tmp_path / "out.csv"
+    old = "an earlier result\n" * 1000
+    path.write_text(old)
+    code, out, err = run(capsys, "spectrum", "--f", "3", "--gamma", "2e3", "--out", str(path))
+    assert code == 1 and out == "" and err.startswith("error: gamma = 2000.0")
+    assert path.read_text() == old
+    # a run that succeeds replaces all of it
+    code, out, err = run(capsys, "spectrum", "--f", "3", "--out", str(path))
+    assert code == 0 and out == "" and err == ""
+    assert path.read_text() == run(capsys, "spectrum", "--f", "3")[1]
+
+
 def test_closed_stdout_is_an_error_line(capsys, monkeypatch):
     class Closed:
         def write(self, text):
