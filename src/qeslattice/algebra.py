@@ -45,6 +45,7 @@ from .ops import annihilation, build_h_bh, build_translation, creation
 from .report import Check, check
 
 SPAN_TOL = 1e-10
+HEADROOM = 2  # quanta above the asserted sector in every ladder basis
 # targets whose span residuals are formed at once; bounds the temporaries
 _RESIDUAL_CHUNK = 16
 
@@ -91,11 +92,11 @@ def _span_coefficients(targets: np.ndarray,
     return coeffs, dists
 
 
-def verify_sl2(n_values: tuple[int, ...] = (0, 1, 2, 3, 4), headroom: int = 2) -> list[Check]:
+def verify_sl2() -> list[Check]:
     """sl(2) relations and Casimir scalar on each ``n``-quanta sector (f=2)."""
     f = 2
-    n_pad = max(n_values) + headroom
-    a, ad, basis = _ladders(f, n_pad)
+    n_values = range(5)
+    a, ad, basis = _ladders(f, n_values[-1] + HEADROOM)
     j0 = ad[1] @ a[1] - ad[0] @ a[0]
     jp = ad[1] @ a[0]
     jm = ad[0] @ a[1]
@@ -120,12 +121,12 @@ def verify_sl2(n_values: tuple[int, ...] = (0, 1, 2, 3, 4), headroom: int = 2) -
     return checks
 
 
-def verify_grading_closure(f: int, n: int, headroom: int = 2) -> list[Check]:
+def verify_grading_closure(f: int, n: int) -> list[Check]:
     """Closure of the sl(f) family on the ``n``-quanta sector, plus grading
     additivity of every nonzero commutator of definite-grading generators."""
     if not 2 <= f <= 5:
         raise ValueError("grading closure is checked for f in 2..5")
-    a, ad, basis = _ladders(f, n + headroom)
+    a, ad, basis = _ladders(f, n + HEADROOM)
     idx = basis.sector_indices(n)
 
     mats: list[np.ndarray] = []
@@ -164,7 +165,7 @@ def verify_grading_closure(f: int, n: int, headroom: int = 2) -> list[Check]:
     return checks
 
 
-def verify_sl3_diagonal(n: int, headroom: int = 2) -> list[Check]:
+def verify_sl3_diagonal(n: int) -> list[Check]:
     """Hypercharge / isospin diagonal pair on three sites.
 
     ``Y = (2 a_3^+ a_3 - a_1^+ a_1 - a_2^+ a_2) / 3`` acts on an occupation
@@ -173,7 +174,7 @@ def verify_sl3_diagonal(n: int, headroom: int = 2) -> list[Check]:
     ``(n+1)(n+2)/2``.
     """
     f = 3
-    a, ad, basis = _ladders(f, n + headroom)
+    a, ad, basis = _ladders(f, n + HEADROOM)
     idx = basis.sector_indices(n)
     y = (2 * ad[2] @ a[2] - ad[0] @ a[0] - ad[1] @ a[1]) / 3.0
     t3 = (ad[1] @ a[1] - ad[0] @ a[0]) / 2.0
@@ -207,7 +208,7 @@ def verify_translation_f3() -> list[Check]:
     is not conjugate to a 3-cycle under any site relabeling.
     """
     f, n = 3, 1
-    a, ad, basis = _ladders(f, n + 2)
+    a, ad, basis = _ladders(f, n + HEADROOM)
     idx = basis.sector_indices(n)
     bilinear = _restrict(ad[2] @ a[0] + ad[0] @ a[2] + ad[1] @ a[1], idx)
 
@@ -245,7 +246,7 @@ def _unit(basis, occ) -> np.ndarray:
     return v
 
 
-def verify_osp_structure(f: int, headroom: int = 2) -> list[Check]:
+def verify_osp_structure(f: int) -> list[Check]:
     """Generator counts and parity closure of osp(1|2f) on the invariant
     0+1+2-quanta subspace.
 
@@ -259,7 +260,7 @@ def verify_osp_structure(f: int, headroom: int = 2) -> list[Check]:
     if not 1 <= f <= 4:
         raise ValueError("osp structure is checked for f in 1..4")
     n_assert = 2
-    a, ad, basis = _ladders(f, n_assert + headroom)
+    a, ad, basis = _ladders(f, n_assert + HEADROOM)
 
     odd = a + ad
     even = [(ad[j], a[k]) for j in range(f) for k in range(f)]
@@ -304,12 +305,12 @@ def verify_osp_structure(f: int, headroom: int = 2) -> list[Check]:
     return checks
 
 
-def verify_canonical_relations(f: int, headroom: int = 2) -> list[Check]:
+def verify_canonical_relations(f: int) -> list[Check]:
     """Canonical commutation relations on the padded interior:
     ``[a_i, a_j^+] = delta_ij`` and ``[a_i, a_j] = 0`` hold exactly on all
     states with two quanta of headroom below the truncation."""
     n_assert = 2
-    a, ad, basis = _ladders(f, n_assert + headroom)
+    a, ad, basis = _ladders(f, n_assert + HEADROOM)
     dim = basis.sector_indices(n_assert).stop
     # pair by pair on views of the cut operands: stacking them copies more
     # than the f^2 small products cost; [a_i, a_i] = 0 and [a_j, a_i] =

@@ -27,7 +27,7 @@ import numpy as np
 
 from .reference import REFERENCE_GAMMA, TABLE_TOL
 from .report import as_records, failures
-from .spectra import MAX_SITES, quanta_tags, solve_spectrum, sweep
+from .spectra import MAX_SITES, sweep
 from .suites import SUITES, run_suites, table_comparisons
 
 USAGE_ERROR = 1
@@ -112,10 +112,10 @@ def _row_template(blocks) -> str:
         for nu, tags, band_level in blocks for level, tag in enumerate(tags))
 
 
-def _csv_chunks(groups, with_band: bool):
+def _csv_chunks(groups, band: bool):
     """The CSV text, one coupling at a time: each coupling fills its row
     template once; consecutive couplings with the same blocks share one."""
-    yield "lambda,nu,level,n_tag,energy" + (",band" if with_band else "") + "\n"
+    yield "lambda,nu,level,n_tag,energy" + (",band" if band else "") + "\n"
     shape = template = None
     for lam, blocks, energies in groups:
         if blocks is not shape:
@@ -173,24 +173,23 @@ def _output(path: str | None):
         raise
 
 
-def _emit(groups, f: int, gamma: float, fmt: str, out, with_band: bool) -> None:
-    """Write the rows of every block in ``groups`` (see :func:`_blocks`) to
+def _groups(result, band: bool):
+    """``(lam, blocks, energies)`` per grid point of a sweep (see :func:`_blocks`),
+    all points sharing one ``blocks`` list and so one CSV row template; with
+    ``band`` each block flags its level 0, its lowest."""
+    blocks = [(bs.label.nu, bs.tags, 0 if band else None) for bs in result.blocks]
+    table = np.hstack([bs.energies for bs in result.blocks])
+    return ((lam, blocks, row) for lam, row in zip(result.lambdas.tolist(), table))
+
+
+def _emit(results, fmt: str, out, band: bool) -> None:
+    """Write the rows of every grid point of the sweeps ``results`` to
     ``out`` as CSV or as one JSON list, streamed a block at a time."""
+    groups = (group for result in results for group in _groups(result, band))
     if fmt == "csv":
-        out.writelines(_csv_chunks(groups, with_band))
+        out.writelines(_csv_chunks(groups, band))
     else:
-        out.writelines(_json_chunks(groups, f, gamma))
-
-
-def _spectrum_group(f: int, gamma: float, lam: float, band_flags: bool):
-    """One coupling's ``(lam, blocks, energies)`` for :func:`_emit`, tags
-    read from the real eigenvectors of the gauged blocks."""
-    result = solve_spectrum(f, gamma, lam)
-    blocks = []
-    for bs in result.blocks:  # nu descending by construction
-        band_level = int(np.argmin(bs.eigenvalues)) if band_flags else None
-        blocks.append((bs.label.nu, quanta_tags(bs.u, bs.quanta), band_level))
-    return lam, blocks, np.concatenate([bs.eigenvalues for bs in result.blocks])
+        out.writelines(_json_chunks(groups, results[0].f, results[0].gamma))
 
 
 def cmd_spectrum(args) -> int:
@@ -198,8 +197,8 @@ def cmd_spectrum(args) -> int:
     if len(lams) != 1:
         return _Parser.exit_with("spectrum expects a single coupling, not a grid")
     with _output(args.out) as out:
-        group = _spectrum_group(args.f, args.gamma, lams[0], band_flags=False)
-        _emit([group], args.f, args.gamma, args.format, out(), with_band=False)
+        result = sweep(args.f, args.gamma, lams)
+        _emit([result], args.format, out(), band=False)
     return 0
 
 
@@ -209,18 +208,16 @@ def cmd_sweep(args) -> int:
         return _Parser.exit_with("sweep needs a start:stop:step grid")
     with _output(args.out) as out:
         result = sweep(args.f, args.gamma, lams)
-        blocks = [(bs.label.nu, bs.tags, None) for bs in result.blocks]
-        table = np.hstack([bs.energies for bs in result.blocks])
-        groups = ((lam, blocks, row) for lam, row in zip(result.lambdas.tolist(), table))
-        _emit(groups, args.f, args.gamma, args.format, out(), with_band=False)
+        _emit([result], args.format, out(), band=False)
     return 0
 
 
 def cmd_figure2(args) -> int:
+    # one sweep per coupling, so that each coupling's tags are its own
     lams = _parse_lambda(args.lam)
     with _output(args.out) as out:
-        groups = [_spectrum_group(args.f, args.gamma, lam, band_flags=True) for lam in lams]
-        _emit(groups, args.f, args.gamma, args.format, out(), with_band=True)
+        results = [sweep(args.f, args.gamma, [lam]) for lam in lams]
+        _emit(results, args.format, out(), band=True)
     return 0
 
 

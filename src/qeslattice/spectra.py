@@ -41,11 +41,11 @@ MAX_COUPLING = 1e3
 # pencils (nu >= 0) of d ~ f/2 rows, in at most three real (n_nu, d, d)
 # stacks, their matrices at the coupling and their real eigenvectors: four
 # real arrays of about f^3 / 8 entries, 1.9 MB each at f = 120, so memory
-# grows as f^3.  `qeslattice spectrum --f 120` took 0.34 s and peaked at
-# 41 MB RSS (whole process, ru_maxrss, median of 3, 2-vCPU x86-64, one BLAS
-# thread).  The cap bounds what a caller can still ask for: reading
-# `.vectors` and `.eigenvectors` on every block builds dense arrays of
-# 32 * D^2 bytes, about 1.74 GB at f = 120.
+# grows as f^3.  `qeslattice spectrum --f 120`, a one-point sweep, took
+# 0.22 s and peaked at 35 MB RSS (whole process, ru_maxrss, median of 3,
+# 2-vCPU x86-64, one BLAS thread).  The cap bounds what a caller can still
+# ask for: reading `.vectors` and `.eigenvectors` on every block builds
+# dense arrays of 32 * D^2 bytes, about 1.74 GB at f = 120.
 MAX_SITES = 120
 # Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2.  Every block
 # has d^2 <= 3 (f+1)(f+2)/2, so one block's real (n_points, d, d) stack takes

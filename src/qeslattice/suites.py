@@ -27,17 +27,17 @@ from .reference import (CHARPOLY_SAMPLES, CHARPOLY_TOL, REFERENCE_CHAR_POLYS,
                         f3_dim3_energies)
 from .report import Check, check
 from .spectra import (brute_force_eigenvalues, char_poly, solve_spectrum,
-                      soliton_band, verify_eigenvector_formulas)
+                      soliton_band, sweep, verify_eigenvector_formulas)
 
 EXACT_TOL = 1e-12
 ORACLE_TOL = 1e-9
 
 
-def ops_suite(f_max: int = 6) -> list[Check]:
+def ops_suite() -> list[Check]:
     """Hermiticity, conserved quantities and invariant-subspace structure."""
     checks: list[Check] = []
     gamma = 3.0
-    for f in range(1, f_max + 1):
+    for f in range(1, 7):
         basis = enumerate_basis(f, at_most(2))
         n_op = build_number(f, basis)
         t_op = build_translation(f, basis)
@@ -73,12 +73,12 @@ def ops_suite(f_max: int = 6) -> list[Check]:
     return checks
 
 
-def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
+def momentum_suite() -> list[Check]:
     """Block dimensions, orthonormality, translation eigenvectors, coupling
     structure, and agreement of the closed-form block matrices with the
     projection of dense ``H`` and with the orbit construction."""
     checks: list[Check] = []
-    for f in range(1, f_max_dims + 1):
+    for f in range(1, 13):
         dims = block_dimensions(f)
         total = (f + 1) * (f + 2) // 2
         if f % 2 == 1:
@@ -90,7 +90,7 @@ def momentum_suite(f_max_dims: int = 12, f_max_blocks: int = 6) -> list[Check]:
                             residual=abs(sum(dims) - total), f=f))
 
     gamma, lam = 3.0, 0.5
-    for f in range(1, f_max_blocks + 1):
+    for f in range(1, 7):
         basis = enumerate_basis(f, at_most(2))
         t_op = build_translation(f, basis)
         h = build_hamiltonian(f, gamma, lam, basis)
@@ -264,12 +264,13 @@ def charpoly_suite() -> list[Check]:
 
 def table_comparisons() -> Iterator[tuple]:
     """``(table, lam, nu, computed, reference)`` for every tabulated block
-    spectrum at gamma = 3, tables in order; each row is solved once."""
+    spectrum at gamma = 3, tables in order; each table is one sweep."""
     for table in REFERENCE_TABLES:
-        for lam, energies in table.rows:
-            result = solve_spectrum(table.f, REFERENCE_GAMMA, lam)
+        result = sweep(table.f, REFERENCE_GAMMA, [lam for lam, _ in table.rows])
+        curves = {bs.label.nu: bs.energies for bs in result.blocks}
+        for i, (lam, energies) in enumerate(table.rows):
             for nu in table.nus:
-                yield table, lam, nu, result.block_for(nu).eigenvalues, np.array(energies)
+                yield table, lam, nu, curves[nu][i], np.array(energies)
 
 
 def tables_suite() -> list[Check]:
@@ -297,7 +298,7 @@ def tables_suite() -> list[Check]:
 def algebra_suite() -> list[Check]:
     """All Lie-structure verifications at their published ranges."""
     checks: list[Check] = []
-    checks.extend(algebra.verify_sl2(n_values=(0, 1, 2, 3, 4)))
+    checks.extend(algebra.verify_sl2())
     for f in (2, 3, 4):
         checks.extend(algebra.verify_grading_closure(f, n=2))
     for n in (0, 1, 2, 3):

@@ -25,7 +25,7 @@ def find(checks, fragment, **params):
 # ---------------------------------------------------------------- sl(2)
 
 def test_sl2_relations_and_casimir():
-    checks = all_pass(verify_sl2(n_values=(0, 1, 2, 3, 4)))
+    checks = all_pass(verify_sl2())
     for n, scalar in [(0, 0.0), (2, 2.0), (3, 3.75)]:
         c = find(checks, "Casimir", n=n)[0]
         assert c.params["scalar"] == pytest.approx(scalar)

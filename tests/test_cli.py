@@ -155,7 +155,7 @@ def test_unwritable_out_path_is_an_error_line(tmp_path, capsys, monkeypatch, arg
     # the path is opened before any work is done
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --out was opened")
-    for name in ("solve_spectrum", "sweep", "run_suites", "table_comparisons"):
+    for name in ("sweep", "run_suites", "table_comparisons"):
         monkeypatch.setattr(qeslattice.cli, name, refuse)
     path = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, *argv, "--out", str(path))
@@ -272,18 +272,14 @@ def test_csv_templates_write_each_row_as_formatted_alone(tmp_path, capsys):
 
 @pytest.mark.parametrize("f", [5, 15, 47, 6, 16, 48])
 def test_spectrum_equals_the_first_grid_point_of_sweep(capsys, f):
-    # row for row, except the zero levels of the k = pi block of an even
-    # ring: sweep writes them as exact zeros, spectrum as rounding noise
+    # byte for byte, the exact zero levels of the k = pi block of an even
+    # ring included
     _, spectrum, _ = run(capsys, "spectrum", "--f", str(f), "--lambda", "0.3")
     _, swept, _ = run(capsys, "sweep", "--f", str(f), "--lambda", "0.3:0.31:0.01")
-    header, *rows = swept.splitlines()
+    header, *rows = swept.splitlines(keepends=True)
     first = [header] + [row for row in rows if row.startswith("0.3,")]
-    assert len(first) == len(spectrum.splitlines()) == 1 + (f + 1) * (f + 2) // 2
-    for line, row in zip(spectrum.splitlines(), first):
-        if line != row:
-            lam, nu, level, tag, energy = line.split(",")
-            assert f % 2 == 0 and int(nu) == f // 2 and abs(float(energy)) < 1e-14
-            assert row == f"{lam},{nu},{level},{tag},0"
+    assert len(first) == 1 + (f + 1) * (f + 2) // 2
+    assert "".join(first) == spectrum
 
 
 def test_sweep_row_count_and_values(tmp_path, capsys):
@@ -343,6 +339,30 @@ def test_figure2_defaults(tmp_path, capsys):
             band = [r for r in block if r[5] == "true"]
             assert len(band) == 1
             assert float(band[0][4]) == min(float(r[4]) for r in block)
+
+
+def test_figure2_prints_the_decoupled_k_pi_levels_as_exact_zeros(capsys):
+    # f = 20: the nu = 10 block has d = 12 levels, d - 3 = 9 of them
+    # decoupled zeros at every coupling; at lam = 0 one coupled level is
+    # zero too and prints its rounding noise
+    code, out, _ = run(capsys, "figure2", "--f", "20")
+    assert code == 0
+    _, rows = csv_rows(out)
+    for lam in ("0", "0.5"):
+        block = [r for r in rows if r[0] == lam and r[1] == "10"]
+        near_zero = [r for r in block if abs(float(r[4])) < 1e-14]
+        exact = [r for r in near_zero if r[4] == "0"]
+        assert len(block) == 12 and len(exact) == 9
+        assert len(near_zero) - len(exact) == (lam == "0")
+
+
+def test_tables_print_the_k_pi_zero_level_of_four_sites_as_zero(capsys):
+    code, out, _ = run(capsys, "tables")
+    assert code == 0
+    table = out.split("# f4 nu=2 ")[1].split("\n\n")[0]
+    rows = [line for line in table.splitlines() if " nu=+2 | " in line]
+    assert len(rows) == 6
+    assert not any("-0.000 (+0.000)" in row for row in rows)
 
 
 # ---------------------------------------------------------------- verify
