@@ -17,7 +17,8 @@ from .ops import (annihilation, apply_hamiltonian, build_h_bh, build_h_lambda,
                   creation, hermiticity_defect, sector_block)
 from .spectra import (BlockSpectrum, SolitonBand, SpectrumResult, SweepResult,
                       brute_force_eigenvalues, char_poly, eigh_checked, quanta_tags,
-                      solve_spectrum, soliton_band, sweep, verify_eigenvector_formulas)
+                      solve_spectra, solve_spectrum, soliton_band, sweep,
+                      verify_eigenvector_formulas)
 
 __version__ = "0.1.0"
 
@@ -29,7 +30,7 @@ __all__ = [
     "BlockPencil", "MomentumLabel", "PencilStack", "block_dimensions", "block_frame",
     "build_momentum_vectors", "momentum_values", "orbit_block_pencil", "pencil_stacks", "project_block", "to_orbit_frame",
     "BlockSpectrum", "SolitonBand", "SpectrumResult", "SweepResult",
-    "brute_force_eigenvalues", "char_poly", "eigh_checked", "quanta_tags", "solve_spectrum",
-    "soliton_band", "sweep", "verify_eigenvector_formulas",
+    "brute_force_eigenvalues", "char_poly", "eigh_checked", "quanta_tags", "solve_spectra",
+    "solve_spectrum", "soliton_band", "sweep", "verify_eigenvector_formulas",
     "__version__",
 ]

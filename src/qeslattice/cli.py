@@ -27,7 +27,7 @@ import numpy as np
 
 from .reference import REFERENCE_GAMMA, TABLE_TOL
 from .report import as_records, failures
-from .spectra import MAX_SITES, sweep
+from .spectra import MAX_SITES, _check_rows, sweep
 from .suites import SUITES, run_suites, table_comparisons
 
 USAGE_ERROR = 1
@@ -213,8 +213,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure2(args) -> int:
-    # one sweep per coupling, so that each coupling's tags are its own
+    # one sweep per coupling, so that each coupling's tags are its own; the
+    # whole grid is held to the row cap of one sweep before any is solved
     lams = _parse_lambda(args.lam)
+    _check_rows(args.f, len(lams))
     with _output(args.out) as out:
         results = [sweep(args.f, args.gamma, [lam]) for lam in lams]
         _emit(results, args.format, out(), band=True)

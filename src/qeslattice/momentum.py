@@ -263,10 +263,6 @@ class PencilStack:
         for array in (self.quanta, self.b_bh, self.b_drive, self.phases):
             array.setflags(write=False)
 
-    def matrix(self, lam: float) -> np.ndarray:
-        """The ``(n_nu, d, d)`` stack of block matrices at one coupling."""
-        return self.b_bh + lam * self.b_drive
-
     def blocks_of(self, i: int) -> list[tuple[MomentumLabel, np.ndarray]]:
         """``(label, phases)`` of every block row ``i`` stands for: its own
         label ``nu`` with ``phases[i]`` and, when ``-nu`` is another label of

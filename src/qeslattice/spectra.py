@@ -47,7 +47,8 @@ MAX_COUPLING = 1e3
 # ask for: reading `.vectors` and `.eigenvectors` on every block builds
 # dense arrays of 32 * D^2 bytes, about 1.74 GB at f = 120.
 MAX_SITES = 120
-# Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2.  Every block
+# Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2; it also caps
+# the levels of one `solve_spectra` call and of a `figure2` grid.  Every block
 # has d^2 <= 3 (f+1)(f+2)/2, so one block's real (n_points, d, d) stack takes
 # at most 8 * 3 * MAX_SWEEP_ROWS = 48 MB.  The largest accepted grid on the
 # largest ring, `qeslattice sweep --f 120` over 270 points (1,992,870 rows),
@@ -193,29 +194,52 @@ class SpectrumResult:
         return np.sort(np.concatenate([bs.eigenvalues for bs in self.blocks]))
 
 
-def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
-    """Assemble all momentum blocks of ``H`` and diagonalize them, one real
-    :func:`eigh_checked` call per stack of equal-sized distinct blocks
-    (``nu >= 0``); a block ``-nu`` shares the matrix, eigenvalues and real
+def solve_spectra(f: int, gamma: float, lams: Iterable[float]) -> tuple[SpectrumResult, ...]:
+    """The spectrum of one ring at each coupling of ``lams``, in that order.
+
+    The block pencils ``B_BH + lam * B_drive`` are built once; each stack of
+    equal-sized distinct blocks (``nu >= 0``) is then evaluated at every
+    coupling as one ``(n_lams, n_nu, d, d)`` array and diagonalized in one
+    real :func:`eigh_checked` call.  ``eigh`` solves every matrix of a stack
+    on its own, so a level does not depend on which other couplings it was
+    solved with.  A block ``-nu`` shares the matrix, eigenvalues and real
     eigenvectors ``u`` of ``nu`` and has the conjugate phases.
 
     Raises ``ValueError`` for a ring size ``f`` that is not an integer in
-    ``1..MAX_SITES``, and for a coupling that is not a real number, is not
-    finite or is larger than ``MAX_COUPLING`` in magnitude.  Blocks are
-    returned ``nu`` descending.
+    ``1..MAX_SITES``, for a coupling that is not a real number, is not
+    finite or is larger than ``MAX_COUPLING`` in magnitude, and for more
+    than ``MAX_SWEEP_ROWS`` levels in all, before any block is built.  The
+    couplings need not be distinct or sorted; an empty ``lams`` gives
+    ``()``.  Blocks are returned ``nu`` descending.
     """
     f = _check_sites(f)
     _check_coupling("gamma", gamma)
-    _check_coupling("lambda", lam)
-    spectra = []
+    lams = list(lams)
+    for lam in lams:
+        _check_coupling("lambda", lam)
+    _check_rows(f, len(lams))
+    if not lams:
+        return ()
+    grid = np.array([float(lam) for lam in lams])[:, None, None, None]
+    spectra: list[list[BlockSpectrum]] = [[] for _ in lams]
     for stack in pencil_stacks(f, gamma):
-        h = _read_only(stack.matrix(lam))
+        h = _read_only(stack.b_bh + grid * stack.b_drive)
         w, v = map(_read_only, eigh_checked(h))
-        spectra += [BlockSpectrum(label=label, matrix=h[i], phases=phases, quanta=stack.quanta,
-                                  eigenvalues=w[i], u=v[i])
-                    for i in range(len(stack.labels)) for label, phases in stack.blocks_of(i)]
-    spectra.sort(key=lambda bs: -bs.label.nu)
-    return SpectrumResult(f=f, gamma=gamma, lam=lam, blocks=tuple(spectra))
+        blocks = [(i, label, phases) for i in range(len(stack.labels))
+                  for label, phases in stack.blocks_of(i)]
+        for j, point in enumerate(spectra):
+            point += [BlockSpectrum(label=label, matrix=h[j, i], phases=phases,
+                                    quanta=stack.quanta, eigenvalues=w[j, i], u=v[j, i])
+                      for i, label, phases in blocks]
+    return tuple(SpectrumResult(f=f, gamma=gamma, lam=lam,
+                                blocks=tuple(sorted(point, key=lambda bs: -bs.label.nu)))
+                 for lam, point in zip(lams, spectra))
+
+
+def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
+    """The spectrum at one coupling, ``solve_spectra(f, gamma, [lam])[0]``:
+    every momentum block of ``H``, diagonalized."""
+    return solve_spectra(f, gamma, [lam])[0]
 
 
 def char_poly(block: BlockSpectrum) -> np.ndarray:
@@ -404,23 +428,27 @@ def soliton_band(result: SpectrumResult) -> SolitonBand:
     return SolitonBand(minima=tuple(minima), margin=float(margin), per_nu_margin=per_nu)
 
 
-def verify_eigenvector_formulas(f: int, gamma: float, lam: float) -> list:
-    """Check every applicable closed-form eigenstate at one parameter point.
+def verify_eigenvector_formulas(result: SpectrumResult) -> list:
+    """Check every closed-form eigenstate that applies to a solved spectrum.
 
-    For each formula the computed eigenvalues of its block are substituted
-    into the printed coefficients, the state is assembled over the occupation
-    basis and the relative residual ``|(H - E) v| / |v|`` is compared against
+    ``result`` is a :class:`SpectrumResult` of :func:`solve_spectrum` or
+    :func:`solve_spectra`; its ``f``, ``gamma`` and ``lam`` select the
+    formulas.  For each formula the computed eigenvalues of its block are
+    substituted into the printed coefficients, the state is assembled over
+    the occupation basis and the relative residual ``|(H - E) v| / |v|``,
+    with ``H`` built densely at the result's parameters, is compared against
     ``1e-8``.  Failures are reported, not raised.  Formulas that are
     alternative readings of one printed expression share a group; a summary
     record for the group passes when at least one reading does.  A formula
     whose coefficients vanish identically at the given parameters (the
     mixing amplitudes are proportional to ``lam`` in several of them) is
-    reported as a skip.
+    reported as a skip.  Raises ``ValueError`` for a ring outside ``1..4``,
+    where no formula is tabulated.
     """
+    f, gamma, lam = result.f, result.gamma, result.lam
     if f not in (1, 2, 3, 4):
         raise ValueError("closed-form eigenstates are tabulated for f in 1..4")
 
-    result = solve_spectrum(f, gamma, lam)
     h = build_hamiltonian(f, gamma, lam, result.basis)
     checks: list[Check] = []
     group_results: dict[str, list[bool]] = {}

@@ -26,7 +26,7 @@ from .reference import (CHARPOLY_SAMPLES, CHARPOLY_TOL, REFERENCE_CHAR_POLYS,
                         REFERENCE_GAMMA, REFERENCE_TABLES, TABLE_TOL,
                         f3_dim3_energies)
 from .report import Check, check
-from .spectra import (brute_force_eigenvalues, char_poly, solve_spectrum,
+from .spectra import (brute_force_eigenvalues, char_poly, solve_spectra, solve_spectrum,
                       soliton_band, sweep, verify_eigenvector_formulas)
 
 EXACT_TOL = 1e-12
@@ -90,11 +90,13 @@ def momentum_suite() -> list[Check]:
                             residual=abs(sum(dims) - total), f=f))
 
     gamma, lam = 3.0, 0.5
+    solved = {}  # f -> the solve at (gamma, lam), reused by the closed-form comparison
     for f in range(1, 7):
         basis = enumerate_basis(f, at_most(2))
         t_op = build_translation(f, basis)
         h = build_hamiltonian(f, gamma, lam, basis)
-        blocks = solve_spectrum(f, gamma, lam).blocks
+        solved[f] = solve_spectrum(f, gamma, lam)
+        blocks = solved[f].blocks
         dim_dev = max(abs(b.dim - expected_block_dimension(f, b.label.nu)) for b in blocks)
         checks.append(check("constructed block dimensions", dim_dev == 0,
                             residual=dim_dev, f=f))
@@ -144,7 +146,8 @@ def momentum_suite() -> list[Check]:
             worst22 = 0.0
             worst12 = 0.0
             # the closed-form blocks against the orbit construction
-            for b, oracle in zip(solve_spectrum(f, gam, lam).blocks, orbit_block_pencil(f, gam)):
+            result = solved[f] if gam == gamma else solve_spectrum(f, gam, lam)
+            for b, oracle in zip(result.blocks, orbit_block_pencil(f, gam)):
                 ref = oracle.matrix(lam)
                 i0 = 2 if b.label.nu == 0 else 1
                 e_block = np.sort(np.linalg.eigvalsh(b.hmatrix[i0:, i0:]))
@@ -163,24 +166,26 @@ def spectra_suite() -> list[Check]:
     """Oracle equivalence, coupling-sign symmetry, momentum degeneracy and
     the decoupled-limit sector structure."""
     checks: list[Check] = []
+    solved = {}  # (f, gamma, lam) -> SpectrumResult, reused by the later checks
     for f in range(1, 8):
         for gamma in (1.0, 3.0):
-            for lam in (0.0, 0.25, 0.5):
-                blocks = solve_spectrum(f, gamma, lam).all_eigenvalues()
+            lams = (0.0, 0.25, 0.5)
+            for lam, result in zip(lams, solve_spectra(f, gamma, lams)):
+                solved[f, gamma, lam] = result
+                blocks = result.all_eigenvalues()
                 full = brute_force_eigenvalues(f, gamma, lam)
                 r = float(np.max(np.abs(blocks - full)))
                 checks.append(check("block spectra match brute force", r < ORACLE_TOL,
                                     residual=r, f=f, gamma=gamma, lam=lam))
 
     for f in (2, 3, 5):
-        plus = solve_spectrum(f, 3.0, 0.4).all_eigenvalues()
-        minus = solve_spectrum(f, 3.0, -0.4).all_eigenvalues()
+        plus, minus = (r.all_eigenvalues() for r in solve_spectra(f, 3.0, (0.4, -0.4)))
         r = float(np.max(np.abs(plus - minus)))
         checks.append(check("spectrum invariant under lam -> -lam", r < ORACLE_TOL,
                             residual=r, f=f))
 
     for f in (3, 4, 5, 7):
-        result = solve_spectrum(f, 3.0, 0.5)
+        result = solved[f, 3.0, 0.5]
         h = build_hamiltonian(f, 3.0, 0.5, result.basis)
         worst_pair = 0.0
         worst_conj = 0.0
@@ -210,7 +215,7 @@ def spectra_suite() -> list[Check]:
 
     for f in range(1, 8):
         gamma = 3.0
-        result = solve_spectrum(f, gamma, 0.0)
+        result = solved[f, gamma, 0.0]
         expected = [0.0]
         expected += [-2.0 * np.cos(2 * np.pi * l.nu / f) for l in momentum_values(f)]
         two = enumerate_basis(f, exactly(2))
@@ -232,8 +237,9 @@ def soliton_suite() -> list[Check]:
     """
     checks: list[Check] = []
     for f in (3, 5, 7):
-        for lam in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
-            band = soliton_band(solve_spectrum(f, 3.0, lam))
+        lams = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+        for lam, result in zip(lams, solve_spectra(f, 3.0, lams)):
+            band = soliton_band(result)
             checks.append(check("soliton band separated per momentum",
                                 band.per_nu_margin > 0.0,
                                 residual=band.per_nu_margin, f=f, lam=lam,
@@ -243,14 +249,13 @@ def soliton_suite() -> list[Check]:
 
 def charpoly_suite() -> list[Check]:
     """The printed block polynomials, sampled over (gamma, lam); each ring is
-    solved once per sample."""
+    solved once per gamma, over all sampled couplings."""
     gammas, lams = CHARPOLY_SAMPLES
     worst = dict.fromkeys(REFERENCE_CHAR_POLYS, 0.0)
     for f in dict.fromkeys(ref.f for ref in REFERENCE_CHAR_POLYS):
         refs = [ref for ref in REFERENCE_CHAR_POLYS if ref.f == f]
         for gamma in gammas:
-            for lam in lams:
-                result = solve_spectrum(f, gamma, lam)
+            for lam, result in zip(lams, solve_spectra(f, gamma, lams)):
                 for ref in refs:
                     target = ref.coefficients(gamma, lam)
                     for nu in ref.nus:
@@ -284,8 +289,8 @@ def tables_suite() -> list[Check]:
                             values=table.value_count * len(table.nus)))
     # the dimension-3 blocks on three sites additionally have exact closed forms
     worst = 0.0
-    for lam in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
-        result = solve_spectrum(3, REFERENCE_GAMMA, lam)
+    lams = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+    for lam, result in zip(lams, solve_spectra(3, REFERENCE_GAMMA, lams)):
         target = np.array(f3_dim3_energies(lam))
         for nu in (1, -1):
             worst = max(worst, float(np.max(np.abs(
@@ -318,11 +323,14 @@ def eigvec_suite() -> list[Check]:
     coefficient vector degenerates to zero.
     """
     checks: list[Check] = []
+    lams = (0.1, 0.25, 0.5)
     for gamma in (1.0, 3.0, 7.0):
-        for lam in (0.1, 0.25, 0.5):
+        # one solve per ring; f = 2 also at lam = 0, its last point
+        solved = {f: solve_spectra(f, gamma, lams + (0.0,) * (f == 2)) for f in (1, 2, 3, 4)}
+        for j in range(len(lams)):
             for f in (1, 2, 3, 4):
-                checks.extend(verify_eigenvector_formulas(f, gamma, lam))
-        checks.extend(verify_eigenvector_formulas(2, gamma, 0.0))
+                checks.extend(verify_eigenvector_formulas(solved[f][j]))
+        checks.extend(verify_eigenvector_formulas(solved[2][-1]))
     return checks
 
 

@@ -196,7 +196,7 @@ def test_criterion_10_eigenstate_formulas():
         for gamma in (1.0, 3.0, 7.0):
             for lam in (0.1, 0.25, 0.5):
                 for f in (1, 2, 3, 4):
-                    checks = verify_eigenvector_formulas(f, gamma, lam)
+                    checks = verify_eigenvector_formulas(solve_spectrum(f, gamma, lam))
                     for c in checks:
                         if c.status == "fail":
                             raise AssertionError((c.name, c.params, c.residual))
@@ -205,7 +205,7 @@ def test_criterion_10_eigenstate_formulas():
                         if c.status == "pass" and "[" in c.name:
                             resolved.setdefault(c.name, 0)
                             resolved[c.name] += 1
-            checks = verify_eigenvector_formulas(2, gamma, 0.0)
+            checks = verify_eigenvector_formulas(solve_spectrum(2, gamma, 0.0))
             assert all(c.passed for c in checks)
         # exactly one reading of each ambiguous printed formula matches
         assert set(resolved) == {

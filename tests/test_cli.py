@@ -341,6 +341,22 @@ def test_figure2_defaults(tmp_path, capsys):
             assert float(band[0][4]) == min(float(r[4]) for r in block)
 
 
+def test_figure2_rejects_a_grid_over_the_sweep_row_cap_before_any_solve(tmp_path, capsys,
+                                                                         monkeypatch):
+    # f = 19 has 210 levels: 10000 couplings make 2.1 M rows, just over the cap
+    argv = ("--f", "19", "--lambda", "0:0.9999:0.0001")
+    code, out, sweep_err = run(capsys, "sweep", *argv)
+    assert code == 1 and out == "" and sweep_err.startswith("error: sweep of 10000 couplings")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("figure2 solved a coupling of a grid over the row cap")
+    monkeypatch.setattr(qeslattice.cli, "sweep", refuse)
+    path = tmp_path / "fig.csv"
+    code, out, err = run(capsys, "figure2", *argv, "--out", str(path))
+    assert code == 1 and out == "" and err == sweep_err
+    assert not path.exists()
+
+
 def test_figure2_prints_the_decoupled_k_pi_levels_as_exact_zeros(capsys):
     # f = 20: the nu = 10 block has d = 12 levels, d - 3 = 9 of them
     # decoupled zeros at every coupling; at lam = 0 one coupled level is

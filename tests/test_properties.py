@@ -4,6 +4,7 @@ symmetries of the model, on randomly drawn small rings and grids."""
 import io
 from contextlib import redirect_stdout
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from qeslattice import spectra  # noqa: E402
 from qeslattice.cli import _parse_lambda, main  # noqa: E402
-from qeslattice.spectra import brute_force_eigenvalues, solve_spectrum, sweep  # noqa: E402
+from qeslattice.spectra import (brute_force_eigenvalues, solve_spectra, solve_spectrum,  # noqa: E402
+                                sweep)
 
 from oracles import quanta_tag  # noqa: E402
 
@@ -139,3 +142,45 @@ def test_spectrum_csv_is_the_first_grid_point_of_sweep_on_every_ring(f, gamma, l
     dim = (f + 1) * (f + 2) // 2
     assert len(rows) == 2 * dim
     assert header + "".join(rows[:dim]) == spectrum
+
+
+couplings = st.floats(-1.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 24), st.floats(0.5, 7.0), st.lists(couplings, min_size=1, max_size=6))
+@example(47, 3.0, [0.3, -0.3, 0.0])
+@example(48, 3.0, [0.5, 0.0, 0.5])
+@example(119, 0.5, [1.0, 0.01])
+@example(120, 7.0, [-0.01, 0.25])
+def test_solve_spectra_equals_solve_spectrum_bit_for_bit(f, gamma, lams):
+    # a level does not depend on which couplings it was solved with
+    results = solve_spectra(f, gamma, lams)
+    assert len(results) == len(lams)
+    for lam, result in zip(lams, results, strict=True):
+        alone = solve_spectrum(f, gamma, lam)
+        assert (result.f, result.gamma, result.lam) == (alone.f, alone.gamma, alone.lam)
+        for b, bs in zip(result.blocks, alone.blocks, strict=True):
+            assert b.label == bs.label
+            for name in ("eigenvalues", "u", "matrix", "phases"):
+                assert np.array_equal(getattr(b, name), getattr(bs, name)), name
+
+
+def refuse_pencils(*args, **kwargs):
+    raise AssertionError("pencil_stacks was called")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(couplings, max_size=5), st.sampled_from([float("nan"), True, 1e4]),
+       st.data())
+def test_solve_spectra_rejects_a_bad_coupling_anywhere_before_building(lams, bad, data):
+    lams.insert(data.draw(st.integers(0, len(lams)), label="position"), bad)
+    with mock.patch.object(spectra, "pencil_stacks", refuse_pencils):
+        with pytest.raises(ValueError, match="lambda"):
+            solve_spectra(5, 3.0, lams)
+
+
+def test_solve_spectra_of_no_couplings_is_empty():
+    with mock.patch.object(spectra, "pencil_stacks", refuse_pencils):
+        assert solve_spectra(5, 3.0, []) == ()
+        assert solve_spectra(5, 3.0, iter(())) == ()

@@ -14,7 +14,10 @@ from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
 from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS,
                                 brute_force_eigenvalues, char_poly, eigh_checked, quanta_tags,
-                                solve_spectrum, soliton_band, sweep, verify_eigenvector_formulas)
+                                solve_spectra, solve_spectrum, soliton_band, sweep,
+                                verify_eigenvector_formulas)
+from qeslattice.report import failures
+from qeslattice.suites import run_suites
 
 from oracles import quanta_tag
 
@@ -173,6 +176,25 @@ def test_sweep_rejects_too_many_rows_before_any_basis(no_basis):
     assert 3 * 666_667 == MAX_SWEEP_ROWS + 1
     with pytest.raises(ValueError, match="666667 couplings x 3 levels"):
         sweep(1, 3.0, np.linspace(0.0, 1.0, 666_667))
+
+
+def test_solve_spectra_rejects_too_many_levels_before_any_basis(no_basis):
+    with pytest.raises(ValueError, match="666667 couplings x 3 levels"):
+        solve_spectra(1, 3.0, [0.5] * 666_667)
+
+
+def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
+    # one pencil build and one eigh per stack for each (f, gamma) a suite
+    # probes, over all its couplings (182 and 375 calls when every coupling
+    # was its own solve)
+    calls = {"pencil_stacks": 0, "eigh_checked": 0}
+    for name in calls:
+        def counted(*args, _call=getattr(spectra, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(spectra, name, counted)
+    assert not failures(run_suites())
+    assert calls["pencil_stacks"] <= 64 and calls["eigh_checked"] <= 133, calls
 
 
 def test_sweep_at_the_row_cap_passes_the_guard(no_basis):
@@ -532,7 +554,7 @@ def test_mirror_momentum_degeneracy_and_conjugation(f):
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
 def test_eigenvector_formulas_all_pass(f):
-    checks = verify_eigenvector_formulas(f, 3.0, 0.25)
+    checks = verify_eigenvector_formulas(solve_spectrum(f, 3.0, 0.25))
     hard_failures = [c for c in checks if c.status == "fail"]
     assert not hard_failures, hard_failures
     groups = [c for c in checks if c.name.startswith("reading group")]
@@ -542,27 +564,28 @@ def test_eigenvector_formulas_all_pass(f):
 
 def test_eigenvector_formulas_generic_gamma():
     for gamma in (1.0, 7.0):
-        checks = verify_eigenvector_formulas(2, gamma, 0.4)
+        checks = verify_eigenvector_formulas(solve_spectrum(2, gamma, 0.4))
         assert all(c.passed for c in checks)
 
 
 def test_eigenvector_formulas_decoupled_limit():
-    checks = verify_eigenvector_formulas(2, 3.0, 0.0)
+    checks = verify_eigenvector_formulas(solve_spectrum(2, 3.0, 0.0))
     names = {c.name for c in checks}
     assert "f2 lam=0 two-quanta symmetric pair" in names
     assert all(c.passed for c in checks)
 
 
 def test_eigenvector_formulas_reject_large_rings():
-    with pytest.raises(ValueError):
-        verify_eigenvector_formulas(5, 3.0, 0.1)
+    result = solve_spectrum(5, 3.0, 0.1)
+    with pytest.raises(ValueError, match="f in 1..4"):
+        verify_eigenvector_formulas(result)
 
 
 def test_exactly_one_reading_matches_each_ambiguous_formula():
-    checks = verify_eigenvector_formulas(2, 3.0, 0.3)
+    checks = verify_eigenvector_formulas(solve_spectrum(2, 3.0, 0.3))
     members = [c for c in checks if c.params.get("nu") == 0 and "[c3" in c.name]
     assert sum(c.status == "pass" for c in members) == 1
-    checks = verify_eigenvector_formulas(4, 3.0, 0.3)
+    checks = verify_eigenvector_formulas(solve_spectrum(4, 3.0, 0.3))
     members = [c for c in checks if "pair coefficient" in c.name]
     assert {c.name.split("[")[1].rstrip("]"): c.status for c in members} == {
         "pair coefficient as printed": "reading-mismatch",
