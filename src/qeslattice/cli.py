@@ -82,69 +82,6 @@ def _parse_lambda(text: str) -> list[float]:
     return [start + i * step for i in range(int(span) + 1)]
 
 
-def _blocks(groups):
-    """``(lambda text, nu, levels)`` per momentum block, ``levels`` one
-    ``(level, n_tag, energy, band)`` per row.  ``groups`` holds ``(lam,
-    blocks, energies)`` per coupling: ``blocks`` lists ``(nu, tags,
-    band_level)`` per block and ``energies`` the levels of every block in
-    that order; ``band`` is ``None`` when ``band_level`` is.  Each coupling
-    is formatted once."""
-    for lam, blocks, energies in groups:
-        lam_text = _fmt(lam)
-        energies = energies.tolist()
-        stop = 0
-        for nu, tags, band_level in blocks:
-            start, stop = stop, stop + len(tags)
-            bands = [None if band_level is None else level == band_level
-                     for level in range(len(tags))]
-            yield lam_text, nu, zip(range(len(tags)), tags, energies[start:stop], bands)
-
-
-_BAND_CELL = {None: "", True: ",true", False: ",false"}
-
-
-def _row_template(blocks) -> str:
-    """One ``%``-template for the CSV rows of a coupling: per row ``%s``
-    for the coupling and ``%.12g`` for the energy, the rest written in."""
-    return "".join(
-        f"%s,{nu},{level},{tag},%.12g"
-        f"{_BAND_CELL[None if band_level is None else level == band_level]}\n"
-        for nu, tags, band_level in blocks for level, tag in enumerate(tags))
-
-
-def _csv_chunks(groups, band: bool):
-    """The CSV text, one coupling at a time: each coupling fills its row
-    template once; consecutive couplings with the same blocks share one."""
-    yield "lambda,nu,level,n_tag,energy" + (",band" if band else "") + "\n"
-    shape = template = None
-    for lam, blocks, energies in groups:
-        if blocks is not shape:
-            shape, template = blocks, _row_template(blocks)
-        cells = [_fmt(lam)] * (2 * len(energies))
-        cells[1::2] = energies.tolist()
-        yield template % tuple(cells)
-
-
-def _json_chunks(groups, f: int, gamma: float):
-    """The text of ``json.dumps(records, indent=2)``, one block of records
-    at a time: a block's list, dumped the same way, holds the same text
-    between its brackets."""
-    sep = "[\n"
-    for lam_text, nu, levels in _blocks(groups):
-        common = {"f": f, "gamma": float(_fmt(gamma)), "lambda": float(lam_text), "nu": nu,
-                  "k": float(_fmt(2.0 * np.pi * nu / f))}
-        records = []
-        for level, tag, energy, band in levels:
-            rec = dict(common, level=level, n_tag=tag, energy=float(_fmt(energy)))
-            if band is not None:
-                rec["band"] = band
-            records.append(rec)
-        if records:
-            yield sep + json.dumps(records, indent=2)[2:-2]
-            sep = ",\n"
-    yield "[]\n" if sep == "[\n" else "\n]\n"
-
-
 @contextmanager
 def _output(path: str | None):
     """A function returning the stream to write to: stdout, or the ``--out``
@@ -173,23 +110,38 @@ def _output(path: str | None):
         raise
 
 
-def _groups(result, band: bool):
-    """``(lam, blocks, energies)`` per grid point of a sweep (see :func:`_blocks`),
-    all points sharing one ``blocks`` list and so one CSV row template; with
-    ``band`` each block flags its level 0, its lowest."""
-    blocks = [(bs.label.nu, bs.tags, 0 if band else None) for bs in result.blocks]
-    table = np.hstack([bs.energies for bs in result.blocks])
-    return ((lam, blocks, row) for lam, row in zip(result.lambdas.tolist(), table))
-
-
 def _emit(results, fmt: str, out, band: bool) -> None:
     """Write the rows of every grid point of the sweeps ``results`` to
-    ``out`` as CSV or as one JSON list, streamed a block at a time."""
-    groups = (group for result in results for group in _groups(result, band))
-    if fmt == "csv":
-        out.writelines(_csv_chunks(groups, band))
-    else:
-        out.writelines(_json_chunks(groups, results[0].f, results[0].gamma))
+    ``out``; with ``band`` each block flags its level 0, its lowest.  The
+    CSV fills one ``%``-template per sweep at each coupling; the JSON is the
+    text of ``json.dumps(records, indent=2)``, one block of records at a
+    time (a block's list, dumped alike, holds the same text in brackets)."""
+    if fmt == "json":
+        sep = "[\n"
+        for result in results:
+            for j, lam in enumerate(result.lambdas.tolist()):
+                for bs in result.blocks:
+                    common = {"f": result.f, "gamma": float(_fmt(result.gamma)),
+                              "lambda": float(_fmt(lam)), "nu": bs.label.nu,
+                              "k": float(_fmt(2.0 * np.pi * bs.label.nu / result.f))}
+                    records = [dict(common, level=level, n_tag=tag, energy=float(_fmt(energy)),
+                                    **({"band": level == 0} if band else {}))
+                               for level, (tag, energy)
+                               in enumerate(zip(bs.tags, bs.energies[j].tolist()))]
+                    out.write(sep + json.dumps(records, indent=2)[2:-2])
+                    sep = ",\n"
+        out.write("\n]\n")
+        return
+    out.write("lambda,nu,level,n_tag,energy" + (",band" if band else "") + "\n")
+    for result in results:
+        template = "".join(f"%s,{bs.label.nu},{level},{tag},%.12g"
+                           + ((",true" if level == 0 else ",false") if band else "") + "\n"
+                           for bs in result.blocks for level, tag in enumerate(bs.tags))
+        table = np.hstack([bs.energies for bs in result.blocks]).tolist()
+        for lam, energies in zip(result.lambdas.tolist(), table):
+            cells = [_fmt(lam)] * (2 * len(energies))
+            cells[1::2] = energies
+            out.write(template % tuple(cells))
 
 
 def cmd_spectrum(args) -> int:

@@ -38,7 +38,8 @@ symmetric.  :func:`pencil_stacks` writes it down from its known shape, as a
 pencil in the drive coupling, ``B(lam) = B_BH + lam * B_drive``, for all
 ``nu`` at once and with the pair separation as the index (every cosine read
 from one table of the ``2f`` roots ``e^{i pi j / f}``, ``cos(k j / 2)`` at
-``nu * j mod 2f``):
+``nu * j mod 2f``, exact at the quarter turns, so that ``cos(pi/2)`` is
+``0``):
 
 * ``B_BH`` is ``-2 cos k`` on the one-quantum column and tridiagonal on the
   pair columns: diagonal ``-gamma`` at ``s = 0``, zero elsewhere except
@@ -161,10 +162,15 @@ def two_quanta_seed(f: int, b: int) -> Occupation:
 
 def _roots(f: int) -> np.ndarray:
     """``e^{2 pi i j / f}`` for ``j = 0..f-1``; the phase ``e^{ikr}`` is entry
-    ``nu * r % f``, so no angle outside ``[0, 2 pi)`` reaches ``exp``.  Entry
-    ``2 j`` of ``_roots(2 f)`` equals entry ``j`` of ``_roots(f)`` bit for bit
-    (the angle is the same correctly rounded quotient)."""
-    return np.exp(2j * math.pi * np.arange(f) / f)
+    ``nu * r % f``, so no angle outside ``[0, 2 pi)`` reaches ``exp``, and
+    the quarter turns (``4 j % f == 0``) are the exact ``1, i, -1, -i``.
+    Entry ``2 j`` of ``_roots(2 f)`` equals entry ``j`` of ``_roots(f)`` bit
+    for bit (the same correctly rounded angle, or the same quarter turn)."""
+    j = np.arange(f)
+    roots = np.exp(2j * math.pi * j / f)
+    quarter = 4 * j % f == 0
+    roots[quarter] = np.array([1, 1j, -1, 0 - 1j])[4 * j[quarter] // f]
+    return roots
 
 
 def to_orbit_frame(matrix: np.ndarray, phases: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from .fock import FockBasis, at_most, enumerate_basis
-from .momentum import MomentumLabel, block_frame, pencil_stacks, to_orbit_frame
+from .momentum import (MomentumLabel, block_frame, expected_block_dimension, pencil_stacks,
+                       to_orbit_frame)
 from .ops import build_hamiltonian, hermiticity_defect
 from .reference import EIGENSTATE_FORMULAS, EIGENSTATE_RESIDUAL_TOL
 from .report import Check, check, skip
@@ -48,14 +49,16 @@ MAX_COUPLING = 1e3
 # dense arrays of 32 * D^2 bytes, about 1.74 GB at f = 120.
 MAX_SITES = 120
 # Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2; it also caps
-# the levels of one `solve_spectra` call and of a `figure2` grid.  Every block
-# has d^2 <= 3 (f+1)(f+2)/2, so one block's real (n_points, d, d) stack takes
-# at most 8 * 3 * MAX_SWEEP_ROWS = 48 MB.  The largest accepted grid on the
-# largest ring, `qeslattice sweep --f 120` over 270 points (1,992,870 rows),
-# took 11.1 s and peaked at 85 MB RSS (whole process, ru_maxrss, median of
-# 3, 2-vCPU x86-64, one BLAS thread): the stack and eigenvectors of one
-# distinct block at a time plus the energy table; the CLI writes the CSV a
-# grid point at a time.
+# the levels of a `figure2` grid.  Every block has d^2 <= 3 (f+1)(f+2)/2, so
+# one block's real (n_points, d, d) stack takes at most 8 * 3 *
+# MAX_SWEEP_ROWS = 48 MB.  The largest accepted grid on the largest ring,
+# `qeslattice sweep --f 120` over 270 points (1,992,870 rows), took 11.1 s
+# and peaked at 85 MB RSS (whole process, ru_maxrss, median of 3, 2-vCPU
+# x86-64, one BLAS thread): the stack and eigenvectors of one distinct block
+# at a time plus the energy table; the CLI writes the CSV a grid point at a
+# time.  `solve_spectra` keeps every coupling's distinct block matrices and
+# eigenvectors, n_lams * sum_{nu >= 0} d^2 entries each, so it takes at most
+# 3 * MAX_SWEEP_ROWS (48 MB): 25 couplings at f = 120, 0.9 s and 187 MB RSS.
 MAX_SWEEP_ROWS = 2_000_000
 
 
@@ -85,6 +88,18 @@ def _check_rows(f: int, n_points: int) -> None:
     if n_points * dim > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep of {n_points} couplings x {dim} levels has "
                          f"{n_points * dim} rows, more than {MAX_SWEEP_ROWS}")
+
+
+def _checked(f: int, gamma: float, lams: Iterable[float]) -> tuple[int, np.ndarray]:
+    """``f`` as an ``int`` and the couplings as a float array, after the
+    site, coupling and row checks of both solve paths."""
+    f = _check_sites(f)
+    _check_coupling("gamma", gamma)
+    lams = list(lams)
+    for lam in lams:
+        _check_coupling("lambda", lam)
+    _check_rows(f, len(lams))
+    return f, np.array(lams, dtype=float)
 
 
 def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,22 +223,22 @@ def solve_spectra(f: int, gamma: float, lams: Iterable[float]) -> tuple[Spectrum
     Raises ``ValueError`` for a ring size ``f`` that is not an integer in
     ``1..MAX_SITES``, for a coupling that is not a real number, is not
     finite or is larger than ``MAX_COUPLING`` in magnitude, and for more
-    than ``MAX_SWEEP_ROWS`` levels in all, before any block is built.  The
-    couplings need not be distinct or sorted; an empty ``lams`` gives
-    ``()``.  Blocks are returned ``nu`` descending.
+    than ``MAX_SWEEP_ROWS`` levels or ``3 * MAX_SWEEP_ROWS`` distinct block
+    entries (``len(lams) * sum_{nu >= 0} d_nu^2``) in all, before any block
+    is built.  The couplings need not be distinct or sorted; an empty
+    ``lams`` gives ``()``.  Blocks are returned ``nu`` descending.
     """
-    f = _check_sites(f)
-    _check_coupling("gamma", gamma)
     lams = list(lams)
-    for lam in lams:
-        _check_coupling("lambda", lam)
-    _check_rows(f, len(lams))
+    f, grid = _checked(f, gamma, lams)
+    entries = grid.size * sum(expected_block_dimension(f, nu) ** 2 for nu in range(f // 2 + 1))
+    if entries > 3 * MAX_SWEEP_ROWS:
+        raise ValueError(f"solve of {grid.size} couplings has {entries} block matrix "
+                         f"entries, more than {3 * MAX_SWEEP_ROWS}")
     if not lams:
         return ()
-    grid = np.array([float(lam) for lam in lams])[:, None, None, None]
     spectra: list[list[BlockSpectrum]] = [[] for _ in lams]
     for stack in pencil_stacks(f, gamma):
-        h = _read_only(stack.b_bh + grid * stack.b_drive)
+        h = _read_only(stack.b_bh + grid[:, None, None, None] * stack.b_drive)
         w, v = map(_read_only, eigh_checked(h))
         blocks = [(i, label, phases) for i in range(len(stack.labels))
                   for label, phases in stack.blocks_of(i)]
@@ -248,25 +263,15 @@ def char_poly(block: BlockSpectrum) -> np.ndarray:
     return np.poly(block.eigenvalues)
 
 
-def _real_grid(points: list) -> np.ndarray:
-    """The couplings as a float array; rejects the first one that is not a
-    real number (``bool`` included)."""
-    grid = np.asarray(points)
-    if grid.ndim != 1 or grid.dtype.kind not in "iuf":
-        for lam in points:
-            _check_coupling("lambda", lam)
-        raise ValueError(f"coupling grid {points!r} is not a list of real numbers")
-    return grid.astype(float)
-
-
 @dataclass(frozen=True)
 class BlockSweep:
     """Eigenvalue curves of one block over a coupling grid.
 
     Row ``i`` of ``energies`` belongs to grid point ``i``; column ``c`` is
     one level curve, the block's ``c``-th level in ascending order at every
-    grid point (:func:`sweep` says why that is the continuation).  ``tags``
-    carries the quanta label each curve has at the first grid point.
+    grid point, the ``k = pi`` block's exact zeros included (:func:`sweep`
+    says why that is the continuation).  ``tags`` carries the quanta label
+    each curve has at the first grid point.
     """
 
     label: MomentumLabel
@@ -290,50 +295,24 @@ class SweepResult:
 
 def _coupled_part(b_bh: np.ndarray, b_drive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``3 x 3`` coupled pencil of the ``k = pi`` block of an even ring
-    ``f >= 4``.
+    ``f >= 4``, read off its entries.
 
     The block's first column is the one-quantum vector and its second the
-    doubly occupied pair; the pair columns at ``s >= 1`` have no diagonal
-    and no hops (``-2 cos(pi/2) = 0``), so ``B_BH`` vanishes on them.  One
-    reflection of the drive row over those columns leaves a single
-    combination of them coupled, and the other ``d - 3`` are zero levels at
-    every coupling.  Their rows and columns are checked to be below
-    ``EIGH_HERMITICITY_TOL`` in both matrices, then dropped.
+    doubly occupied pair.  ``cos(pi/2)`` is exactly ``0``
+    (:func:`~qeslattice.momentum._roots`), so the pair columns at ``s >= 1``
+    have no diagonal and no hops, and only the one-quantum row drives them,
+    at even ``s``.  That drive row ``z`` couples one combination of them,
+    the third column, with entry ``-copysign(|z|, z[0])``; the other
+    ``d - 3`` are zero levels at every coupling.  Raises ``ArithmeticError``
+    unless every entry that must vanish is exactly zero.
     """
     z = b_drive[0, 2:]
-    u = z.copy()
-    u[0] += math.copysign(float(np.linalg.norm(z)), z[0])
-    t = np.eye(z.size + 2)
-    t[2:, 2:] -= 2.0 * np.outer(u, u) / (u @ u)
-    b_bh, b_drive = t @ b_bh @ t, t @ b_drive @ t
-    for b in (b_bh, b_drive):
-        if max(np.max(np.abs(b[3:])), np.max(np.abs(b[:, 3:]))) > EIGH_HERMITICITY_TOL:
-            raise ArithmeticError("the zero levels of the k = pi block are not decoupled")
-    return b_bh[:3, :3], b_drive[:3, :3]
-
-
-def _with_zero_levels(w: np.ndarray, tags: tuple[int, ...],
-                      count: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The curves and tags of a ``k = pi`` block from the ascending levels
-    ``w`` of its coupled pencil (:func:`_coupled_part`), their tags, and
-    ``count`` zero levels, exact ``0.0`` with tag ``2`` (they lie in the
-    pair columns).
-
-    The column order is fixed for the whole grid: a coupled curve goes
-    below the zeros when its level at the first point is negative, or, when
-    that level is within ``RESIDUAL_TOL`` of zero (``lam = 0``), when its
-    level at the second point is.  Zero is a pole of the coupled pencil, so
-    for ``gamma != 0`` no coupled level reaches it at ``lam != 0``
-    (interlacing) and the order is the ascending one at every point.
-    """
-    start = w[0].copy()
-    if w.shape[0] > 1:
-        tied = np.abs(start) <= RESIDUAL_TOL
-        start[tied] = w[1, tied]
-    below = int(np.count_nonzero(start < 0))
-    zeros = np.zeros((w.shape[0], count))
-    return (np.concatenate([w[:, :below], zeros, w[:, below:]], axis=1),
-            tags[:below] + (2,) * count + tags[below:])
+    if b_bh[2:].any() or b_bh[:, 2:].any() or b_drive[1:, 1:].any() or z[::2].any():
+        raise ArithmeticError("the zero levels of the k = pi block are not decoupled")
+    drive = (b_drive[0, 1], -math.copysign(float(np.linalg.norm(z)), z[0]))
+    coupled_drive = np.zeros((3, 3))
+    coupled_drive[0, 1:] = coupled_drive[1:, 0] = drive
+    return np.pad(b_bh[:2, :2], (0, 1)), coupled_drive
 
 
 def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
@@ -350,27 +329,24 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     for ``lam != 0`` its levels are simple and strictly interlace the
     eigenvalues of the rest (O'Leary & Stewart, J. Comput. Phys. 90 (1990)
     497), so no two curves cross and the ascending order is the
-    continuation, on any grid.  The ``k = pi`` block is split first: its
-    ``d - 3`` decoupled zero levels are exact zeros and only its three
-    coupled levels are diagonalized (:func:`_coupled_part`,
-    :func:`_with_zero_levels`).  Quanta tags are read from the eigenvectors
-    at the first grid point, in gauge coordinates (the block vectors are
-    orthonormal and the gauge is unitary).  A block ``-nu`` is the same real
-    matrix (:mod:`~qeslattice.momentum`) and shares the energies and tags
-    of ``nu``.  Rejects the inputs :func:`solve_spectrum` rejects, empty or
-    unsorted grids and grids of more than ``MAX_SWEEP_ROWS`` output rows,
-    before any block is built.
+    continuation, on any grid.  The ``k = pi`` block is split first: only
+    its three coupled levels are diagonalized (:func:`_coupled_part`); its
+    ``d - 3`` decoupled levels join them as exact zeros with tag ``2``, and
+    the levels are sorted at each grid point like any block's (for
+    ``gamma != 0`` a coupled level is zero only at ``lam = 0``, exactly).
+    Quanta tags are read from the eigenvectors at the first grid point, in
+    gauge coordinates (the block vectors are orthonormal and the gauge is
+    unitary).  A block ``-nu`` is the same real matrix
+    (:mod:`~qeslattice.momentum`) and shares the energies and tags of
+    ``nu``.  Rejects the inputs :func:`solve_spectra` rejects but its entry
+    cap, empty or unsorted grids and grids of more than ``MAX_SWEEP_ROWS``
+    output rows, before any block is built.
     """
-    f = _check_sites(f)
-    grid = _real_grid(list(lambdas))
+    f, grid = _checked(f, gamma, lambdas)
     if grid.size == 0:
         raise ValueError("empty coupling grid")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("coupling grid must be strictly ascending")
-    _check_rows(f, grid.size)
-    _check_coupling("gamma", gamma)
-    for lam in grid:
-        _check_coupling("lambda", float(lam))
 
     block_sweeps = []
     for stack in pencil_stacks(f, gamma):
@@ -382,7 +358,11 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
             energies, v = eigh_checked(b_bh + np.multiply.outer(grid, b_drive))
             tags = quanta_tags(v[0], stack.quanta[:energies.shape[1]])
             if split:
-                energies, tags = _with_zero_levels(energies, tags, stack.quanta.size - 3)
+                zeros = stack.quanta.size - 3
+                energies = np.hstack([energies, np.zeros((grid.size, zeros))])
+                first = np.argsort(energies[0], kind="stable")
+                tags = tuple(np.array(tags + (2,) * zeros)[first].tolist())
+                energies = np.sort(energies, axis=1)
             block_sweeps += [BlockSweep(label=label, energies=energies, tags=tags)
                              for label, _ in stack.blocks_of(i)]
     block_sweeps.sort(key=lambda bs: -bs.label.nu)

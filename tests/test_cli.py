@@ -360,16 +360,15 @@ def test_figure2_rejects_a_grid_over_the_sweep_row_cap_before_any_solve(tmp_path
 def test_figure2_prints_the_decoupled_k_pi_levels_as_exact_zeros(capsys):
     # f = 20: the nu = 10 block has d = 12 levels, d - 3 = 9 of them
     # decoupled zeros at every coupling; at lam = 0 one coupled level is
-    # zero too and prints its rounding noise
+    # exactly zero too
     code, out, _ = run(capsys, "figure2", "--f", "20")
     assert code == 0
     _, rows = csv_rows(out)
-    for lam in ("0", "0.5"):
+    for lam, zeros in (("0", 10), ("0.5", 9)):
         block = [r for r in rows if r[0] == lam and r[1] == "10"]
         near_zero = [r for r in block if abs(float(r[4])) < 1e-14]
         exact = [r for r in near_zero if r[4] == "0"]
-        assert len(block) == 12 and len(exact) == 9
-        assert len(near_zero) - len(exact) == (lam == "0")
+        assert len(block) == 12 and len(exact) == len(near_zero) == zeros
 
 
 def test_tables_print_the_k_pi_zero_level_of_four_sites_as_zero(capsys):

@@ -504,3 +504,24 @@ def test_half_angle_roots_hold_the_full_angle_roots_bit_for_bit():
     # the builder reads e^{ikj} at entry 2 nu j of the 2f-root table
     for f in range(1, MAX_SITES + 1):
         assert np.array_equal(momentum._roots(2 * f)[::2], momentum._roots(f))
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_roots_are_exact_at_the_quarter_turns(m):
+    quarter = momentum._roots(4 * m)[::m]
+    assert quarter.tolist() == [1, 1j, -1, -1j]
+    parts = np.concatenate([quarter.real, quarter.imag])
+    assert not np.signbit(parts[parts == 0.0]).any()  # no -0.0
+    half = momentum._roots(2 * m)[m]
+    assert half.real == -1.0 and half.imag == 0.0
+
+
+@pytest.mark.parametrize("f", range(4, MAX_SITES + 1, 2))
+def test_k_pi_block_vanishes_exactly_on_its_s_ge_1_hops_and_odd_s_drive(f):
+    # cos(pi s / 2) = 0 at odd s: the pair columns s >= 1 (columns 2..) have
+    # no hops and the drive reaches only the even ones, all exactly
+    stack = next(s for s in pencil_stacks(f, 3.0) if 2 * s.labels[0].nu == f)
+    b_bh, b_drive = stack.b_bh[0], stack.b_drive[0]
+    assert not b_bh[2:].any() and not b_bh[:, 2:].any()
+    assert not b_drive[0, 2::2].any() and not b_drive[2::2, 0].any()
+    assert np.all(b_drive[0, 3::2] != 0.0)

@@ -8,7 +8,7 @@ import pytest
 from qeslattice import spectra
 from qeslattice.fock import at_most, enumerate_basis, exactly
 from qeslattice.momentum import (build_momentum_vectors, momentum_values, orbit_block_pencil,
-                                 to_orbit_frame)
+                                 pencil_stacks, to_orbit_frame)
 from qeslattice.ops import build_h_bh, build_hamiltonian
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
@@ -195,6 +195,17 @@ def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
         monkeypatch.setattr(spectra, name, counted)
     assert not failures(run_suites())
     assert calls["pencil_stacks"] <= 64 and calls["eigh_checked"] <= 133, calls
+
+
+def test_solve_spectra_rejects_too_many_matrix_entries_before_any_block(no_basis):
+    # the distinct blocks of f = 120 hold 63^2 + 30 * 61^2 + 30 * 62^2 entries:
+    # 25 couplings fit in 3 * MAX_SWEEP_ROWS, 26 do not, far below the level cap
+    entries = 63 ** 2 + 30 * 61 ** 2 + 30 * 62 ** 2
+    assert 25 * entries <= 3 * MAX_SWEEP_ROWS < 26 * entries
+    with pytest.raises(ValueError, match=f"26 couplings has {26 * entries} block matrix entries"):
+        solve_spectra(MAX_SITES, 3.0, [0.1] * 26)
+    with pytest.raises(AssertionError, match="a basis or block was built"):
+        solve_spectra(MAX_SITES, 3.0, [0.1] * 25)
 
 
 def test_sweep_at_the_row_cap_passes_the_guard(no_basis):
@@ -431,6 +442,34 @@ def test_k_pi_block_has_exact_zero_levels_and_sorted_coupled_levels(f):
     off = block.energies[points != 0.0]
     assert np.all(np.count_nonzero(off == 0.0, axis=1) == d - 3)
     assert np.all(np.diff(off, axis=1) >= 0)
+
+
+def k_pi_pencil(f):
+    """Writable copies of ``B_BH`` and ``B_drive`` of the ``k = pi`` block."""
+    stack = next(s for s in pencil_stacks(f, 3.0) if 2 * s.labels[0].nu == f)
+    return stack.b_bh[0].copy(), stack.b_drive[0].copy()
+
+
+@pytest.mark.parametrize("f", [4, 6, 20, 48, 120])
+def test_coupled_part_reads_the_k_pi_pencil_off_its_entries(f):
+    b_bh, b_drive = k_pi_pencil(f)
+    coupled_bh, coupled_drive = spectra._coupled_part(b_bh, b_drive)
+    assert coupled_bh.tolist() == [[2.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 0.0]]
+    norm = np.linalg.norm(b_drive[0, 2:])
+    assert coupled_drive.tolist() == [[0.0, -math.sqrt(2), norm], [-math.sqrt(2), 0.0, 0.0],
+                                      [norm, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("f", [4, 6, 20, 48, 120])
+@pytest.mark.parametrize("entry", ["hop", "drive"])
+def test_coupled_part_rejects_a_k_pi_block_that_is_zero_only_up_to_rounding(f, entry):
+    # one s >= 1 hop or one odd-s drive entry of 1e-17, symmetric, is not
+    # zero: the split refuses it however small it is
+    b_bh, b_drive = k_pi_pencil(f)
+    matrix, i, j = (b_bh, 2, 3) if entry == "hop" else (b_drive, 0, 2)
+    matrix[i, j] = matrix[j, i] = 1e-17
+    with pytest.raises(ArithmeticError, match="not decoupled"):
+        spectra._coupled_part(b_bh, b_drive)
 
 
 @pytest.mark.parametrize("f, points", [(16, grid(0.0, 0.49, 0.01)), (120, grid(0.0, 0.09, 0.01))])
