@@ -6,31 +6,42 @@ that part of the spectrum is computable exactly.  Translation symmetry
 splits the restricted Hamiltonian into small Hermitian momentum blocks,
 whose spectra, characteristic polynomials and eigenstates this package
 constructs and verifies.
+
+``import qeslattice`` loads no submodule; each exported name is imported on
+first access (PEP 562), so a solve never loads the oracles of ``ops``.
 """
 
-from .fock import FockBasis, Selector, at_most, enumerate_basis, exactly, translate
-from .momentum import (BlockPencil, MomentumLabel, PencilStack, block_dimensions, block_frame,
-                       build_momentum_vectors, momentum_values, orbit_block_pencil,
-                       pencil_stacks, project_block, to_orbit_frame)
-from .ops import (annihilation, apply_hamiltonian, build_h_bh, build_h_lambda,
-                  build_hamiltonian, build_number, build_translation, commutator,
-                  creation, hermiticity_defect, sector_block)
-from .spectra import (BlockSpectrum, SolitonBand, SpectrumResult, SweepResult,
-                      brute_force_eigenvalues, char_poly, eigh_checked, quanta_tags,
-                      solve_spectra, solve_spectrum, soliton_band, sweep,
-                      verify_eigenvector_formulas)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FockBasis", "Selector", "at_most", "enumerate_basis", "exactly", "translate",
-    "annihilation", "creation", "commutator", "apply_hamiltonian", "build_h_bh",
-    "build_h_lambda", "build_hamiltonian", "build_number", "build_translation",
-    "hermiticity_defect", "sector_block",
-    "BlockPencil", "MomentumLabel", "PencilStack", "block_dimensions", "block_frame",
-    "build_momentum_vectors", "momentum_values", "orbit_block_pencil", "pencil_stacks", "project_block", "to_orbit_frame",
-    "BlockSpectrum", "SolitonBand", "SpectrumResult", "SweepResult",
-    "brute_force_eigenvalues", "char_poly", "eigh_checked", "quanta_tags", "solve_spectra",
-    "solve_spectrum", "soliton_band", "sweep", "verify_eigenvector_formulas",
-    "__version__",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in {
+    "fock": "FockBasis Selector at_most enumerate_basis exactly translate",
+    "momentum": "MomentumLabel PencilStack block_dimensions block_frame momentum_values "
+                "pencil_stacks project_block to_orbit_frame",
+    "spectra": "BlockSpectrum SolitonBand SpectrumResult SweepResult eigh_checked "
+               "hermiticity_defect quanta_tags solve_spectra solve_spectrum soliton_band sweep",
+    "ops": "annihilation creation commutator apply_hamiltonian build_h_bh build_h_lambda "
+           "build_hamiltonian build_number build_translation sector_block BlockPencil "
+           "brute_force_eigenvalues build_momentum_vectors orbit_block_pencil",
+    "suites": "verify_eigenvector_formulas",
+}.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS.values(), "algebra", "cli", "reference", "report"}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -80,17 +80,8 @@ and its amplitude ``e^{ikr}/sqrt(P)``, checked before they are scattered
 into ``V``: distinct orbits share no occupation state, so ``V^H V = I``
 reduces to distinct rows and unit column norms.
 
-Two independent constructions are the oracles.  :func:`orbit_block_pencil`
-is the standard momentum-state construction: ``H`` is applied once to each
-seed (:func:`~qeslattice.ops.apply_hamiltonian`), every image is mapped to
-its orbit representative ``a`` and shift ``r`` (image ``= T^r |a>``) through
-an orbit table built with :func:`~qeslattice.fock.translate`, and
-
-    ``B_k[a, b] = sqrt(P_b / P_a) * sum_images h * e^{-ik r}``.
-
-:func:`project_block` projects an explicitly built dense ``H`` onto the
-vectors of :func:`build_momentum_vectors`, which come from the same orbit
-table.
+The oracles for these blocks build occupation states and are in
+:mod:`~qeslattice.ops`, which nothing here imports.
 """
 
 from __future__ import annotations
@@ -100,9 +91,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fock import FockBasis, Occupation, at_most, enumerate_basis, translate
-from .ops import apply_hamiltonian
 
 GRAM_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
@@ -122,7 +110,7 @@ class MomentumLabel:
     @property
     def translation_eigenvalue(self) -> complex:
         """Eigenvalue of ``T`` on this block's vectors (``e^{-ik}`` under the
-        phase convention used in :func:`build_momentum_vectors`)."""
+        phase convention used in :func:`block_frame`)."""
         return cmath.exp(-1j * self.k)
 
 
@@ -141,23 +129,6 @@ def momentum_values(f: int) -> list[MomentumLabel]:
 def two_quanta_seed_count(f: int) -> int:
     """Number of two-quantum seed patterns: ``(f+1)/2`` odd, ``f/2+1`` even."""
     return (f + 1) // 2 if f % 2 == 1 else f // 2 + 1
-
-
-def two_quanta_seed(f: int, b: int) -> Occupation:
-    """Seed pattern for the ``b``-th two-quantum family.
-
-    ``b = 1`` is the doubly occupied site ``(2, 0, ..., 0)``; for ``b >= 2``
-    the two quanta sit on sites 1 and ``b`` (``b-2`` zeros in between).
-    """
-    if not 1 <= b <= two_quanta_seed_count(f):
-        raise ValueError(f"seed index {b} out of range for f={f}")
-    occ = [0] * f
-    if b == 1:
-        occ[0] = 2
-    else:
-        occ[0] = 1
-        occ[b - 1] = 1
-    return tuple(occ)
 
 
 def _roots(f: int) -> np.ndarray:
@@ -229,26 +200,6 @@ def block_frame(label: MomentumLabel) -> np.ndarray:
     v[rows, cols] = amps
     v.setflags(write=False)
     return v
-
-
-@dataclass(frozen=True)
-class BlockPencil:
-    """One momentum block of the orbit construction
-    (:func:`orbit_block_pencil`) as a function of the drive coupling,
-    ``b_bh + lam * b_drive``, in the orbit frame; ``quanta`` holds the total
-    quanta of each column (0 vacuum, 1, then 2s)."""
-
-    label: MomentumLabel
-    quanta: np.ndarray
-    b_bh: np.ndarray
-    b_drive: np.ndarray
-
-    def __post_init__(self) -> None:
-        for array in (self.b_bh, self.b_drive):
-            array.setflags(write=False)
-
-    def matrix(self, lam: float) -> np.ndarray:
-        return self.b_bh + lam * self.b_drive
 
 
 @dataclass(frozen=True)
@@ -377,86 +328,6 @@ def _check_unit_columns(cols: np.ndarray, amps: np.ndarray, dim: int) -> None:
         raise ValueError("block vectors are not orthonormal")
 
 
-# ------------------------------------------------------------------ oracles
-
-
-@dataclass(frozen=True)
-class _Orbits:
-    """Translation orbits of the 0+1+2-quanta space, shared by all labels.
-
-    Seeds are ordered vacuum, one quantum, then the two-quanta seeds by
-    increasing ``b``, which is the column order of every block; ``quanta``
-    holds each seed's total quanta.  ``where`` maps each occupation to
-    ``(seed, r)`` with occupation ``= T^r |seed>``; ``rows``, ``seed_of`` and
-    ``shift`` list the same members as arrays, with ``rows`` their positions
-    in one basis of ``size`` states.
-    """
-
-    f: int
-    size: int
-    seeds: tuple[Occupation, ...]
-    periods: np.ndarray
-    quanta: np.ndarray
-    where: dict[Occupation, tuple[int, int]]
-    rows: np.ndarray
-    seed_of: np.ndarray
-    shift: np.ndarray
-
-    def alive(self, nu: int) -> np.ndarray:
-        """Seeds whose Fourier sum survives at ``nu``: ``nu * P % f == 0``."""
-        return np.flatnonzero(nu * self.periods % self.f == 0)
-
-    def frame(self, nu: int) -> np.ndarray:
-        """The ``(size, d)`` block vectors at ``nu``: ``e^{ikr} / sqrt(P)``
-        on the ``r``-th translate of each surviving seed, one column per
-        seed."""
-        alive = self.alive(nu)
-        column = np.full(len(self.seeds), -1)
-        column[alive] = np.arange(alive.size)
-        member = column[self.seed_of] >= 0
-        seed = self.seed_of[member]
-        v = np.zeros((self.size, alive.size), dtype=complex)
-        v[self.rows[member], column[seed]] = (_roots(self.f)[nu * self.shift[member] % self.f]
-                                              / np.sqrt(self.periods[seed]))
-        return v
-
-
-def _orbits(f: int, basis: FockBasis) -> _Orbits:
-    seeds = [(0,) * f, (1,) + (0,) * (f - 1)]
-    seeds += [two_quanta_seed(f, b) for b in range(1, two_quanta_seed_count(f) + 1)]
-    periods = []
-    where: dict[Occupation, tuple[int, int]] = {}
-    for a, seed in enumerate(seeds):
-        state, r = seed, 0
-        while r == 0 or state != seed:
-            where[state] = (a, r)
-            state, r = translate(state), r + 1
-        periods.append(r)
-    seed_of, shift = np.array(list(where.values())).T
-    return _Orbits(f=f, size=basis.size, seeds=tuple(seeds), periods=np.array(periods),
-                   quanta=np.array([sum(seed) for seed in seeds]), where=where,
-                   rows=np.array([basis.index[state] for state in where]),
-                   seed_of=seed_of, shift=shift)
-
-
-def build_momentum_vectors(
-    f: int, label: MomentumLabel, basis: FockBasis | None = None
-) -> list[np.ndarray]:
-    """Unit-norm block basis vectors for one momentum label, from the orbit
-    table (the dense reference for :func:`block_frame`).
-
-    Orbits whose Fourier sum vanishes at this momentum contribute no vector;
-    each survivor is ``(1/sqrt(P)) sum_r e^{ikr} T^r |seed>``.
-    """
-    if label.f != f:
-        raise ValueError("label does not match the site count")
-    if label not in momentum_values(f):
-        raise ValueError(f"nu={label.nu} is not a momentum value for f={f}")
-    if basis is None:
-        basis = enumerate_basis(f, at_most(2))
-    return list(np.ascontiguousarray(_orbits(f, basis).frame(label.nu).T))
-
-
 def project_block(h: np.ndarray, vectors: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """``Vᴴ h V``: a Hermitian matrix projected onto the span of orthonormal
     vectors, given as a list or as the columns of ``V``.
@@ -468,44 +339,3 @@ def project_block(h: np.ndarray, vectors: list[np.ndarray] | np.ndarray) -> np.n
     v = np.column_stack(vectors) if isinstance(vectors, list) else vectors
     _check_orthonormal(v)
     return v.conj().T @ h @ v
-
-
-def orbit_block_pencil(f: int, gamma: float,
-                       basis: FockBasis | None = None) -> list[BlockPencil]:
-    """The oracle for :func:`pencil_stacks`: every block built from the
-    images of the orbit seeds.
-
-    One pass over the seeds with ``apply_hamiltonian(f, gamma, 1.0, seed)``;
-    each image is looked up in the orbit table, and the entries are split by
-    the total quanta of their row and column seeds: ``H_BH`` keeps the
-    quanta and the drive moves them by one.  The pencils are complex, in the
-    orbit frame itself, and returned ``nu`` descending.
-    """
-    if basis is None:
-        basis = enumerate_basis(f, at_most(2))
-    orbits = _orbits(f, basis)
-    # one entry per (image, seed): row seed a, column seed b, amplitude h, shift r
-    rows, cols, amps, shifts = [], [], [], []
-    for b, seed in enumerate(orbits.seeds):
-        for image, h in apply_hamiltonian(f, gamma, 1.0, seed).items():
-            a, r = orbits.where[image]
-            rows.append(a)
-            cols.append(b)
-            amps.append(h)
-            shifts.append(r)
-    rows, cols = np.array(rows), np.array(cols)
-    weights = np.array(amps) * np.sqrt(orbits.periods[cols] / orbits.periods[rows])
-    labels = momentum_values(f)
-    nus = np.array([label.nu for label in labels])[:, None]
-    n = len(orbits.seeds)
-    full = np.zeros((len(labels), n, n), dtype=complex)
-    np.add.at(full, (slice(None), rows, cols), weights * _roots(f)[-nus * np.array(shifts) % f])
-    same = orbits.quanta[:, None] == orbits.quanta[None, :]
-    b_bh, b_drive = np.where(same, full, 0.0), np.where(same, 0.0, full)
-    pencils = []
-    for i, label in enumerate(labels):
-        alive = orbits.alive(label.nu)
-        rows = alive[:, None]
-        pencils.append(BlockPencil(label=label, quanta=orbits.quanta[alive],
-                                   b_bh=b_bh[i, rows, alive], b_drive=b_drive[i, rows, alive]))
-    return pencils

@@ -9,9 +9,7 @@ distinct blocks ``nu >= 0`` are diagonalized, and each pair ``+-nu`` gets the
 same eigenvalues, with its eigenvectors carried back to the two orbit frames
 by conjugate phases.  The ``+-nu`` degeneracy therefore holds by
 construction; the tests and ``verify`` check it against blocks built
-independently at ``-nu``.
-Characteristic polynomials are assembled from eigenvalues (stable at these
-dimensions) rather than by determinant expansion.
+independently at ``-nu`` by :mod:`~qeslattice.ops`, which nothing here imports.
 """
 
 from __future__ import annotations
@@ -24,12 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .fock import FockBasis, at_most, enumerate_basis
 from .momentum import (MomentumLabel, block_frame, expected_block_dimension, pencil_stacks,
                        to_orbit_frame)
-from .ops import build_hamiltonian, hermiticity_defect
-from .reference import EIGENSTATE_FORMULAS, EIGENSTATE_RESIDUAL_TOL
-from .report import Check, check, skip
 
 EIGH_HERMITICITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -100,6 +94,14 @@ def _checked(f: int, gamma: float, lams: Iterable[float]) -> tuple[int, np.ndarr
         _check_coupling("lambda", lam)
     _check_rows(f, len(lams))
     return f, np.array(lams, dtype=float)
+
+
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Largest entrywise deviation of a square matrix, or of a stack
+    ``(..., d, d)`` of them, from self-adjointness."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("hermiticity is defined for square matrices only")
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
 
 
 def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,17 +189,12 @@ class BlockSpectrum:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Full block-resolved spectrum at one parameter point; ``basis`` is the
-    occupation basis, enumerated on first read."""
+    """Full block-resolved spectrum at one parameter point."""
 
     f: int
     gamma: float
     lam: float
     blocks: tuple[BlockSpectrum, ...]
-
-    @cached_property
-    def basis(self) -> FockBasis:
-        return enumerate_basis(self.f, at_most(2))
 
     def block_for(self, nu: int) -> BlockSpectrum:
         for bs in self.blocks:
@@ -255,12 +252,6 @@ def solve_spectrum(f: int, gamma: float, lam: float) -> SpectrumResult:
     """The spectrum at one coupling, ``solve_spectra(f, gamma, [lam])[0]``:
     every momentum block of ``H``, diagonalized."""
     return solve_spectra(f, gamma, [lam])[0]
-
-
-def char_poly(block: BlockSpectrum) -> np.ndarray:
-    """Monic real characteristic polynomial of a solved block, highest power
-    first, built as ``prod (E - E_i)`` from its eigenvalues."""
-    return np.poly(block.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -406,94 +397,3 @@ def soliton_band(result: SpectrumResult) -> SolitonBand:
     margin = (min(rest) - band_max) if rest else float("inf")
     per_nu = min(per_nu_gaps) if per_nu_gaps else float("inf")
     return SolitonBand(minima=tuple(minima), margin=float(margin), per_nu_margin=per_nu)
-
-
-def verify_eigenvector_formulas(result: SpectrumResult) -> list:
-    """Check every closed-form eigenstate that applies to a solved spectrum.
-
-    ``result`` is a :class:`SpectrumResult` of :func:`solve_spectrum` or
-    :func:`solve_spectra`; its ``f``, ``gamma`` and ``lam`` select the
-    formulas.  For each formula the computed eigenvalues of its block are
-    substituted into the printed coefficients, the state is assembled over
-    the occupation basis and the relative residual ``|(H - E) v| / |v|``,
-    with ``H`` built densely at the result's parameters, is compared against
-    ``1e-8``.  Failures are reported, not raised.  Formulas that are
-    alternative readings of one printed expression share a group; a summary
-    record for the group passes when at least one reading does.  A formula
-    whose coefficients vanish identically at the given parameters (the
-    mixing amplitudes are proportional to ``lam`` in several of them) is
-    reported as a skip.  Raises ``ValueError`` for a ring outside ``1..4``,
-    where no formula is tabulated.
-    """
-    f, gamma, lam = result.f, result.gamma, result.lam
-    if f not in (1, 2, 3, 4):
-        raise ValueError("closed-form eigenstates are tabulated for f in 1..4")
-
-    h = build_hamiltonian(f, gamma, lam, result.basis)
-    checks: list[Check] = []
-    group_results: dict[str, list[bool]] = {}
-
-    for formula in EIGENSTATE_FORMULAS:
-        if formula.f != f:
-            continue
-        if formula.gamma is not None and abs(formula.gamma - gamma) > 1e-12:
-            continue
-        if formula.lam is not None and abs(formula.lam - lam) > 1e-12:
-            continue
-        if formula.kind == "block":
-            block = result.block_for(formula.nu)
-            eigenvalues = block.eigenvalues
-            frame = block.vectors
-        else:
-            eigenvalues = result.all_eigenvalues()
-            frame = None
-        params = {"f": f, "gamma": gamma, "lam": lam, "nu": formula.nu}
-        worst = 0.0
-        tested = 0
-        degenerate = 0
-        for E in eigenvalues:
-            if not formula.selects(E, gamma, lam):
-                continue
-            coeffs = formula.coefficients(E, gamma, lam)
-            if formula.kind == "block":
-                v = frame @ np.asarray(coeffs, dtype=complex)
-            else:
-                v = np.zeros(result.basis.size, dtype=complex)
-                for occ, c in coeffs.items():
-                    v[result.basis.index[occ]] = c
-            norm = float(np.linalg.norm(v))
-            if norm < 1e-12:
-                degenerate += 1
-                continue
-            worst = max(worst, float(np.linalg.norm(h @ v - E * v) / norm))
-            tested += 1
-        if tested == 0:
-            checks.append(skip(formula.name, note="all selected states degenerate here",
-                               **params))
-            continue
-        ok = worst < EIGENSTATE_RESIDUAL_TOL
-        note = f"{tested} states" + (f", {degenerate} degenerate skipped" if degenerate else "")
-        if formula.group is not None:
-            # alternative readings of one printed expression: record which
-            # match, but leave the pass/fail verdict to the group summary
-            status = "pass" if ok else "reading-mismatch"
-            checks.append(Check(name=formula.name, params=params, residual=worst,
-                                status=status, note=note))
-            group_results.setdefault(formula.group, []).append(ok)
-        else:
-            checks.append(check(formula.name, ok, residual=worst, note=note, **params))
-
-    for group, oks in sorted(group_results.items()):
-        matches = sum(oks)
-        checks.append(check(
-            f"reading group '{group}'", matches >= 1, residual=0.0,
-            note=f"{matches}/{len(oks)} readings match the computed eigenvectors",
-            f=f, gamma=gamma, lam=lam))
-    return checks
-
-
-def brute_force_eigenvalues(f: int, gamma: float, lam: float) -> np.ndarray:
-    """Independent oracle: diagonalize ``H`` on the plain occupation basis of
-    the 0+1+2-quanta space, with no momentum machinery."""
-    basis = enumerate_basis(f, at_most(2))
-    return np.sort(np.linalg.eigvalsh(build_hamiltonian(f, gamma, lam, basis)))

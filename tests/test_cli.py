@@ -96,6 +96,48 @@ def test_import_leaves_scipy_optimize_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+ORACLE_MODULES = ("fock", "ops", "reference", "report", "algebra", "suites")
+
+
+def test_solve_path_loads_no_oracle_module():
+    # the production path (cli, spectra, momentum) loads no module that
+    # builds occupation states or checks against them; the lazy package
+    # namespace still resolves every exported name and submodule
+    src = str(Path(qeslattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import os, sys\n"
+            "import qeslattice, qeslattice.cli\n"
+            f"oracles = ['qeslattice.' + name for name in {ORACLE_MODULES!r}]\n"
+            "def loaded():\n"
+            "    return [name for name in oracles if name in sys.modules]\n"
+            "assert loaded() == [], loaded()\n"
+            "for argv in (['spectrum', '--f', '12', '--lambda', '0.3'],\n"
+            "             ['spectrum', '--f', '4', '--format', 'json'],\n"
+            "             ['sweep', '--f', '9', '--lambda', '0:0.2:0.1'],\n"
+            "             ['figure2', '--f', '8']):\n"
+            "    assert qeslattice.cli.main(argv + ['--out', os.devnull]) == 0, argv\n"
+            "result = qeslattice.solve_spectrum(6, 3.0, 0.2)\n"
+            "qeslattice.soliton_band(result)\n"
+            "qeslattice.sweep(7, 2.0, [0.0, 0.1])\n"
+            "qeslattice.solve_spectra(5, 1.0, [0.1, 0.2])\n"
+            "result.blocks[0].eigenvectors\n"
+            "assert loaded() == [], loaded()\n"
+            "for name in qeslattice.__all__:\n"
+            "    getattr(qeslattice, name)\n"
+            "assert set(qeslattice.__all__) <= set(dir(qeslattice))\n"
+            "assert 'ops' in qeslattice.suites.SUITES\n"
+            "assert qeslattice.ops.brute_force_eigenvalues is qeslattice.brute_force_eigenvalues\n"
+            "assert len(loaded()) == len(oracles), loaded()\n"
+            "try:\n"
+            "    qeslattice.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('an unknown name resolved')\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_sweeps_without_a_hard_step_leave_scipy_optimize_unloaded():
     # a rejected sweep, a library sweep and a sweep through the CLI
     # order levels by sorting and never load scipy
@@ -141,7 +183,6 @@ def test_spectrum_builds_no_frame_and_no_basis(capsys, monkeypatch):
         raise AssertionError("a frame or an occupation basis was built")
     monkeypatch.setattr(qeslattice.momentum, "block_frame", refuse)
     monkeypatch.setattr(qeslattice.spectra, "block_frame", refuse)
-    monkeypatch.setattr(qeslattice.spectra, "enumerate_basis", refuse)
     code, out, err = run(capsys, "spectrum", "--f", "12", "--lambda", "0.3")
     assert code == 0 and err == ""
     header, rows = csv_rows(out)
@@ -155,8 +196,9 @@ def test_unwritable_out_path_is_an_error_line(tmp_path, capsys, monkeypatch, arg
     # the path is opened before any work is done
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --out was opened")
-    for name in ("sweep", "run_suites", "table_comparisons"):
-        monkeypatch.setattr(qeslattice.cli, name, refuse)
+    monkeypatch.setattr(qeslattice.cli, "sweep", refuse)
+    for name in ("run_suites", "table_comparisons"):  # imported by the command that runs them
+        monkeypatch.setattr(qeslattice.suites, name, refuse)
     path = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 1 and out == "" and not path.parent.exists()
@@ -393,9 +435,21 @@ def test_verify_single_suite(tmp_path, capsys):
     assert "8/8 checks passed" in err
 
 
-def test_verify_rejects_unknown_suite(capsys):
-    code, _, _ = run(capsys, "verify", "--suite", "nonsense")
-    assert code == 1
+def test_verify_rejects_unknown_suite(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--suite", "nonsense", "--out", str(path))
+    assert code == 1 and out == "" and not path.exists()
+    assert err.startswith("error: ") and "'nonsense'" in err and err.count("\n") == 1
+    assert all(f"'{name}'" in err for name in qeslattice.suites.SUITES)
+
+
+@pytest.mark.parametrize("first", ["ops", "all"])
+def test_verify_checks_every_suite_name_before_running_any(capsys, monkeypatch, first):
+    def refuse():
+        raise AssertionError("a suite ran before the names were checked")
+    monkeypatch.setitem(qeslattice.suites.SUITES, "ops", refuse)
+    code, out, err = run(capsys, "verify", "--suite", first, "--suite", "nonsense")
+    assert code == 1 and out == "" and "'nonsense'" in err
 
 
 def test_tables_command(capsys):

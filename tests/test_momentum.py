@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from qeslattice.fock import at_most, enumerate_basis
-from qeslattice import momentum
+from qeslattice import momentum, ops
 from qeslattice.momentum import (GRAM_TOL, MomentumLabel, _check_disjoint_rows,
-                                 _check_unit_columns, block_dimensions,
-                                 block_frame, build_momentum_vectors,
-                                 expected_block_dimension, momentum_values,
-                                 orbit_block_pencil, pencil_stacks, project_block,
-                                 to_orbit_frame, two_quanta_seed, two_quanta_seed_count)
-from qeslattice.ops import (apply_hamiltonian, build_h_bh, build_h_lambda,
-                           build_hamiltonian, build_translation, hermiticity_defect)
-from qeslattice.spectra import MAX_SITES, solve_spectrum
+                                 _check_unit_columns, block_dimensions, block_frame,
+                                 expected_block_dimension, momentum_values, pencil_stacks,
+                                 project_block, to_orbit_frame, two_quanta_seed_count)
+from qeslattice.ops import (apply_hamiltonian, build_h_bh, build_h_lambda, build_hamiltonian,
+                            build_momentum_vectors, build_translation, orbit_block_pencil,
+                            two_quanta_seed)
+from qeslattice.spectra import MAX_SITES, hermiticity_defect, solve_spectrum
 from qeslattice.suites import momentum_suite
 
 SQRT2 = math.sqrt(2)
@@ -472,8 +471,9 @@ def test_pencil_stacks_hold_one_block_shape_each(f):
 def test_frames_are_built_only_when_read_and_from_no_basis(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an occupation basis or orbit table was built")
-    monkeypatch.setattr(momentum, "enumerate_basis", refuse)
-    monkeypatch.setattr(momentum, "_orbits", refuse)
+    assert not hasattr(momentum, "enumerate_basis") and not hasattr(momentum, "_orbits")
+    monkeypatch.setattr(ops, "enumerate_basis", refuse)
+    monkeypatch.setattr(ops, "_orbits", refuse)
     checked = []
     monkeypatch.setattr(momentum, "_check_unit_columns",
                         lambda cols, amps, dim: checked.append(dim))

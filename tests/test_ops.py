@@ -1,12 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qeslattice import ops
 from qeslattice.fock import at_most, enumerate_basis, exactly
 from qeslattice.ops import (annihilation, build_h_bh, build_h_lambda, build_hamiltonian,
                             build_number, build_translation, commutator, creation,
-                            hermiticity_defect, sector_block)
+                            sector_block)
+from qeslattice.spectra import hermiticity_defect
 
 SQRT2 = math.sqrt(2)
 
@@ -295,3 +299,24 @@ def test_sector_block_rejects_foreign_basis():
 def test_hermiticity_defect_rejects_non_square():
     with pytest.raises(ValueError):
         hermiticity_defect(annihilation(2, 1, enumerate_basis(2, exactly(2))))
+
+
+PRODUCTION_NAMES = {"pencil_stacks", "PencilStack", "_stack", "block_frame", "sweep",
+                    "solve_spectra"}
+
+
+def test_ops_is_independent_of_the_production_construction():
+    # the oracles re-derive the blocks on the occupation basis; none may
+    # name, import or look up the closed-form construction they check
+    tree = ast.parse(Path(ops.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    assert not found & PRODUCTION_NAMES, sorted(found & PRODUCTION_NAMES)
