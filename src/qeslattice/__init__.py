@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "fock": "FockBasis Selector at_most enumerate_basis exactly translate",
+    "fock": "FockBasis at_most enumerate_basis exactly translate",
     "momentum": "MomentumLabel PencilStack block_dimensions block_frame momentum_values "
                 "pencil_stacks project_block to_orbit_frame",
     "spectra": "BlockSpectrum SolitonBand SpectrumResult SweepResult eigh_checked "

@@ -2,9 +2,10 @@
 
 States are plain tuples of non-negative integers ``(n_1, ..., n_f)`` giving
 the number of quanta on each site.  A :class:`FockBasis` is a finite,
-explicitly enumerated list of such states, either the sector with exactly
-``n`` total quanta (dimension ``C(n+f-1, f-1)``) or the union of all sectors
-with at most ``n_max`` quanta (for ``n_max = 2`` the dimension is
+explicitly enumerated list of such states over a range of total-quanta
+sectors: ``exactly(n)`` is ``range(n, n + 1)``, the one sector of dimension
+``C(n+f-1, f-1)``, and ``at_most(n_max)`` is ``range(n_max + 1)``, the union
+of the sectors ``0, ..., n_max`` (for ``n_max = 2`` the dimension is
 ``(f+1)(f+2)/2``).
 
 The enumeration order is deterministic: total quanta ascending, then
@@ -22,44 +23,17 @@ from typing import Iterator
 
 Occupation = tuple[int, ...]
 
-_SELECTOR_KINDS = ("exactly", "at_most")
+
+def exactly(n: int) -> range:
+    """The sector with exactly ``n`` total quanta.  Rejects ``n < 0``."""
+    if n < 0:
+        raise ValueError("quanta count must be non-negative")
+    return range(n, n + 1)
 
 
-@dataclass(frozen=True)
-class Selector:
-    """Which total-quanta sectors a basis covers.
-
-    ``exactly(n)`` selects the single sector with ``n`` quanta; ``at_most(n)``
-    selects the direct sum of the sectors ``0, 1, ..., n``.
-    """
-
-    kind: str
-    bound: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in _SELECTOR_KINDS:
-            raise ValueError(f"unknown selector kind {self.kind!r}")
-        if self.bound < 0:
-            raise ValueError("selector bound must be non-negative")
-
-    def admits(self, total: int) -> bool:
-        if self.kind == "exactly":
-            return total == self.bound
-        return 0 <= total <= self.bound
-
-    def totals(self) -> range:
-        """Total-quanta values covered, in enumeration order."""
-        if self.kind == "exactly":
-            return range(self.bound, self.bound + 1)
-        return range(0, self.bound + 1)
-
-
-def exactly(n: int) -> Selector:
-    return Selector("exactly", n)
-
-
-def at_most(n: int) -> Selector:
-    return Selector("at_most", n)
+def at_most(n: int) -> range:
+    """The sectors with ``0, 1, ..., n`` total quanta.  Rejects ``n < 0``."""
+    return range(exactly(n).stop)
 
 
 def _compositions(total: int, parts: int) -> Iterator[Occupation]:
@@ -85,7 +59,7 @@ class FockBasis:
     """
 
     f: int
-    selector: Selector
+    sectors: range
     states: tuple[Occupation, ...]
     index: dict[Occupation, int] = field(repr=False)
 
@@ -93,19 +67,10 @@ class FockBasis:
     def size(self) -> int:
         return len(self.states)
 
-    def position(self, v: Occupation) -> int | None:
-        """Index of ``v`` in the enumeration, or ``None`` if outside the
-        selector.  A wrong-length tuple is a usage error, not "absent"."""
-        if len(v) != self.f:
-            raise ValueError(f"state has {len(v)} sites, basis has {self.f}")
-        return self.index.get(tuple(v))
-
     def sector_indices(self, n: int) -> range:
         """Positions of the exactly-``n`` states (contiguous by construction)."""
-        if not self.selector.admits(n):
-            return range(0, 0)
         offset = 0
-        for m in self.selector.totals():
+        for m in self.sectors:
             width = comb(m + self.f - 1, self.f - 1)
             if m == n:
                 return range(offset, offset + width)
@@ -113,18 +78,19 @@ class FockBasis:
         return range(0, 0)
 
 
-def enumerate_basis(f: int, selector: Selector) -> FockBasis:
-    """Enumerate the occupation basis of ``f`` sites for a quanta selector.
+def enumerate_basis(f: int, sectors: range) -> FockBasis:
+    """Enumerate the occupation basis of ``f`` sites over a range of
+    total-quanta sectors.
 
     Repeated calls produce identical orderings.  Rejects ``f < 1``.
     """
     if f < 1:
         raise ValueError("site count f must be >= 1")
     states: list[Occupation] = []
-    for n in selector.totals():
+    for n in sectors:
         states.extend(_compositions(n, f))
     index = {s: i for i, s in enumerate(states)}
-    return FockBasis(f=f, selector=selector, states=tuple(states), index=index)
+    return FockBasis(f=f, sectors=sectors, states=tuple(states), index=index)
 
 
 def translate(v: Occupation) -> Occupation:

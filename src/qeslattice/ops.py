@@ -2,15 +2,15 @@
 
 The production path writes each momentum block down from its closed-form
 shape (:mod:`~qeslattice.momentum`) and builds no occupation state; every
-builder here does.  The dense ones return a plain complex ``np.ndarray``:
-rows index the codomain basis and columns the domain basis.
+builder here does.  The dense ones return a square complex ``np.ndarray``
+over the caller's basis: column ``c`` holds the image of ``basis.states[c]``.
 
 Everything here is built by explicit action on basis states, not by tensor
 products of single-mode matrices, so matrix elements are exact up to floating
 point:
 
 * ladder operators ``a_j``, ``a_j^+`` with periodic site indexing
-  (site ``f+1`` means site ``1``),
+  (site ``f+1`` means site ``1``), on an ``at_most`` basis,
 * the Bose-Hubbard ring Hamiltonian
   ``H_BH = -sum_j [a_j^+ a_{j+1} + a_j^+ a_{j-1} + (gamma/2) a_j^+ a_j^+ a_j a_j]``,
   implemented literally: for ``f <= 2`` the two neighbor terms coincide and
@@ -21,10 +21,12 @@ point:
 * the total number operator ``N`` and the cyclic translation ``T``,
 * the commutator and sector blocks of a matrix.
 
-:func:`apply_hamiltonian` applies the same ``H`` to a single occupation state
-and returns its image as a sparse ``{occupation: amplitude}`` map;
-:func:`brute_force_eigenvalues` diagonalizes the dense ``H`` with no momentum
-machinery.
+The terms of ``H`` are written out once, in :func:`_terms`.
+:func:`apply_hamiltonian` sums them into the image of one occupation state,
+a sparse ``{occupation: amplitude}`` map; :func:`build_hamiltonian`,
+:func:`build_h_bh` and :func:`build_h_lambda` scatter them, column by
+column, into dense matrices; :func:`brute_force_eigenvalues` diagonalizes
+the dense ``H`` with no momentum machinery.
 
 Two independent constructions of the momentum blocks are the oracles for
 :func:`~qeslattice.momentum.pencil_stacks`.  :func:`orbit_block_pencil` is
@@ -49,183 +51,69 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .fock import FockBasis, Occupation, at_most, enumerate_basis, exactly, translate
+from .fock import FockBasis, Occupation, at_most, enumerate_basis, translate
 from .momentum import MomentumLabel, _roots, momentum_values, two_quanta_seed_count
 
 
-def _site_index(f: int, j: int) -> int:
-    """Map a 1-based site label to a storage index, with ``f+1 -> 1``."""
+def _check_sites(f: int, basis: FockBasis) -> None:
+    if f != basis.f:
+        raise ValueError("site count does not match the basis")
+
+
+def _check_at_most(basis: FockBasis, n_min: int = 0) -> None:
+    """Reject any basis but ``at_most(n)`` with ``n >= n_min``."""
+    if basis.sectors != range(basis.sectors.stop) or len(basis.sectors) <= n_min:
+        raise ValueError(f"needs an at_most(n >= {n_min}) basis, not the sectors {basis.sectors}")
+
+
+def _ladder_site(f: int, j: int, basis: FockBasis) -> int:
+    """Storage index of the 1-based site ``j`` (``f+1`` means ``1``) of a
+    ladder acting on ``basis``."""
+    _check_sites(f, basis)
+    _check_at_most(basis)
     if not 1 <= j <= f + 1:
         raise ValueError(f"site index {j} out of range 1..{f + 1}")
     return (j - 1) % f
 
 
-def _default_lower_codomain(domain: FockBasis) -> FockBasis:
-    if domain.selector.kind == "at_most":
-        return domain
-    n = domain.selector.bound
-    if n == 0:
-        raise ValueError("no sector below exactly-0; pass a codomain explicitly")
-    return enumerate_basis(domain.f, exactly(n - 1))
-
-
-def _default_raise_codomain(domain: FockBasis) -> FockBasis:
-    if domain.selector.kind == "at_most":
-        return domain
-    return enumerate_basis(domain.f, exactly(domain.selector.bound + 1))
-
-
-def annihilation(
-    f: int, j: int, domain: FockBasis, codomain: FockBasis | None = None
-) -> np.ndarray:
-    """Lowering operator ``a_j``: removes one quantum from site ``j`` with
-    amplitude ``sqrt(n_j)``.
-
-    On an ``exactly(n)`` domain the codomain defaults to ``exactly(n-1)``;
-    on an ``at_most`` domain the operator closes on the same basis.
-    """
-    if f != domain.f:
-        raise ValueError("site count does not match the basis")
-    site = _site_index(f, j)
-    codomain = _default_lower_codomain(domain) if codomain is None else codomain
-    out = np.zeros((codomain.size, domain.size), dtype=complex)
-    for col, v in enumerate(domain.states):
-        if v[site] == 0:
-            continue
-        target = v[:site] + (v[site] - 1,) + v[site + 1 :]
-        row = codomain.position(target)
-        if row is not None:
-            out[row, col] = math.sqrt(v[site])
+def annihilation(f: int, j: int, basis: FockBasis) -> np.ndarray:
+    """Lowering operator ``a_j`` on an ``at_most`` basis: removes one quantum
+    from site ``j`` with amplitude ``sqrt(n_j)``."""
+    site = _ladder_site(f, j, basis)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for col, v in enumerate(basis.states):
+        if v[site] > 0:
+            out[basis.index[v[:site] + (v[site] - 1,) + v[site + 1 :]], col] = math.sqrt(v[site])
     return out
 
 
-def creation(
-    f: int, j: int, domain: FockBasis, codomain: FockBasis | None = None
-) -> np.ndarray:
-    """Raising operator ``a_j^+``: adds one quantum to site ``j`` with
-    amplitude ``sqrt(n_j + 1)``.
+def creation(f: int, j: int, basis: FockBasis) -> np.ndarray:
+    """Raising operator ``a_j^+`` on an ``at_most`` basis: adds one quantum
+    to site ``j`` with amplitude ``sqrt(n_j + 1)``.
 
-    Between ``exactly(n)`` and ``exactly(n+1)`` this is the exact adjoint of
-    :func:`annihilation`; on an ``at_most`` basis the image above the bound is
-    truncated away.
+    The image above the bound is truncated away, so this is exactly the
+    transpose of :func:`annihilation`.
     """
-    if f != domain.f:
-        raise ValueError("site count does not match the basis")
-    site = _site_index(f, j)
-    codomain = _default_raise_codomain(domain) if codomain is None else codomain
-    out = np.zeros((codomain.size, domain.size), dtype=complex)
-    for col, v in enumerate(domain.states):
-        target = v[:site] + (v[site] + 1,) + v[site + 1 :]
-        row = codomain.position(target)
+    site = _ladder_site(f, j, basis)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for col, v in enumerate(basis.states):
+        row = basis.index.get(v[:site] + (v[site] + 1,) + v[site + 1 :])
         if row is not None:
             out[row, col] = math.sqrt(v[site] + 1)
     return out
 
 
-def build_h_bh(f: int, gamma: float, basis: FockBasis) -> np.ndarray:
-    """Bose-Hubbard ring Hamiltonian on ``basis`` (any selector).
-
-    ``H_BH = -sum_j [a_j^+ a_{j+1} + a_j^+ a_{j-1} + (gamma/2) n_j (n_j - 1)]``
-
-    The neighbor sum is kept literal, so for ``f = 1`` the hopping contributes
-    ``-2 a^+ a`` and for ``f = 2`` each hop appears twice.  Hermitian and
-    block-diagonal across total-quanta sectors.
-    """
-    if f != basis.f:
-        raise ValueError("site count does not match the basis")
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, v in enumerate(basis.states):
-        out[col, col] -= 0.5 * gamma * sum(n * (n - 1) for n in v)
-        for site in range(f):
-            for delta in (1, -1):
-                src = (site + delta) % f
-                if v[src] == 0:
-                    continue
-                lowered = list(v)
-                amp = math.sqrt(lowered[src])
-                lowered[src] -= 1
-                amp *= math.sqrt(lowered[site] + 1)
-                lowered[site] += 1
-                row = basis.position(tuple(lowered))
-                if row is not None:
-                    out[row, col] -= amp
-    return out
-
-
-def build_h_lambda(f: int, lam: float, basis: FockBasis) -> np.ndarray:
-    """Sector-mixing drive ``lam * sum_j [a_j^+ (N-2) + (N-2) a_j]``.
-
-    Requires an ``at_most(n_max >= 2)`` basis since it couples neighboring
-    quanta sectors.  Raising out of the two-quanta sector carries the factor
-    ``N - 2 = 0``, so the 0+1+2-quanta subspace is exactly invariant; for
-    ``n_max = 2`` no truncation error occurs at all.
-    """
-    if f != basis.f:
-        raise ValueError("site count does not match the basis")
-    if basis.selector.kind != "at_most" or basis.selector.bound < 2:
-        raise ValueError("drive term needs an at_most(n_max >= 2) basis")
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, v in enumerate(basis.states):
-        n = sum(v)
-        for site in range(f):
-            # a_j^+ (N-2): the number factor acts on the unraised state.
-            raised = v[:site] + (v[site] + 1,) + v[site + 1 :]
-            row = basis.position(raised)
-            if row is not None:
-                out[row, col] += lam * (n - 2) * math.sqrt(v[site] + 1)
-            # (N-2) a_j: the number factor acts on the lowered state.
-            if v[site] > 0:
-                lowered = v[:site] + (v[site] - 1,) + v[site + 1 :]
-                row = basis.position(lowered)
-                if row is not None:
-                    out[row, col] += lam * (n - 3) * math.sqrt(v[site])
-    return out
-
-
-def build_number(f: int, basis: FockBasis) -> np.ndarray:
-    """Total number operator ``N = sum_j a_j^+ a_j`` (diagonal)."""
-    if f != basis.f:
-        raise ValueError("site count does not match the basis")
-    diag = np.array([sum(v) for v in basis.states], dtype=complex)
-    return np.diag(diag)
-
-
-def build_translation(f: int, basis: FockBasis) -> np.ndarray:
-    """Cyclic translation ``T`` as a permutation matrix: unitary, ``T^f = 1``."""
-    if f != basis.f:
-        raise ValueError("site count does not match the basis")
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, v in enumerate(basis.states):
-        row = basis.position(translate(v))
-        out[row, col] = 1.0
-    return out
-
-
-def build_hamiltonian(f: int, gamma: float, lam: float, basis: FockBasis) -> np.ndarray:
-    """Full Hamiltonian ``H = H_BH + H_lam`` on an ``at_most`` basis."""
-    h = build_h_bh(f, gamma, basis)
-    h += build_h_lambda(f, lam, basis)
-    return h
-
-
-def apply_hamiltonian(f: int, gamma: float, lam: float,
-                      state: Occupation) -> dict[Occupation, float]:
-    """Image ``H|state>`` of one occupation state, ``H = H_BH + H_lam``.
-
-    Returns ``{occupation: amplitude}`` with zero amplitudes omitted.  The
-    terms are those of :func:`build_h_bh` and :func:`build_h_lambda`, summed
-    in the same order, so on an ``at_most(2)`` basis the map equals the
-    state's column of :func:`build_hamiltonian`.  No truncation is applied:
-    raising out of the two-quanta sector carries ``N - 2 = 0`` and is
-    omitted, but a state with three or more quanta has images above any
-    ``n_max``.
-    """
-    if len(state) != f:
-        raise ValueError(f"state has {len(state)} sites, ring has {f}")
-    image: dict[Occupation, float] = {state: -0.5 * gamma * sum(n * (n - 1) for n in state)}
+def _terms(f: int, gamma: float, lam: float,
+           state: Occupation) -> Iterator[tuple[Occupation, float]]:
+    """Every ``(image, amplitude)`` term of ``(H_BH + lam H_lam)|state>``:
+    the on-site term, the hops by site and then by direction, then the
+    drive's raise and lower per site (none at ``lam == 0``).  One image may
+    recur, and images above any ``n_max`` are kept."""
+    yield state, -0.5 * gamma * sum(n * (n - 1) for n in state)
     for site in range(f):
         for delta in (1, -1):
             src = (site + delta) % f
@@ -236,17 +124,100 @@ def apply_hamiltonian(f: int, gamma: float, lam: float,
             moved[src] -= 1
             amp *= math.sqrt(moved[site] + 1)
             moved[site] += 1
-            target = tuple(moved)
-            image[target] = image.get(target, 0.0) - amp
+            yield tuple(moved), -amp
+    if lam == 0:
+        return
     n = sum(state)
     for site in range(f):
-        # a_j^+ (N-2) and (N-2) a_j: each image is reached by this term only
-        raised = state[:site] + (state[site] + 1,) + state[site + 1 :]
-        image[raised] = lam * (n - 2) * math.sqrt(state[site] + 1)
-        if state[site] > 0:
-            lowered = state[:site] + (state[site] - 1,) + state[site + 1 :]
-            image[lowered] = lam * (n - 3) * math.sqrt(state[site])
+        # a_j^+ (N-2) with N on the unraised state, (N-2) a_j with N on the lowered one
+        occ = state[site]
+        yield state[:site] + (occ + 1,) + state[site + 1 :], lam * (n - 2) * math.sqrt(occ + 1)
+        if occ > 0:
+            yield state[:site] + (occ - 1,) + state[site + 1 :], lam * (n - 3) * math.sqrt(occ)
+
+
+def apply_hamiltonian(f: int, gamma: float, lam: float,
+                      state: Occupation) -> dict[Occupation, float]:
+    """Image ``H|state>`` of one occupation state, ``H = H_BH + H_lam``.
+
+    Returns ``{occupation: amplitude}`` in the order of :func:`_terms`, with
+    zero amplitudes omitted, so on an ``at_most(2)`` basis the map equals the
+    state's column of :func:`build_hamiltonian`.  No truncation is applied:
+    raising out of the two-quanta sector carries ``N - 2 = 0`` and is
+    omitted, but a state with three or more quanta has images above any
+    ``n_max``.
+    """
+    if len(state) != f:
+        raise ValueError(f"state has {len(state)} sites, ring has {f}")
+    image: dict[Occupation, float] = {}
+    for target, amp in _terms(f, gamma, lam, state):
+        image[target] = image.get(target, 0.0) + amp
     return {target: amp for target, amp in image.items() if amp != 0.0}
+
+
+def _scatter(f: int, gamma: float, lam: float, basis: FockBasis) -> np.ndarray:
+    """Dense ``H_BH + lam H_lam`` on ``basis``, one column per state; images
+    outside the basis are dropped."""
+    _check_sites(f, basis)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for col, state in enumerate(basis.states):
+        for image, amp in _terms(f, gamma, lam, state):
+            row = basis.index.get(image)
+            if row is not None:
+                out[row, col] += amp
+    return out
+
+
+def build_h_bh(f: int, gamma: float, basis: FockBasis) -> np.ndarray:
+    """Bose-Hubbard ring Hamiltonian on ``basis`` (any sectors).
+
+    ``H_BH = -sum_j [a_j^+ a_{j+1} + a_j^+ a_{j-1} + (gamma/2) n_j (n_j - 1)]``
+
+    The neighbor sum is kept literal, so for ``f = 1`` the hopping contributes
+    ``-2 a^+ a`` and for ``f = 2`` each hop appears twice.  Hermitian and
+    block-diagonal across total-quanta sectors.
+    """
+    return _scatter(f, gamma, 0.0, basis)
+
+
+def build_h_lambda(f: int, lam: float, basis: FockBasis) -> np.ndarray:
+    """Sector-mixing drive ``lam * sum_j [a_j^+ (N-2) + (N-2) a_j]``.
+
+    Requires an ``at_most(n_max >= 2)`` basis since it couples neighboring
+    quanta sectors.  Raising out of the two-quanta sector carries the factor
+    ``N - 2 = 0``, so the 0+1+2-quanta subspace is exactly invariant; for
+    ``n_max = 2`` no truncation error occurs at all.  The drive moves the
+    quanta by one and the hops keep them, so this is the part of ``H`` at
+    ``gamma = 0`` that changes the total quanta.
+    """
+    _check_at_most(basis, 2)
+    h = _scatter(f, 0.0, lam, basis)
+    quanta = np.array([sum(state) for state in basis.states])
+    h[quanta[:, None] == quanta] = 0.0
+    return h
+
+
+def build_number(f: int, basis: FockBasis) -> np.ndarray:
+    """Total number operator ``N = sum_j a_j^+ a_j`` (diagonal)."""
+    _check_sites(f, basis)
+    diag = np.array([sum(v) for v in basis.states], dtype=complex)
+    return np.diag(diag)
+
+
+def build_translation(f: int, basis: FockBasis) -> np.ndarray:
+    """Cyclic translation ``T`` as a permutation matrix: unitary, ``T^f = 1``."""
+    _check_sites(f, basis)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for col, v in enumerate(basis.states):
+        out[basis.index[translate(v)], col] = 1.0
+    return out
+
+
+def build_hamiltonian(f: int, gamma: float, lam: float, basis: FockBasis) -> np.ndarray:
+    """Full Hamiltonian ``H = H_BH + H_lam`` on an ``at_most(n_max >= 2)``
+    basis."""
+    _check_at_most(basis, 2)
+    return _scatter(f, gamma, lam, basis)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

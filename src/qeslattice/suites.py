@@ -437,6 +437,6 @@ SUITES = {
 def run_suites(names: list[str] | None = None) -> list[Check]:
     for name in names or ():
         if name not in SUITES and name != "all":
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     selected = list(SUITES) if not names or "all" in names else names
     return [c for name in selected for c in SUITES[name]()]

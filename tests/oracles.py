@@ -9,7 +9,7 @@ def quanta_tag(vector, basis):
     oracle for :func:`qeslattice.spectra.quanta_tags`, which reads the same
     weights in block coordinates."""
     best_n, best_mass = 0, -1.0
-    for n in basis.selector.totals():
+    for n in basis.sectors:
         idx = basis.sector_indices(n)
         mass = float(np.sum(np.abs(vector[idx.start : idx.stop]) ** 2))
         if mass > best_mass:

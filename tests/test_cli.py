@@ -439,8 +439,8 @@ def test_verify_rejects_unknown_suite(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, err = run(capsys, "verify", "--suite", "nonsense", "--out", str(path))
     assert code == 1 and out == "" and not path.exists()
-    assert err.startswith("error: ") and "'nonsense'" in err and err.count("\n") == 1
-    assert all(f"'{name}'" in err for name in qeslattice.suites.SUITES)
+    names = sorted(qeslattice.suites.SUITES)
+    assert err == f"error: unknown suite 'nonsense'; choose from {names} or 'all'\n"
 
 
 @pytest.mark.parametrize("first", ["ops", "all"])

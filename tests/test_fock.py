@@ -2,7 +2,7 @@ import pytest
 from itertools import product
 from math import comb
 
-from qeslattice.fock import Selector, at_most, enumerate_basis, exactly, translate
+from qeslattice.fock import at_most, enumerate_basis, exactly, translate
 
 
 def test_exactly_two_quanta_two_sites():
@@ -34,10 +34,11 @@ def test_rejects_zero_sites():
 
 
 def test_selector_validation():
-    with pytest.raises(ValueError):
-        Selector("weird", 2)
-    with pytest.raises(ValueError):
-        exactly(-1)
+    assert exactly(2) == range(2, 3) and at_most(2) == range(3)
+    assert enumerate_basis(2, at_most(2)).sectors == range(3)
+    for selector in (exactly, at_most):
+        with pytest.raises(ValueError):
+            selector(-1)
 
 
 def test_ordering_total_ascending_then_lex_descending():
@@ -49,16 +50,10 @@ def test_ordering_total_ascending_then_lex_descending():
 
 def test_state_index_examples():
     b2 = enumerate_basis(2, exactly(2))
-    assert b2.position((1, 1)) == 1
-    assert b2.position((3, 0)) is None
+    assert b2.index[(1, 1)] == 1
+    assert (3, 0) not in b2.index
     b3 = enumerate_basis(3, at_most(2))
-    assert b3.position((0, 0, 0)) == 0
-
-
-def test_state_index_length_mismatch_is_an_error():
-    basis = enumerate_basis(2, exactly(2))
-    with pytest.raises(ValueError):
-        basis.position((1, 1, 0))
+    assert b3.index[(0, 0, 0)] == 0
 
 
 def test_translate_examples():

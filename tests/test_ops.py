@@ -43,26 +43,33 @@ def brute_force_ladder(basis, site, kind):
 # ---------------------------------------------------------------- ladders
 
 def test_annihilation_two_site_examples():
-    v2 = enumerate_basis(2, exactly(2))
-    v1 = enumerate_basis(2, exactly(1))
-    a1 = annihilation(2, 1, v2)  # codomain defaults to exactly(1)
-    assert a1.shape == (v1.size, v2.size)
-    assert np.allclose(a1 @ unit(v2, (2, 0)), SQRT2 * unit(v1, (1, 0)))
-    assert np.allclose(a1 @ unit(v2, (1, 1)), unit(v1, (0, 1)))
+    basis = enumerate_basis(2, at_most(2))
+    a1 = annihilation(2, 1, basis)
+    assert a1.shape == (basis.size, basis.size)
+    assert np.allclose(a1 @ unit(basis, (2, 0)), SQRT2 * unit(basis, (1, 0)))
+    assert np.allclose(a1 @ unit(basis, (1, 1)), unit(basis, (0, 1)))
 
 
 def test_annihilation_kills_empty_site():
-    v1 = enumerate_basis(2, exactly(1))
-    a1 = annihilation(2, 1, v1)
-    assert np.allclose(a1 @ unit(v1, (0, 1)), 0.0)
+    basis = enumerate_basis(2, at_most(1))
+    a1 = annihilation(2, 1, basis)
+    assert np.allclose(a1 @ unit(basis, (0, 1)), 0.0)
 
 
 def test_creation_examples():
-    v0 = enumerate_basis(2, exactly(0))
-    v1 = enumerate_basis(2, exactly(1))
-    v2 = enumerate_basis(2, exactly(2))
-    assert np.allclose(creation(2, 1, v0) @ unit(v0, (0, 0)), unit(v1, (1, 0)))
-    assert np.allclose(creation(2, 1, v1) @ unit(v1, (1, 0)), SQRT2 * unit(v2, (2, 0)))
+    basis = enumerate_basis(2, at_most(2))
+    ad1 = creation(2, 1, basis)
+    assert np.allclose(ad1 @ unit(basis, (0, 0)), unit(basis, (1, 0)))
+    assert np.allclose(ad1 @ unit(basis, (1, 0)), SQRT2 * unit(basis, (2, 0)))
+    assert np.allclose(ad1 @ unit(basis, (2, 0)), 0.0)  # truncated at the top sector
+
+
+@pytest.mark.parametrize("sectors", [exactly(1), exactly(2), range(0, 3, 2)])
+def test_ladders_reject_a_basis_that_is_not_at_most(sectors):
+    basis = enumerate_basis(2, sectors)
+    for ladder in (annihilation, creation):
+        with pytest.raises(ValueError):
+            ladder(2, 1, basis)
 
 
 def test_periodic_site_index():
@@ -78,15 +85,13 @@ def test_site_index_out_of_range(j):
         annihilation(4, j, basis)
 
 
-@pytest.mark.parametrize("f", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("f", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_creation_is_adjoint_of_annihilation_between_sectors(f, n):
-    lower = enumerate_basis(f, exactly(n))
-    upper = enumerate_basis(f, exactly(n + 1))
+    # both are real, so the adjoint is the transpose, entry for entry
+    basis = enumerate_basis(f, at_most(n))
     for j in range(1, f + 1):
-        up = creation(f, j, lower, codomain=upper)
-        down = annihilation(f, j, upper, codomain=lower)
-        assert np.allclose(up, down.conj().T, atol=1e-15)
+        assert np.array_equal(creation(f, j, basis), annihilation(f, j, basis).T)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
@@ -139,6 +144,22 @@ def test_h_bh_is_hermitian_and_sector_diagonal(f):
                 assert np.max(np.abs(sector_block(h, basis, m, n))) == 0.0
 
 
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_h_bh_matches_brute_force_operator(f):
+    # oracle: -sum_j [adag_j a_{j+1} + adag_j a_{j-1} + (gamma/2) adag_j adag_j a_j a_j]
+    # assembled from independently built ladder matrices; every product
+    # lowers before it raises, so at_most(3) truncates none of it
+    basis = enumerate_basis(f, at_most(3))
+    gamma = 2.2
+    a = [brute_force_ladder(basis, j, "lower") for j in range(f)]
+    ad = [brute_force_ladder(basis, j, "raise") for j in range(f)]
+    expected = np.zeros((basis.size, basis.size), dtype=complex)
+    for j in range(f):
+        expected -= ad[j] @ a[(j + 1) % f] + ad[j] @ a[(j - 1) % f]
+        expected -= 0.5 * gamma * ad[j] @ ad[j] @ a[j] @ a[j]
+    assert np.allclose(build_h_bh(f, gamma, basis), expected, atol=1e-14)
+
+
 # ---------------------------------------------------------------- H_lam
 
 def test_h_lambda_single_site_matrix_element():
@@ -175,6 +196,8 @@ def test_h_lambda_requires_mixing_basis():
         build_h_lambda(2, 0.1, enumerate_basis(2, exactly(2)))
     with pytest.raises(ValueError):
         build_h_lambda(2, 0.1, enumerate_basis(2, at_most(1)))
+    with pytest.raises(ValueError):
+        build_hamiltonian(2, 3.0, 0.1, enumerate_basis(2, at_most(1)))
 
 
 @pytest.mark.parametrize("f", range(1, 7))
@@ -298,7 +321,7 @@ def test_sector_block_rejects_foreign_basis():
 
 def test_hermiticity_defect_rejects_non_square():
     with pytest.raises(ValueError):
-        hermiticity_defect(annihilation(2, 1, enumerate_basis(2, exactly(2))))
+        hermiticity_defect(annihilation(2, 1, enumerate_basis(2, at_most(2)))[:, 1:])
 
 
 PRODUCTION_NAMES = {"pencil_stacks", "PencilStack", "_stack", "block_frame", "sweep",
