@@ -112,12 +112,11 @@ def verify_sl2() -> list[Check]:
         }
         for name, defect in rel.items():
             r = float(np.max(np.abs(defect))) if defect.size else 0.0
-            checks.append(check(f"sl2 {name}", r < SPAN_TOL, residual=r, n=n))
+            checks.append(check(f"sl2 {name}", r, below=SPAN_TOL, n=n))
         scalar = 0.25 * n * (n + 2)
         defect = _restrict(casimir, idx) - scalar * np.eye(len(idx))
         r = float(np.max(np.abs(defect))) if defect.size else 0.0
-        checks.append(check("sl2 Casimir = n(n+2)/4", r < SPAN_TOL, residual=r,
-                            n=n, scalar=scalar))
+        checks.append(check("sl2 Casimir = n(n+2)/4", r, below=SPAN_TOL, n=n, scalar=scalar))
     return checks
 
 
@@ -140,8 +139,8 @@ def verify_grading_closure(f: int, n: int) -> list[Check]:
         mats.append(ad[j] @ a[j] - ad[j - 1] @ a[j - 1])
         gradings.append(0)
 
-    checks = [check("sl(f) generator count = f^2-1", len(mats) == f * f - 1,
-                    residual=abs(len(mats) - (f * f - 1)), f=f, count=len(mats))]
+    checks = [check("sl(f) generator count = f^2-1", abs(len(mats) - (f * f - 1)), below=1,
+                    f=f, count=len(mats))]
 
     first, second = np.array(list(itertools.combinations(range(len(mats)), 2))).T
     products = _sector_products(mats, mats, idx)
@@ -158,10 +157,9 @@ def verify_grading_closure(f: int, n: int) -> list[Check]:
     stray = ((span_gradings[None] != bracket_gradings[:, None])
              & (size > 1e-8) & nonzero[:, None])
     worst_grading = float(size[stray].max(initial=0.0))
-    checks.append(check("sl(f) bracket closure on sector", worst_span < SPAN_TOL,
-                        residual=worst_span, f=f, n=n))
-    checks.append(check("sl(f) gradings add under bracket", worst_grading < SPAN_TOL,
-                        residual=worst_grading, f=f, n=n))
+    checks.append(check("sl(f) bracket closure on sector", worst_span, below=SPAN_TOL, f=f, n=n))
+    checks.append(check("sl(f) gradings add under bracket", worst_grading, below=SPAN_TOL,
+                        f=f, n=n))
     return checks
 
 
@@ -182,18 +180,16 @@ def verify_sl3_diagonal(n: int) -> list[Check]:
 
     checks = []
     r = float(np.max(np.abs(yr @ t3r - t3r @ yr)))
-    checks.append(check("[Y,T3] = 0 on sector", r < SPAN_TOL, residual=r, n=n))
+    checks.append(check("[Y,T3] = 0 on sector", r, below=SPAN_TOL, n=n))
     off = max(float(np.max(np.abs(yr - np.diag(np.diag(yr))))),
               float(np.max(np.abs(t3r - np.diag(np.diag(t3r))))))
-    checks.append(check("Y, T3 diagonal in occupation basis", off < SPAN_TOL,
-                        residual=off, n=n))
+    checks.append(check("Y, T3 diagonal in occupation basis", off, below=SPAN_TOL, n=n))
     states = [basis.states[i] for i in idx]
     expected = np.array([(2 * s[2] - s[0] - s[1]) / 3.0 for s in states])
     r = float(np.max(np.abs(np.diag(yr).real - expected))) if states else 0.0
-    checks.append(check("Y eigenvalue = (2n3-n1-n2)/3", r < SPAN_TOL, residual=r, n=n))
-    dim_ok = len(idx) == (n + 1) * (n + 2) // 2
-    checks.append(check("dim V_n = (n+1)(n+2)/2", dim_ok,
-                        residual=abs(len(idx) - (n + 1) * (n + 2) // 2), n=n))
+    checks.append(check("Y eigenvalue = (2n3-n1-n2)/3", r, below=SPAN_TOL, n=n))
+    checks.append(check("dim V_n = (n+1)(n+2)/2", abs(len(idx) - (n + 1) * (n + 2) // 2),
+                        below=1, n=n))
     return checks
 
 
@@ -219,7 +215,7 @@ def verify_translation_f3() -> list[Check]:
     checks = []
     r = float(np.max(np.abs(bilinear @ h_bh - h_bh @ bilinear)))
     checks.append(check("one-quantum bilinear commutes with H_BH on V_1",
-                        r < SPAN_TOL, residual=r))
+                        r, below=SPAN_TOL))
     eq = float(np.max(np.abs(bilinear - t_matrix)))
     checks.append(Check(
         name="bilinear vs cyclic translation on V_1",
@@ -230,13 +226,12 @@ def verify_translation_f3() -> list[Check]:
               f"bilinear={bilinear.real.astype(int).tolist()} "
               f"translation={t_matrix.real.astype(int).tolist()}")))
     sq = float(np.max(np.abs(bilinear @ bilinear - np.eye(3))))
-    checks.append(check("bilinear squared = identity on V_1", sq < SPAN_TOL, residual=sq))
+    checks.append(check("bilinear squared = identity on V_1", sq, below=SPAN_TOL))
     cube_is_self = float(np.max(np.abs(
         bilinear @ bilinear @ bilinear - bilinear)))
-    checks.append(check("bilinear cubed = bilinear on V_1", cube_is_self < SPAN_TOL,
-                        residual=cube_is_self))
+    checks.append(check("bilinear cubed = bilinear on V_1", cube_is_self, below=SPAN_TOL))
     r = float(np.max(np.abs(ad[2] @ a[0] @ _unit(basis, (1, 0, 0)) - _unit(basis, (0, 0, 1)))))
-    checks.append(check("a3+ a1 maps |100> to |001>", r < SPAN_TOL, residual=r))
+    checks.append(check("a3+ a1 maps |100> to |001>", r, below=SPAN_TOL))
     return checks
 
 
@@ -269,12 +264,12 @@ def verify_osp_structure(f: int) -> list[Check]:
 
     invariant_dim = enumerate_basis(f, at_most(2)).size
     checks = [
-        check("osp even generator count = 2f^2+f", len(even) == 2 * f * f + f,
-              residual=abs(len(even) - (2 * f * f + f)), f=f, count=len(even)),
-        check("osp odd generator count = 2f", len(odd) == 2 * f,
-              residual=abs(len(odd) - 2 * f), f=f, count=len(odd)),
+        check("osp even generator count = 2f^2+f", abs(len(even) - (2 * f * f + f)), below=1,
+              f=f, count=len(even)),
+        check("osp odd generator count = 2f", abs(len(odd) - 2 * f), below=1,
+              f=f, count=len(odd)),
         check("invariant subspace dimension = (f+1)(f+2)/2",
-              invariant_dim == (f + 1) * (f + 2) // 2, f=f, dim=invariant_dim),
+              abs(invariant_dim - (f + 1) * (f + 2) // 2), below=1, f=f, dim=invariant_dim),
     ]
 
     interior = range(basis.sector_indices(n_assert).stop)
@@ -292,7 +287,7 @@ def verify_osp_structure(f: int) -> list[Check]:
     targets = targets[first, second] + targets[second, first]
     worst = float(_span_coefficients(targets, even_span)[1].max())
     checks.append(check("odd x odd anticommutators close in even span + identity",
-                        worst < SPAN_TOL, residual=worst, f=f))
+                        worst, below=SPAN_TOL, f=f))
 
     # [e, o] on the interior for every even e, one odd o at a time
     targets = np.empty((len(even), len(odd), dim, dim), dtype=complex)
@@ -301,7 +296,7 @@ def verify_osp_structure(f: int) -> list[Check]:
                          - (o[:dim] @ even_cols).reshape(dim, len(even), dim).swapaxes(0, 1))
     worst = float(_span_coefficients(targets.reshape(-1, dim, dim), odd_span)[1].max())
     checks.append(check("even x odd commutators close in odd span",
-                        worst < SPAN_TOL, residual=worst, f=f))
+                        worst, below=SPAN_TOL, f=f))
     return checks
 
 
@@ -327,14 +322,11 @@ def verify_canonical_relations(f: int) -> list[Check]:
             comm = a[i][:dim] @ a[j][:, :dim] - a[j][:dim] @ a[i][:, :dim]
             worst_comm = max(worst_comm, float(np.max(np.abs(comm))))
     checks = [
-        check("[a_i, a_j+] = delta_ij on padded interior", worst_ccr < SPAN_TOL,
-              residual=worst_ccr, f=f),
-        check("[a_i, a_j] = 0 on padded interior", worst_comm < SPAN_TOL,
-              residual=worst_comm, f=f),
+        check("[a_i, a_j+] = delta_ij on padded interior", worst_ccr, below=SPAN_TOL, f=f),
+        check("[a_i, a_j] = 0 on padded interior", worst_comm, below=SPAN_TOL, f=f),
     ]
     if f == 1:
         a_ad, ad_a = a[0][:dim] @ ad[0][:, :dim], ad[0][:dim] @ a[0][:, :dim]
         r = float(np.max(np.abs(a_ad + ad_a - (2 * ad_a + eye))))
-        checks.append(check("{a, a+} = 2N + 1 on padded interior", r < SPAN_TOL,
-                            residual=r, f=f))
+        checks.append(check("{a, a+} = 2N + 1 on padded interior", r, below=SPAN_TOL, f=f))
     return checks

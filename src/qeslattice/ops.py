@@ -21,11 +21,12 @@ point:
 * the total number operator ``N`` and the cyclic translation ``T``,
 * the commutator and sector blocks of a matrix.
 
-The terms of ``H`` are written out once, in :func:`_terms`.
-:func:`apply_hamiltonian` sums them into the image of one occupation state,
-a sparse ``{occupation: amplitude}`` map; :func:`build_hamiltonian`,
-:func:`build_h_bh` and :func:`build_h_lambda` scatter them, column by
-column, into dense matrices; :func:`brute_force_eigenvalues` diagonalizes
+The terms of ``H`` are written out once, in :func:`_terms`, which takes the
+drive's from :func:`_drive`.  :func:`apply_hamiltonian` sums them into the
+image of one occupation state, a sparse ``{occupation: amplitude}`` map;
+:func:`build_hamiltonian` and :func:`build_h_bh` scatter them, and
+:func:`build_h_lambda` the drive's alone, column by column, into dense
+matrices; :func:`brute_force_eigenvalues` diagonalizes
 the dense ``H`` with no momentum machinery.
 
 Two independent constructions of the momentum blocks are the oracles for
@@ -51,7 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -80,15 +82,20 @@ def _ladder_site(f: int, j: int, basis: FockBasis) -> int:
     return (j - 1) % f
 
 
-def annihilation(f: int, j: int, basis: FockBasis) -> np.ndarray:
-    """Lowering operator ``a_j`` on an ``at_most`` basis: removes one quantum
-    from site ``j`` with amplitude ``sqrt(n_j)``."""
+def _lower_into(out: np.ndarray, f: int, j: int, basis: FockBasis) -> np.ndarray:
+    """Write ``a_j`` into the zero square ``out``: column ``c`` takes the
+    image of ``basis.states[c]``."""
     site = _ladder_site(f, j, basis)
-    out = np.zeros((basis.size, basis.size), dtype=complex)
     for col, v in enumerate(basis.states):
         if v[site] > 0:
             out[basis.index[v[:site] + (v[site] - 1,) + v[site + 1 :]], col] = math.sqrt(v[site])
     return out
+
+
+def annihilation(f: int, j: int, basis: FockBasis) -> np.ndarray:
+    """Lowering operator ``a_j`` on an ``at_most`` basis: removes one quantum
+    from site ``j`` with amplitude ``sqrt(n_j)``."""
+    return _lower_into(np.zeros((basis.size, basis.size), dtype=complex), f, j, basis)
 
 
 def creation(f: int, j: int, basis: FockBasis) -> np.ndarray:
@@ -96,23 +103,30 @@ def creation(f: int, j: int, basis: FockBasis) -> np.ndarray:
     to site ``j`` with amplitude ``sqrt(n_j + 1)``.
 
     The image above the bound is truncated away, so this is exactly the
-    transpose of :func:`annihilation`.
+    transpose of :func:`annihilation`, written through the transposed view
+    of a C-ordered array.
     """
-    site = _ladder_site(f, j, basis)
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, v in enumerate(basis.states):
-        row = basis.index.get(v[:site] + (v[site] + 1,) + v[site + 1 :])
-        if row is not None:
-            out[row, col] = math.sqrt(v[site] + 1)
-    return out
+    return _lower_into(np.zeros((basis.size, basis.size), dtype=complex).T, f, j, basis).T
+
+
+def _drive(f: int, lam: float, state: Occupation) -> Iterator[tuple[Occupation, float]]:
+    """Every ``(image, amplitude)`` term of ``lam H_lam|state>``: the raise
+    and then the lower at each site.  Images above any ``n_max`` are kept."""
+    n = sum(state)
+    for site in range(f):
+        # a_j^+ (N-2) with N on the unraised state, (N-2) a_j with N on the lowered one
+        occ = state[site]
+        yield state[:site] + (occ + 1,) + state[site + 1 :], lam * (n - 2) * math.sqrt(occ + 1)
+        if occ > 0:
+            yield state[:site] + (occ - 1,) + state[site + 1 :], lam * (n - 3) * math.sqrt(occ)
 
 
 def _terms(f: int, gamma: float, lam: float,
            state: Occupation) -> Iterator[tuple[Occupation, float]]:
     """Every ``(image, amplitude)`` term of ``(H_BH + lam H_lam)|state>``:
     the on-site term, the hops by site and then by direction, then the
-    drive's raise and lower per site (none at ``lam == 0``).  One image may
-    recur, and images above any ``n_max`` are kept."""
+    terms of :func:`_drive` (none at ``lam == 0``).  One image may recur,
+    and images above any ``n_max`` are kept."""
     yield state, -0.5 * gamma * sum(n * (n - 1) for n in state)
     for site in range(f):
         for delta in (1, -1):
@@ -125,15 +139,8 @@ def _terms(f: int, gamma: float, lam: float,
             amp *= math.sqrt(moved[site] + 1)
             moved[site] += 1
             yield tuple(moved), -amp
-    if lam == 0:
-        return
-    n = sum(state)
-    for site in range(f):
-        # a_j^+ (N-2) with N on the unraised state, (N-2) a_j with N on the lowered one
-        occ = state[site]
-        yield state[:site] + (occ + 1,) + state[site + 1 :], lam * (n - 2) * math.sqrt(occ + 1)
-        if occ > 0:
-            yield state[:site] + (occ - 1,) + state[site + 1 :], lam * (n - 3) * math.sqrt(occ)
+    if lam != 0:
+        yield from _drive(f, lam, state)
 
 
 def apply_hamiltonian(f: int, gamma: float, lam: float,
@@ -155,13 +162,14 @@ def apply_hamiltonian(f: int, gamma: float, lam: float,
     return {target: amp for target, amp in image.items() if amp != 0.0}
 
 
-def _scatter(f: int, gamma: float, lam: float, basis: FockBasis) -> np.ndarray:
-    """Dense ``H_BH + lam H_lam`` on ``basis``, one column per state; images
-    outside the basis are dropped."""
+def _scatter(f: int, basis: FockBasis,
+             terms: Callable[[Occupation], Iterator[tuple[Occupation, float]]]) -> np.ndarray:
+    """Dense matrix on ``basis`` whose column ``c`` sums the terms of
+    ``basis.states[c]``; images outside the basis are dropped."""
     _check_sites(f, basis)
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for col, state in enumerate(basis.states):
-        for image, amp in _terms(f, gamma, lam, state):
+        for image, amp in terms(state):
             row = basis.index.get(image)
             if row is not None:
                 out[row, col] += amp
@@ -177,7 +185,7 @@ def build_h_bh(f: int, gamma: float, basis: FockBasis) -> np.ndarray:
     ``-2 a^+ a`` and for ``f = 2`` each hop appears twice.  Hermitian and
     block-diagonal across total-quanta sectors.
     """
-    return _scatter(f, gamma, 0.0, basis)
+    return _scatter(f, basis, partial(_terms, f, gamma, 0.0))
 
 
 def build_h_lambda(f: int, lam: float, basis: FockBasis) -> np.ndarray:
@@ -186,15 +194,10 @@ def build_h_lambda(f: int, lam: float, basis: FockBasis) -> np.ndarray:
     Requires an ``at_most(n_max >= 2)`` basis since it couples neighboring
     quanta sectors.  Raising out of the two-quanta sector carries the factor
     ``N - 2 = 0``, so the 0+1+2-quanta subspace is exactly invariant; for
-    ``n_max = 2`` no truncation error occurs at all.  The drive moves the
-    quanta by one and the hops keep them, so this is the part of ``H`` at
-    ``gamma = 0`` that changes the total quanta.
+    ``n_max = 2`` no truncation error occurs at all.
     """
     _check_at_most(basis, 2)
-    h = _scatter(f, 0.0, lam, basis)
-    quanta = np.array([sum(state) for state in basis.states])
-    h[quanta[:, None] == quanta] = 0.0
-    return h
+    return _scatter(f, basis, partial(_drive, f, lam))
 
 
 def build_number(f: int, basis: FockBasis) -> np.ndarray:
@@ -217,7 +220,7 @@ def build_hamiltonian(f: int, gamma: float, lam: float, basis: FockBasis) -> np.
     """Full Hamiltonian ``H = H_BH + H_lam`` on an ``at_most(n_max >= 2)``
     basis."""
     _check_at_most(basis, 2)
-    return _scatter(f, gamma, lam, basis)
+    return _scatter(f, basis, partial(_terms, f, gamma, lam))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -377,10 +377,6 @@ class SolitonBand:
     margin: float
     per_nu_margin: float
 
-    @property
-    def separated(self) -> bool:
-        return self.margin > 0.0
-
 
 def soliton_band(result: SpectrumResult) -> SolitonBand:
     """Extract the lowest eigenvalue per momentum block and both margins."""

@@ -11,7 +11,7 @@ targets.
 
 from __future__ import annotations
 
-from itertools import groupby
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
@@ -44,31 +44,28 @@ def ops_suite() -> list[Check]:
         h_bh = build_h_bh(f, gamma, basis)
 
         r = hermiticity_defect(h_bh)
-        checks.append(check("H_BH hermitian", r < EXACT_TOL, residual=r, f=f))
+        checks.append(check("H_BH hermitian", r, below=EXACT_TOL, f=f))
         r = float(np.max(np.abs(commutator(h_bh, n_op))))
-        checks.append(check("[H_BH, N] = 0", r < EXACT_TOL, residual=r, f=f))
+        checks.append(check("[H_BH, N] = 0", r, below=EXACT_TOL, f=f))
         r = float(np.max(np.abs(commutator(h_bh, t_op))))
-        checks.append(check("[H_BH, T] = 0", r < EXACT_TOL, residual=r, f=f))
+        checks.append(check("[H_BH, T] = 0", r, below=EXACT_TOL, f=f))
 
         for lam in (0.25, 0.5):
             h_lam = build_h_lambda(f, lam, basis)
             h = h_bh + h_lam
             r = max(hermiticity_defect(h_lam), hermiticity_defect(h),
                     hermiticity_defect(n_op))
-            checks.append(check("H_lam, H, N hermitian", r < EXACT_TOL,
-                                residual=r, f=f, lam=lam))
+            checks.append(check("H_lam, H, N hermitian", r, below=EXACT_TOL, f=f, lam=lam))
             r = float(np.max(np.abs(commutator(h, t_op))))
-            checks.append(check("[H, T] = 0", r < EXACT_TOL, residual=r, f=f, lam=lam))
+            checks.append(check("[H, T] = 0", r, below=EXACT_TOL, f=f, lam=lam))
             hn = float(np.linalg.norm(commutator(h, n_op)))
-            checks.append(check("|[H, N]| > 0.1 lam", hn > 0.1 * lam,
-                                residual=hn, f=f, lam=lam))
+            checks.append(check("|[H, N]| > 0.1 lam", hn, above=0.1 * lam, f=f, lam=lam))
 
         # invariance of the 0+1+2-quanta subspace, probed with headroom
         wide = enumerate_basis(f, at_most(3))
         h_wide = build_hamiltonian(f, gamma, 0.5, wide)
         leak = max(float(np.max(np.abs(sector_block(h_wide, wide, 3, n)))) for n in (0, 1, 2))
-        checks.append(check("no coupling from 0/1/2 quanta into 3", leak < EXACT_TOL,
-                            residual=leak, f=f))
+        checks.append(check("no coupling from 0/1/2 quanta into 3", leak, below=EXACT_TOL, f=f))
         checks.extend(algebra.verify_canonical_relations(f))
     return checks
 
@@ -82,12 +79,11 @@ def momentum_suite() -> list[Check]:
         dims = block_dimensions(f)
         total = (f + 1) * (f + 2) // 2
         if f % 2 == 1:
-            identity = (f + 5) // 2 + (f - 1) * (f + 3) // 2 == total
+            closed = (f + 5) // 2 + (f - 1) * (f + 3) // 2
         else:
-            identity = ((f + 6) // 2 + (f // 2) * (f + 2) // 2
-                        + ((f - 2) // 2) * (f + 4) // 2 == total)
-        checks.append(check("block dimension identity", identity and sum(dims) == total,
-                            residual=abs(sum(dims) - total), f=f))
+            closed = (f + 6) // 2 + (f // 2) * (f + 2) // 2 + ((f - 2) // 2) * (f + 4) // 2
+        checks.append(check("block dimension identity",
+                            max(abs(sum(dims) - total), abs(closed - total)), below=1, f=f))
 
     gamma, lam = 3.0, 0.5
     solved = {}  # f -> the solve at (gamma, lam), reused by the closed-form comparison
@@ -98,8 +94,7 @@ def momentum_suite() -> list[Check]:
         solved[f] = solve_spectrum(f, gamma, lam)
         blocks = solved[f].blocks
         dim_dev = max(abs(b.dim - expected_block_dimension(f, b.label.nu)) for b in blocks)
-        checks.append(check("constructed block dimensions", dim_dev == 0,
-                            residual=dim_dev, f=f))
+        checks.append(check("constructed block dimensions", dim_dev, below=1, f=f))
         worst_gram = 0.0
         worst_t = 0.0
         worst_herm = 0.0
@@ -110,12 +105,9 @@ def momentum_suite() -> list[Check]:
             worst_t = max(worst_t, float(np.max(np.abs(
                 t_op @ v - b.label.translation_eigenvalue * v))))
             worst_herm = max(worst_herm, hermiticity_defect(b.hmatrix))
-        checks.append(check("block vectors orthonormal", worst_gram < 1e-12,
-                            residual=worst_gram, f=f))
-        checks.append(check("blocks are translation eigenspaces", worst_t < 1e-12,
-                            residual=worst_t, f=f))
-        checks.append(check("block matrices hermitian", worst_herm < 1e-12,
-                            residual=worst_herm, f=f))
+        checks.append(check("block vectors orthonormal", worst_gram, below=1e-12, f=f))
+        checks.append(check("blocks are translation eigenspaces", worst_t, below=1e-12, f=f))
+        checks.append(check("block matrices hermitian", worst_herm, below=1e-12, f=f))
         worst_cross = 0.0
         worst_proj = 0.0
         for i, bi in enumerate(blocks):
@@ -125,10 +117,9 @@ def momentum_suite() -> list[Check]:
                     worst_proj = max(worst_proj, float(np.max(np.abs(projected - bi.hmatrix))))
                 else:
                     worst_cross = max(worst_cross, float(np.max(np.abs(projected))))
-        checks.append(check("no coupling between momentum blocks", worst_cross < 1e-12,
-                            residual=worst_cross, f=f))
-        checks.append(check("blocks equal the projection of dense H", worst_proj < EXACT_TOL,
-                            residual=worst_proj, f=f))
+        checks.append(check("no coupling between momentum blocks", worst_cross, below=1e-12, f=f))
+        checks.append(check("blocks equal the projection of dense H", worst_proj, below=EXACT_TOL,
+                            f=f))
 
     for f in range(1, 9):
         basis = enumerate_basis(f, at_most(2))
@@ -138,8 +129,7 @@ def momentum_suite() -> list[Check]:
         vacuum, psi1 = vectors[0], vectors[1]
         coupling = complex(vacuum.conj() @ h @ psi1)
         r = abs(coupling - (-2.0 * lam * np.sqrt(f)))
-        checks.append(check("vacuum couples only as -2 lam sqrt(f)", r < 1e-12,
-                            residual=r, f=f))
+        checks.append(check("vacuum couples only as -2 lam sqrt(f)", r, below=1e-12, f=f))
 
     for f in range(1, 6):
         for gam in (1.0, 3.0):
@@ -156,9 +146,9 @@ def momentum_suite() -> list[Check]:
                 worst12 = max(worst12, float(np.max(np.abs(
                     b.hmatrix[i0 - 1, i0:] - ref[i0 - 1, i0:]))))
             checks.append(check("closed-form two-quanta block (eigenvalues)",
-                                worst22 < ORACLE_TOL, residual=worst22, f=f, gamma=gam))
+                                worst22, below=ORACLE_TOL, f=f, gamma=gam))
             checks.append(check("closed-form one-to-two coupling row",
-                                worst12 < 1e-12, residual=worst12, f=f, gamma=gam))
+                                worst12, below=1e-12, f=f, gamma=gam))
     return checks
 
 
@@ -175,14 +165,13 @@ def spectra_suite() -> list[Check]:
                 blocks = result.all_eigenvalues()
                 full = brute_force_eigenvalues(f, gamma, lam)
                 r = float(np.max(np.abs(blocks - full)))
-                checks.append(check("block spectra match brute force", r < ORACLE_TOL,
-                                    residual=r, f=f, gamma=gamma, lam=lam))
+                checks.append(check("block spectra match brute force", r, below=ORACLE_TOL,
+                                    f=f, gamma=gamma, lam=lam))
 
     for f in (2, 3, 5):
         plus, minus = (r.all_eigenvalues() for r in solve_spectra(f, 3.0, (0.4, -0.4)))
         r = float(np.max(np.abs(plus - minus)))
-        checks.append(check("spectrum invariant under lam -> -lam", r < ORACLE_TOL,
-                            residual=r, f=f))
+        checks.append(check("spectrum invariant under lam -> -lam", r, below=ORACLE_TOL, f=f))
 
     for f in (3, 4, 5, 7):
         result = solved[f, 3.0, 0.5]
@@ -209,10 +198,9 @@ def spectra_suite() -> list[Check]:
                 # membership in the mirror block's span
                 proj = frame @ (frame.conj().T @ v)
                 worst_conj = max(worst_conj, float(np.linalg.norm(proj - v)))
-        checks.append(check("+-nu eigenvalue degeneracy", worst_pair < ORACLE_TOL,
-                            residual=worst_pair, f=f))
+        checks.append(check("+-nu eigenvalue degeneracy", worst_pair, below=ORACLE_TOL, f=f))
         checks.append(check("conjugated eigenvectors lie in the mirror block",
-                            worst_conj < 1e-8, residual=worst_conj, f=f))
+                            worst_conj, below=1e-8, f=f))
 
     for f in range(1, 8):
         gamma = 3.0
@@ -223,7 +211,7 @@ def spectra_suite() -> list[Check]:
         expected += list(np.linalg.eigvalsh(build_h_bh(f, gamma, two)))
         r = float(np.max(np.abs(result.all_eigenvalues() - np.sort(expected))))
         checks.append(check("lam=0 spectrum splits into quanta sectors",
-                            r < ORACLE_TOL, residual=r, f=f))
+                            r, below=ORACLE_TOL, f=f))
     return checks
 
 
@@ -242,8 +230,7 @@ def soliton_suite() -> list[Check]:
         for lam, result in zip(lams, solve_spectra(f, 3.0, lams)):
             band = soliton_band(result)
             checks.append(check("soliton band separated per momentum",
-                                band.per_nu_margin > 0.0,
-                                residual=band.per_nu_margin, f=f, lam=lam,
+                                band.per_nu_margin, above=0.0, f=f, lam=lam,
                                 note=f"cross-block margin {band.margin:+.4f}"))
     return checks
 
@@ -266,30 +253,27 @@ def charpoly_suite() -> list[Check]:
                         dev = np.max(np.abs(computed - target)
                                      / np.maximum(1.0, np.abs(target)))
                         worst[ref] = max(worst[ref], float(dev))
-    return [check(f"characteristic polynomial: {ref.name}", worst[ref] < CHARPOLY_TOL,
-                  residual=worst[ref], f=ref.f) for ref in REFERENCE_CHAR_POLYS]
+    return [check(f"characteristic polynomial: {ref.name}", worst[ref], below=CHARPOLY_TOL,
+                  f=ref.f) for ref in REFERENCE_CHAR_POLYS]
 
 
-def table_comparisons() -> Iterator[tuple]:
-    """``(table, lam, nu, computed, reference)`` for every tabulated block
-    spectrum at gamma = 3, tables in order; each table is one sweep."""
+def table_checks() -> Iterator[tuple]:
+    """``(table, rows, verdict)`` for every reference table, in order: one
+    sweep at gamma = 3 per table, one ``(lam, nu, computed, reference)`` row
+    per tabulated block spectrum, and the verdict on the largest deviation."""
     for table in REFERENCE_TABLES:
         result = sweep(table.f, REFERENCE_GAMMA, [lam for lam, _ in table.rows])
         curves = {bs.label.nu: bs.energies for bs in result.blocks}
-        for i, (lam, energies) in enumerate(table.rows):
-            for nu in table.nus:
-                yield table, lam, nu, curves[nu][i], np.array(energies)
+        rows = [(lam, nu, curves[nu][i], np.array(energies))
+                for i, (lam, energies) in enumerate(table.rows) for nu in table.nus]
+        worst = max(float(np.max(np.abs(computed - reference))) for *_, computed, reference in rows)
+        yield table, rows, check(f"table {table.name}", worst, below=TABLE_TOL, f=table.f,
+                                 values=table.value_count * len(table.nus))
 
 
 def tables_suite() -> list[Check]:
     """Reproduce every tabulated eigenvalue at gamma = 3 to +-1.5e-3."""
-    checks: list[Check] = []
-    for table, rows in groupby(table_comparisons(), key=lambda row: row[0]):
-        worst = max(float(np.max(np.abs(computed - reference)))
-                    for _, _, _, computed, reference in rows)
-        checks.append(check(f"table {table.name}", worst < TABLE_TOL,
-                            residual=worst, f=table.f,
-                            values=table.value_count * len(table.nus)))
+    checks = [verdict for _, _, verdict in table_checks()]
     # the dimension-3 blocks on three sites additionally have exact closed forms
     worst = 0.0
     lams = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -298,8 +282,7 @@ def tables_suite() -> list[Check]:
         for nu in (1, -1):
             worst = max(worst, float(np.max(np.abs(
                 result.block_for(nu).eigenvalues - target))))
-    checks.append(check("f3 dim-3 closed-form energies", worst < 1e-9,
-                        residual=worst, f=3))
+    checks.append(check("f3 dim-3 closed-form energies", worst, below=1e-9, f=3))
     return checks
 
 
@@ -381,24 +364,22 @@ def verify_eigenvector_formulas(result: SpectrumResult) -> list:
             checks.append(skip(formula.name, note="all selected states degenerate here",
                                **params))
             continue
-        ok = worst < EIGENSTATE_RESIDUAL_TOL
         note = f"{tested} states" + (f", {degenerate} degenerate skipped" if degenerate else "")
+        record = check(formula.name, worst, below=EIGENSTATE_RESIDUAL_TOL, note=note, **params)
         if formula.group is not None:
             # alternative readings of one printed expression: record which
             # match, but leave the pass/fail verdict to the group summary
-            status = "pass" if ok else "reading-mismatch"
-            checks.append(Check(name=formula.name, params=params, residual=worst,
-                                status=status, note=note))
-            group_results.setdefault(formula.group, []).append(ok)
-        else:
-            checks.append(check(formula.name, ok, residual=worst, note=note, **params))
+            group_results.setdefault(formula.group, []).append(record.passed)
+            if not record.passed:
+                record = replace(record, status="reading-mismatch")
+        checks.append(record)
 
     for group, oks in sorted(group_results.items()):
         matches = sum(oks)
-        checks.append(check(
-            f"reading group '{group}'", matches >= 1, residual=0.0,
-            note=f"{matches}/{len(oks)} readings match the computed eigenvectors",
-            f=f, gamma=gamma, lam=lam))
+        checks.append(Check(
+            name=f"reading group '{group}'", params={"f": f, "gamma": gamma, "lam": lam},
+            status="pass" if matches else "fail",
+            note=f"{matches}/{len(oks)} readings match the computed eigenvectors"))
     return checks
 
 

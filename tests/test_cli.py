@@ -197,7 +197,7 @@ def test_unwritable_out_path_is_an_error_line(tmp_path, capsys, monkeypatch, arg
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --out was opened")
     monkeypatch.setattr(qeslattice.cli, "sweep", refuse)
-    for name in ("run_suites", "table_comparisons"):  # imported by the command that runs them
+    for name in ("run_suites", "table_checks"):  # imported by the command that runs them
         monkeypatch.setattr(qeslattice.suites, name, refuse)
     path = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, *argv, "--out", str(path))
@@ -435,6 +435,23 @@ def test_verify_single_suite(tmp_path, capsys):
     assert "8/8 checks passed" in err
 
 
+def test_verify_failing_suite_exits_2_with_the_bound_on_its_fail_line(capsys, monkeypatch):
+    from qeslattice.report import check
+    monkeypatch.setitem(qeslattice.suites.SUITES, "failing", lambda: [
+        check("too large", 2e-3, below=1.5e-3, f=3),
+        check("fine", 0, below=1),
+        check("too small", 0.05, above=0.1, f=1, lam=0.5),
+    ])
+    code, out, err = run(capsys, "verify", "--suite", "failing")
+    assert code == 2
+    assert [r["pass"] for r in json.loads(out)] == [False, True, False]
+    assert err.splitlines() == [
+        "1/3 checks passed",
+        "FAIL too large {'f': 3} residual=2.000e-03 below=1.500e-03",
+        "FAIL too small {'f': 1, 'lam': 0.5} residual=5.000e-02 above=1.000e-01",
+    ]
+
+
 def test_verify_rejects_unknown_suite(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, err = run(capsys, "verify", "--suite", "nonsense", "--out", str(path))
@@ -457,6 +474,15 @@ def test_tables_command(capsys):
     assert code == 0
     assert out.count("--> ok") == 8
     assert "MISMATCH" not in out
+
+
+def test_tables_verdicts_and_exit_status_come_from_the_table_checks(capsys, monkeypatch):
+    # held to a bound no table meets, every table is a mismatch and the exit is 2
+    monkeypatch.setattr(qeslattice.suites, "TABLE_TOL", 1e-9)
+    code, out, _ = run(capsys, "tables")
+    assert code == 2
+    assert out.count("--> MISMATCH") == 8 and "--> ok" not in out
+    assert out.count("(tolerance 1e-09)") == 8
 
 
 def test_spectrum_deterministic_stdout(capsys):

@@ -512,7 +512,6 @@ def test_soliton_band_three_sites_at_zero_coupling():
     assert dict(band.minima)[0] == pytest.approx(-5.372, abs=TABLE_TOL)
     assert dict(band.minima)[1] == pytest.approx(-3.450, abs=TABLE_TOL)
     assert band.margin == pytest.approx(1.450, abs=TABLE_TOL)
-    assert band.separated
 
 
 def test_soliton_band_three_sites_at_half_coupling():
