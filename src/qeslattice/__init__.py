@@ -22,8 +22,8 @@ _EXPORTS = {name: module for module, names in {
                 "pencil_stacks project_block to_orbit_frame",
     "spectra": "BlockSpectrum SolitonBand SpectrumResult SweepResult eigh_checked "
                "hermiticity_defect quanta_tags solve_spectra solve_spectrum soliton_band sweep",
-    "ops": "annihilation creation commutator apply_hamiltonian build_h_bh build_h_lambda "
-           "build_hamiltonian build_number build_translation sector_block BlockPencil "
+    "ops": "annihilation creation commutator apply_hamiltonian hamiltonian_pencil "
+           "build_number build_translation sector_block BlockPencil "
            "brute_force_eigenvalues build_momentum_vectors orbit_block_pencil",
     "suites": "verify_eigenvector_formulas",
 }.items() for name in names.split()}

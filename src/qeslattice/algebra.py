@@ -22,9 +22,12 @@ All operators are built with two quanta of headroom above the sector being
 asserted on, so ladder-product truncation cannot leak in; thresholds of
 ``1e-10`` are slack for accumulated rounding only.
 
-Two rules keep the checks cheap.  A product is only formed on the block it
+Two rules keep the checks cheap.  A bracket is only formed on the block it
 is asserted on: ``(x @ y)[sl, sl] == x[sl, :] @ y[:, sl]`` holds for any
-matrices, so every bracket multiplies row slices by column slices.
+matrices, so the sl(f), osp and canonical-relation brackets multiply row
+slices by column slices (:func:`verify_sl2`, :func:`verify_sl3_diagonal` and
+:func:`verify_translation_f3` form their few small products whole and then
+restrict them; slicing those would move the rounding of their residuals).
 ``_sector_products`` does all pairs of two small families in one stacked
 matmul; the osp even x odd brackets go one odd generator at a time and the
 canonical relations pair by pair, so that no stacked copy outgrows the
@@ -41,7 +44,7 @@ import itertools
 import numpy as np
 
 from .fock import at_most, enumerate_basis, exactly
-from .ops import annihilation, build_h_bh, build_translation, creation
+from .ops import annihilation, build_translation, creation, hamiltonian_pencil, sector_block
 from .report import Check, check
 
 SPAN_TOL = 1e-10
@@ -208,9 +211,8 @@ def verify_translation_f3() -> list[Check]:
     idx = basis.sector_indices(n)
     bilinear = _restrict(ad[2] @ a[0] + ad[0] @ a[2] + ad[1] @ a[1], idx)
 
-    v1 = enumerate_basis(f, exactly(1))
-    t_matrix = build_translation(f, v1)
-    h_bh = build_h_bh(f, 3.0, v1)
+    t_matrix = build_translation(f, enumerate_basis(f, exactly(1)))
+    h_bh = sector_block(hamiltonian_pencil(f, 3.0, basis)[0], basis, n, n)
 
     checks = []
     r = float(np.max(np.abs(bilinear @ h_bh - h_bh @ bilinear)))

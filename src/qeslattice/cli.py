@@ -36,12 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    @staticmethod
-    def exit_with(message: str) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return USAGE_ERROR
+        raise SystemExit(USAGE_ERROR)
 
 
 def _fmt(x: float) -> str:
@@ -49,7 +45,10 @@ def _fmt(x: float) -> str:
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"coupling {text!r} is not a number") from None
     if not np.isfinite(value):
         raise ValueError(f"coupling {text!r} is not a finite number")
     return value
@@ -143,7 +142,7 @@ def _emit(results, fmt: str, out, band: bool) -> None:
 def cmd_spectrum(args) -> int:
     lams = _parse_lambda(args.lam)
     if len(lams) != 1:
-        return _Parser.exit_with("spectrum expects a single coupling, not a grid")
+        raise ValueError("spectrum expects a single coupling, not a grid")
     with _output(args.out) as out:
         result = sweep(args.f, args.gamma, lams)
         _emit([result], args.format, out(), band=False)
@@ -153,7 +152,7 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     lams = _parse_lambda(args.lam)
     if len(lams) < 2:
-        return _Parser.exit_with("sweep needs a start:stop:step grid")
+        raise ValueError("sweep needs a start:stop:step grid")
     with _output(args.out) as out:
         result = sweep(args.f, args.gamma, lams)
         _emit([result], args.format, out(), band=False)
@@ -197,18 +196,21 @@ def cmd_verify(args) -> int:
     from .suites import run_suites
     with _output(args.out) as out:
         checks = run_suites(args.suite)
-        out().write(json.dumps(as_records(checks), indent=2, default=str) + "\n")
+        out().write(json.dumps(as_records(checks), indent=2) + "\n")
     failed = failures(checks)
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed",
           file=sys.stderr)
     for c in failed:
-        bound = f" {c.direction}={c.bound:.3e}" if c.direction else ""
-        print(f"FAIL {c.name} {c.params} residual={c.residual:.3e}{bound}", file=sys.stderr)
+        end = f"{c.direction}={c.bound:.3e}" if c.direction else c.note
+        print(f"FAIL {c.name} {c.params} residual={c.residual:.3e} {end}", file=sys.stderr)
     return VERIFY_ERROR if failed else 0
 
 
 def _positive_sites(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"site count f = {text!r} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError("site count f must be >= 1")
     if value > MAX_SITES:

@@ -21,13 +21,13 @@ point:
 * the total number operator ``N`` and the cyclic translation ``T``,
 * the commutator and sector blocks of a matrix.
 
-The terms of ``H`` are written out once, in :func:`_terms`, which takes the
-drive's from :func:`_drive`.  :func:`apply_hamiltonian` sums them into the
+The terms of ``H_BH`` are written out once, in :func:`_terms`, and those of
+the drive in :func:`_drive`.  :func:`apply_hamiltonian` sums both into the
 image of one occupation state, a sparse ``{occupation: amplitude}`` map;
-:func:`build_hamiltonian` and :func:`build_h_bh` scatter them, and
-:func:`build_h_lambda` the drive's alone, column by column, into dense
-matrices; :func:`brute_force_eigenvalues` diagonalizes
-the dense ``H`` with no momentum machinery.
+:func:`hamiltonian_pencil` scatters each, column by column, into the one
+dense ``H = h_bh + lam * h_drive``, built once per ring and evaluated at
+each coupling; :func:`brute_force_eigenvalues` diagonalizes it with no
+momentum machinery.
 
 Two independent constructions of the momentum blocks are the oracles for
 :func:`~qeslattice.momentum.pencil_stacks`.  :func:`orbit_block_pencil` is
@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -121,11 +122,9 @@ def _drive(f: int, lam: float, state: Occupation) -> Iterator[tuple[Occupation, 
             yield state[:site] + (occ - 1,) + state[site + 1 :], lam * (n - 3) * math.sqrt(occ)
 
 
-def _terms(f: int, gamma: float, lam: float,
-           state: Occupation) -> Iterator[tuple[Occupation, float]]:
-    """Every ``(image, amplitude)`` term of ``(H_BH + lam H_lam)|state>``:
-    the on-site term, the hops by site and then by direction, then the
-    terms of :func:`_drive` (none at ``lam == 0``).  One image may recur,
+def _terms(f: int, gamma: float, state: Occupation) -> Iterator[tuple[Occupation, float]]:
+    """Every ``(image, amplitude)`` term of ``H_BH|state>``: the on-site
+    term, then the hops by site and then by direction.  One image may recur,
     and images above any ``n_max`` are kept."""
     yield state, -0.5 * gamma * sum(n * (n - 1) for n in state)
     for site in range(f):
@@ -139,17 +138,16 @@ def _terms(f: int, gamma: float, lam: float,
             amp *= math.sqrt(moved[site] + 1)
             moved[site] += 1
             yield tuple(moved), -amp
-    if lam != 0:
-        yield from _drive(f, lam, state)
 
 
 def apply_hamiltonian(f: int, gamma: float, lam: float,
                       state: Occupation) -> dict[Occupation, float]:
     """Image ``H|state>`` of one occupation state, ``H = H_BH + H_lam``.
 
-    Returns ``{occupation: amplitude}`` in the order of :func:`_terms`, with
-    zero amplitudes omitted, so on an ``at_most(2)`` basis the map equals the
-    state's column of :func:`build_hamiltonian`.  No truncation is applied:
+    Returns ``{occupation: amplitude}`` in the order of :func:`_terms` and
+    then of :func:`_drive`, with zero amplitudes (the drive's at ``lam == 0``)
+    omitted, so on an ``at_most(2)`` basis the map equals the state's column
+    of the :func:`hamiltonian_pencil` at ``lam``.  No truncation is applied:
     raising out of the two-quanta sector carries ``N - 2 = 0`` and is
     omitted, but a state with three or more quanta has images above any
     ``n_max``.
@@ -157,7 +155,7 @@ def apply_hamiltonian(f: int, gamma: float, lam: float,
     if len(state) != f:
         raise ValueError(f"state has {len(state)} sites, ring has {f}")
     image: dict[Occupation, float] = {}
-    for target, amp in _terms(f, gamma, lam, state):
+    for target, amp in chain(_terms(f, gamma, state), _drive(f, lam, state)):
         image[target] = image.get(target, 0.0) + amp
     return {target: amp for target, amp in image.items() if amp != 0.0}
 
@@ -176,28 +174,15 @@ def _scatter(f: int, basis: FockBasis,
     return out
 
 
-def build_h_bh(f: int, gamma: float, basis: FockBasis) -> np.ndarray:
-    """Bose-Hubbard ring Hamiltonian on ``basis`` (any sectors).
-
-    ``H_BH = -sum_j [a_j^+ a_{j+1} + a_j^+ a_{j-1} + (gamma/2) n_j (n_j - 1)]``
-
-    The neighbor sum is kept literal, so for ``f = 1`` the hopping contributes
-    ``-2 a^+ a`` and for ``f = 2`` each hop appears twice.  Hermitian and
-    block-diagonal across total-quanta sectors.
-    """
-    return _scatter(f, basis, partial(_terms, f, gamma, 0.0))
-
-
-def build_h_lambda(f: int, lam: float, basis: FockBasis) -> np.ndarray:
-    """Sector-mixing drive ``lam * sum_j [a_j^+ (N-2) + (N-2) a_j]``.
-
-    Requires an ``at_most(n_max >= 2)`` basis since it couples neighboring
-    quanta sectors.  Raising out of the two-quanta sector carries the factor
-    ``N - 2 = 0``, so the 0+1+2-quanta subspace is exactly invariant; for
-    ``n_max = 2`` no truncation error occurs at all.
-    """
+def hamiltonian_pencil(f: int, gamma: float, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """``(h_bh, h_drive)`` with ``H = h_bh + lam * h_drive`` on an
+    ``at_most(n_max >= 2)`` basis, the drive at unit coupling; ``H_BH`` on one
+    sector is ``sector_block(h_bh, basis, n, n)``.  Raising out of the
+    two-quanta sector carries ``N - 2 = 0``: for ``n_max = 2`` nothing is
+    truncated."""
     _check_at_most(basis, 2)
-    return _scatter(f, basis, partial(_drive, f, lam))
+    return (_scatter(f, basis, partial(_terms, f, gamma)),
+            _scatter(f, basis, partial(_drive, f, 1.0)))
 
 
 def build_number(f: int, basis: FockBasis) -> np.ndarray:
@@ -214,13 +199,6 @@ def build_translation(f: int, basis: FockBasis) -> np.ndarray:
     for col, v in enumerate(basis.states):
         out[basis.index[translate(v)], col] = 1.0
     return out
-
-
-def build_hamiltonian(f: int, gamma: float, lam: float, basis: FockBasis) -> np.ndarray:
-    """Full Hamiltonian ``H = H_BH + H_lam`` on an ``at_most(n_max >= 2)``
-    basis."""
-    _check_at_most(basis, 2)
-    return _scatter(f, basis, partial(_terms, f, gamma, lam))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,8 +236,12 @@ def two_quanta_seed(f: int, b: int) -> Occupation:
 def brute_force_eigenvalues(f: int, gamma: float, lam: float) -> np.ndarray:
     """Independent oracle: diagonalize ``H`` on the plain occupation basis of
     the 0+1+2-quanta space, with no momentum machinery."""
-    basis = enumerate_basis(f, at_most(2))
-    return np.sort(np.linalg.eigvalsh(build_hamiltonian(f, gamma, lam, basis)))
+    h_bh, h = hamiltonian_pencil(f, gamma, enumerate_basis(f, at_most(2)))
+    # H formed in the drive's array, h_bh dropped before eigvalsh copies H
+    h *= lam
+    h += h_bh
+    del h_bh
+    return np.sort(np.linalg.eigvalsh(h))
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def failures(checks: list[Check]) -> list[Check]:
 
 
 def as_records(checks: list[Check]) -> list[dict]:
-    """JSON-ready form: one ``{check, params, residual, pass, note}`` per entry."""
+    """JSON-ready form: one ``{check, params, residual, pass, status, note}`` per entry."""
     out = []
     for c in checks:
         out.append({

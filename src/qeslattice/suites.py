@@ -17,11 +17,10 @@ from typing import Iterator
 import numpy as np
 
 from . import algebra
-from .fock import at_most, enumerate_basis, exactly
+from .fock import FockBasis, at_most, enumerate_basis
 from .momentum import block_dimensions, expected_block_dimension, momentum_values, project_block
-from .ops import (brute_force_eigenvalues, build_h_bh, build_h_lambda, build_hamiltonian,
-                  build_momentum_vectors, build_number, build_translation, commutator,
-                  orbit_block_pencil, sector_block)
+from .ops import (build_momentum_vectors, build_number, build_translation, commutator,
+                  hamiltonian_pencil, orbit_block_pencil, sector_block)
 from .reference import (CHARPOLY_SAMPLES, CHARPOLY_TOL, EIGENSTATE_FORMULAS,
                         EIGENSTATE_RESIDUAL_TOL, REFERENCE_CHAR_POLYS, REFERENCE_GAMMA,
                         REFERENCE_TABLES, TABLE_TOL, f3_dim3_energies)
@@ -41,7 +40,7 @@ def ops_suite() -> list[Check]:
         basis = enumerate_basis(f, at_most(2))
         n_op = build_number(f, basis)
         t_op = build_translation(f, basis)
-        h_bh = build_h_bh(f, gamma, basis)
+        h_bh, h_drive = hamiltonian_pencil(f, gamma, basis)
 
         r = hermiticity_defect(h_bh)
         checks.append(check("H_BH hermitian", r, below=EXACT_TOL, f=f))
@@ -51,7 +50,7 @@ def ops_suite() -> list[Check]:
         checks.append(check("[H_BH, T] = 0", r, below=EXACT_TOL, f=f))
 
         for lam in (0.25, 0.5):
-            h_lam = build_h_lambda(f, lam, basis)
+            h_lam = lam * h_drive
             h = h_bh + h_lam
             r = max(hermiticity_defect(h_lam), hermiticity_defect(h),
                     hermiticity_defect(n_op))
@@ -63,7 +62,9 @@ def ops_suite() -> list[Check]:
 
         # invariance of the 0+1+2-quanta subspace, probed with headroom
         wide = enumerate_basis(f, at_most(3))
-        h_wide = build_hamiltonian(f, gamma, 0.5, wide)
+        h_wide, wide_drive = hamiltonian_pencil(f, gamma, wide)
+        h_wide += 0.5 * wide_drive
+        del wide_drive  # not held through the canonical relations, which set the peak memory
         leak = max(float(np.max(np.abs(sector_block(h_wide, wide, 3, n)))) for n in (0, 1, 2))
         checks.append(check("no coupling from 0/1/2 quanta into 3", leak, below=EXACT_TOL, f=f))
         checks.extend(algebra.verify_canonical_relations(f))
@@ -87,10 +88,19 @@ def momentum_suite() -> list[Check]:
 
     gamma, lam = 3.0, 0.5
     solved = {}  # f -> the solve at (gamma, lam), reused by the closed-form comparison
-    for f in range(1, 7):
+    vacuum_checks = []  # recorded after the block checks of every ring
+    for f in range(1, 9):
         basis = enumerate_basis(f, at_most(2))
+        h_bh, h_drive = hamiltonian_pencil(f, gamma, basis)
+        h = h_bh + lam * h_drive
+        label = next(l for l in momentum_values(f) if l.nu == 0)
+        vacuum, psi1 = build_momentum_vectors(f, label, basis)[:2]
+        coupling = complex(vacuum.conj() @ h @ psi1)
+        r = abs(coupling - (-2.0 * lam * np.sqrt(f)))
+        vacuum_checks.append(check("vacuum couples only as -2 lam sqrt(f)", r, below=1e-12, f=f))
+        if f > 6:
+            continue
         t_op = build_translation(f, basis)
-        h = build_hamiltonian(f, gamma, lam, basis)
         solved[f] = solve_spectrum(f, gamma, lam)
         blocks = solved[f].blocks
         dim_dev = max(abs(b.dim - expected_block_dimension(f, b.label.nu)) for b in blocks)
@@ -121,15 +131,7 @@ def momentum_suite() -> list[Check]:
         checks.append(check("blocks equal the projection of dense H", worst_proj, below=EXACT_TOL,
                             f=f))
 
-    for f in range(1, 9):
-        basis = enumerate_basis(f, at_most(2))
-        h = build_hamiltonian(f, 3.0, lam, basis)
-        label = next(l for l in momentum_values(f) if l.nu == 0)
-        vectors = build_momentum_vectors(f, label, basis)
-        vacuum, psi1 = vectors[0], vectors[1]
-        coupling = complex(vacuum.conj() @ h @ psi1)
-        r = abs(coupling - (-2.0 * lam * np.sqrt(f)))
-        checks.append(check("vacuum couples only as -2 lam sqrt(f)", r, below=1e-12, f=f))
+    checks += vacuum_checks
 
     for f in range(1, 6):
         for gam in (1.0, 3.0):
@@ -156,14 +158,16 @@ def spectra_suite() -> list[Check]:
     """Oracle equivalence, coupling-sign symmetry, momentum degeneracy and
     the decoupled-limit sector structure."""
     checks: list[Check] = []
-    solved = {}  # (f, gamma, lam) -> SpectrumResult, reused by the later checks
+    solved, bases, pencils = {}, {}, {}  # by (f, gamma, lam), f, (f, gamma); reused below
     for f in range(1, 8):
+        bases[f] = enumerate_basis(f, at_most(2))
         for gamma in (1.0, 3.0):
+            h_bh, h_drive = pencils[f, gamma] = hamiltonian_pencil(f, gamma, bases[f])
             lams = (0.0, 0.25, 0.5)
             for lam, result in zip(lams, solve_spectra(f, gamma, lams)):
                 solved[f, gamma, lam] = result
                 blocks = result.all_eigenvalues()
-                full = brute_force_eigenvalues(f, gamma, lam)
+                full = np.linalg.eigvalsh(h_bh + lam * h_drive)
                 r = float(np.max(np.abs(blocks - full)))
                 checks.append(check("block spectra match brute force", r, below=ORACLE_TOL,
                                     f=f, gamma=gamma, lam=lam))
@@ -175,8 +179,8 @@ def spectra_suite() -> list[Check]:
 
     for f in (3, 4, 5, 7):
         result = solved[f, 3.0, 0.5]
-        basis = enumerate_basis(f, at_most(2))
-        h = build_hamiltonian(f, 3.0, 0.5, basis)
+        h_bh, h_drive = pencils[f, 3.0]
+        h = h_bh + 0.5 * h_drive
         worst_pair = 0.0
         worst_conj = 0.0
         present = {b.label.nu for b in result.blocks}
@@ -186,7 +190,7 @@ def spectra_suite() -> list[Check]:
             mirror = result.block_for(-bs.label.nu)
             # the solve gives -nu the spectrum of nu: compare both with the
             # dense projection of H onto the orbit vectors at -nu
-            vectors = build_momentum_vectors(f, mirror.label, basis)
+            vectors = build_momentum_vectors(f, mirror.label, bases[f])
             projected = np.linalg.eigvalsh(project_block(h, vectors))
             for w in (bs.eigenvalues, mirror.eigenvalues):
                 worst_pair = max(worst_pair, float(np.max(np.abs(w - projected))))
@@ -207,8 +211,7 @@ def spectra_suite() -> list[Check]:
         result = solved[f, gamma, 0.0]
         expected = [0.0]
         expected += [-2.0 * np.cos(2 * np.pi * l.nu / f) for l in momentum_values(f)]
-        two = enumerate_basis(f, exactly(2))
-        expected += list(np.linalg.eigvalsh(build_h_bh(f, gamma, two)))
+        expected += list(np.linalg.eigvalsh(sector_block(pencils[f, gamma][0], bases[f], 2, 2)))
         r = float(np.max(np.abs(result.all_eigenvalues() - np.sort(expected))))
         checks.append(check("lam=0 spectrum splits into quanta sectors",
                             r, below=ORACLE_TOL, f=f))
@@ -317,12 +320,17 @@ def verify_eigenvector_formulas(result: SpectrumResult) -> list:
     Raises ``ValueError`` for a ring outside ``1..4``, where no formula is
     tabulated.
     """
-    f, gamma, lam = result.f, result.gamma, result.lam
-    if f not in (1, 2, 3, 4):
+    if result.f not in (1, 2, 3, 4):
         raise ValueError("closed-form eigenstates are tabulated for f in 1..4")
+    basis = enumerate_basis(result.f, at_most(2))
+    return _eigenvector_checks(result, basis, hamiltonian_pencil(result.f, result.gamma, basis))
 
-    basis = enumerate_basis(f, at_most(2))
-    h = build_hamiltonian(f, gamma, lam, basis)
+
+def _eigenvector_checks(result: SpectrumResult, basis: FockBasis, pencil: tuple) -> list:
+    """:func:`verify_eigenvector_formulas` on the ring's pencil over ``basis``."""
+    f, gamma, lam = result.f, result.gamma, result.lam
+    h_bh, h_drive = pencil
+    h = h_bh + lam * h_drive
     checks: list[Check] = []
     group_results: dict[str, list[bool]] = {}
 
@@ -393,13 +401,16 @@ def eigvec_suite() -> list[Check]:
     """
     checks: list[Check] = []
     lams = (0.1, 0.25, 0.5)
+    rings = (1, 2, 3, 4)
+    bases = {f: enumerate_basis(f, at_most(2)) for f in rings}
     for gamma in (1.0, 3.0, 7.0):
-        # one solve per ring; f = 2 also at lam = 0, its last point
-        solved = {f: solve_spectra(f, gamma, lams + (0.0,) * (f == 2)) for f in (1, 2, 3, 4)}
+        # one solve and one dense pencil per ring; f = 2 also at lam = 0, its last point
+        solved = {f: solve_spectra(f, gamma, lams + (0.0,) * (f == 2)) for f in rings}
+        pencils = {f: hamiltonian_pencil(f, gamma, bases[f]) for f in rings}
         for j in range(len(lams)):
-            for f in (1, 2, 3, 4):
-                checks.extend(verify_eigenvector_formulas(solved[f][j]))
-        checks.extend(verify_eigenvector_formulas(solved[2][-1]))
+            for f in rings:
+                checks.extend(_eigenvector_checks(solved[f][j], bases[f], pencils[f]))
+        checks.extend(_eigenvector_checks(solved[2][-1], bases[2], pencils[2]))
     return checks
 
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from qeslattice.fock import at_most, enumerate_basis
 from qeslattice.momentum import block_dimensions, expected_block_dimension
-from qeslattice.ops import (brute_force_eigenvalues, build_h_bh, build_hamiltonian, build_number,
-                            build_translation, commutator, sector_block)
+from qeslattice.ops import (brute_force_eigenvalues, build_number, build_translation, commutator,
+                            hamiltonian_pencil, sector_block)
 from qeslattice.reference import (REFERENCE_CHAR_POLYS, REFERENCE_TABLES,
                                   f3_dim3_energies)
 from qeslattice.spectra import solve_spectrum, soliton_band
@@ -78,9 +78,10 @@ def test_criterion_3_two_and_four_site_tables():
     with criterion(3, "two- and four-site tables + exact null eigenvector"):
         for name in ("f2 nu=0", "f2 nu=1", "f4 nu=0", "f4 nu=2", "f4 nu=+-1"):
             check_table(table_by_name(name))
+        h_bh, h_drive = hamiltonian_pencil(4, 3.0, enumerate_basis(4, at_most(2)))
         for lam in (0.0, 0.25, 0.5):
             result = solve_spectrum(4, 3.0, lam)
-            h = build_hamiltonian(4, 3.0, lam, enumerate_basis(4, at_most(2)))
+            h = h_bh + lam * h_drive
             psi22 = result.block_for(2).vectors[:, 2]
             assert np.linalg.norm(h @ psi22) < 1e-9
 
@@ -135,14 +136,15 @@ def test_criterion_7_symmetry_suite():
             basis = enumerate_basis(f, at_most(2))
             n = build_number(f, basis)
             t = build_translation(f, basis)
-            h_bh = build_h_bh(f, 3.0, basis)
+            h_bh, h_drive = hamiltonian_pencil(f, 3.0, basis)
             assert np.max(np.abs(commutator(h_bh, n))) < EXACT_TOL
             for lam in (0.25, 0.5):
-                h = build_hamiltonian(f, 3.0, lam, basis)
+                h = h_bh + lam * h_drive
                 assert np.max(np.abs(commutator(h, t))) < EXACT_TOL
                 assert np.linalg.norm(commutator(h, n)) > 0.1 * lam
             wide = enumerate_basis(f, at_most(3))
-            h3 = build_hamiltonian(f, 3.0, 0.5, wide)
+            wide_bh, wide_drive = hamiltonian_pencil(f, 3.0, wide)
+            h3 = wide_bh + 0.5 * wide_drive
             for m in (0, 1, 2):
                 assert np.max(np.abs(sector_block(h3, wide, 3, m))) < EXACT_TOL
 
@@ -161,9 +163,10 @@ def test_criterion_8_soliton_band_and_degeneracy():
                       f"{band.per_nu_margin:+.4f}, cross-block margin "
                       f"{band.margin:+.4f}", flush=True)
         for f in (3, 5, 7):
+            h_bh, h_drive = hamiltonian_pencil(f, 3.0, enumerate_basis(f, at_most(2)))
             for lam in (0.0, 0.25, 0.5):
                 result = solve_spectrum(f, 3.0, lam)
-                h = build_hamiltonian(f, 3.0, lam, enumerate_basis(f, at_most(2)))
+                h = h_bh + lam * h_drive
                 for bs in result.blocks:
                     if bs.label.nu <= 0:
                         continue

@@ -86,6 +86,18 @@ def test_site_count_cap(capsys, command):
     assert f"error: argument --f: site count f must be <= {MAX_SITES}" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "figure2"])
+def test_text_that_is_not_a_number_names_its_value(capsys, command):
+    code, out, err = run(capsys, command, "--f", "1.5")
+    assert code == 1 and out == ""
+    assert "error: argument --f: site count f = '1.5' is not an integer" in err
+    assert "_positive_sites" not in err
+    for lam in ("abc", "abc:0.5:0.1", "0:abc:0.1", "0:0.5:abc"):
+        code, out, err = run(capsys, command, "--f", "3", "--lambda", lam)
+        assert code == 1 and out == ""
+        assert err == "error: coupling 'abc' is not a number\n", lam
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # the package needs numpy only
     src = str(Path(qeslattice.__file__).resolve().parents[1])
@@ -240,8 +252,9 @@ def test_closed_stdout_is_an_error_line(capsys, monkeypatch):
 
 
 def test_spectrum_rejects_grid(capsys):
-    code, _, _ = run(capsys, "spectrum", "--f", "2", "--lambda", "0:0.5:0.1")
-    assert code == 1
+    code, out, err = run(capsys, "spectrum", "--f", "2", "--lambda", "0:0.5:0.1")
+    assert code == 1 and out == ""
+    assert err == "error: spectrum expects a single coupling, not a grid\n"
 
 
 def test_spectrum_json_mirror(capsys):
@@ -347,8 +360,9 @@ def test_sweep_rejects_too_many_rows(capsys):
 
 
 def test_sweep_requires_grid(capsys):
-    code, _, _ = run(capsys, "sweep", "--f", "2", "--lambda", "0.3")
-    assert code == 1
+    code, out, err = run(capsys, "sweep", "--f", "2", "--lambda", "0.3")
+    assert code == 1 and out == ""
+    assert err == "error: sweep needs a start:stop:step grid\n"
 
 
 def test_sweep_deterministic_output(tmp_path, capsys):
@@ -436,19 +450,25 @@ def test_verify_single_suite(tmp_path, capsys):
 
 
 def test_verify_failing_suite_exits_2_with_the_bound_on_its_fail_line(capsys, monkeypatch):
-    from qeslattice.report import check
+    from qeslattice.report import Check, check
+    note = "0/2 readings match the computed eigenvectors"
     monkeypatch.setitem(qeslattice.suites.SUITES, "failing", lambda: [
         check("too large", 2e-3, below=1.5e-3, f=3),
         check("fine", 0, below=1),
-        check("too small", 0.05, above=0.1, f=1, lam=0.5),
+        check("too small", 0.05, above=0.1, f=1, lam=0.5, note="margin"),
+        Check(name="reading group 'g'", params={"f": 2}, status="fail", note=note),
     ])
     code, out, err = run(capsys, "verify", "--suite", "failing")
     assert code == 2
-    assert [r["pass"] for r in json.loads(out)] == [False, True, False]
+    records = json.loads(out)
+    assert [r["pass"] for r in records] == [False, True, False, False]
+    assert records[-1] == {"check": "reading group 'g'", "params": {"f": 2}, "residual": 0.0,
+                           "pass": False, "status": "fail", "note": note}
     assert err.splitlines() == [
-        "1/3 checks passed",
+        "1/4 checks passed",
         "FAIL too large {'f': 3} residual=2.000e-03 below=1.500e-03",
         "FAIL too small {'f': 1, 'lam': 0.5} residual=5.000e-02 above=1.000e-01",
+        f"FAIL reading group 'g' {{'f': 2}} residual=0.000e+00 {note}",
     ]
 
 

@@ -10,9 +10,8 @@ from qeslattice.momentum import (GRAM_TOL, MomentumLabel, _check_disjoint_rows,
                                  _check_unit_columns, block_dimensions, block_frame,
                                  expected_block_dimension, momentum_values, pencil_stacks,
                                  project_block, to_orbit_frame, two_quanta_seed_count)
-from qeslattice.ops import (apply_hamiltonian, build_h_bh, build_h_lambda, build_hamiltonian,
-                            build_momentum_vectors, build_translation, orbit_block_pencil,
-                            two_quanta_seed)
+from qeslattice.ops import (apply_hamiltonian, build_momentum_vectors, build_translation,
+                            hamiltonian_pencil, orbit_block_pencil, two_quanta_seed)
 from qeslattice.spectra import MAX_SITES, hermiticity_defect, solve_spectrum
 from qeslattice.suites import momentum_suite
 
@@ -141,7 +140,8 @@ def test_single_site_block_matrix():
 def test_project_block_rejects_non_orthonormal_vectors():
     f = 2
     basis = enumerate_basis(f, at_most(2))
-    h = build_hamiltonian(f, 3.0, 0.2, basis)
+    h_bh, h_drive = hamiltonian_pencil(f, 3.0, basis)
+    h = h_bh + 0.2 * h_drive
     label = momentum_values(f)[1]
     vecs = build_momentum_vectors(f, label, basis)
     vecs[0] = vecs[0] + vecs[1]  # breaks orthonormality
@@ -230,7 +230,8 @@ def test_constructed_blocks_have_expected_dimensions(f):
 @pytest.mark.parametrize("f", range(1, 8))
 def test_block_union_matches_brute_force_spectrum(f):
     basis = enumerate_basis(f, at_most(2))
-    h = build_hamiltonian(f, 3.0, 0.5, basis)
+    h_bh, h_drive = hamiltonian_pencil(f, 3.0, basis)
+    h = h_bh + 0.5 * h_drive
     blocks = solve_spectrum(f, 3.0, 0.5).blocks
     union = np.sort(np.concatenate([np.linalg.eigvalsh(b.hmatrix) for b in blocks]))
     full = np.sort(np.linalg.eigvalsh(h))
@@ -240,7 +241,8 @@ def test_block_union_matches_brute_force_spectrum(f):
 @pytest.mark.parametrize("f", range(1, 7))
 def test_no_matrix_elements_between_blocks(f):
     basis = enumerate_basis(f, at_most(2))
-    h = build_hamiltonian(f, 3.0, 0.5, basis)
+    h_bh, h_drive = hamiltonian_pencil(f, 3.0, basis)
+    h = h_bh + 0.5 * h_drive
     blocks = solve_spectrum(f, 3.0, 0.5).blocks
     for i, bi in enumerate(blocks):
         for bj in blocks[i + 1:]:
@@ -273,7 +275,8 @@ def test_direct_blocks_match_dense_projection(f, gamma, lam):
     # coupling: the dense projection itself rounds at ~1e-15 of |H|
     tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
     basis = enumerate_basis(f, at_most(2))
-    h = build_hamiltonian(f, gamma, lam, basis)
+    h_bh, h_drive = hamiltonian_pencil(f, gamma, basis)
+    h = h_bh + lam * h_drive
     blocks = solve_spectrum(f, gamma, lam).blocks
     assert [b.label for b in blocks] == momentum_values(f)
     for b in blocks:
@@ -290,8 +293,7 @@ def test_pencil_matches_dense_projection_of_each_term(f, gamma):
     # B_BH and B_drive separately against V^H H_BH V and V^H H_lam(1) V
     tol = 1e-12 * max(1.0, gamma)
     basis = enumerate_basis(f, at_most(2))
-    h_bh = build_h_bh(f, gamma, basis)
-    h_drive = build_h_lambda(f, 1.0, basis)
+    h_bh, h_drive = hamiltonian_pencil(f, gamma, basis)
     rows = pencil_rows(f, gamma)
     assert [label for label, *_ in rows] == momentum_values(f)
     for label, _, b_bh, b_drive, phases in rows:
@@ -317,7 +319,8 @@ def test_pencil_splits_by_total_quanta(f):
 @pytest.mark.parametrize("gamma, lam", ORACLE_COUPLINGS)
 def test_apply_hamiltonian_is_a_column_of_dense_h(f, gamma, lam):
     basis = enumerate_basis(f, at_most(2))
-    h = build_hamiltonian(f, gamma, lam, basis)
+    h_bh, h_drive = hamiltonian_pencil(f, gamma, basis)
+    h = h_bh + lam * h_drive
     for col, state in enumerate(basis.states):
         column = np.zeros(basis.size, dtype=complex)
         for image, amp in apply_hamiltonian(f, gamma, lam, state).items():

@@ -7,9 +7,8 @@ import pytest
 
 from qeslattice import ops
 from qeslattice.fock import at_most, enumerate_basis, exactly
-from qeslattice.ops import (annihilation, build_h_bh, build_h_lambda, build_hamiltonian,
-                            build_number, build_translation, commutator, creation,
-                            sector_block)
+from qeslattice.ops import (annihilation, build_number, build_translation, commutator,
+                            creation, hamiltonian_pencil, sector_block)
 from qeslattice.spectra import hermiticity_defect
 
 SQRT2 = math.sqrt(2)
@@ -106,16 +105,20 @@ def test_ladders_match_brute_force(f):
 
 # ---------------------------------------------------------------- H_BH
 
+def h_bh_on_sector(f, gamma, n):
+    """``H_BH`` on the ``n``-quanta sector, cut from the pencil's ``h_bh``."""
+    basis = enumerate_basis(f, at_most(max(n, 2)))
+    return sector_block(hamiltonian_pencil(f, gamma, basis)[0], basis, n, n)
+
+
 def test_h_bh_single_site_two_quanta():
-    v2 = enumerate_basis(1, exactly(2))
-    h = build_h_bh(1, 3.0, v2)
+    h = h_bh_on_sector(1, 3.0, 2)
     assert np.allclose(h, [[-7.0]])  # -2*2 hopping - gamma
 
 
 def test_h_bh_two_site_two_quanta_eigenvalues():
     gamma = 3.0
-    v2 = enumerate_basis(2, exactly(2))
-    h = build_h_bh(2, gamma, v2)
+    h = h_bh_on_sector(2, gamma, 2)
     expected = sorted([-gamma,
                        -gamma / 2 - 0.5 * math.sqrt(gamma ** 2 + 64),
                        -gamma / 2 + 0.5 * math.sqrt(gamma ** 2 + 64)])
@@ -124,7 +127,7 @@ def test_h_bh_two_site_two_quanta_eigenvalues():
 
 def test_h_bh_two_site_one_quantum_eigenpairs():
     v1 = enumerate_basis(2, exactly(1))
-    h = build_h_bh(2, 5.0, v1)
+    h = h_bh_on_sector(2, 5.0, 1)
     w, v = np.linalg.eigh(h)
     assert np.allclose(w, [-2.0, 2.0])
     sym = (unit(v1, (1, 0)) + unit(v1, (0, 1))) / SQRT2
@@ -136,7 +139,7 @@ def test_h_bh_two_site_one_quantum_eigenpairs():
 @pytest.mark.parametrize("f", range(1, 7))
 def test_h_bh_is_hermitian_and_sector_diagonal(f):
     basis = enumerate_basis(f, at_most(3))
-    h = build_h_bh(f, 2.2, basis)
+    h, _ = hamiltonian_pencil(f, 2.2, basis)
     assert hermiticity_defect(h) < 1e-12
     for m in range(4):
         for n in range(4):
@@ -157,22 +160,24 @@ def test_h_bh_matches_brute_force_operator(f):
     for j in range(f):
         expected -= ad[j] @ a[(j + 1) % f] + ad[j] @ a[(j - 1) % f]
         expected -= 0.5 * gamma * ad[j] @ ad[j] @ a[j] @ a[j]
-    assert np.allclose(build_h_bh(f, gamma, basis), expected, atol=1e-14)
+    assert np.allclose(hamiltonian_pencil(f, gamma, basis)[0], expected, atol=1e-14)
 
 
 # ---------------------------------------------------------------- H_lam
 
 def test_h_lambda_single_site_matrix_element():
     basis = enumerate_basis(1, at_most(2))
-    lam = 0.7
-    h = build_h_lambda(1, lam, basis)
-    # <0| H_lam |1> = lam * <0|(N-2)a|1> = -2 lam
-    assert np.isclose(h[basis.index[(0,)], basis.index[(1,)]], -2 * lam)
+    _, h_drive = hamiltonian_pencil(1, 3.0, basis)
+    # <0| H_lam |1> = lam * <0|(N-2)a|1> = -2 lam, here at lam = 1
+    assert h_drive[basis.index[(0,)], basis.index[(1,)]] == -2.0
 
 
 def test_h_lambda_zero_coupling_is_zero():
+    # the pencil at lam = 0 is H_BH to the bit, signed zeros included
     basis = enumerate_basis(3, at_most(2))
-    assert np.max(np.abs(build_h_lambda(3, 0.0, basis))) == 0.0
+    h_bh, h_drive = hamiltonian_pencil(3, 3.0, basis)
+    assert (h_bh + 0.0 * h_drive).tobytes() == h_bh.tobytes()
+    assert (h_bh - 0.0 * h_drive).tobytes() == h_bh.tobytes()
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
@@ -188,22 +193,24 @@ def test_h_lambda_matches_brute_force_operator(f):
         a = brute_force_ladder(basis, j, "lower")
         ad = brute_force_ladder(basis, j, "raise")
         expected += lam * (ad @ shift + shift @ a)
-    assert np.allclose(build_h_lambda(f, lam, basis), expected, atol=1e-14)
+    assert np.allclose(lam * hamiltonian_pencil(f, 3.0, basis)[1], expected, atol=1e-14)
 
 
 def test_h_lambda_requires_mixing_basis():
-    with pytest.raises(ValueError):
-        build_h_lambda(2, 0.1, enumerate_basis(2, exactly(2)))
-    with pytest.raises(ValueError):
-        build_h_lambda(2, 0.1, enumerate_basis(2, at_most(1)))
-    with pytest.raises(ValueError):
-        build_hamiltonian(2, 3.0, 0.1, enumerate_basis(2, at_most(1)))
+    # the pencil is built on at_most(n >= 2) only
+    for sectors in (exactly(0), exactly(2), exactly(3), range(1, 3), range(0, 3, 2),
+                    at_most(0), at_most(1)):
+        with pytest.raises(ValueError, match="at_most"):
+            hamiltonian_pencil(2, 3.0, enumerate_basis(2, sectors))
+    for n_max in (2, 3):
+        h_bh, h_drive = hamiltonian_pencil(2, 3.0, enumerate_basis(2, at_most(n_max)))
+        assert h_bh.shape == h_drive.shape and h_drive.dtype == complex
 
 
 @pytest.mark.parametrize("f", range(1, 7))
 def test_h_lambda_couples_only_adjacent_low_sectors(f):
     basis = enumerate_basis(f, at_most(3))
-    h = build_h_lambda(f, 0.4, basis)
+    h = 0.4 * hamiltonian_pencil(f, 3.0, basis)[1]
     assert hermiticity_defect(h) < 1e-12
     # no coupling between the invariant subspace and three quanta
     assert np.max(np.abs(sector_block(h, basis, 3, 2))) == 0.0
@@ -288,8 +295,8 @@ def test_anticommutator_single_site_number_identity():
 def test_symmetry_suite(f, lam):
     gamma = 3.0
     basis = enumerate_basis(f, at_most(2))
-    h_bh = build_h_bh(f, gamma, basis)
-    h = build_hamiltonian(f, gamma, lam, basis)
+    h_bh, h_drive = hamiltonian_pencil(f, gamma, basis)
+    h = h_bh + lam * h_drive
     n = build_number(f, basis)
     t = build_translation(f, basis)
     assert np.max(np.abs(commutator(h_bh, n))) < 1e-12
@@ -301,20 +308,27 @@ def test_symmetry_suite(f, lam):
 @pytest.mark.parametrize("f", range(1, 7))
 def test_invariant_subspace_has_no_three_quanta_leakage(f):
     wide = enumerate_basis(f, at_most(3))
-    h = build_hamiltonian(f, 3.0, 0.5, wide)
+    h_bh, h_drive = hamiltonian_pencil(f, 3.0, wide)
+    h = h_bh + 0.5 * h_drive
     for n in (0, 1, 2):
         assert np.max(np.abs(sector_block(h, wide, 3, n))) < 1e-12
 
 
 def test_sector_block_matches_sector_basis():
-    basis = enumerate_basis(2, at_most(2))
-    h = build_h_bh(2, 3.0, basis)
-    direct = build_h_bh(2, 3.0, enumerate_basis(2, exactly(2)))
-    assert np.allclose(sector_block(h, basis, 2, 2), direct)
+    # the block is found by sector, not by position: the same on every basis
+    # that holds the sector, in the order of the sector basis itself
+    basis, wide = enumerate_basis(2, at_most(2)), enumerate_basis(2, at_most(4))
+    h = sector_block(hamiltonian_pencil(2, 3.0, basis)[0], basis, 2, 2)
+    assert h.tobytes() == sector_block(hamiltonian_pencil(2, 3.0, wide)[0], wide, 2, 2).tobytes()
+    two = enumerate_basis(2, exactly(2))
+    assert [basis.states[i] for i in basis.sector_indices(2)] == list(two.states)
+    # (2,0), (1,1), (0,2): on-site -gamma, each hop counted twice on two sites
+    hop = -2.0 * SQRT2
+    assert np.allclose(h, [[-3.0, hop, 0.0], [hop, 0.0, hop], [0.0, hop, -3.0]])
 
 
 def test_sector_block_rejects_foreign_basis():
-    h = build_h_bh(2, 3.0, enumerate_basis(2, at_most(2)))
+    h, _ = hamiltonian_pencil(2, 3.0, enumerate_basis(2, at_most(2)))
     with pytest.raises(ValueError):
         sector_block(h, enumerate_basis(2, at_most(3)), 2, 2)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -62,3 +63,9 @@ def test_every_suite_verdict_follows_its_bound():
         assert c.status == ("pass" if holds else failed), c
         bounded += 1
     assert bounded > 400 and explicit > 0, (bounded, explicit)
+
+
+def test_the_records_of_a_full_run_need_no_json_fallback():
+    # verify dumps them with no default=: a param json cannot encode raises
+    records = as_records(run_suites())
+    assert len(json.loads(json.dumps(records))) == len(records)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from qeslattice import spectra
-from qeslattice.fock import at_most, enumerate_basis, exactly
+from qeslattice.fock import at_most, enumerate_basis
 from qeslattice.momentum import momentum_values, pencil_stacks, to_orbit_frame
-from qeslattice.ops import (brute_force_eigenvalues, build_h_bh, build_hamiltonian,
-                            build_momentum_vectors, orbit_block_pencil)
+from qeslattice.ops import (brute_force_eigenvalues, build_momentum_vectors, hamiltonian_pencil,
+                            orbit_block_pencil, sector_block)
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
 from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS, eigh_checked,
@@ -285,7 +285,8 @@ def test_solve_builds_no_frame_and_no_basis_until_read(monkeypatch):
 
 def test_eigenvectors_are_orthonormal_and_satisfy_residual():
     result = solve_spectrum(5, 3.0, 0.5)
-    h = build_hamiltonian(5, 3.0, 0.5, enumerate_basis(5, at_most(2)))
+    h_bh, h_drive = hamiltonian_pencil(5, 3.0, enumerate_basis(5, at_most(2)))
+    h = h_bh + 0.5 * h_drive
     for bs in result.blocks:
         v = bs.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-12
@@ -545,8 +546,8 @@ def test_spectrum_even_in_coupling_sign(f):
     # the quanta parity (-1)^N conjugates H(lam) into H(-lam) exactly
     basis = enumerate_basis(f, at_most(2))
     parity = np.diag([(-1.0) ** sum(s) for s in basis.states])
-    h_plus = build_hamiltonian(f, 3.0, 0.35, basis)
-    h_minus = build_hamiltonian(f, 3.0, -0.35, basis)
+    h_bh, h_drive = hamiltonian_pencil(f, 3.0, basis)
+    h_plus, h_minus = h_bh + 0.35 * h_drive, h_bh - 0.35 * h_drive
     assert np.max(np.abs(parity @ h_plus @ parity - h_minus)) < 1e-12
 
 
@@ -563,8 +564,9 @@ def test_zero_coupling_sector_decomposition(f):
     gamma = 3.0
     expected = [0.0]
     expected += [-2.0 * math.cos(l.k) for l in momentum_values(f)]
-    two = enumerate_basis(f, exactly(2))
-    expected += list(np.linalg.eigvalsh(build_h_bh(f, gamma, two)))
+    basis = enumerate_basis(f, at_most(2))
+    h_bh, _ = hamiltonian_pencil(f, gamma, basis)
+    expected += list(np.linalg.eigvalsh(sector_block(h_bh, basis, 2, 2)))
     computed = solve_spectrum(f, gamma, 0.0).all_eigenvalues()
     assert np.max(np.abs(computed - np.sort(expected))) < 1e-9
 
@@ -572,7 +574,8 @@ def test_zero_coupling_sector_decomposition(f):
 @pytest.mark.parametrize("f", [3, 4, 5, 7])
 def test_mirror_momentum_degeneracy_and_conjugation(f):
     result = solve_spectrum(f, 3.0, 0.5)
-    h = build_hamiltonian(f, 3.0, 0.5, enumerate_basis(f, at_most(2)))
+    h_bh, h_drive = hamiltonian_pencil(f, 3.0, enumerate_basis(f, at_most(2)))
+    h = h_bh + 0.5 * h_drive
     present = {b.label.nu for b in result.blocks}
     for bs in result.blocks:
         if bs.label.nu <= 0 or -bs.label.nu not in present:
@@ -632,7 +635,8 @@ def test_exactly_one_reading_matches_each_ambiguous_formula():
 def test_four_site_null_energy_eigenstate_is_exact():
     # the (1,1,0,0)-family vector at k = pi is an exact null eigenvector
     result = solve_spectrum(4, 3.0, 0.5)
-    h = build_hamiltonian(4, 3.0, 0.5, enumerate_basis(4, at_most(2)))
+    h_bh, h_drive = hamiltonian_pencil(4, 3.0, enumerate_basis(4, at_most(2)))
+    h = h_bh + 0.5 * h_drive
     block = result.block_for(2)
     psi22 = block.vectors[:, 2]
     assert np.linalg.norm(h @ psi22) < 1e-9
