@@ -20,7 +20,9 @@ defining relations in the Fock-matrix realization:
 
 All operators are built with two quanta of headroom above the sector being
 asserted on, so ladder-product truncation cannot leak in; thresholds of
-``1e-10`` are slack for accumulated rounding only.
+``1e-10`` are slack for accumulated rounding only.  The ladders are real
+float64 matrices, each ``a_j^+`` the transposed view of ``a_j``, so every
+product below is a real matmul.
 
 Two rules keep the checks cheap.  A bracket is only formed on the block it
 is asserted on: ``(x @ y)[sl, sl] == x[sl, :] @ y[:, sl]`` holds for any
@@ -44,7 +46,7 @@ import itertools
 import numpy as np
 
 from .fock import at_most, enumerate_basis, exactly
-from .ops import annihilation, build_translation, creation, hamiltonian_pencil, sector_block
+from .ops import annihilation, build_translation, hamiltonian_pencil, sector_block
 from .report import Check, check
 
 SPAN_TOL = 1e-10
@@ -54,11 +56,12 @@ _RESIDUAL_CHUNK = 16
 
 
 def _ladders(f: int, n_pad: int) -> tuple[list[np.ndarray], list[np.ndarray], object]:
-    """Ladder matrices on an ``at_most(n_pad)`` basis; returns (a, adag, basis)."""
+    """Real ladder matrices on an ``at_most(n_pad)`` basis; returns (a,
+    adag, basis), each ``a_j^+`` the transposed view of its ``a_j``
+    (:func:`~qeslattice.ops.creation`)."""
     basis = enumerate_basis(f, at_most(n_pad))
     a = [annihilation(f, j, basis) for j in range(1, f + 1)]
-    ad = [creation(f, j, basis) for j in range(1, f + 1)]
-    return a, ad, basis
+    return a, [x.T for x in a], basis
 
 
 def _restrict(m: np.ndarray, idx: range) -> np.ndarray:
@@ -189,7 +192,7 @@ def verify_sl3_diagonal(n: int) -> list[Check]:
     checks.append(check("Y, T3 diagonal in occupation basis", off, below=SPAN_TOL, n=n))
     states = [basis.states[i] for i in idx]
     expected = np.array([(2 * s[2] - s[0] - s[1]) / 3.0 for s in states])
-    r = float(np.max(np.abs(np.diag(yr).real - expected))) if states else 0.0
+    r = float(np.max(np.abs(np.diag(yr) - expected))) if states else 0.0
     checks.append(check("Y eigenvalue = (2n3-n1-n2)/3", r, below=SPAN_TOL, n=n))
     checks.append(check("dim V_n = (n+1)(n+2)/2", abs(len(idx) - (n + 1) * (n + 2) // 2),
                         below=1, n=n))
@@ -225,8 +228,8 @@ def verify_translation_f3() -> list[Check]:
         residual=eq, status="pass",
         note=("bilinear is the site-1<->3 transposition: square = identity, "
               "cube = itself; not a relabeling of the 3-cycle. "
-              f"bilinear={bilinear.real.astype(int).tolist()} "
-              f"translation={t_matrix.real.astype(int).tolist()}")))
+              f"bilinear={bilinear.astype(int).tolist()} "
+              f"translation={t_matrix.astype(int).tolist()}")))
     sq = float(np.max(np.abs(bilinear @ bilinear - np.eye(3))))
     checks.append(check("bilinear squared = identity on V_1", sq, below=SPAN_TOL))
     cube_is_self = float(np.max(np.abs(
@@ -238,7 +241,7 @@ def verify_translation_f3() -> list[Check]:
 
 
 def _unit(basis, occ) -> np.ndarray:
-    v = np.zeros(basis.size, dtype=complex)
+    v = np.zeros(basis.size)
     v[basis.index[occ]] = 1.0
     return v
 
@@ -292,7 +295,7 @@ def verify_osp_structure(f: int) -> list[Check]:
                         worst, below=SPAN_TOL, f=f))
 
     # [e, o] on the interior for every even e, one odd o at a time
-    targets = np.empty((len(even), len(odd), dim, dim), dtype=complex)
+    targets = np.empty((len(even), len(odd), dim, dim))
     for i, o in enumerate(odd):
         targets[:, i] = ((even_rows @ o[:, :dim]).reshape(len(even), dim, dim)
                          - (o[:dim] @ even_cols).reshape(dim, len(even), dim).swapaxes(0, 1))

@@ -2,15 +2,19 @@
 
 The production path writes each momentum block down from its closed-form
 shape (:mod:`~qeslattice.momentum`) and builds no occupation state; every
-builder here does.  The dense ones return a square complex ``np.ndarray``
-over the caller's basis: column ``c`` holds the image of ``basis.states[c]``.
+builder here does.  The dense operators return a square real (float64)
+``np.ndarray`` over the caller's basis: column ``c`` holds the image of
+``basis.states[c]``.  Every operator of the model is real on the occupation
+basis; complex arrays appear only where momentum phases do, in the block
+vectors and the orbit pencils.
 
 Everything here is built by explicit action on basis states, not by tensor
 products of single-mode matrices, so matrix elements are exact up to floating
 point:
 
 * ladder operators ``a_j``, ``a_j^+`` with periodic site indexing
-  (site ``f+1`` means site ``1``), on an ``at_most`` basis,
+  (site ``f+1`` means site ``1``), on an ``at_most`` basis; ``a_j^+`` is
+  the transposed view of ``a_j``,
 * the Bose-Hubbard ring Hamiltonian
   ``H_BH = -sum_j [a_j^+ a_{j+1} + a_j^+ a_{j-1} + (gamma/2) a_j^+ a_j^+ a_j a_j]``,
   implemented literally: for ``f <= 2`` the two neighbor terms coincide and
@@ -24,8 +28,8 @@ point:
 The terms of ``H_BH`` are written out once, in :func:`_terms`, and those of
 the drive in :func:`_drive`.  :func:`apply_hamiltonian` sums both into the
 image of one occupation state, a sparse ``{occupation: amplitude}`` map;
-:func:`hamiltonian_pencil` scatters each, column by column, into the one
-dense ``H = h_bh + lam * h_drive``, built once per ring and evaluated at
+:func:`hamiltonian_pencil` scatters each, in one ``np.add.at``, into the
+one dense ``H = h_bh + lam * h_drive``, built once per ring and evaluated at
 each coupling; :func:`brute_force_eigenvalues` diagonalizes it with no
 momentum machinery.
 
@@ -83,20 +87,15 @@ def _ladder_site(f: int, j: int, basis: FockBasis) -> int:
     return (j - 1) % f
 
 
-def _lower_into(out: np.ndarray, f: int, j: int, basis: FockBasis) -> np.ndarray:
-    """Write ``a_j`` into the zero square ``out``: column ``c`` takes the
-    image of ``basis.states[c]``."""
+def annihilation(f: int, j: int, basis: FockBasis) -> np.ndarray:
+    """Lowering operator ``a_j`` on an ``at_most`` basis: removes one quantum
+    from site ``j`` with amplitude ``sqrt(n_j)``."""
     site = _ladder_site(f, j, basis)
+    out = np.zeros((basis.size, basis.size))
     for col, v in enumerate(basis.states):
         if v[site] > 0:
             out[basis.index[v[:site] + (v[site] - 1,) + v[site + 1 :]], col] = math.sqrt(v[site])
     return out
-
-
-def annihilation(f: int, j: int, basis: FockBasis) -> np.ndarray:
-    """Lowering operator ``a_j`` on an ``at_most`` basis: removes one quantum
-    from site ``j`` with amplitude ``sqrt(n_j)``."""
-    return _lower_into(np.zeros((basis.size, basis.size), dtype=complex), f, j, basis)
 
 
 def creation(f: int, j: int, basis: FockBasis) -> np.ndarray:
@@ -104,10 +103,9 @@ def creation(f: int, j: int, basis: FockBasis) -> np.ndarray:
     to site ``j`` with amplitude ``sqrt(n_j + 1)``.
 
     The image above the bound is truncated away, so this is exactly the
-    transpose of :func:`annihilation`, written through the transposed view
-    of a C-ordered array.
+    transpose of :func:`annihilation`, returned as its transposed view.
     """
-    return _lower_into(np.zeros((basis.size, basis.size), dtype=complex).T, f, j, basis).T
+    return annihilation(f, j, basis).T
 
 
 def _drive(f: int, lam: float, state: Occupation) -> Iterator[tuple[Occupation, float]]:
@@ -162,15 +160,21 @@ def apply_hamiltonian(f: int, gamma: float, lam: float,
 
 def _scatter(f: int, basis: FockBasis,
              terms: Callable[[Occupation], Iterator[tuple[Occupation, float]]]) -> np.ndarray:
-    """Dense matrix on ``basis`` whose column ``c`` sums the terms of
-    ``basis.states[c]``; images outside the basis are dropped."""
+    """Dense real matrix on ``basis`` whose column ``c`` sums the terms of
+    ``basis.states[c]``; images outside the basis are dropped.  One
+    ``np.add.at`` adds the terms in the order they come, so the terms of a
+    recurring image always sum in the same order."""
     _check_sites(f, basis)
-    out = np.zeros((basis.size, basis.size), dtype=complex)
+    rows, cols, amps = [], [], []
     for col, state in enumerate(basis.states):
         for image, amp in terms(state):
             row = basis.index.get(image)
             if row is not None:
-                out[row, col] += amp
+                rows.append(row)
+                cols.append(col)
+                amps.append(amp)
+    out = np.zeros((basis.size, basis.size))
+    np.add.at(out, (rows, cols), amps)
     return out
 
 
@@ -188,14 +192,13 @@ def hamiltonian_pencil(f: int, gamma: float, basis: FockBasis) -> tuple[np.ndarr
 def build_number(f: int, basis: FockBasis) -> np.ndarray:
     """Total number operator ``N = sum_j a_j^+ a_j`` (diagonal)."""
     _check_sites(f, basis)
-    diag = np.array([sum(v) for v in basis.states], dtype=complex)
-    return np.diag(diag)
+    return np.diag([float(sum(v)) for v in basis.states])
 
 
 def build_translation(f: int, basis: FockBasis) -> np.ndarray:
     """Cyclic translation ``T`` as a permutation matrix: unitary, ``T^f = 1``."""
     _check_sites(f, basis)
-    out = np.zeros((basis.size, basis.size), dtype=complex)
+    out = np.zeros((basis.size, basis.size))
     for col, v in enumerate(basis.states):
         out[basis.index[translate(v)], col] = 1.0
     return out

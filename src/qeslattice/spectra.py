@@ -54,6 +54,11 @@ MAX_SITES = 120
 # eigenvectors, n_lams * sum_{nu >= 0} d^2 entries each, so it takes at most
 # 3 * MAX_SWEEP_ROWS (48 MB): 25 couplings at f = 120, 0.9 s and 187 MB RSS.
 MAX_SWEEP_ROWS = 2_000_000
+# Matrix entries per chunk of the hermiticity and residual checks of
+# `eigh_checked` (1 MB of float64).  One coupling's stacks up to f = 48 and
+# every block of a 101-point sweep at f = 15 fit in one chunk, so they are
+# checked in one pass.
+_CHECK_ENTRIES = 1 << 17
 
 
 def _check_sites(f: int) -> int:
@@ -67,11 +72,13 @@ def _check_sites(f: int) -> int:
 
 
 def _check_coupling(name: str, value: float) -> None:
-    """Reject a coupling that is not a real number (``bool`` included) or is
-    larger than ``MAX_COUPLING`` in magnitude; NaN and infinities fail the
-    comparison too."""
+    """Reject a coupling that is not a real number (``bool`` included), is
+    NaN, or is larger than ``MAX_COUPLING`` in magnitude (infinities
+    included)."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} = {value!r} is not a real number")
+    if math.isnan(value):
+        raise ValueError(f"{name} = {value!r} is not a finite number")
     if not abs(value) <= MAX_COUPLING:
         raise ValueError(f"{name} = {value!r} is outside [-{MAX_COUPLING:g}, {MAX_COUPLING:g}]")
 
@@ -110,12 +117,21 @@ def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises on a matrix that deviates from self-adjointness by more than
     ``EIGH_HERMITICITY_TOL``; the residual ``|(H - E) v|`` of every pair is
-    verified to be below ``RESIDUAL_TOL``.
+    verified to be below ``RESIDUAL_TOL``.  Both checks take their maximum
+    over chunks of at most ``_CHECK_ENTRIES`` matrix entries, so their
+    temporaries stay that small whatever the stack.
     """
-    if hermiticity_defect(h) > EIGH_HERMITICITY_TOL:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError("hermiticity is defined for square matrices only")
+    d = h.shape[-1]
+    stack = h.reshape(-1, d, d)
+    step = max(1, _CHECK_ENTRIES // (d * d))
+    chunks = [slice(i, i + step) for i in range(0, len(stack), step)]
+    if max(hermiticity_defect(stack[c]) for c in chunks) > EIGH_HERMITICITY_TOL:
         raise ValueError("block matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
-    residual = np.max(np.abs(h @ v - v * w[..., None, :]))
+    ws, vs = w.reshape(-1, 1, d), v.reshape(stack.shape)
+    residual = max(np.max(np.abs(stack[c] @ vs[c] - vs[c] * ws[c])) for c in chunks)
     if residual > RESIDUAL_TOL:
         raise ArithmeticError(f"eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")
     return w, v

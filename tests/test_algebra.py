@@ -141,6 +141,14 @@ def test_canonical_relations(f):
     all_pass(verify_canonical_relations(f))
 
 
+@pytest.mark.parametrize("f", [1, 3, 6])
+def test_ladders_are_real_and_share_one_array_per_site(f):
+    a, ad, basis = _ladders(f, 4)
+    for j in range(f):
+        assert a[j].dtype == np.float64 and ad[j].base is a[j]
+        assert np.array_equal(ad[j], creation(f, j + 1, basis))
+
+
 # ------------------------------------------- span solve and sector products
 
 def lstsq_reference(target, generators):

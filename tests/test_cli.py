@@ -177,6 +177,8 @@ def test_sweeps_without_a_hard_step_leave_scipy_optimize_unloaded():
 
 @pytest.mark.parametrize("flag, value, shown", [
     ("--gamma", "nan", "nan"), ("--lambda", "inf", "inf"),
+    ("--gamma", "nan", "gamma = nan is not a finite number"),
+    ("--gamma", "inf", "gamma = inf is outside"),
     ("--lambda", "1e308", "1e+308"), ("--gamma", "2e3", "2000.0")])
 def test_spectrum_rejects_bad_coupling(capsys, flag, value, shown):
     code, out, err = run(capsys, "spectrum", "--f", "3", flag, value)

@@ -1,5 +1,6 @@
 import ast
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -87,10 +88,38 @@ def test_site_index_out_of_range(j):
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_creation_is_adjoint_of_annihilation_between_sectors(f, n):
-    # both are real, so the adjoint is the transpose, entry for entry
+    # both are real, so the adjoint is the transpose, entry for entry; the
+    # raising operator is the transposed view of a lowering operator
     basis = enumerate_basis(f, at_most(n))
     for j in range(1, f + 1):
-        assert np.array_equal(creation(f, j, basis), annihilation(f, j, basis).T)
+        ad = creation(f, j, basis)
+        assert np.array_equal(ad, annihilation(f, j, basis).T)
+        assert ad.base is not None and np.array_equal(ad.base, annihilation(f, j, basis))
+
+
+@pytest.mark.parametrize("f", range(1, 7))
+def test_oracle_operators_are_real(f):
+    basis = enumerate_basis(f, at_most(2))
+    operators = [annihilation(f, j, basis) for j in range(1, f + 1)]
+    operators += [creation(f, j, basis) for j in range(1, f + 1)]
+    operators += [build_number(f, basis), build_translation(f, basis)]
+    operators += hamiltonian_pencil(f, 3.0, basis)
+    assert all(op.dtype == np.float64 for op in operators)
+
+
+@pytest.mark.parametrize("f", range(1, 6))
+def test_pencil_sums_each_term_in_order(f):
+    # one np.add.at over the term lists gives, bit for bit, the sums of a
+    # += per term in the order the terms come
+    basis = enumerate_basis(f, at_most(3))
+    for matrix, terms in zip(hamiltonian_pencil(f, 2.2, basis),
+                             (partial(ops._terms, f, 2.2), partial(ops._drive, f, 1.0))):
+        expected = np.zeros((basis.size, basis.size))
+        for col, state in enumerate(basis.states):
+            for image, amp in terms(state):
+                if image in basis.index:
+                    expected[basis.index[image], col] += amp
+        assert matrix.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
@@ -204,7 +233,7 @@ def test_h_lambda_requires_mixing_basis():
             hamiltonian_pencil(2, 3.0, enumerate_basis(2, sectors))
     for n_max in (2, 3):
         h_bh, h_drive = hamiltonian_pencil(2, 3.0, enumerate_basis(2, at_most(n_max)))
-        assert h_bh.shape == h_drive.shape and h_drive.dtype == complex
+        assert h_bh.shape == h_drive.shape and h_drive.dtype == np.float64
 
 
 @pytest.mark.parametrize("f", range(1, 7))

@@ -86,6 +86,35 @@ def test_eigh_checked_rejects_one_bad_matrix_in_a_stack():
         eigh_checked(np.zeros((4, 3, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [0, 2, 3])
+def test_eigh_checked_sees_a_bad_matrix_in_any_chunk(monkeypatch, bad):
+    monkeypatch.setattr(spectra, "_CHECK_ENTRIES", 2 * 3 * 3)  # two matrices per chunk
+    stack = np.zeros((2, 2, 3, 3))
+    stack.reshape(4, 3, 3)[bad, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigh_checked(stack)
+    stack.reshape(4, 3, 3)[bad, 1, 0] = 1.0
+    w, v = eigh_checked(stack)
+    assert w.shape == (2, 2, 3) and v.shape == (2, 2, 3, 3)
+
+
+def test_eigh_checked_memory_stays_below_twice_the_stack():
+    # the (25, 30, 62, 62) stack of solve_spectra(120, 3.0, 25 couplings),
+    # 23.1 MB: its checks go a chunk at a time, so next to the eigenvectors
+    # only a chunk's temporaries are held
+    stack = max(pencil_stacks(120, 3.0), key=lambda s: s.b_bh.size)
+    h = stack.b_bh + np.linspace(0.0, 0.48, 25)[:, None, None, None] * stack.b_drive
+    assert h.shape == (25, 30, 62, 62)
+    eigh_checked(h[:1])  # warm imports outside the trace
+    tracemalloc.start()
+    try:
+        eigh_checked(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * h.nbytes
+
+
 @pytest.mark.parametrize("gamma, lam", [(float("nan"), 0.1), (3.0, float("inf")),
                                         (3.0, 1e308), (3.0, 1e6), (-1e4, 0.1)])
 def test_solve_spectrum_rejects_bad_couplings(gamma, lam):
