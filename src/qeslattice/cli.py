@@ -24,11 +24,15 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .spectra import MAX_SITES, _check_rows, sweep
+from .spectra import MAX_SITES, _admit, sweep
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
-MAX_GRID_POINTS = 10_000
+# Levels the CSV writer turns into Python floats at a time (2 MB of them).
+_EMIT_LEVELS = 1 << 16
+# Flags that take a value.  argparse reads a value such as "-1e2" or
+# "-0.1:0:0.05" as a flag, so it is joined to its flag first ("--gamma=-1e2").
+_VALUED = ("--f", "--gamma", "--lambda", "--format", "--out", "--suite")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,11 +58,11 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_lambda(text: str) -> list[float]:
-    """Either a single value or an inclusive ``start:stop:step`` grid of at
-    most ``MAX_GRID_POINTS`` points."""
+def _grid(text: str) -> tuple[float, float, int | float]:
+    """``(start, step, count)`` of a single value (step 0) or an inclusive
+    ``start:stop:step`` grid, counted exactly up to 2^53 points, else ``inf``."""
     if ":" not in text:
-        return [_finite(text)]
+        return _finite(text), 0.0, 1
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid syntax is start:stop:step")
@@ -70,11 +74,15 @@ def _parse_lambda(text: str) -> list[float]:
     # the quotient carries the rounding of the three decimals read, up to
     # 2 eps (|start| + |stop|) / step: a stop that close below a grid point
     # counts as on it
-    slack = 4.0 * np.finfo(float).eps * (abs(start) + abs(stop)) / step
-    span = np.floor((stop - start) / step + 1e-12 + slack)
-    if not span < MAX_GRID_POINTS:
-        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    return [start + i * step for i in range(int(span) + 1)]
+    slack = 4.0 * sys.float_info.epsilon * (abs(start) + abs(stop)) / step
+    span = (stop - start) / step + 1e-12 + slack
+    return start, step, int(span) + 1 if span < 2 ** 53 else float("inf")
+
+
+def _parse_lambda(text: str) -> list[float]:
+    """The couplings of a ``--lambda`` text (:func:`_grid`)."""
+    start, step, count = _grid(text)
+    return [start + i * step for i in range(count)] if step else [start]
 
 
 @contextmanager
@@ -132,41 +140,30 @@ def _emit(results, fmt: str, out, band: bool) -> None:
         template = "".join(f"%s,{bs.label.nu},{level},{tag},%.12g"
                            + ((",true" if level == 0 else ",false") if band else "") + "\n"
                            for bs in result.blocks for level, tag in enumerate(bs.tags))
-        table = np.hstack([bs.energies for bs in result.blocks]).tolist()
-        for lam, energies in zip(result.lambdas.tolist(), table):
-            cells = [_fmt(lam)] * (2 * len(energies))
-            cells[1::2] = energies
-            out.write(template % tuple(cells))
+        step = max(1, _EMIT_LEVELS // sum(len(bs.tags) for bs in result.blocks))
+        for i in range(0, result.lambdas.size, step):
+            table = np.hstack([bs.energies[i:i + step] for bs in result.blocks]).tolist()
+            for lam, energies in zip(result.lambdas[i:i + step].tolist(), table):
+                cells = [_fmt(lam)] * (2 * len(energies))
+                cells[1::2] = energies
+                out.write(template % tuple(cells))
 
 
-def cmd_spectrum(args) -> int:
-    lams = _parse_lambda(args.lam)
-    if len(lams) != 1:
+def cmd_levels(args) -> int:
+    """``spectrum``, ``sweep`` and ``figure2``: the levels over the ``--lambda``
+    grid, admitted whole before its points are built; ``figure2`` solves each
+    coupling as a sweep of its own, so its tags are its own, and flags level 0."""
+    count = _grid(args.lam)[2]
+    _admit(args.f, count, keeps_vectors=False, per_point=args.band)
+    if args.command == "spectrum" and count != 1:
         raise ValueError("spectrum expects a single coupling, not a grid")
-    with _output(args.out) as out:
-        result = sweep(args.f, args.gamma, lams)
-        _emit([result], args.format, out(), band=False)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    lams = _parse_lambda(args.lam)
-    if len(lams) < 2:
+    if args.command == "sweep" and count < 2:
         raise ValueError("sweep needs a start:stop:step grid")
-    with _output(args.out) as out:
-        result = sweep(args.f, args.gamma, lams)
-        _emit([result], args.format, out(), band=False)
-    return 0
-
-
-def cmd_figure2(args) -> int:
-    # one sweep per coupling, so that each coupling's tags are its own; the
-    # whole grid is held to the row cap of one sweep before any is solved
     lams = _parse_lambda(args.lam)
-    _check_rows(args.f, len(lams))
     with _output(args.out) as out:
-        results = [sweep(args.f, args.gamma, [lam]) for lam in lams]
-        _emit(results, args.format, out(), band=True)
+        results = ([sweep(args.f, args.gamma, [lam]) for lam in lams] if args.band
+                   else [sweep(args.f, args.gamma, lams)])
+        _emit(results, args.format, out(), args.band)
     return 0
 
 
@@ -222,25 +219,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qeslattice")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, f_default=None, lam_default=None):
+    for name, text, f_default, lam_default in (
+            ("spectrum", "block-resolved eigenvalues at one coupling", None, "0"),
+            ("sweep", "eigenvalue curves over a coupling grid", None, "0:0.5:0.01"),
+            ("figure2", "per-momentum eigenvalues with band flags", 7, "0:0.5:0.5")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--f", type=_positive_sites,
                        **({"default": f_default} if f_default else {"required": True}))
         p.add_argument("--gamma", type=float, default=3.0)
         p.add_argument("--lambda", dest="lam", type=str, default=lam_default)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=str, default=None)
-
-    p = sub.add_parser("spectrum", help="block-resolved eigenvalues at one coupling")
-    common(p, lam_default="0")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("sweep", help="eigenvalue curves over a coupling grid")
-    common(p, lam_default="0:0.5:0.01")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("figure2", help="per-momentum eigenvalues with band flags")
-    common(p, f_default=7, lam_default="0:0.5:0.5")
-    p.set_defaults(func=cmd_figure2)
+        p.set_defaults(func=cmd_levels, band=name == "figure2")
 
     p = sub.add_parser("tables", help="compare against the reference tables")
     p.add_argument("--out", type=str, default=None)
@@ -255,8 +245,13 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(tokens))):
+        value = tokens[i]
+        if tokens[i - 1] in _VALUED and value[:1] == "-" and value[:2] != "--" and value != "-h":
+            tokens[i - 1:i + 1] = [tokens[i - 1] + "=" + value]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

@@ -31,29 +31,18 @@ RESIDUAL_TOL = 1e-9
 # gamma ~ 1..7) and well below where the absolute tolerances above start to
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
-# Largest accepted ring.  A solve builds no array over the (f+1)(f+2)/2 = D
-# occupation states and no complex matrix, only the f/2 + 1 distinct block
-# pencils (nu >= 0) of d ~ f/2 rows, in at most three real (n_nu, d, d)
-# stacks, their matrices at the coupling and their real eigenvectors: four
-# real arrays of about f^3 / 8 entries, 1.9 MB each at f = 120, so memory
-# grows as f^3.  `qeslattice spectrum --f 120`, a one-point sweep, took
-# 0.22 s and peaked at 35 MB RSS (whole process, ru_maxrss, median of 3,
-# 2-vCPU x86-64, one BLAS thread).  The cap bounds what a caller can still
-# ask for: reading `.vectors` and `.eigenvectors` on every block builds
-# dense arrays of 32 * D^2 bytes, about 1.74 GB at f = 120.
+# Largest accepted ring.  A solve builds no array over the D = (f+1)(f+2)/2
+# states, but `.vectors` and `.eigenvectors` of every block take 32 D^2 bytes.
 MAX_SITES = 120
-# Largest accepted sweep, in output rows n_points * (f+1)(f+2)/2; it also caps
-# the levels of a `figure2` grid.  Every block has d^2 <= 3 (f+1)(f+2)/2, so
-# one block's real (n_points, d, d) stack takes at most 8 * 3 *
-# MAX_SWEEP_ROWS = 48 MB.  The largest accepted grid on the largest ring,
-# `qeslattice sweep --f 120` over 270 points (1,992,870 rows), took 11.1 s
-# and peaked at 85 MB RSS (whole process, ru_maxrss, median of 3, 2-vCPU
-# x86-64, one BLAS thread): the stack and eigenvectors of one distinct block
-# at a time plus the energy table; the CLI writes the CSV a grid point at a
-# time.  `solve_spectra` keeps every coupling's distinct block matrices and
-# eigenvectors, n_lams * sum_{nu >= 0} d^2 entries each, so it takes at most
-# 3 * MAX_SWEEP_ROWS (48 MB): 25 couplings at f = 120, 0.9 s and 187 MB RSS.
-MAX_SWEEP_ROWS = 2_000_000
+# The one budget of every request: the bytes :func:`_admit` predicts a call
+# holds at its peak.  It admits a sweep of 273 couplings at f = 120.
+MAX_BYTES = 32 << 20
+# The terms of :func:`_admit` beyond its float64 arrays, traced and rounded up:
+# a record (a block of a result or the result), a coupling's objects, and the
+# bounded temporaries of the `eigh_checked` checks and of the CLI's CSV writer.
+_RECORD_BYTES = 448
+_POINT_BYTES = 64
+_FIXED_BYTES = 4 << 20
 # Matrix entries per chunk of the hermiticity and residual checks of
 # `eigh_checked` (1 MB of float64).  One coupling's stacks up to f = 48 and
 # every block of a 101-point sweep at f = 15 fit in one chunk, so they are
@@ -83,23 +72,40 @@ def _check_coupling(name: str, value: float) -> None:
         raise ValueError(f"{name} = {value!r} is outside [-{MAX_COUPLING:g}, {MAX_COUPLING:g}]")
 
 
-def _check_rows(f: int, n_points: int) -> None:
-    """Reject a sweep of more than ``MAX_SWEEP_ROWS`` output rows."""
-    dim = (f + 1) * (f + 2) // 2
-    if n_points * dim > MAX_SWEEP_ROWS:
-        raise ValueError(f"sweep of {n_points} couplings x {dim} levels has "
-                         f"{n_points * dim} rows, more than {MAX_SWEEP_ROWS}")
+def _admit(f: int, n_points: int, keeps_vectors: bool, per_point: bool = False) -> int:
+    """The bytes a call on ``f`` sites holds at its peak when it solves
+    ``n_points`` couplings, from the block shapes alone; ``ValueError`` if
+    that is more than ``MAX_BYTES``, before any array is built.
+
+    With ``d`` the dimensions of the distinct blocks ``nu >= 0``, ``S = sum
+    d^2`` and ``L = sum d``, a call holds ``2 S`` float64 pencil entries,
+    ``n_points L`` energies and one block's matrices and eigenvectors over
+    the grid, ``2 n_points d_max^2`` (every block's at every coupling, ``2
+    n_points S``, with ``keeps_vectors``); ``f + 1`` records per result (one,
+    or one per coupling with ``keeps_vectors`` or ``per_point``: ``figure2``,
+    bounded as one sweep); ``_POINT_BYTES`` per coupling; ``_FIXED_BYTES``."""
+    dims = [expected_block_dimension(f, nu) for nu in range(f // 2 + 1)]
+    squares = sum(d * d for d in dims)
+    stacks = squares if keeps_vectors else dims[0] ** 2  # nu = 0 is the largest block
+    records = (f + 1) * (n_points if keeps_vectors or per_point else 1)
+    predicted = (8 * (2 * squares + n_points * (sum(dims) + 2 * stacks)) + _RECORD_BYTES * records
+                 + _POINT_BYTES * n_points + _FIXED_BYTES)
+    if predicted > MAX_BYTES:
+        raise ValueError(f"{n_points} couplings on f = {f} sites need about "
+                         f"{predicted / 1e6:.2f} MB, more than the {MAX_BYTES / 1e6:.2f} MB budget")
+    return predicted
 
 
-def _checked(f: int, gamma: float, lams: Iterable[float]) -> tuple[int, np.ndarray]:
+def _checked(f: int, gamma: float, lams: Iterable[float],
+             keeps_vectors: bool) -> tuple[int, np.ndarray]:
     """``f`` as an ``int`` and the couplings as a float array, after the
-    site, coupling and row checks of both solve paths."""
+    site and coupling checks and the admission of both solve paths."""
     f = _check_sites(f)
     _check_coupling("gamma", gamma)
     lams = list(lams)
+    _admit(f, len(lams), keeps_vectors)
     for lam in lams:
         _check_coupling("lambda", lam)
-    _check_rows(f, len(lams))
     return f, np.array(lams, dtype=float)
 
 
@@ -236,17 +242,13 @@ def solve_spectra(f: int, gamma: float, lams: Iterable[float]) -> tuple[Spectrum
     Raises ``ValueError`` for a ring size ``f`` that is not an integer in
     ``1..MAX_SITES``, for a coupling that is not a real number, is not
     finite or is larger than ``MAX_COUPLING`` in magnitude, and for more
-    than ``MAX_SWEEP_ROWS`` levels or ``3 * MAX_SWEEP_ROWS`` distinct block
-    entries (``len(lams) * sum_{nu >= 0} d_nu^2``) in all, before any block
-    is built.  The couplings need not be distinct or sorted; an empty
+    couplings than ``MAX_BYTES`` admits (:func:`_admit`: each keeps the
+    matrices and eigenvectors of every distinct block), before any block is
+    built.  The couplings need not be distinct or sorted; an empty
     ``lams`` gives ``()``.  Blocks are returned ``nu`` descending.
     """
     lams = list(lams)
-    f, grid = _checked(f, gamma, lams)
-    entries = grid.size * sum(expected_block_dimension(f, nu) ** 2 for nu in range(f // 2 + 1))
-    if entries > 3 * MAX_SWEEP_ROWS:
-        raise ValueError(f"solve of {grid.size} couplings has {entries} block matrix "
-                         f"entries, more than {3 * MAX_SWEEP_ROWS}")
+    f, grid = _checked(f, gamma, lams, keeps_vectors=True)
     if not lams:
         return ()
     spectra: list[list[BlockSpectrum]] = [[] for _ in lams]
@@ -345,11 +347,12 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     gauge coordinates (the block vectors are orthonormal and the gauge is
     unitary).  A block ``-nu`` is the same real matrix
     (:mod:`~qeslattice.momentum`) and shares the energies and tags of
-    ``nu``.  Rejects the inputs :func:`solve_spectra` rejects but its entry
-    cap, empty or unsorted grids and grids of more than ``MAX_SWEEP_ROWS``
-    output rows, before any block is built.
+    ``nu``.  Rejects the inputs :func:`solve_spectra` rejects, empty or
+    unsorted grids, and grids longer than ``MAX_BYTES`` admits
+    (:func:`_admit`: one block's matrices and eigenvectors at a time), before
+    any block is built.
     """
-    f, grid = _checked(f, gamma, lambdas)
+    f, grid = _checked(f, gamma, lambdas, keeps_vectors=False)
     if grid.size == 0:
         raise ValueError("empty coupling grid")
     if np.any(np.diff(grid) <= 0):
@@ -364,6 +367,7 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
                 b_bh, b_drive = _coupled_part(b_bh, b_drive)
             energies, v = eigh_checked(b_bh + np.multiply.outer(grid, b_drive))
             tags = quanta_tags(v[0], stack.quanta[:energies.shape[1]])
+            del v  # one block's eigenvectors at a time
             if split:
                 zeros = stack.quanta.size - 3
                 energies = np.hstack([energies, np.zeros((grid.size, zeros))])

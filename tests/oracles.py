@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from qeslattice.spectra import MAX_BYTES, _admit
+
 
 def quanta_tag(vector, basis):
     """Dominant total-quanta sector of a vector over an occupation basis,
@@ -15,3 +17,28 @@ def quanta_tag(vector, basis):
         if mass > best_mass:
             best_n, best_mass = n, mass
     return best_n
+
+
+def largest_admitted(f, keeps_vectors, per_point=False):
+    """The most couplings ``spectra._admit`` admits on a ring of ``f``
+    sites, found by bisection on its verdict alone."""
+    def admits(n):
+        try:
+            _admit(f, n, keeps_vectors, per_point)
+        except ValueError:
+            return False
+        return True
+    lo, hi = 0, 1
+    while admits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admits(mid) else (lo, mid)
+    return lo
+
+
+def refusal(n, f):
+    """A pattern of the error ``spectra._admit`` raises for ``n``
+    couplings on a ring of ``f`` sites: the predicted and the allowed MB."""
+    return (fr"{n} couplings on f = {f} sites need about (\d+\.\d\d|inf) MB, "
+            fr"more than the {MAX_BYTES / 1e6:.2f} MB budget")

@@ -1,6 +1,8 @@
 import errno
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,10 @@ import numpy as np
 import pytest
 
 import qeslattice
-from qeslattice.cli import MAX_GRID_POINTS, main, _parse_lambda
+from qeslattice.cli import _grid, _parse_lambda, main
 from qeslattice.spectra import MAX_SITES, quanta_tags, solve_spectrum, sweep
+
+from oracles import largest_admitted, refusal
 
 
 def run(capsys, *argv):
@@ -22,6 +26,16 @@ def run(capsys, *argv):
 def csv_rows(text):
     lines = text.strip().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def grid_text(n):
+    """A ``start:stop:step`` grid of exactly ``n`` points."""
+    step = 2.0 ** -20
+    return f"0:{(n - 1) * step!r}:{step!r}"
+
+
+def refuse_pencils(*args, **kwargs):
+    raise AssertionError("pencil_stacks was called")
 
 
 # ---------------------------------------------------------------- parsing
@@ -43,10 +57,22 @@ def test_lambda_grid_rejects_non_finite_bounds():
             _parse_lambda(text)
 
 
-def test_lambda_grid_point_cap():
-    assert len(_parse_lambda(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
-    with pytest.raises(ValueError, match="more than"):
-        _parse_lambda(f"0:{MAX_GRID_POINTS}:1")
+def test_lambda_grid_point_cap(capsys, monkeypatch):
+    # a grid is counted, not built, and admitted as a whole: the longest grid
+    # the budget admits on the smallest ring reaches the solver, and one point
+    # more, a billion points or more than floats can count are refused at once
+    assert _grid("0:1e9:1") == (0.0, 1.0, 10 ** 9 + 1)
+    assert _grid("0:1e308:1e-308")[2] == _grid("0:1:1e-300")[2] == math.inf
+    n = largest_admitted(1, keeps_vectors=False)
+    assert len(_parse_lambda(grid_text(n))) == n
+    monkeypatch.setattr(qeslattice.spectra, "pencil_stacks", refuse_pencils)
+    with pytest.raises(AssertionError, match="pencil_stacks was called"):
+        main(["sweep", "--f", "1", "--lambda", grid_text(n)])
+    for text, count in ((grid_text(n + 1), n + 1), ("0:1e9:1", 10 ** 9 + 1),
+                        ("0:1e308:1e-308", "inf")):
+        code, out, err = run(capsys, "sweep", "--f", "1", "--lambda", text)
+        assert code == 1 and out == ""
+        assert re.fullmatch(f"error: {refusal(count, 1)}\n", err), err
 
 
 # ---------------------------------------------------------------- spectrum
@@ -184,6 +210,17 @@ def test_spectrum_rejects_bad_coupling(capsys, flag, value, shown):
     code, out, err = run(capsys, "spectrum", "--f", "3", flag, value)
     assert code == 1 and out == ""
     assert shown in err and "did not converge" not in err
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--f", "3", "--gamma", "-1e2"),
+                                  ("sweep", "--f", "3", "--lambda", "-0.1:0:0.05")],
+                         ids=lambda argv: argv[0])
+def test_a_negative_coupling_is_read_as_a_value(capsys, argv):
+    # argparse takes "-1e2" or "-0.1:0:0.05" for a flag unless it is joined
+    # to its option; the CLI joins it, so both forms print the same rows
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.count("\n") > 1
+    assert out == run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")[1]
 
 
 def test_sweep_rejects_nan_grid(capsys):
@@ -354,11 +391,11 @@ def test_sweep_row_count_and_values(tmp_path, capsys):
 
 
 def test_sweep_rejects_too_many_rows(capsys):
-    # 10000 couplings on the largest ring would be 73.8 M rows
+    # 10000 couplings on the largest ring would hold 944 MB
     code, out, err = run(capsys, "sweep", "--f", str(MAX_SITES),
                          "--lambda", "0:0.9999:0.0001")
     assert code == 1 and out == ""
-    assert err.startswith("error: sweep of 10000 couplings x 7381 levels")
+    assert re.fullmatch(f"error: {refusal(10000, MAX_SITES)}\n", err), err
 
 
 def test_sweep_requires_grid(capsys):
@@ -401,17 +438,21 @@ def test_figure2_defaults(tmp_path, capsys):
 
 def test_figure2_rejects_a_grid_over_the_sweep_row_cap_before_any_solve(tmp_path, capsys,
                                                                          monkeypatch):
-    # f = 19 has 210 levels: 10000 couplings make 2.1 M rows, just over the cap
-    argv = ("--f", "19", "--lambda", "0:0.9999:0.0001")
-    code, out, sweep_err = run(capsys, "sweep", *argv)
-    assert code == 1 and out == "" and sweep_err.startswith("error: sweep of 10000 couplings")
+    # figure2 keeps a result per coupling, so the budget admits it a shorter
+    # grid than a sweep, and admits the whole grid before any coupling is solved
+    n = largest_admitted(19, keeps_vectors=False, per_point=True)
+    assert n < largest_admitted(19, keeps_vectors=False)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("figure2 solved a coupling of a grid over the row cap")
+        raise AssertionError("figure2 solved a coupling")
     monkeypatch.setattr(qeslattice.cli, "sweep", refuse)
+    with pytest.raises(AssertionError, match="figure2 solved a coupling"):
+        main(["figure2", "--f", "19", "--lambda", grid_text(n)])
     path = tmp_path / "fig.csv"
-    code, out, err = run(capsys, "figure2", *argv, "--out", str(path))
-    assert code == 1 and out == "" and err == sweep_err
+    code, out, err = run(capsys, "figure2", "--f", "19", "--lambda", grid_text(n + 1),
+                         "--out", str(path))
+    assert code == 1 and out == ""
+    assert re.fullmatch(f"error: {refusal(n + 1, 19)}\n", err), err
     assert not path.exists()
 
 

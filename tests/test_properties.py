@@ -2,7 +2,7 @@
 symmetries of the model, on randomly drawn small rings and grids."""
 
 import io
-from contextlib import redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from decimal import Decimal
 from unittest import mock
 
@@ -185,3 +185,54 @@ def test_solve_spectra_of_no_couplings_is_empty():
     with mock.patch.object(spectra, "pencil_stacks", refuse_pencils):
         assert solve_spectra(5, 3.0, []) == ()
         assert solve_spectra(5, 3.0, iter(())) == ()
+
+
+# a small argv grammar: every flag of the level commands with ordinary,
+# negative, non-finite, empty and malformed values, repeated or not
+VALUES = {
+    "--f": ["0", "1", "3", "12", "-1", "1.5", "", "121"],
+    "--gamma": ["3", "0", "-1e2", "nan", "inf", "1e400", "", "2e3"],
+    "--lambda": ["0", "0.3", "-1e2", "nan", "inf", "1e400", "", "abc", "0:0.5:0.1",
+                 "-0.1:0:0.05", "-1e2:1e2:50", "0:0:0", "1:0:1", "0:1:0.5:1", "0:1e9:1"],
+    "--format": ["csv", "json", "xml"],
+}
+# grids over the budget on every ring, one of them too long to count
+OVER_BUDGET = ["0:1:1e-6", "0:1e9:1", "-1e3:1e3:1e-300", "0:1e308:1e-308"]
+
+
+@st.composite
+def argvs(draw):
+    """A level command with a valid ``--f`` and up to four more flags, and
+    now and then a stray token."""
+    tokens = [draw(st.sampled_from(["spectrum", "sweep", "figure2"])),
+              "--f", draw(st.sampled_from(["1", "3", "12"]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(VALUES)), max_size=4)):
+        tokens += [flag, draw(st.sampled_from(VALUES[flag]))]
+    if draw(st.integers(0, 9)) == 0:
+        tokens.append(draw(st.sampled_from(["--bogus", "-x", "7"])))
+    return tokens
+
+
+def run_main(argv):
+    """Exit status, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argvs(), st.none() | st.tuples(st.sampled_from(["13", "60", "120"]),
+                                      st.sampled_from(OVER_BUDGET)))
+def test_cli_exits_0_1_or_2_with_one_error_line(argv, large):
+    # accepted draws solve rings of at most 12 sites over at most 6
+    # couplings; a large ring with a grid over the budget, given last, is
+    # refused before any block is built
+    with mock.patch.object(spectra, "pencil_stacks", refuse_pencils) if large else nullcontext():
+        code, out, err = run_main(argv + (["--f", large[0], "--lambda", large[1]] if large else []))
+    assert code in ((1,) if large else (0, 1, 2))
+    if code == 0:
+        assert err == "" and out.startswith(("lambda,nu,", "["))
+    if code == 1:
+        assert out == ""
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1

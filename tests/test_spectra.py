@@ -1,23 +1,24 @@
 import math
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qeslattice import spectra
+from qeslattice import cli, spectra
 from qeslattice.fock import at_most, enumerate_basis
 from qeslattice.momentum import momentum_values, pencil_stacks, to_orbit_frame
 from qeslattice.ops import (brute_force_eigenvalues, build_momentum_vectors, hamiltonian_pencil,
                             orbit_block_pencil, sector_block)
 from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
-from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, MAX_SWEEP_ROWS, eigh_checked,
-                                quanta_tags, solve_spectra, solve_spectrum, soliton_band, sweep)
+from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, eigh_checked, quanta_tags, solve_spectra,
+                                solve_spectrum, soliton_band, sweep)
 from qeslattice.report import failures
 from qeslattice.suites import run_suites, verify_eigenvector_formulas
 
-from oracles import quanta_tag
+from oracles import largest_admitted, quanta_tag, refusal
 
 TABLE_TOL = 1.5e-3
 
@@ -200,15 +201,22 @@ def test_numpy_integers_and_floats_are_accepted():
 
 
 def test_sweep_rejects_too_many_rows_before_any_basis(no_basis):
-    # f = 1 has 3 levels: 666_667 couplings make MAX_SWEEP_ROWS + 1 rows
-    assert 3 * 666_667 == MAX_SWEEP_ROWS + 1
-    with pytest.raises(ValueError, match="666667 couplings x 3 levels"):
-        sweep(1, 3.0, np.linspace(0.0, 1.0, 666_667))
+    # the longest grid the budget admits on the smallest ring passes the
+    # guard (the refused block is the first thing built after it); one point
+    # more is refused before any block
+    n = largest_admitted(1, keeps_vectors=False)
+    with pytest.raises(AssertionError, match="a basis or block was built"):
+        sweep(1, 3.0, np.arange(n) * 1e-6)
+    with pytest.raises(ValueError, match=refusal(n + 1, 1)):
+        sweep(1, 3.0, np.arange(n + 1) * 1e-6)
 
 
 def test_solve_spectra_rejects_too_many_levels_before_any_basis(no_basis):
-    with pytest.raises(ValueError, match="666667 couplings x 3 levels"):
-        solve_spectra(1, 3.0, [0.5] * 666_667)
+    n = largest_admitted(1, keeps_vectors=True)
+    with pytest.raises(AssertionError, match="a basis or block was built"):
+        solve_spectra(1, 3.0, [0.5] * n)
+    with pytest.raises(ValueError, match=refusal(n + 1, 1)):
+        solve_spectra(1, 3.0, [0.5] * (n + 1))
 
 
 def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
@@ -226,22 +234,23 @@ def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
 
 
 def test_solve_spectra_rejects_too_many_matrix_entries_before_any_block(no_basis):
-    # the distinct blocks of f = 120 hold 63^2 + 30 * 61^2 + 30 * 62^2 entries:
-    # 25 couplings fit in 3 * MAX_SWEEP_ROWS, 26 do not, far below the level cap
-    entries = 63 ** 2 + 30 * 61 ** 2 + 30 * 62 ** 2
-    assert 25 * entries <= 3 * MAX_SWEEP_ROWS < 26 * entries
-    with pytest.raises(ValueError, match=f"26 couplings has {26 * entries} block matrix entries"):
-        solve_spectra(MAX_SITES, 3.0, [0.1] * 26)
+    # every coupling keeps the matrices and eigenvectors of the 61 distinct
+    # blocks of f = 120, 16 * (63^2 + 30 * 61^2 + 30 * 62^2) bytes = 3.7 MB
+    n = largest_admitted(MAX_SITES, keeps_vectors=True)
     with pytest.raises(AssertionError, match="a basis or block was built"):
-        solve_spectra(MAX_SITES, 3.0, [0.1] * 25)
+        solve_spectra(MAX_SITES, 3.0, [0.1] * n)
+    with pytest.raises(ValueError, match=refusal(n + 1, MAX_SITES)):
+        solve_spectra(MAX_SITES, 3.0, [0.1] * (n + 1))
 
 
 def test_sweep_at_the_row_cap_passes_the_guard(no_basis):
-    # f = 3 has 10 levels: 200_000 couplings make exactly MAX_SWEEP_ROWS rows;
-    # the refused block is the first thing built after the guards
-    assert 10 * 200_000 == MAX_SWEEP_ROWS
+    # the budget still admits the 270-point grid on the largest ring
+    n = largest_admitted(MAX_SITES, keeps_vectors=False)
+    assert n >= 270
     with pytest.raises(AssertionError, match="a basis or block was built"):
-        sweep(3, 3.0, np.linspace(0.0, 1.0, 200_000))
+        sweep(MAX_SITES, 3.0, np.arange(n) * 1e-3)
+    with pytest.raises(ValueError, match=refusal(n + 1, MAX_SITES)):
+        sweep(MAX_SITES, 3.0, np.arange(n + 1) * 1e-3)
 
 
 @pytest.mark.parametrize("f", [47, 48, MAX_SITES - 1, MAX_SITES])
@@ -352,6 +361,40 @@ def test_ring_solve_memory_stays_below_one_dense_array():
     finally:
         tracemalloc.stop()
     assert peak < limit
+
+
+def admitted_corner(kind, f, n):
+    """A call of ``kind`` on ``f`` sites over ``n`` couplings, its inputs
+    built outside the trace."""
+    grid = np.arange(n) * 2.0 ** -20
+    if kind == "sweep":
+        return lambda: sweep(f, 3.0, grid)
+    if kind == "solve_spectra":
+        lams = [0.3] * n
+        return lambda: solve_spectra(f, 3.0, lams)
+    text = f"0:{float(grid[-1])!r}:{float(grid[1])!r}"
+    argv = [kind.split()[1], "--f", str(f), "--lambda", text, "--out", os.devnull]
+    return lambda: cli.main(argv)
+
+
+@pytest.mark.parametrize("f", [1, MAX_SITES])
+@pytest.mark.parametrize("kind", ["sweep", "solve_spectra", "cli sweep", "cli figure2"])
+def test_admitted_corners_stay_inside_the_prediction(kind, f):
+    # at the longest grid the budget admits, the prediction bounds the traced
+    # peak and is no more than twice it
+    keeps_vectors, per_point = kind == "solve_spectra", kind == "cli figure2"
+    n = largest_admitted(f, keeps_vectors, per_point)
+    predicted = spectra._admit(f, n, keeps_vectors, per_point)
+    admitted_corner(kind, f, 2)()  # warm imports outside the trace
+    call = admitted_corner(kind, f, n)
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not kind.startswith("cli") or result == 0
+    assert peak <= predicted <= 2 * peak, (n, peak, predicted)
 
 
 def test_char_poly_is_monic_real_and_degree_matches():
