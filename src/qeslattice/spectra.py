@@ -35,11 +35,12 @@ MAX_COUPLING = 1e3
 # states, but `.vectors` and `.eigenvectors` of every block take 32 D^2 bytes.
 MAX_SITES = 120
 # The one budget of every request: the bytes :func:`_admit` predicts a call
-# holds at its peak.  It admits a sweep of 273 couplings at f = 120.
+# holds at its peak.  It admits a sweep of 414 couplings at f = 120.
 MAX_BYTES = 32 << 20
 # The terms of :func:`_admit` beyond its float64 arrays, traced and rounded up:
 # a record (a block of a result or the result), a coupling's objects, and the
-# bounded temporaries of the `eigh_checked` checks and of the CLI's CSV writer.
+# bounded temporaries of the `eigh_checked` checks, of the inertia counts of
+# `sweep` and of the CLI's CSV writer.
 _RECORD_BYTES = 448
 _POINT_BYTES = 64
 _FIXED_BYTES = 4 << 20
@@ -48,6 +49,9 @@ _FIXED_BYTES = 4 << 20
 # every block of a 101-point sweep at f = 15 fit in one chunk, so they are
 # checked in one pass.
 _CHECK_ENTRIES = 1 << 17
+# Shifts per chunk of the inertia counts of `sweep` (`_uncounted`).  A count
+# holds about eight arrays of its chunk, so its temporaries stay at 1 MB too.
+_COUNT_ENTRIES = _CHECK_ENTRIES // 8
 
 
 def _check_sites(f: int) -> int:
@@ -79,16 +83,19 @@ def _admit(f: int, n_points: int, keeps_vectors: bool, per_point: bool = False) 
 
     With ``d`` the dimensions of the distinct blocks ``nu >= 0``, ``S = sum
     d^2`` and ``L = sum d``, a call holds ``2 S`` float64 pencil entries,
-    ``n_points L`` energies and one block's matrices and eigenvectors over
-    the grid, ``2 n_points d_max^2`` (every block's at every coupling, ``2
-    n_points S``, with ``keeps_vectors``); ``f + 1`` records per result (one,
-    or one per coupling with ``keeps_vectors`` or ``per_point``: ``figure2``,
-    bounded as one sweep); ``_POINT_BYTES`` per coupling; ``_FIXED_BYTES``."""
+    ``n_points L`` energies and ``n_points d_max^2`` matrix entries: one
+    block's matrices over the grid for ``eigvalsh``, or the matrices and
+    eigenvectors of half the grid for the ``eigh`` fallback of
+    :func:`_certify` (``2 n_points S``, every block's matrices and
+    eigenvectors at every coupling, with ``keeps_vectors``); ``f + 1``
+    records per result (one, or one per coupling with ``keeps_vectors`` or
+    ``per_point``: ``figure2``, bounded as one sweep); ``_POINT_BYTES`` per
+    coupling; ``_FIXED_BYTES``."""
     dims = [expected_block_dimension(f, nu) for nu in range(f // 2 + 1)]
     squares = sum(d * d for d in dims)
-    stacks = squares if keeps_vectors else dims[0] ** 2  # nu = 0 is the largest block
+    matrices = 2 * squares if keeps_vectors else dims[0] ** 2  # nu = 0 is the largest block
     records = (f + 1) * (n_points if keeps_vectors or per_point else 1)
-    predicted = (8 * (2 * squares + n_points * (sum(dims) + 2 * stacks)) + _RECORD_BYTES * records
+    predicted = (8 * (2 * squares + n_points * (sum(dims) + matrices)) + _RECORD_BYTES * records
                  + _POINT_BYTES * n_points + _FIXED_BYTES)
     if predicted > MAX_BYTES:
         raise ValueError(f"{n_points} couplings on f = {f} sites need about "
@@ -148,20 +155,39 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray) -> tuple[int, ...]:
-    """Dominant total-quanta sector of each eigenvector column, read in
-    block coordinates; ``quanta`` is the sector of each block vector.
+def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray,
+                eigenvalues: np.ndarray) -> tuple[int, ...]:
+    """Total-quanta sector of each eigenvector column, read in block
+    coordinates; ``quanta`` is the sector of each block vector and
+    ``eigenvalues`` the ascending levels of the columns.
 
     Every block vector lies in one sector and they are orthonormal, so a
     level's weight in sector ``n`` is its ``|c|^2`` summed over the columns
     of that sector, the same weight as summed over the occupation basis.
     The column phases of the gauge leave every ``|c|^2`` unchanged, so the
-    real eigenvectors ``u`` of a gauged block give the same weights.  Ties
-    go to the lowest sector.
+    real eigenvectors ``u`` of a gauged block give the same weights.
+
+    Levels closer than ``RESIDUAL_TOL`` to their neighbour form one group,
+    tagged as a whole: sector ``n`` gets ``round(sum of the group's weights
+    in n)`` of its tags, lowest sector first.  Those sums do not change when
+    the eigenvectors rotate inside a degenerate eigenspace, so rounding noise
+    does not decide the tags.  The rounding is by largest remainder, ties to
+    the lowest sector, so that the counts add up to the group's size; a level
+    on its own is tagged with its dominant sector.
     """
     mass = np.abs(coefficients) ** 2
-    sectors = [mass[quanta == n].sum(axis=0) for n in range(3)]
-    return tuple(np.argmax(sectors, axis=0).tolist())
+    weights = np.array([mass[quanta == n].sum(axis=0) for n in range(3)])
+    tags = np.argmax(weights, axis=0)
+    close = np.diff(eigenvalues) <= RESIDUAL_TOL
+    if close.any():
+        starts = np.flatnonzero(~close) + 1
+        for group in np.split(np.arange(eigenvalues.size), starts):
+            total = weights[:, group].sum(axis=1)
+            counts = np.floor(total).astype(int)
+            ahead = np.argsort(counts - total, kind="stable")  # largest remainder first
+            counts[ahead[:group.size - counts.sum()]] += 1
+            tags[group] = np.repeat(np.arange(3), counts)
+    return tuple(tags.tolist())
 
 
 @dataclass(frozen=True)
@@ -324,33 +350,180 @@ def _coupled_part(b_bh: np.ndarray, b_drive: np.ndarray) -> tuple[np.ndarray, np
     return np.pad(b_bh[:2, :2], (0, 1)), coupled_drive
 
 
+def _check_fan(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray) -> None:
+    """Raise ``ArithmeticError`` unless both pencils of a stack ``(n, d, d)``
+    are exactly symmetric and exactly zero outside the fan that
+    :func:`_count_below` reads: the diagonal, the row and column of the
+    one-quantum head, and the path between neighbouring pair columns."""
+    head, pairs = np.flatnonzero(quanta == 1), np.flatnonzero(quanta == 2)
+    fan = np.eye(quanta.size, dtype=bool)
+    fan[head, :] = fan[:, head] = True
+    fan[pairs[1:], pairs[:-1]] = fan[pairs[:-1], pairs[1:]] = True
+    for m in (b_bh, b_drive):
+        if np.any(m != m.swapaxes(-1, -2)) or m[:, ~fan].any():
+            raise ArithmeticError("a block pencil is not an exactly symmetric fan")
+
+
+def _count_below(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, blocks: np.ndarray,
+                 lams: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The number of eigenvalues below ``x[i, r]`` of block ``blocks[r]`` of
+    a stack of fans (:func:`_check_fan`) at coupling ``lams[r]``, for every
+    shift ``i`` and row ``r`` of ``x``; ``-1`` where the count breaks down
+    (a pivot that is not finite).
+
+    The count is the number of negative pivots of the ``LDLᵀ``
+    factorization of ``B(lam) - x`` (Sylvester's law of inertia), eliminating
+    the vacuum first, then the pairs from the widest separation down to
+    ``s = 0``, then the head.  Each pivot updates only the next pair of the
+    path and the head, which are already coupled, so nothing fills in and a
+    count costs ``O(d)``: the Sturm count of bisection (Kahan 1966; Demmel,
+    Applied Numerical Linear Algebra, 5.3.4).  A pivot smaller than
+    ``pivmin`` in magnitude is taken as ``-pivmin``, as in LAPACK's
+    ``dstebz``."""
+    head, vacuum = np.flatnonzero(quanta == 1), np.flatnonzero(quanta == 0)
+    pairs = np.flatnonzero(quanta == 2)[::-1]
+    cols = np.concatenate([vacuum, pairs])  # the elimination order, the head last
+    # every fan entry the count reads, for every row, as (entry, row): the
+    # diagonal in elimination order, the head row, each pair's hop to the
+    # wider pair eliminated before it, and the head's diagonal
+    i = np.concatenate([cols, np.repeat(head, cols.size), pairs[1:], head])
+    j = np.concatenate([cols, cols, pairs[1:] + 1, head])
+    fan = b_bh[:, i, j].T[:, blocks] + b_drive[:, i, j].T[:, blocks] * lams
+    diag, arm, hops = np.split(fan[:-1], [cols.size, 2 * cols.size])
+    scale = float(np.abs(b_bh).max() + np.abs(lams).max() * np.abs(b_drive).max())
+    pivmin = np.finfo(float).tiny * max(1.0, scale * scale)
+    count = np.zeros(x.shape, dtype=np.int16)
+    last = fan[-1] - x
+    p, q, u, w, tmp = (np.empty(x.shape) for _ in range(5))
+    negative = np.empty(x.shape, dtype=bool)
+    for k in range(cols.size):
+        np.subtract(diag[k], x, out=q)
+        z = arm[k]
+        if k > vacuum.size:  # a pair next to the last one eliminated
+            hop = hops[k - vacuum.size - 1]
+            np.divide(hop * hop, p, out=tmp)
+            q -= tmp
+            np.multiply(u, -hop, out=w)
+            w += z
+            z = w
+        np.less(q, pivmin, out=negative)
+        count += negative
+        if np.abs(q, out=tmp).min() < pivmin:
+            q[tmp < pivmin] = -pivmin
+        np.divide(z, q, out=u)  # what this pivot passes on: z / p to the next pair,
+        np.multiply(z, u, out=tmp)  # z^2 / p to the head
+        last -= tmp
+        p, q = q, p
+    count += last < pivmin
+    count[~np.isfinite(last)] = -1
+    return count
+
+
+def _uncounted(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, lams: np.ndarray,
+               energies: np.ndarray) -> np.ndarray:
+    """The ``(block, coupling)`` rows of a stack of fans with a level that
+    the inertia count does not certify, as a boolean ``(n_b, n)`` array;
+    ``energies[b, j]`` are the ascending levels of block ``b`` at coupling
+    ``lams[j]``.
+
+    Level ``c`` with value ``E`` passes when ``#(< E - tau) <= c < #(< E +
+    tau)`` (:func:`_count_below`, ``tau = RESIDUAL_TOL``): then the ``c``-th
+    exact level lies within ``tau`` of ``E``, degenerate levels included.
+    Both shifts of every level are counted in one pass, over chunks of the
+    stack's rows of at most ``_COUNT_ENTRIES`` shifts."""
+    n_b, n, d = energies.shape
+    levels = energies.reshape(-1, d).T
+    uncounted = np.zeros(n_b * n, dtype=bool)
+    index = np.arange(d)[:, None]
+    step = max(1, _COUNT_ENTRIES // (2 * d))
+    for start in range(0, n_b * n, step):
+        rows = np.arange(start, min(start + step, n_b * n))
+        shifts = np.concatenate([levels[:, rows] - RESIDUAL_TOL, levels[:, rows] + RESIDUAL_TOL])
+        count = _count_below(b_bh, b_drive, quanta, rows // n, lams[rows % n], shifts)
+        below, above = count[:d], count[d:]
+        uncounted[rows] = ~np.all((0 <= below) & (below <= index) & (index < above), axis=0)
+    return uncounted.reshape(n_b, n)
+
+
+def _certify(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, lams: np.ndarray,
+             energies: np.ndarray) -> None:
+    """Certify every level of :func:`_uncounted`'s arguments, or raise
+    ``ArithmeticError``.
+
+    The count can lose a sign to cancellation when a level sits on an
+    eigenvalue of the trailing pair path.  The rows it leaves uncertified are
+    diagonalized again by :func:`eigh_checked`, at most ``ceil(n / 2)`` of
+    them at a time, and each of their levels must lie within ``RESIDUAL_TOL``
+    of its ``eigh`` level."""
+    rows = np.flatnonzero(_uncounted(b_bh, b_drive, quanta, lams, energies))
+    n = len(lams)
+    step = -(-n // 2)
+    for start in range(0, rows.size, step):
+        block, point = np.divmod(rows[start:start + step], n)
+        h = b_drive[block] * lams[point, None, None]
+        h += b_bh[block]
+        w, _ = eigh_checked(h)
+        if not np.max(np.abs(w - energies[block, point])) <= RESIDUAL_TOL:
+            raise ArithmeticError("an eigvalsh level is more than RESIDUAL_TOL from its eigh level")
+
+
+def _curves(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray,
+            grid: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """The ascending levels ``(n_b, n_points, d)`` of a stack of fans over
+    ``grid`` and each block's quanta tags at the first point (:func:`sweep`)."""
+    w, v = eigh_checked(b_bh + grid[0] * b_drive)
+    tags = [quanta_tags(v[i], quanta, w[i]) for i in range(len(w))]
+    energies = np.empty((len(w), grid.size, quanta.size))
+    energies[:, 0] = w
+    if grid.size > 1:
+        _check_fan(b_bh, b_drive, quanta)
+        for i, curves in enumerate(energies):
+            h = np.multiply.outer(grid[1:], b_drive[i])
+            h += b_bh[i]
+            curves[1:] = np.linalg.eigvalsh(h)
+            del h  # one block's matrices at a time
+        _certify(b_bh, b_drive, quanta, grid[1:], energies[:, 1:])
+    return energies, tags
+
+
 def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     """Eigenvalue curves over an ascending coupling grid.
 
     The block pencils ``B_BH + lam * B_drive`` are built once, real in the
-    centre-of-mass gauge; each distinct block's (``nu >= 0``) whole grid is
-    then one stack of ``(n_points, d, d)`` matrices, diagonalized in one
-    :func:`eigh_checked` call, and curve ``c`` of the block is its ``c``-th
-    ascending level at every grid point.  Only the one-quantum row and
-    column of a block depend on ``lam``, so each block is an arrowhead
-    matrix over the ``lam``-independent rest.  Every block but the
-    ``k = pi`` block of an even ring ``f >= 4`` is an unreduced arrowhead:
-    for ``lam != 0`` its levels are simple and strictly interlace the
-    eigenvalues of the rest (O'Leary & Stewart, J. Comput. Phys. 90 (1990)
-    497), so no two curves cross and the ascending order is the
-    continuation, on any grid.  The ``k = pi`` block is split first: only
-    its three coupled levels are diagonalized (:func:`_coupled_part`); its
-    ``d - 3`` decoupled levels join them as exact zeros with tag ``2``, and
-    the levels are sorted at each grid point like any block's (for
-    ``gamma != 0`` a coupled level is zero only at ``lam = 0``, exactly).
-    Quanta tags are read from the eigenvectors at the first grid point, in
-    gauge coordinates (the block vectors are orthonormal and the gauge is
-    unitary).  A block ``-nu`` is the same real matrix
-    (:mod:`~qeslattice.momentum`) and shares the energies and tags of
-    ``nu``.  Rejects the inputs :func:`solve_spectra` rejects, empty or
-    unsorted grids, and grids longer than ``MAX_BYTES`` admits
-    (:func:`_admit`: one block's matrices and eigenvectors at a time), before
-    any block is built.
+    centre-of-mass gauge, one stack per block shape; curve ``c`` of a block
+    is its ``c``-th ascending level at every grid point.  Each stack of
+    distinct blocks (``nu >= 0``) is diagonalized with eigenvectors at the
+    first grid point only, in one :func:`eigh_checked` call (so a one-point
+    sweep is that call alone); its quanta tags are read from those
+    eigenvectors in gauge coordinates (the block vectors are orthonormal and
+    the gauge is unitary, :func:`quanta_tags`).  At every other grid point
+    each block's levels come from ``eigvalsh``, one block's grid at a time,
+    and every one of them is certified by an inertia count instead of an
+    eigenvector residual (:func:`_certify`): each block is a fan, a
+    one-quantum head joined by the drive to a path of pair columns and, at
+    ``nu = 0``, to the vacuum, so the count costs ``O(d)`` per level
+    (:func:`_count_below`).  The count reads only the fan's entries, so both
+    pencils of every stack must be exactly symmetric and exactly zero
+    outside the fan (:func:`_check_fan`, ``ArithmeticError`` otherwise);
+    then every ``B(lam)`` is exactly symmetric.
+
+    Only the one-quantum row and column of a block depend on ``lam``, so
+    each block is an arrowhead matrix over the ``lam``-independent rest.
+    Every block but the ``k = pi`` block of an even ring ``f >= 4`` is an
+    unreduced arrowhead: for ``lam != 0`` its levels are simple and strictly
+    interlace the eigenvalues of the rest (O'Leary & Stewart, J. Comput.
+    Phys. 90 (1990) 497), so no two curves cross and the ascending order,
+    which the count certifies, is the continuation, on any grid.  The
+    ``k = pi`` block is split first: only its three coupled levels are
+    diagonalized (:func:`_coupled_part`, a fan too); its ``d - 3`` decoupled
+    levels join them as exact zeros with tag ``2``, and the levels are
+    sorted at each grid point like any block's (for ``gamma != 0`` a
+    coupled level is zero only at ``lam = 0``, exactly).  A block ``-nu`` is
+    the same real matrix (:mod:`~qeslattice.momentum`) and shares the
+    energies and tags of ``nu``.  Rejects the inputs :func:`solve_spectra`
+    rejects, empty or unsorted grids, and grids longer than ``MAX_BYTES``
+    admits (:func:`_admit`: one block's matrices over the grid at a time),
+    before any block is built.
     """
     f, grid = _checked(f, gamma, lambdas, keeps_vectors=False)
     if grid.size == 0:
@@ -360,22 +533,23 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
 
     block_sweeps = []
     for stack in pencil_stacks(f, gamma):
-        for i, label in enumerate(stack.labels):
-            b_bh, b_drive = stack.b_bh[i], stack.b_drive[i]
-            split = 2 * label.nu == f >= 4
-            if split:
-                b_bh, b_drive = _coupled_part(b_bh, b_drive)
-            energies, v = eigh_checked(b_bh + np.multiply.outer(grid, b_drive))
-            tags = quanta_tags(v[0], stack.quanta[:energies.shape[1]])
-            del v  # one block's eigenvectors at a time
-            if split:
-                zeros = stack.quanta.size - 3
-                energies = np.hstack([energies, np.zeros((grid.size, zeros))])
-                first = np.argsort(energies[0], kind="stable")
-                tags = tuple(np.array(tags + (2,) * zeros)[first].tolist())
-                energies = np.sort(energies, axis=1)
-            block_sweeps += [BlockSweep(label=label, energies=energies, tags=tags)
+        split = 2 * stack.labels[0].nu == f >= 4  # the k = pi block, nu = f/2, comes first
+        if len(stack.labels) > split:
+            energies, tags = _curves(stack.b_bh[split:], stack.b_drive[split:], stack.quanta, grid)
+            block_sweeps += [BlockSweep(label=label, energies=curves, tags=block_tags)
+                             for i, curves, block_tags in zip(range(split, len(stack.labels)),
+                                                              energies, tags)
                              for label, _ in stack.blocks_of(i)]
+        if split:
+            coupled_bh, coupled_drive = _coupled_part(stack.b_bh[0], stack.b_drive[0])
+            (energies,), (tags,) = _curves(coupled_bh[None], coupled_drive[None],
+                                           stack.quanta[:3], grid)
+            zeros = stack.quanta.size - 3
+            energies = np.hstack([energies, np.zeros((grid.size, zeros))])
+            first = np.argsort(energies[0], kind="stable")
+            tags = tuple(np.array(tags + (2,) * zeros)[first].tolist())
+            block_sweeps += [BlockSweep(label=label, energies=np.sort(energies, axis=1), tags=tags)
+                             for label, _ in stack.blocks_of(0)]
     block_sweeps.sort(key=lambda bs: -bs.label.nu)
     return SweepResult(f=f, gamma=gamma, lambdas=grid, blocks=tuple(block_sweeps))
 

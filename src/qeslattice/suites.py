@@ -262,11 +262,16 @@ def charpoly_suite() -> list[Check]:
 
 def table_checks() -> Iterator[tuple]:
     """``(table, rows, verdict)`` for every reference table, in order: one
-    sweep at gamma = 3 per table, one ``(lam, nu, computed, reference)`` row
-    per tabulated block spectrum, and the verdict on the largest deviation."""
+    sweep at gamma = 3 per ring and coupling grid, shared by the tables that
+    tabulate them, one ``(lam, nu, computed, reference)`` row per tabulated
+    block spectrum, and the verdict on the largest deviation."""
+    sweeps: dict[tuple, dict[int, np.ndarray]] = {}
     for table in REFERENCE_TABLES:
-        result = sweep(table.f, REFERENCE_GAMMA, [lam for lam, _ in table.rows])
-        curves = {bs.label.nu: bs.energies for bs in result.blocks}
+        lams = tuple(lam for lam, _ in table.rows)
+        if (table.f, lams) not in sweeps:
+            result = sweep(table.f, REFERENCE_GAMMA, lams)
+            sweeps[table.f, lams] = {bs.label.nu: bs.energies for bs in result.blocks}
+        curves = sweeps[table.f, lams]
         rows = [(lam, nu, curves[nu][i], np.array(energies))
                 for i, (lam, energies) in enumerate(table.rows) for nu in table.nus]
         worst = max(float(np.max(np.abs(computed - reference))) for *_, computed, reference in rows)

@@ -357,7 +357,7 @@ def test_csv_templates_write_each_row_as_formatted_alone(tmp_path, capsys):
     for lam in _parse_lambda("0:0.5:0.5"):
         blocks = solve_spectrum(5, 3.0, lam).blocks
         groups.append((lam, [(bs.label.nu, bs.eigenvalues,
-                              quanta_tags(bs.coefficients, bs.quanta),
+                              quanta_tags(bs.coefficients, bs.quanta, bs.eigenvalues),
                               int(np.argmin(bs.eigenvalues))) for bs in blocks]))
     assert out.read_text() == reference_csv(groups, with_band=True)
 
@@ -374,6 +374,17 @@ def test_spectrum_equals_the_first_grid_point_of_sweep(capsys, f):
     first = [header] + [row for row in rows if row.startswith("0.3,")]
     assert len(first) == 1 + (f + 1) * (f + 2) // 2
     assert "".join(first) == spectrum
+
+
+def test_degenerate_levels_carry_the_tags_of_their_group(capsys):
+    # levels 30 and 31 of nu = +-30 on f = 120 at gamma = 0 are both zero up
+    # to rounding; the group gets one tag of each sector it holds, lowest first
+    _, out, _ = run(capsys, "spectrum", "--f", "120", "--gamma", "0")
+    _, rows = csv_rows(out)
+    for nu in ("30", "-30"):
+        group = [row for row in rows if row[1] == nu and row[2] in ("30", "31")]
+        assert [row[3] for row in group] == ["1", "2"]
+        assert max(abs(float(row[4])) for row in group) < 1e-9
 
 
 def test_sweep_row_count_and_values(tmp_path, capsys):
