@@ -378,7 +378,8 @@ def _count_below(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, bloc
     path and the head, which are already coupled, so nothing fills in and a
     count costs ``O(d)``: the Sturm count of bisection (Kahan 1966; Demmel,
     Applied Numerical Linear Algebra, 5.3.4).  A pivot smaller than
-    ``pivmin`` in magnitude is taken as ``-pivmin``, as in LAPACK's
+    ``pivmin`` (the smallest normal float times the largest squared fan
+    entry, at least 1) in magnitude is taken as ``-pivmin``, as in LAPACK's
     ``dstebz``."""
     head, vacuum = np.flatnonzero(quanta == 1), np.flatnonzero(quanta == 0)
     pairs = np.flatnonzero(quanta == 2)[::-1]
@@ -390,8 +391,7 @@ def _count_below(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, bloc
     j = np.concatenate([cols, cols, pairs[1:] + 1, head])
     fan = b_bh[:, i, j].T[:, blocks] + b_drive[:, i, j].T[:, blocks] * lams
     diag, arm, hops = np.split(fan[:-1], [cols.size, 2 * cols.size])
-    scale = float(np.abs(b_bh).max() + np.abs(lams).max() * np.abs(b_drive).max())
-    pivmin = np.finfo(float).tiny * max(1.0, scale * scale)
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.abs(fan).max()) ** 2)
     count = np.zeros(x.shape, dtype=np.int16)
     last = fan[-1] - x
     p, q, u, w, tmp = (np.empty(x.shape) for _ in range(5))
