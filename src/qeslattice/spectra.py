@@ -52,6 +52,11 @@ _CHECK_ENTRIES = 1 << 17
 # Shifts per chunk of the inertia counts of `sweep` (`_uncounted`).  A count
 # holds about eight arrays of its chunk, so its temporaries stay at 1 MB too.
 _COUNT_ENTRIES = _CHECK_ENTRIES // 8
+# Matrix entries of a stack over its whole grid up to which `sweep` runs one
+# `eigh_checked` over all of it: on so few entries the checked `eigh` costs
+# less than `eigvalsh` plus the fixed cost of the inertia certificate, whose
+# Python overhead per stack does not shrink with the grid.
+_EIGH_ENTRIES = 1 << 13
 
 
 def _check_sites(f: int) -> int:
@@ -89,11 +94,15 @@ def _admit(f: int, n_points: int, keeps_vectors: bool, per_point: bool = False) 
     :func:`_certify` (``2 n_points S``, every block's matrices and
     eigenvectors at every coupling, with ``keeps_vectors``); ``f + 1``
     records per result (one, or one per coupling with ``keeps_vectors`` or
-    ``per_point``: ``figure2``, bounded as one sweep); ``_POINT_BYTES`` per
-    coupling; ``_FIXED_BYTES``."""
+    ``per_point``); ``_POINT_BYTES`` per coupling; ``_FIXED_BYTES``.
+    ``per_point`` is ``figure2``, one one-point sweep and one result per
+    coupling: its sweeps take the ``eigh`` path, and it is bounded as that
+    path over the whole grid, one block's matrices and eigenvectors at
+    every coupling (``2 n_points d_max^2``)."""
     dims = [expected_block_dimension(f, nu) for nu in range(f // 2 + 1)]
     squares = sum(d * d for d in dims)
-    matrices = 2 * squares if keeps_vectors else dims[0] ** 2  # nu = 0 is the largest block
+    # nu = 0 is the largest block
+    matrices = 2 * squares if keeps_vectors else (1 + per_point) * dims[0] ** 2
     records = (f + 1) * (n_points if keeps_vectors or per_point else 1)
     predicted = (8 * (2 * squares + n_points * (sum(dims) + matrices)) + _RECORD_BYTES * records
                  + _POINT_BYTES * n_points + _FIXED_BYTES)
@@ -156,10 +165,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray,
-                eigenvalues: np.ndarray) -> tuple[int, ...]:
+                eigenvalues: np.ndarray | None = None) -> tuple[int, ...]:
     """Total-quanta sector of each eigenvector column, read in block
     coordinates; ``quanta`` is the sector of each block vector and
-    ``eigenvalues`` the ascending levels of the columns.
+    ``eigenvalues``, if given, the ascending levels of the columns.
 
     Every block vector lies in one sector and they are orthonormal, so a
     level's weight in sector ``n`` is its ``|c|^2`` summed over the columns
@@ -167,17 +176,20 @@ def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray,
     The column phases of the gauge leave every ``|c|^2`` unchanged, so the
     real eigenvectors ``u`` of a gauged block give the same weights.
 
-    Levels closer than ``RESIDUAL_TOL`` to their neighbour form one group,
-    tagged as a whole: sector ``n`` gets ``round(sum of the group's weights
-    in n)`` of its tags, lowest sector first.  Those sums do not change when
-    the eigenvectors rotate inside a degenerate eigenspace, so rounding noise
-    does not decide the tags.  The rounding is by largest remainder, ties to
-    the lowest sector, so that the counts add up to the group's size; a level
-    on its own is tagged with its dominant sector.
+    With ``eigenvalues``, levels closer than ``RESIDUAL_TOL`` to their
+    neighbour form one group, tagged as a whole: sector ``n`` gets
+    ``round(sum of the group's weights in n)`` of its tags, lowest sector
+    first.  Those sums do not change when the eigenvectors rotate inside a
+    degenerate eigenspace, so rounding noise does not decide the tags.  The
+    rounding is by largest remainder, ties to the lowest sector, so that the
+    counts add up to the group's size.  A level on its own, and every level
+    when ``eigenvalues`` is not given, is tagged with its dominant sector.
     """
     mass = np.abs(coefficients) ** 2
     weights = np.array([mass[quanta == n].sum(axis=0) for n in range(3)])
     tags = np.argmax(weights, axis=0)
+    if eigenvalues is None:
+        return tuple(tags.tolist())
     close = np.diff(eigenvalues) <= RESIDUAL_TOL
     if close.any():
         starts = np.flatnonzero(~close) + 1
@@ -462,7 +474,8 @@ def _certify(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, lams: np
         block, point = np.divmod(rows[start:start + step], n)
         h = b_drive[block] * lams[point, None, None]
         h += b_bh[block]
-        w, _ = eigh_checked(h)
+        w = eigh_checked(h)[0]
+        del h  # one chunk's matrices at a time
         if not np.max(np.abs(w - energies[block, point])) <= RESIDUAL_TOL:
             raise ArithmeticError("an eigvalsh level is more than RESIDUAL_TOL from its eigh level")
 
@@ -471,11 +484,13 @@ def _curves(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray,
             grid: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """The ascending levels ``(n_b, n_points, d)`` of a stack of fans over
     ``grid`` and each block's quanta tags at the first point (:func:`sweep`)."""
-    w, v = eigh_checked(b_bh + grid[0] * b_drive)
-    tags = [quanta_tags(v[i], quanta, w[i]) for i in range(len(w))]
-    energies = np.empty((len(w), grid.size, quanta.size))
-    energies[:, 0] = w
-    if grid.size > 1:
+    n_b, d = b_bh.shape[:2]
+    checked = grid.size if grid.size * n_b * d * d <= _EIGH_ENTRIES else 1
+    w, v = eigh_checked(b_bh + grid[:checked, None, None, None] * b_drive)
+    tags = [quanta_tags(v[0, i], quanta, w[0, i]) for i in range(n_b)]
+    energies = np.empty((n_b, grid.size, d))
+    energies[:, :checked] = w.swapaxes(0, 1)
+    if checked < grid.size:
         _check_fan(b_bh, b_drive, quanta)
         for i, curves in enumerate(energies):
             h = np.multiply.outer(grid[1:], b_drive[i])
@@ -496,16 +511,20 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     first grid point only, in one :func:`eigh_checked` call (so a one-point
     sweep is that call alone); its quanta tags are read from those
     eigenvectors in gauge coordinates (the block vectors are orthonormal and
-    the gauge is unitary, :func:`quanta_tags`).  At every other grid point
-    each block's levels come from ``eigvalsh``, one block's grid at a time,
-    and every one of them is certified by an inertia count instead of an
-    eigenvector residual (:func:`_certify`): each block is a fan, a
-    one-quantum head joined by the drive to a path of pair columns and, at
-    ``nu = 0``, to the vacuum, so the count costs ``O(d)`` per level
-    (:func:`_count_below`).  The count reads only the fan's entries, so both
-    pencils of every stack must be exactly symmetric and exactly zero
-    outside the fan (:func:`_check_fan`, ``ArithmeticError`` otherwise);
-    then every ``B(lam)`` is exactly symmetric.
+    the gauge is unitary, :func:`quanta_tags`).  A stack with at most
+    ``_EIGH_ENTRIES`` matrix entries over the whole grid (a short grid on a
+    small ring, such as a reference table's) is instead diagonalized at
+    every point in that one call, which costs less there than what follows.
+    Otherwise, past the first point, each block's levels come from
+    ``eigvalsh``, one block's grid at a time, and every one is certified by an
+    inertia count instead of an eigenvector residual (:func:`_certify`):
+    each block is a fan, a one-quantum head joined by the drive to a path
+    of pair columns and, at ``nu = 0``, to the vacuum, so the count costs
+    ``O(d)`` per level (:func:`_count_below`).  The count reads only the
+    fan's entries, so both pencils of every stack must be exactly symmetric
+    and exactly zero outside the fan (:func:`_check_fan`,
+    ``ArithmeticError`` otherwise); then every ``B(lam)`` is exactly
+    symmetric.
 
     Only the one-quantum row and column of a block depend on ``lam``, so
     each block is an arrowhead matrix over the ``lam``-independent rest.

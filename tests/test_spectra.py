@@ -223,8 +223,8 @@ def test_solve_spectra_rejects_too_many_levels_before_any_basis(no_basis):
 def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
     # one pencil build and one eigh per stack for each (f, gamma) a suite
     # probes, over all its couplings (182 and 375 calls when every coupling
-    # was its own solve; 64 and 133 when each table ran its own sweep with
-    # eigenvectors at every point), and one sweep per reference ring
+    # was its own solve; 64 and 133 when each table ran its own sweep), and
+    # one sweep per reference ring, whose short grid takes one eigh per stack
     calls = {"pencil_stacks": 0, "eigh_checked": 0}
     for name in calls:
         def counted(*args, _call=getattr(spectra, name), _name=name, **kwargs):
@@ -232,7 +232,7 @@ def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
             return _call(*args, **kwargs)
         monkeypatch.setattr(spectra, name, counted)
     assert not failures(run_suites())
-    assert calls["pencil_stacks"] <= 60 and calls["eigh_checked"] <= 125, calls
+    assert calls["pencil_stacks"] <= 60 and calls["eigh_checked"] <= 123, calls
 
 
 def test_solve_spectra_rejects_too_many_matrix_entries_before_any_block(no_basis):
@@ -396,6 +396,34 @@ def test_admitted_corners_stay_inside_the_prediction(kind, f):
     finally:
         tracemalloc.stop()
     assert not kind.startswith("cli") or result == 0
+    assert peak <= predicted <= 2 * peak, (n, peak, predicted)
+
+
+def test_admitted_fallback_corner_stays_inside_the_prediction(monkeypatch):
+    # at f = 3, gamma = 3 and lam >= 0.2 the count leaves most rows of nu = 1
+    # to the eigh fallback, which then runs in more than one chunk
+    f = 3
+    n = largest_admitted(f, keeps_vectors=False)
+    predicted = spectra._admit(f, n, keeps_vectors=False)
+    grid = 0.25 + np.arange(n) * 2.0 ** -20
+    fallback_rows = []
+    uncounted = spectra._uncounted
+
+    def counted(*args):
+        rows = uncounted(*args)
+        fallback_rows.append(int(rows.sum()))
+        return rows
+
+    monkeypatch.setattr(spectra, "_uncounted", counted)
+    sweep(f, 3.0, grid[:2])  # warm imports outside the trace
+    fallback_rows.clear()
+    tracemalloc.start()
+    try:
+        sweep(f, 3.0, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(fallback_rows) > (n - 1) // 2 + 1  # two chunks at least
     assert peak <= predicted <= 2 * peak, (n, peak, predicted)
 
 
@@ -608,7 +636,8 @@ def test_check_fan_rejects_an_asymmetric_pencil(pencil, i, j):
 
 
 def test_sweep_refuses_a_pencil_outside_the_fan(monkeypatch):
-    # the count runs only past the first point, so a one-point sweep does not look
+    # the count runs only past the first point of a grid too long for one
+    # eigh, so a one-point sweep, or a short one, does not look
     def widened(f, gamma, _build=pencil_stacks):
         stacks = _build(f, gamma)
         b_bh = stacks[-1].b_bh.copy()
@@ -616,15 +645,38 @@ def test_sweep_refuses_a_pencil_outside_the_fan(monkeypatch):
         return stacks[:-1] + [dataclasses.replace(stacks[-1], b_bh=b_bh)]
     monkeypatch.setattr(spectra, "pencil_stacks", widened)
     sweep(6, 3.0, [0.1])
+    sweep(6, 3.0, [0.1, 0.2])
     with pytest.raises(ArithmeticError, match="not an exactly symmetric fan"):
-        sweep(6, 3.0, [0.1, 0.2])
+        sweep(6, 3.0, np.linspace(0.1, 0.2, 1000))
+
+
+@pytest.mark.parametrize("f, n", [(3, 6), (4, 6), (15, 14), (16, 6)])
+def test_a_short_sweep_is_one_checked_eigh_per_stack(monkeypatch, f, n):
+    # with at most _EIGH_ENTRIES matrix entries over the grid, a stack is
+    # diagonalized at every point by the eigh that solve_spectra runs, so its
+    # levels equal solve_spectra's bit for bit and no eigvalsh runs
+    lams = np.linspace(0.1, 0.5, n)
+    assert all(n * len(s.labels) * s.quanta.size ** 2 <= spectra._EIGH_ENTRIES
+               for s in pencil_stacks(f, 3.0) if not k_pi_block(f, s.labels[0]))
+
+    def refused(*args):
+        raise AssertionError("eigvalsh ran on a short grid")
+    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", refused)
+    result = sweep(f, 3.0, lams)
+    solved = solve_spectra(f, 3.0, lams)
+    for bs in result.blocks:
+        if not k_pi_block(f, bs.label):
+            for i, point in enumerate(solved):
+                assert np.array_equal(bs.energies[i], point.block_for(bs.label.nu).eigenvalues)
 
 
 def test_sweep_falls_back_to_eigh_where_the_count_loses_a_sign(monkeypatch):
     # the block nu = 1 of f = 3 at gamma = 3 has the level E = 1 at every
     # coupling, equal to the diagonal of its widest pair: the count cannot
-    # certify it, and eigh_checked, run on those points alone, does
-    points = np.array(grid(-0.5, 0.5, 0.01))
+    # certify it, and eigh_checked, run on those points alone, does (on a
+    # grid long enough for the count to run on both stacks)
+    points = np.array(grid(-0.5, 0.5, 0.001))
+    assert points.size * 3 * 3 > spectra._EIGH_ENTRIES
     side = next(s for s in pencil_stacks(3, 3.0) if s.labels[0].nu == 1)
     energies = eigvalsh_levels(side.b_bh, side.b_drive, points[1:])
     uncounted = spectra._uncounted(side.b_bh, side.b_drive, side.quanta, points[1:], energies)
@@ -834,6 +886,8 @@ def test_block_coordinate_tags_equal_quanta_tag(f, lam):
         oracle = tuple(quanta_tag(v, basis) for v in bs.eigenvectors.T)
         assert (quanta_tags(bs.u, bs.quanta, bs.eigenvalues)
                 == quanta_tags(bs.coefficients, bs.quanta, bs.eigenvalues) == oracle)
+        # the two-argument form tags each level by its own dominant sector, as the oracle does
+        assert quanta_tags(bs.coefficients, bs.quanta) == oracle
 
 
 def test_tags_of_a_degenerate_group_do_not_depend_on_its_eigenvectors():
