@@ -199,7 +199,7 @@ def verify_sl3_diagonal(n: int) -> list[Check]:
     return checks
 
 
-def verify_translation_f3() -> list[Check]:
+def verify_translation_f3(h_bh: np.ndarray | None = None) -> list[Check]:
     """Compare the one-quantum bilinear ``a_3^+ a_1 + a_1^+ a_3 + a_2^+ a_2``
     with the cyclic translation on the one-quantum sector of three sites.
 
@@ -207,7 +207,11 @@ def verify_translation_f3() -> list[Check]:
     is, however, the site-1<->3 transposition rather than the cyclic shift,
     so the comparison against the translation matrix is reported, not
     asserted: its square (not its cube) is the identity, and a transposition
-    is not conjugate to a 3-cycle under any site relabeling.
+    is not conjugate to a 3-cycle under any site relabeling.  ``h_bh`` is
+    ``H_BH`` at ``gamma = 3`` on the ladders' basis ``at_most(1 + HEADROOM)``
+    of three sites (the first array of
+    :func:`~qeslattice.ops.hamiltonian_pencil` there), built here if not
+    given.
     """
     f, n = 3, 1
     a, ad, basis = _ladders(f, n + HEADROOM)
@@ -215,7 +219,9 @@ def verify_translation_f3() -> list[Check]:
     bilinear = _restrict(ad[2] @ a[0] + ad[0] @ a[2] + ad[1] @ a[1], idx)
 
     t_matrix = build_translation(f, enumerate_basis(f, exactly(1)))
-    h_bh = sector_block(hamiltonian_pencil(f, 3.0, basis)[0], basis, n, n)
+    if h_bh is None:
+        h_bh = hamiltonian_pencil(f, 3.0, basis)[0]
+    h_bh = sector_block(h_bh, basis, n, n)
 
     checks = []
     r = float(np.max(np.abs(bilinear @ h_bh - h_bh @ bilinear)))

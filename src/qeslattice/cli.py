@@ -24,7 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .spectra import MAX_SITES, _admit, sweep
+from .spectra import MAX_SITES, _admit, _sweep_each, sweep
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
@@ -152,7 +152,8 @@ def _emit(results, fmt: str, out, band: bool) -> None:
 def cmd_levels(args) -> int:
     """``spectrum``, ``sweep`` and ``figure2``: the levels over the ``--lambda``
     grid, admitted whole before its points are built; ``figure2`` solves each
-    coupling as a sweep of its own, so its tags are its own, and flags level 0."""
+    coupling as a sweep of its own on the ring's pencils built once, so its
+    tags are its own, and flags level 0."""
     count = _grid(args.lam)[2]
     _admit(args.f, count, keeps_vectors=False, per_point=args.band)
     if args.command == "spectrum" and count != 1:
@@ -161,7 +162,7 @@ def cmd_levels(args) -> int:
         raise ValueError("sweep needs a start:stop:step grid")
     lams = _parse_lambda(args.lam)
     with _output(args.out) as out:
-        results = ([sweep(args.f, args.gamma, [lam]) for lam in lams] if args.band
+        results = (_sweep_each(args.f, args.gamma, lams) if args.band
                    else [sweep(args.f, args.gamma, lams)])
         _emit(results, args.format, out(), args.band)
     return 0
@@ -169,11 +170,11 @@ def cmd_levels(args) -> int:
 
 def cmd_tables(args) -> int:
     from .reference import REFERENCE_GAMMA
-    from .suites import table_checks
+    from .suites import Rings, table_checks
     lines = []
     failed = False
     with _output(args.out) as out:
-        for table, rows, verdict in table_checks():
+        for table, rows, verdict in table_checks(Rings()):
             lines.append(f"# {table.name} (gamma = {REFERENCE_GAMMA:g})")
             lines.append("lambda | computed (reference) ... | max|dev|")
             for lam, nu, computed, reference in rows:

@@ -22,8 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .momentum import (MomentumLabel, block_frame, expected_block_dimension, pencil_stacks,
-                       to_orbit_frame)
+from .momentum import (MomentumLabel, PencilStack, block_frame, expected_block_dimension,
+                       pencil_stacks, to_orbit_frame)
 
 EIGH_HERMITICITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -69,11 +69,17 @@ def _check_sites(f: int) -> int:
     return int(f)
 
 
+def _is_real(value: object) -> bool:
+    # a plain float or int is answered before the slower ABC check
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, (bool, np.bool_)))
+
+
 def _check_coupling(name: str, value: float) -> None:
     """Reject a coupling that is not a real number (``bool`` included), is
     NaN, or is larger than ``MAX_COUPLING`` in magnitude (infinities
     included)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise ValueError(f"{name} = {value!r} is not a real number")
     if math.isnan(value):
         raise ValueError(f"{name} = {value!r} is not a finite number")
@@ -115,14 +121,22 @@ def _admit(f: int, n_points: int, keeps_vectors: bool, per_point: bool = False) 
 def _checked(f: int, gamma: float, lams: Iterable[float],
              keeps_vectors: bool) -> tuple[int, np.ndarray]:
     """``f`` as an ``int`` and the couplings as a float array, after the
-    site and coupling checks and the admission of both solve paths."""
+    site and coupling checks and the admission of both solve paths.
+
+    The couplings are checked as :func:`_check_coupling` checks each in
+    turn, and the error names the same first one that fails: one type pass
+    up to the first value that is not a real number, then one array pass
+    over the values before it."""
     f = _check_sites(f)
     _check_coupling("gamma", gamma)
     lams = list(lams)
     _admit(f, len(lams), keeps_vectors)
-    for lam in lams:
-        _check_coupling("lambda", lam)
-    return f, np.array(lams, dtype=float)
+    real = next((i for i, lam in enumerate(lams) if not _is_real(lam)), len(lams))
+    grid = np.array(lams[:real], dtype=float)
+    outside = np.flatnonzero(~(np.abs(grid) <= MAX_COUPLING))  # NaN included
+    if outside.size or real < len(lams):
+        _check_coupling("lambda", lams[outside[0] if outside.size else real])
+    return f, grid
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -287,10 +301,15 @@ def solve_spectra(f: int, gamma: float, lams: Iterable[float]) -> tuple[Spectrum
     """
     lams = list(lams)
     f, grid = _checked(f, gamma, lams, keeps_vectors=True)
-    if not lams:
-        return ()
+    return _spectra(pencil_stacks(f, gamma), f, gamma, lams, grid) if lams else ()
+
+
+def _spectra(stacks: Iterable[PencilStack], f: int, gamma: float, lams: list[float],
+             grid: np.ndarray) -> tuple[SpectrumResult, ...]:
+    """:func:`solve_spectra` on the ring's ``stacks``, for the couplings
+    ``lams`` that :func:`_checked` has read into ``grid``."""
     spectra: list[list[BlockSpectrum]] = [[] for _ in lams]
-    for stack in pencil_stacks(f, gamma):
+    for stack in stacks:
         h = _read_only(stack.b_bh + grid[:, None, None, None] * stack.b_drive)
         w, v = map(_read_only, eigh_checked(h))
         blocks = [(i, label, phases) for i in range(len(stack.labels))
@@ -544,14 +563,34 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     admits (:func:`_admit`: one block's matrices over the grid at a time),
     before any block is built.
     """
+    f, grid = _sweep_grid(f, gamma, lambdas)
+    return _sweep(pencil_stacks(f, gamma), f, gamma, grid)
+
+
+def _sweep_grid(f: int, gamma: float, lambdas: Iterable[float]) -> tuple[int, np.ndarray]:
+    """``f`` and the grid of :func:`sweep`, after its checks."""
     f, grid = _checked(f, gamma, lambdas, keeps_vectors=False)
     if grid.size == 0:
         raise ValueError("empty coupling grid")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("coupling grid must be strictly ascending")
+    return f, grid
 
+
+def _sweep_each(f: int, gamma: float, lambdas: Iterable[float]) -> list[SweepResult]:
+    """One one-point :func:`sweep` per coupling of ``lambdas``, in that
+    order, each with its own tags, on the ring's pencils built once.
+    Rejects the inputs :func:`sweep` rejects, except that the couplings need
+    not be distinct or sorted."""
+    f, grid = _checked(f, gamma, lambdas, keeps_vectors=False)
+    stacks = pencil_stacks(f, gamma)
+    return [_sweep(stacks, f, gamma, grid[j:j + 1]) for j in range(grid.size)]
+
+
+def _sweep(stacks: Iterable[PencilStack], f: int, gamma: float, grid: np.ndarray) -> SweepResult:
+    """:func:`sweep` on the ring's ``stacks`` over a checked ``grid``."""
     block_sweeps = []
-    for stack in pencil_stacks(f, gamma):
+    for stack in stacks:
         split = 2 * stack.labels[0].nu == f >= 4  # the k = pi block, nu = f/2, comes first
         if len(stack.labels) > split:
             energies, tags = _curves(stack.b_bh[split:], stack.b_drive[split:], stack.quanta, grid)

@@ -7,40 +7,113 @@ tables and closed-form polynomials exist for rings of up to four sites, the
 closed-form block matrices are compared for up to five, and the structural
 symmetries are cheap enough to assert on every ring size the package
 targets.
+
+Every suite takes the :class:`Rings` of its run and builds nothing that the
+table already holds: one ``verify`` run builds each ring's basis, dense
+pencil, momentum pencils, block frames and solves once, however many suites
+read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from . import algebra
 from .fock import FockBasis, at_most, enumerate_basis
-from .momentum import block_dimensions, expected_block_dimension, momentum_values, project_block
+from .momentum import (MomentumLabel, PencilStack, block_dimensions, block_frame,
+                       expected_block_dimension, momentum_values, pencil_stacks, project_block)
 from .ops import (build_momentum_vectors, build_number, build_translation, commutator,
                   hamiltonian_pencil, orbit_block_pencil, sector_block)
 from .reference import (CHARPOLY_SAMPLES, CHARPOLY_TOL, EIGENSTATE_FORMULAS,
                         EIGENSTATE_RESIDUAL_TOL, REFERENCE_CHAR_POLYS, REFERENCE_GAMMA,
                         REFERENCE_TABLES, TABLE_TOL, f3_dim3_energies)
 from .report import Check, check, skip
-from .spectra import (SpectrumResult, hermiticity_defect, solve_spectra, solve_spectrum,
-                      soliton_band, sweep)
+from .spectra import (SpectrumResult, SweepResult, _checked, _read_only, _spectra, _sweep,
+                      _sweep_grid, hermiticity_defect, soliton_band)
 
 EXACT_TOL = 1e-12
 ORACLE_TOL = 1e-9
 
+T = TypeVar("T")
 
-def ops_suite() -> list[Check]:
+
+def _once(built: dict, key, build: Callable[[], T]) -> T:
+    if key not in built:
+        built[key] = build()
+    return built[key]
+
+
+class Rings:
+    """The constructions of one verification run, each built on first use
+    and then shared, read-only, by every suite of the run: per ring ``f``
+    its occupation basis ``at_most(n)`` and, per ``gamma``, its dense pencil
+    on it (:func:`~qeslattice.ops.hamiltonian_pencil`), its momentum pencils
+    (:func:`~qeslattice.momentum.pencil_stacks`) and its solve at each
+    coupling; and each label's block frame
+    (:func:`~qeslattice.momentum.block_frame`).
+
+    :func:`run_suites` makes one per run and drops it when the run returns,
+    so nothing is kept from one run to the next.  Solves and sweeps take the
+    checks and the admission of :func:`~qeslattice.spectra.solve_spectra`
+    and :func:`~qeslattice.spectra.sweep`, on the pencils held here; the
+    couplings a solve adds are solved together, and ``eigh`` solves each
+    matrix on its own, so a result does not depend on which suite asked
+    first."""
+
+    def __init__(self) -> None:
+        self._bases: dict[tuple[int, int], FockBasis] = {}
+        self._pencils: dict[tuple[int, float, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._stacks: dict[tuple[int, float], tuple[PencilStack, ...]] = {}
+        self._frames: dict[MomentumLabel, np.ndarray] = {}
+        self._solved: dict[tuple[int, float, float], SpectrumResult] = {}
+
+    def basis(self, f: int, n: int = 2) -> FockBasis:
+        """The occupation basis ``at_most(n)`` of ``f`` sites."""
+        return _once(self._bases, (f, n), lambda: enumerate_basis(f, at_most(n)))
+
+    def pencil(self, f: int, gamma: float, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
+        """``(h_bh, h_drive)`` on :meth:`basis` ``(f, n)``, read-only."""
+        return _once(self._pencils, (f, gamma, n), lambda: tuple(
+            map(_read_only, hamiltonian_pencil(f, gamma, self.basis(f, n)))))
+
+    def stacks(self, f: int, gamma: float) -> tuple[PencilStack, ...]:
+        """The momentum pencils of ``f`` sites at ``gamma``."""
+        return _once(self._stacks, (f, gamma), lambda: tuple(pencil_stacks(f, gamma)))
+
+    def frame(self, label: MomentumLabel) -> np.ndarray:
+        """The block vectors at ``label`` over the ``at_most(2)`` basis."""
+        return _once(self._frames, label, lambda: block_frame(label))
+
+    def solve(self, f: int, gamma: float, lams: Iterable[float]) -> tuple[SpectrumResult, ...]:
+        """``solve_spectra(f, gamma, lams)``, solving only the couplings no
+        earlier call solved; a coupling equal to one solved before (``0.0``
+        and ``-0.0`` are equal) gets that result, its ``lam`` included."""
+        lams = list(lams)
+        new = [lam for lam in dict.fromkeys(lams) if (f, gamma, lam) not in self._solved]
+        if new:
+            f, grid = _checked(f, gamma, new, keeps_vectors=True)
+            for lam, result in zip(new, _spectra(self.stacks(f, gamma), f, gamma, new, grid)):
+                self._solved[f, gamma, lam] = result
+        return tuple(self._solved[f, gamma, lam] for lam in lams)
+
+    def sweep(self, f: int, gamma: float, lams: Iterable[float]) -> SweepResult:
+        """``sweep(f, gamma, lams)``."""
+        f, grid = _sweep_grid(f, gamma, lams)
+        return _sweep(self.stacks(f, gamma), f, gamma, grid)
+
+
+def ops_suite(rings: Rings) -> list[Check]:
     """Hermiticity, conserved quantities and invariant-subspace structure."""
     checks: list[Check] = []
     gamma = 3.0
     for f in range(1, 7):
-        basis = enumerate_basis(f, at_most(2))
+        basis = rings.basis(f)
         n_op = build_number(f, basis)
         t_op = build_translation(f, basis)
-        h_bh, h_drive = hamiltonian_pencil(f, gamma, basis)
+        h_bh, h_drive = rings.pencil(f, gamma)
 
         r = hermiticity_defect(h_bh)
         checks.append(check("H_BH hermitian", r, below=EXACT_TOL, f=f))
@@ -61,17 +134,16 @@ def ops_suite() -> list[Check]:
             checks.append(check("|[H, N]| > 0.1 lam", hn, above=0.1 * lam, f=f, lam=lam))
 
         # invariance of the 0+1+2-quanta subspace, probed with headroom
-        wide = enumerate_basis(f, at_most(3))
-        h_wide, wide_drive = hamiltonian_pencil(f, gamma, wide)
-        h_wide += 0.5 * wide_drive
-        del wide_drive  # not held through the canonical relations, which set the peak memory
+        wide_bh, wide_drive = rings.pencil(f, gamma, 3)
+        h_wide = wide_bh + 0.5 * wide_drive
+        wide = rings.basis(f, 3)
         leak = max(float(np.max(np.abs(sector_block(h_wide, wide, 3, n)))) for n in (0, 1, 2))
         checks.append(check("no coupling from 0/1/2 quanta into 3", leak, below=EXACT_TOL, f=f))
         checks.extend(algebra.verify_canonical_relations(f))
     return checks
 
 
-def momentum_suite() -> list[Check]:
+def momentum_suite(rings: Rings) -> list[Check]:
     """Block dimensions, orthonormality, translation eigenvectors, coupling
     structure, and agreement of the closed-form block matrices with the
     projection of dense ``H`` and with the orbit construction."""
@@ -87,11 +159,10 @@ def momentum_suite() -> list[Check]:
                             max(abs(sum(dims) - total), abs(closed - total)), below=1, f=f))
 
     gamma, lam = 3.0, 0.5
-    solved = {}  # f -> the solve at (gamma, lam), reused by the closed-form comparison
     vacuum_checks = []  # recorded after the block checks of every ring
     for f in range(1, 9):
-        basis = enumerate_basis(f, at_most(2))
-        h_bh, h_drive = hamiltonian_pencil(f, gamma, basis)
+        basis = rings.basis(f)
+        h_bh, h_drive = rings.pencil(f, gamma)
         h = h_bh + lam * h_drive
         label = next(l for l in momentum_values(f) if l.nu == 0)
         vacuum, psi1 = build_momentum_vectors(f, label, basis)[:2]
@@ -101,15 +172,15 @@ def momentum_suite() -> list[Check]:
         if f > 6:
             continue
         t_op = build_translation(f, basis)
-        solved[f] = solve_spectrum(f, gamma, lam)
-        blocks = solved[f].blocks
+        (result,) = rings.solve(f, gamma, [lam])
+        blocks = result.blocks
         dim_dev = max(abs(b.dim - expected_block_dimension(f, b.label.nu)) for b in blocks)
         checks.append(check("constructed block dimensions", dim_dev, below=1, f=f))
         worst_gram = 0.0
         worst_t = 0.0
         worst_herm = 0.0
         for b in blocks:
-            v = b.vectors
+            v = rings.frame(b.label)
             worst_gram = max(worst_gram, float(np.max(np.abs(
                 v.conj().T @ v - np.eye(b.dim)))))
             worst_t = max(worst_t, float(np.max(np.abs(
@@ -122,7 +193,7 @@ def momentum_suite() -> list[Check]:
         worst_proj = 0.0
         for i, bi in enumerate(blocks):
             for bj in blocks[i:]:
-                projected = bi.vectors.conj().T @ h @ bj.vectors
+                projected = rings.frame(bi.label).conj().T @ h @ rings.frame(bj.label)
                 if bj is bi:
                     worst_proj = max(worst_proj, float(np.max(np.abs(projected - bi.hmatrix))))
                 else:
@@ -138,7 +209,7 @@ def momentum_suite() -> list[Check]:
             worst22 = 0.0
             worst12 = 0.0
             # the closed-form blocks against the orbit construction
-            result = solved[f] if gam == gamma else solve_spectrum(f, gam, lam)
+            (result,) = rings.solve(f, gam, [lam])
             for b, oracle in zip(result.blocks, orbit_block_pencil(f, gam)):
                 ref = oracle.matrix(lam)
                 i0 = 2 if b.label.nu == 0 else 1
@@ -154,18 +225,15 @@ def momentum_suite() -> list[Check]:
     return checks
 
 
-def spectra_suite() -> list[Check]:
+def spectra_suite(rings: Rings) -> list[Check]:
     """Oracle equivalence, coupling-sign symmetry, momentum degeneracy and
     the decoupled-limit sector structure."""
     checks: list[Check] = []
-    solved, bases, pencils = {}, {}, {}  # by (f, gamma, lam), f, (f, gamma); reused below
     for f in range(1, 8):
-        bases[f] = enumerate_basis(f, at_most(2))
         for gamma in (1.0, 3.0):
-            h_bh, h_drive = pencils[f, gamma] = hamiltonian_pencil(f, gamma, bases[f])
+            h_bh, h_drive = rings.pencil(f, gamma)
             lams = (0.0, 0.25, 0.5)
-            for lam, result in zip(lams, solve_spectra(f, gamma, lams)):
-                solved[f, gamma, lam] = result
+            for lam, result in zip(lams, rings.solve(f, gamma, lams)):
                 blocks = result.all_eigenvalues()
                 full = np.linalg.eigvalsh(h_bh + lam * h_drive)
                 r = float(np.max(np.abs(blocks - full)))
@@ -173,13 +241,13 @@ def spectra_suite() -> list[Check]:
                                     f=f, gamma=gamma, lam=lam))
 
     for f in (2, 3, 5):
-        plus, minus = (r.all_eigenvalues() for r in solve_spectra(f, 3.0, (0.4, -0.4)))
+        plus, minus = (r.all_eigenvalues() for r in rings.solve(f, 3.0, (0.4, -0.4)))
         r = float(np.max(np.abs(plus - minus)))
         checks.append(check("spectrum invariant under lam -> -lam", r, below=ORACLE_TOL, f=f))
 
     for f in (3, 4, 5, 7):
-        result = solved[f, 3.0, 0.5]
-        h_bh, h_drive = pencils[f, 3.0]
+        (result,) = rings.solve(f, 3.0, [0.5])
+        h_bh, h_drive = rings.pencil(f, 3.0)
         h = h_bh + 0.5 * h_drive
         worst_pair = 0.0
         worst_conj = 0.0
@@ -190,13 +258,14 @@ def spectra_suite() -> list[Check]:
             mirror = result.block_for(-bs.label.nu)
             # the solve gives -nu the spectrum of nu: compare both with the
             # dense projection of H onto the orbit vectors at -nu
-            vectors = build_momentum_vectors(f, mirror.label, bases[f])
+            vectors = build_momentum_vectors(f, mirror.label, rings.basis(f))
             projected = np.linalg.eigvalsh(project_block(h, vectors))
             for w in (bs.eigenvalues, mirror.eigenvalues):
                 worst_pair = max(worst_pair, float(np.max(np.abs(w - projected))))
-            frame = mirror.vectors
+            frame = rings.frame(mirror.label)
+            eigenvectors = rings.frame(bs.label) @ bs.coefficients
             for i, e in enumerate(bs.eigenvalues):
-                v = bs.eigenvectors[:, i].conj()
+                v = eigenvectors[:, i].conj()
                 worst_conj = max(worst_conj, float(
                     np.linalg.norm(h @ v - e * v) / np.linalg.norm(v)))
                 # membership in the mirror block's span
@@ -208,17 +277,18 @@ def spectra_suite() -> list[Check]:
 
     for f in range(1, 8):
         gamma = 3.0
-        result = solved[f, gamma, 0.0]
+        (result,) = rings.solve(f, gamma, [0.0])
         expected = [0.0]
         expected += [-2.0 * np.cos(2 * np.pi * l.nu / f) for l in momentum_values(f)]
-        expected += list(np.linalg.eigvalsh(sector_block(pencils[f, gamma][0], bases[f], 2, 2)))
+        expected += list(np.linalg.eigvalsh(sector_block(rings.pencil(f, gamma)[0],
+                                                         rings.basis(f), 2, 2)))
         r = float(np.max(np.abs(result.all_eigenvalues() - np.sort(expected))))
         checks.append(check("lam=0 spectrum splits into quanta sectors",
                             r, below=ORACLE_TOL, f=f))
     return checks
 
 
-def soliton_suite() -> list[Check]:
+def soliton_suite(rings: Rings) -> list[Check]:
     """Band minima separation for rings of 3, 5 and 7 sites at gamma = 3.
 
     Both margins are reported: the per-momentum gap (band state vs the rest
@@ -230,7 +300,7 @@ def soliton_suite() -> list[Check]:
     checks: list[Check] = []
     for f in (3, 5, 7):
         lams = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-        for lam, result in zip(lams, solve_spectra(f, 3.0, lams)):
+        for lam, result in zip(lams, rings.solve(f, 3.0, lams)):
             band = soliton_band(result)
             checks.append(check("soliton band separated per momentum",
                                 band.per_nu_margin, above=0.0, f=f, lam=lam,
@@ -238,7 +308,7 @@ def soliton_suite() -> list[Check]:
     return checks
 
 
-def charpoly_suite() -> list[Check]:
+def charpoly_suite(rings: Rings) -> list[Check]:
     """The printed block polynomials, sampled over (gamma, lam); each ring is
     solved once per gamma, over all sampled couplings.  Each block's
     polynomial is assembled from its eigenvalues (``np.poly``, stable at
@@ -248,7 +318,7 @@ def charpoly_suite() -> list[Check]:
     for f in dict.fromkeys(ref.f for ref in REFERENCE_CHAR_POLYS):
         refs = [ref for ref in REFERENCE_CHAR_POLYS if ref.f == f]
         for gamma in gammas:
-            for lam, result in zip(lams, solve_spectra(f, gamma, lams)):
+            for lam, result in zip(lams, rings.solve(f, gamma, lams)):
                 for ref in refs:
                     target = ref.coefficients(gamma, lam)
                     for nu in ref.nus:
@@ -260,7 +330,7 @@ def charpoly_suite() -> list[Check]:
                   f=ref.f) for ref in REFERENCE_CHAR_POLYS]
 
 
-def table_checks() -> Iterator[tuple]:
+def table_checks(rings: Rings) -> Iterator[tuple]:
     """``(table, rows, verdict)`` for every reference table, in order: one
     sweep at gamma = 3 per ring and coupling grid, shared by the tables that
     tabulate them, one ``(lam, nu, computed, reference)`` row per tabulated
@@ -269,7 +339,7 @@ def table_checks() -> Iterator[tuple]:
     for table in REFERENCE_TABLES:
         lams = tuple(lam for lam, _ in table.rows)
         if (table.f, lams) not in sweeps:
-            result = sweep(table.f, REFERENCE_GAMMA, lams)
+            result = rings.sweep(table.f, REFERENCE_GAMMA, lams)
             sweeps[table.f, lams] = {bs.label.nu: bs.energies for bs in result.blocks}
         curves = sweeps[table.f, lams]
         rows = [(lam, nu, curves[nu][i], np.array(energies))
@@ -279,13 +349,13 @@ def table_checks() -> Iterator[tuple]:
                                  values=table.value_count * len(table.nus))
 
 
-def tables_suite() -> list[Check]:
+def tables_suite(rings: Rings) -> list[Check]:
     """Reproduce every tabulated eigenvalue at gamma = 3 to +-1.5e-3."""
-    checks = [verdict for _, _, verdict in table_checks()]
+    checks = [verdict for _, _, verdict in table_checks(rings)]
     # the dimension-3 blocks on three sites additionally have exact closed forms
     worst = 0.0
     lams = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-    for lam, result in zip(lams, solve_spectra(3, REFERENCE_GAMMA, lams)):
+    for lam, result in zip(lams, rings.solve(3, REFERENCE_GAMMA, lams)):
         target = np.array(f3_dim3_energies(lam))
         for nu in (1, -1):
             worst = max(worst, float(np.max(np.abs(
@@ -294,7 +364,7 @@ def tables_suite() -> list[Check]:
     return checks
 
 
-def algebra_suite() -> list[Check]:
+def algebra_suite(rings: Rings) -> list[Check]:
     """All Lie-structure verifications at their published ranges."""
     checks: list[Check] = []
     checks.extend(algebra.verify_sl2())
@@ -302,7 +372,7 @@ def algebra_suite() -> list[Check]:
         checks.extend(algebra.verify_grading_closure(f, n=2))
     for n in (0, 1, 2, 3):
         checks.extend(algebra.verify_sl3_diagonal(n))
-    checks.extend(algebra.verify_translation_f3())
+    checks.extend(algebra.verify_translation_f3(rings.pencil(3, 3.0, 1 + algebra.HEADROOM)[0]))
     for f in (1, 2, 3, 4):
         checks.extend(algebra.verify_osp_structure(f))
     return checks
@@ -327,14 +397,15 @@ def verify_eigenvector_formulas(result: SpectrumResult) -> list:
     """
     if result.f not in (1, 2, 3, 4):
         raise ValueError("closed-form eigenstates are tabulated for f in 1..4")
-    basis = enumerate_basis(result.f, at_most(2))
-    return _eigenvector_checks(result, basis, hamiltonian_pencil(result.f, result.gamma, basis))
+    return _eigenvector_checks(result, Rings())
 
 
-def _eigenvector_checks(result: SpectrumResult, basis: FockBasis, pencil: tuple) -> list:
-    """:func:`verify_eigenvector_formulas` on the ring's pencil over ``basis``."""
+def _eigenvector_checks(result: SpectrumResult, rings: Rings) -> list:
+    """:func:`verify_eigenvector_formulas` on the basis, pencil and frames
+    of ``rings``."""
     f, gamma, lam = result.f, result.gamma, result.lam
-    h_bh, h_drive = pencil
+    basis = rings.basis(f)
+    h_bh, h_drive = rings.pencil(f, gamma)
     h = h_bh + lam * h_drive
     checks: list[Check] = []
     group_results: dict[str, list[bool]] = {}
@@ -349,7 +420,7 @@ def _eigenvector_checks(result: SpectrumResult, basis: FockBasis, pencil: tuple)
         if formula.kind == "block":
             block = result.block_for(formula.nu)
             eigenvalues = block.eigenvalues
-            frame = block.vectors
+            frame = rings.frame(block.label)
         else:
             eigenvalues = result.all_eigenvalues()
             frame = None
@@ -396,7 +467,7 @@ def _eigenvector_checks(result: SpectrumResult, basis: FockBasis, pencil: tuple)
     return checks
 
 
-def eigvec_suite() -> list[Check]:
+def eigvec_suite(rings: Rings) -> list[Check]:
     """Closed-form eigenstates at representative couplings.
 
     Generic-in-gamma formulas are exercised at three interaction strengths;
@@ -406,16 +477,14 @@ def eigvec_suite() -> list[Check]:
     """
     checks: list[Check] = []
     lams = (0.1, 0.25, 0.5)
-    rings = (1, 2, 3, 4)
-    bases = {f: enumerate_basis(f, at_most(2)) for f in rings}
+    sizes = (1, 2, 3, 4)
     for gamma in (1.0, 3.0, 7.0):
-        # one solve and one dense pencil per ring; f = 2 also at lam = 0, its last point
-        solved = {f: solve_spectra(f, gamma, lams + (0.0,) * (f == 2)) for f in rings}
-        pencils = {f: hamiltonian_pencil(f, gamma, bases[f]) for f in rings}
+        # one solve per ring; f = 2 also at lam = 0, its last point
+        solved = {f: rings.solve(f, gamma, lams + (0.0,) * (f == 2)) for f in sizes}
         for j in range(len(lams)):
-            for f in rings:
-                checks.extend(_eigenvector_checks(solved[f][j], bases[f], pencils[f]))
-        checks.extend(_eigenvector_checks(solved[2][-1], bases[2], pencils[2]))
+            for f in sizes:
+                checks.extend(_eigenvector_checks(solved[f][j], rings))
+        checks.extend(_eigenvector_checks(solved[2][-1], rings))
     return checks
 
 
@@ -436,4 +505,5 @@ def run_suites(names: list[str] | None = None) -> list[Check]:
         if name not in SUITES and name != "all":
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     selected = list(SUITES) if not names or "all" in names else names
-    return [c for name in selected for c in SUITES[name]()]
+    rings = Rings()
+    return [c for name in selected for c in SUITES[name](rings)]

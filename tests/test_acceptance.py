@@ -17,7 +17,7 @@ from qeslattice.ops import (brute_force_eigenvalues, build_number, build_transla
 from qeslattice.reference import (REFERENCE_CHAR_POLYS, REFERENCE_TABLES,
                                   f3_dim3_energies)
 from qeslattice.spectra import solve_spectrum, soliton_band
-from qeslattice.suites import algebra_suite, verify_eigenvector_formulas
+from qeslattice.suites import Rings, algebra_suite, verify_eigenvector_formulas
 
 TABLE_TOL = 1.5e-3
 EXACT_TOL = 1e-12
@@ -181,7 +181,7 @@ def test_criterion_8_soliton_band_and_degeneracy():
 
 def test_criterion_9_algebra_suite():
     with criterion(9, "sl(2)/sl(f)/osp structure checks at residual 1e-10"):
-        checks = algebra_suite()
+        checks = algebra_suite(Rings())
         bad = [c for c in checks if not c.passed]
         assert not bad, bad
         names = " ".join(c.name for c in checks)

@@ -247,7 +247,8 @@ def test_unwritable_out_path_is_an_error_line(tmp_path, capsys, monkeypatch, arg
     # the path is opened before any work is done
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --out was opened")
-    monkeypatch.setattr(qeslattice.cli, "sweep", refuse)
+    for name in ("sweep", "_sweep_each"):
+        monkeypatch.setattr(qeslattice.cli, name, refuse)
     for name in ("run_suites", "table_checks"):  # imported by the command that runs them
         monkeypatch.setattr(qeslattice.suites, name, refuse)
     path = tmp_path / "missing" / "out.txt"
@@ -456,7 +457,7 @@ def test_figure2_rejects_a_grid_over_the_sweep_row_cap_before_any_solve(tmp_path
 
     def refuse(*args, **kwargs):
         raise AssertionError("figure2 solved a coupling")
-    monkeypatch.setattr(qeslattice.cli, "sweep", refuse)
+    monkeypatch.setattr(qeslattice.cli, "_sweep_each", refuse)
     with pytest.raises(AssertionError, match="figure2 solved a coupling"):
         main(["figure2", "--f", "19", "--lambda", grid_text(n)])
     path = tmp_path / "fig.csv"
@@ -506,7 +507,7 @@ def test_verify_single_suite(tmp_path, capsys):
 def test_verify_failing_suite_exits_2_with_the_bound_on_its_fail_line(capsys, monkeypatch):
     from qeslattice.report import Check, check
     note = "0/2 readings match the computed eigenvectors"
-    monkeypatch.setitem(qeslattice.suites.SUITES, "failing", lambda: [
+    monkeypatch.setitem(qeslattice.suites.SUITES, "failing", lambda rings: [
         check("too large", 2e-3, below=1.5e-3, f=3),
         check("fine", 0, below=1),
         check("too small", 0.05, above=0.1, f=1, lam=0.5, note="margin"),
@@ -536,7 +537,7 @@ def test_verify_rejects_unknown_suite(tmp_path, capsys):
 
 @pytest.mark.parametrize("first", ["ops", "all"])
 def test_verify_checks_every_suite_name_before_running_any(capsys, monkeypatch, first):
-    def refuse():
+    def refuse(rings):
         raise AssertionError("a suite ran before the names were checked")
     monkeypatch.setitem(qeslattice.suites.SUITES, "ops", refuse)
     code, out, err = run(capsys, "verify", "--suite", first, "--suite", "nonsense")

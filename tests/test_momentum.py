@@ -13,7 +13,7 @@ from qeslattice.momentum import (GRAM_TOL, MomentumLabel, _check_disjoint_rows,
 from qeslattice.ops import (apply_hamiltonian, build_momentum_vectors, build_translation,
                             hamiltonian_pencil, orbit_block_pencil, two_quanta_seed)
 from qeslattice.spectra import MAX_SITES, hermiticity_defect, solve_spectrum
-from qeslattice.suites import momentum_suite
+from qeslattice.suites import Rings, momentum_suite
 
 SQRT2 = math.sqrt(2)
 
@@ -363,7 +363,8 @@ def test_block_vectors_follow_the_full_orbit_sum(f):
 
 
 def test_momentum_suite_records_dense_projection_agreement():
-    records = [c for c in momentum_suite() if c.name == "blocks equal the projection of dense H"]
+    records = [c for c in momentum_suite(Rings())
+               if c.name == "blocks equal the projection of dense H"]
     assert [c.params["f"] for c in records] == list(range(1, 7))
     assert all(c.passed and c.residual < 1e-12 for c in records)
 

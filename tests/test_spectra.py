@@ -1,13 +1,17 @@
+import collections
 import dataclasses
+import gc
+import json
 import math
 import os
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from qeslattice import cli, spectra
+from qeslattice import algebra, cli, momentum, ops, spectra, suites
 from qeslattice.fock import at_most, enumerate_basis
 from qeslattice.momentum import momentum_values, pencil_stacks, to_orbit_frame
 from qeslattice.ops import (brute_force_eigenvalues, build_momentum_vectors, hamiltonian_pencil,
@@ -16,7 +20,7 @@ from qeslattice.reference import (CHARPOLY_SAMPLES, REFERENCE_CHAR_POLYS,
                                   REFERENCE_TABLES, f3_dim3_energies)
 from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, eigh_checked, quanta_tags, solve_spectra,
                                 solve_spectrum, soliton_band, sweep)
-from qeslattice.report import failures
+from qeslattice.report import as_records, failures
 from qeslattice.suites import run_suites, verify_eigenvector_formulas
 
 from oracles import largest_admitted, quanta_tag, refusal
@@ -136,6 +140,33 @@ def test_sweep_rejects_bad_grid_point():
         sweep(2, 3.0, [0.0, 0.1, 2e3])
 
 
+def _first_refusal(lams) -> str:
+    """The error of the first coupling that `_check_coupling`, applied to
+    each in turn, refuses."""
+    for lam in lams:
+        try:
+            spectra._check_coupling("lambda", lam)
+        except ValueError as exc:
+            return str(exc)
+    raise AssertionError("no coupling is refused")
+
+
+_BAD = (True, np.bool_(False), math.nan, -math.inf, 2 * MAX_COUPLING, np.float64(-5e3),
+        np.float64(math.nan), 0.5j)
+
+
+@pytest.mark.parametrize("lams", [
+    *([bad, 0.1] for bad in _BAD),
+    *([0.0, first, np.float64(0.25), second, 0.3] for first in _BAD for second in _BAD
+      if first is not second)], ids=repr)
+def test_the_couplings_are_checked_in_one_pass_naming_the_first_refused(no_basis, lams):
+    # the type pass and the array pass report the value the one-at-a-time
+    # checks stop at, with the same message
+    with pytest.raises(ValueError) as refused:
+        solve_spectra(5, 3.0, lams)
+    assert str(refused.value) == _first_refusal(lams)
+
+
 @pytest.fixture
 def no_basis(monkeypatch):
     """Fail any attempt to build a block inside ``spectra``, which has no
@@ -221,18 +252,78 @@ def test_solve_spectra_rejects_too_many_levels_before_any_basis(no_basis):
 
 
 def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
-    # one pencil build and one eigh per stack for each (f, gamma) a suite
-    # probes, over all its couplings (182 and 375 calls when every coupling
-    # was its own solve; 64 and 133 when each table ran its own sweep), and
-    # one sweep per reference ring, whose short grid takes one eigh per stack
-    calls = {"pencil_stacks": 0, "eigh_checked": 0}
-    for name in calls:
-        def counted(*args, _call=getattr(spectra, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _call(*args, **kwargs)
-        monkeypatch.setattr(spectra, name, counted)
+    # one eigh per stack for each (f, gamma) and set of couplings not solved
+    # before in the run (375 calls when every coupling was its own solve, 133
+    # when each table ran its own sweep, 123 when each suite solved its own),
+    # and one sweep per reference ring, whose short grid takes one eigh per stack
+    calls = 0
+
+    def counted(*args, _call=spectra.eigh_checked):
+        nonlocal calls
+        calls += 1
+        return _call(*args)
+    monkeypatch.setattr(spectra, "eigh_checked", counted)
     assert not failures(run_suites())
-    assert calls["pencil_stacks"] <= 60 and calls["eigh_checked"] <= 123, calls
+    assert calls <= 119, calls
+
+
+def test_run_suites_builds_each_construction_once_per_run(monkeypatch):
+    # one run builds each ring's momentum pencils, dense pencils and block
+    # frames once (60, 47 and 89 builds when every suite built its own); the
+    # next run builds them all again, and no run's table outlives it
+    keys = {(momentum, "pencil_stacks"): lambda f, gamma: (f, gamma),
+            (ops, "hamiltonian_pencil"): lambda f, gamma, basis: (f, gamma, basis.sectors),
+            (momentum, "block_frame"): lambda label: label}
+    builds = []
+    for (home, name), key in keys.items():
+        build = getattr(home, name)
+
+        def counted(*args, _build=build, _name=name, _key=key):
+            builds.append((_name, _key(*args)))
+            return _build(*args)
+        for module in (algebra, momentum, ops, spectra, suites):
+            if getattr(module, name, None) is build:
+                monkeypatch.setattr(module, name, counted)
+    tables = []
+
+    class Traced(suites.Rings):
+        def __init__(self):
+            super().__init__()
+            tables.append(weakref.ref(self))
+    monkeypatch.setattr(suites, "Rings", Traced)
+    for _ in range(2):
+        builds.clear()
+        assert not failures(run_suites())
+        assert len(set(builds)) == len(builds)
+        assert collections.Counter(name for name, _ in builds) == {
+            "pencil_stacks": 18, "hamiltonian_pencil": 25, "block_frame": 27}
+    gc.collect()
+    assert len(tables) == 2 and all(table() is None for table in tables)
+
+
+def test_the_run_table_hands_out_one_read_only_copy_of_each_construction():
+    rings = suites.Rings()
+    (result,) = rings.solve(3, 3.0, [0.2])
+    assert rings.solve(3, 3.0, [0.1, 0.2])[1] is result
+    assert rings.pencil(3, 3.0) is rings.pencil(3, 3.0)
+    assert rings.stacks(3, 3.0) is rings.stacks(3, 3.0)
+    arrays = [*rings.pencil(3, 3.0), *rings.pencil(3, 3.0, 3),
+              *(rings.frame(label) for label in momentum_values(3))]
+    arrays += [a for stack in rings.stacks(3, 3.0)
+               for a in (stack.quanta, stack.b_bh, stack.b_drive, stack.phases)]
+    arrays += [a for block in result.blocks
+               for a in (block.matrix, block.phases, block.quanta, block.eigenvalues, block.u)]
+    assert not any(a.flags.writeable for a in arrays)
+    plain = solve_spectra(3, 3.0, [0.1, 0.2])
+    assert all(np.array_equal(a.all_eigenvalues(), b.all_eigenvalues())
+               for a, b in zip(plain, rings.solve(3, 3.0, [0.1, 0.2])))
+
+
+def test_suites_carry_no_state_between_them():
+    # each suite run alone writes its slice of the records of one run of all
+    # of them, so nothing a suite leaves in the run's table changes another
+    parts = [record for name in suites.SUITES for record in as_records(run_suites([name]))]
+    assert json.dumps(parts) == json.dumps(as_records(run_suites()))
 
 
 def test_solve_spectra_rejects_too_many_matrix_entries_before_any_block(no_basis):
