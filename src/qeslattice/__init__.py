@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
     "fock": "FockBasis at_most enumerate_basis exactly translate",
-    "momentum": "MomentumLabel PencilStack block_dimensions block_frame momentum_values "
-                "pencil_stacks project_block to_orbit_frame",
+    "momentum": "MomentumLabel PencilStack block_dimensions momentum_values pencil_stacks "
+                "project_block to_orbit_frame",
     "spectra": "BlockSpectrum SolitonBand SpectrumResult SweepResult eigh_checked "
                "hermiticity_defect quanta_tags solve_spectra solve_spectrum soliton_band sweep",
     "ops": "annihilation creation commutator apply_hamiltonian hamiltonian_pencil "

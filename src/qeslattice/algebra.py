@@ -46,7 +46,7 @@ import itertools
 import numpy as np
 
 from .fock import at_most, enumerate_basis, exactly
-from .ops import annihilation, build_translation, hamiltonian_pencil, sector_block
+from .ops import annihilation, build_translation, sector_block
 from .report import Check, check
 
 SPAN_TOL = 1e-10
@@ -199,7 +199,7 @@ def verify_sl3_diagonal(n: int) -> list[Check]:
     return checks
 
 
-def verify_translation_f3(h_bh: np.ndarray | None = None) -> list[Check]:
+def verify_translation_f3(h_bh: np.ndarray) -> list[Check]:
     """Compare the one-quantum bilinear ``a_3^+ a_1 + a_1^+ a_3 + a_2^+ a_2``
     with the cyclic translation on the one-quantum sector of three sites.
 
@@ -209,9 +209,8 @@ def verify_translation_f3(h_bh: np.ndarray | None = None) -> list[Check]:
     asserted: its square (not its cube) is the identity, and a transposition
     is not conjugate to a 3-cycle under any site relabeling.  ``h_bh`` is
     ``H_BH`` at ``gamma = 3`` on the ladders' basis ``at_most(1 + HEADROOM)``
-    of three sites (the first array of
-    :func:`~qeslattice.ops.hamiltonian_pencil` there), built here if not
-    given.
+    of three sites, the first array of
+    :func:`~qeslattice.ops.hamiltonian_pencil` there.
     """
     f, n = 3, 1
     a, ad, basis = _ladders(f, n + HEADROOM)
@@ -219,8 +218,6 @@ def verify_translation_f3(h_bh: np.ndarray | None = None) -> list[Check]:
     bilinear = _restrict(ad[2] @ a[0] + ad[0] @ a[2] + ad[1] @ a[1], idx)
 
     t_matrix = build_translation(f, enumerate_basis(f, exactly(1)))
-    if h_bh is None:
-        h_bh = hamiltonian_pencil(f, 3.0, basis)[0]
     h_bh = sector_block(h_bh, basis, n, n)
 
     checks = []

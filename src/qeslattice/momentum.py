@@ -71,17 +71,10 @@ batched real ``eigh``; an eigenvector ``u`` of ``B`` is the eigenvector
 ``-nu``.  No occupation state, orbit table or dense ``H`` is built on this
 path.
 
-Each block's vectors are the ``D x d`` matrix ``V`` of block vectors over the
-occupation basis, a read-only complex array.  A solved block
-(:class:`~qeslattice.spectra.BlockSpectrum`) builds ``V`` only when
-``.vectors`` is read (:func:`block_frame`): one entry per orbit member, its
-row in the occupation basis (from the positions of its quanta), its column
-and its amplitude ``e^{ikr}/sqrt(P)``, checked before they are scattered
-into ``V``: distinct orbits share no occupation state, so ``V^H V = I``
-reduces to distinct rows and unit column norms.
-
-The oracles for these blocks build occupation states and are in
-:mod:`~qeslattice.ops`, which nothing here imports.
+The block vectors ``psi(k)`` over the occupation basis are built only by
+the oracles: :func:`~qeslattice.ops.build_momentum_vectors` reads them off
+an orbit table, and it and every other construction on occupation states
+are in :mod:`~qeslattice.ops`, which nothing here imports.
 """
 
 from __future__ import annotations
@@ -110,7 +103,7 @@ class MomentumLabel:
     @property
     def translation_eigenvalue(self) -> complex:
         """Eigenvalue of ``T`` on this block's vectors (``e^{-ik}`` under the
-        phase convention used in :func:`block_frame`)."""
+        phase convention ``e^{ikr}`` on the ``r``-th translate of a seed)."""
         return cmath.exp(-1j * self.k)
 
 
@@ -166,40 +159,6 @@ def _pair_separations(f: int, nu: int) -> np.ndarray:
 def _block_quanta(f: int, nu: int) -> np.ndarray:
     """Total quanta of each column: ``[0]`` (``nu = 0`` only), ``[1]``, then ``2``s."""
     return np.array([0] * (nu == 0) + [1] + [2] * _pair_separations(f, nu).size)
-
-
-def block_frame(label: MomentumLabel) -> np.ndarray:
-    """The block vectors at ``label`` from index arithmetic, as a read-only
-    ``(D, d)`` array checked orthonormal: ``e^{ikr} / sqrt(P)`` on the
-    ``r``-th translate of each surviving seed, one column per seed; the
-    entries take ``O(D)`` work.
-
-    The one-quantum translate ``r`` has its quantum on site ``r``; the pair
-    at separation ``s`` has its quanta on sites ``r`` and ``(r + s) % f``.
-    With ``i <= j`` the sites of a pair, its basis row is ``1 + f`` plus the
-    number of pairs ``(i', j')`` with ``i' < i``, plus ``j - i``.
-    """
-    f, nu = label.f, label.nu
-    roots = _roots(f)
-    r = np.arange(f)
-    seps = _pair_separations(f, nu)[:, None]
-    period = np.where(2 * seps == f, f // 2, f)
-    shift = np.broadcast_to(r, (seps.size, f))[r < period]
-    sep = np.broadcast_to(seps, (seps.size, f))[r < period]
-    lo, hi = np.minimum(shift, (shift + sep) % f), np.maximum(shift, (shift + sep) % f)
-    one = int(nu == 0)  # column of the one-quantum vector, and the number of vacuum columns
-    # the vacuum (row 0, amplitude 1), the one-quantum translates, the pairs
-    rows = [np.zeros(one, dtype=int), 1 + r, 1 + f + lo * f - lo * (lo - 1) // 2 + hi - lo]
-    cols = [np.zeros(one, dtype=int), np.full(f, one), one + 1 + np.repeat(seps[:, 0], period[:, 0])]
-    amps = [roots[:one], roots[nu * r % f] / np.sqrt(f),
-            roots[nu * shift % f] / np.sqrt(np.repeat(period[:, 0], period[:, 0]))]
-    rows, cols, amps = np.concatenate(rows), np.concatenate(cols), np.concatenate(amps)
-    v = np.zeros(((f + 1) * (f + 2) // 2, one + 1 + seps.size), dtype=complex)
-    _check_disjoint_rows(rows, v.shape[0])
-    _check_unit_columns(cols, amps, v.shape[1])
-    v[rows, cols] = amps
-    v.setflags(write=False)
-    return v
 
 
 @dataclass(frozen=True)
@@ -312,30 +271,13 @@ def _check_orthonormal(v: np.ndarray) -> None:
         raise ValueError("block vectors are not orthonormal")
 
 
-def _check_disjoint_rows(rows: np.ndarray, size: int) -> None:
-    """Frame entries on distinct basis rows: then no two columns share a
-    row and every off-diagonal entry of ``V^H V`` is exactly 0."""
-    if rows.size and np.bincount(rows, minlength=size).max() > 1:
-        raise ValueError("block vectors are not orthonormal: a basis row repeats")
-
-
-def _check_unit_columns(cols: np.ndarray, amps: np.ndarray, dim: int) -> None:
-    """Norms of the ``dim`` columns of the entries ``amps`` (entry ``i`` in
-    column ``cols[i]``) within ``GRAM_TOL`` of 1: with disjoint rows, the
-    diagonal of ``V^H V = I`` at the tolerance of :func:`_check_orthonormal`."""
-    norms = np.bincount(cols, weights=np.abs(amps) ** 2, minlength=dim)
-    if np.max(np.abs(norms - 1.0), initial=0.0) > GRAM_TOL:
-        raise ValueError("block vectors are not orthonormal")
-
-
-def project_block(h: np.ndarray, vectors: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """``Vᴴ h V``: a Hermitian matrix projected onto the span of orthonormal
-    vectors, given as a list or as the columns of ``V``.
+def project_block(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``Vᴴ h V``: a Hermitian matrix projected onto the span of the
+    orthonormal columns of ``V``.
 
     Raises if the vectors are not orthonormal (checked densely); the
     projected matrix inherits hermiticity from ``h``.  This is the dense
     oracle for :func:`pencil_stacks`.
     """
-    v = np.column_stack(vectors) if isinstance(vectors, list) else vectors
     _check_orthonormal(v)
     return v.conj().T @ h @ v

@@ -326,14 +326,19 @@ def _orbits(f: int, basis: FockBasis) -> _Orbits:
                    seed_of=seed_of, shift=shift)
 
 
-def build_momentum_vectors(
-    f: int, label: MomentumLabel, basis: FockBasis | None = None
-) -> list[np.ndarray]:
-    """Unit-norm block basis vectors for one momentum label, from the orbit
-    table (the dense reference for :func:`block_frame`).
+def build_momentum_vectors(f: int, label: MomentumLabel,
+                           basis: FockBasis | None = None) -> np.ndarray:
+    """The block vectors of one momentum label from the orbit table, as the
+    columns of a read-only ``(D, d)`` array over ``basis`` (``at_most(2)``
+    if not given), in the column order of the block: vacuum (``nu = 0``
+    only), one quantum, then the pairs by increasing separation.
 
     Orbits whose Fourier sum vanishes at this momentum contribute no vector;
-    each survivor is ``(1/sqrt(P)) sum_r e^{ikr} T^r |seed>``.
+    each survivor is ``(1/sqrt(P)) sum_r e^{ikr} T^r |seed>``.  These are
+    the only block vectors the package builds: the frame that
+    :func:`~qeslattice.momentum.project_block` projects dense ``H`` onto,
+    and that carries a block's eigenvectors (``frame @ coefficients``) onto
+    the occupation basis.
     """
     if label.f != f:
         raise ValueError("label does not match the site count")
@@ -341,7 +346,9 @@ def build_momentum_vectors(
         raise ValueError(f"nu={label.nu} is not a momentum value for f={f}")
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
-    return list(np.ascontiguousarray(_orbits(f, basis).frame(label.nu).T))
+    v = _orbits(f, basis).frame(label.nu)
+    v.setflags(write=False)
+    return v
 
 
 def orbit_block_pencil(f: int, gamma: float,

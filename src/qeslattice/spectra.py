@@ -22,8 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .momentum import (MomentumLabel, PencilStack, block_frame, expected_block_dimension,
-                       pencil_stacks, to_orbit_frame)
+from .momentum import (MomentumLabel, PencilStack, expected_block_dimension, pencil_stacks,
+                       to_orbit_frame)
 
 EIGH_HERMITICITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -31,8 +31,9 @@ RESIDUAL_TOL = 1e-9
 # gamma ~ 1..7) and well below where the absolute tolerances above start to
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
-# Largest accepted ring.  A solve builds no array over the D = (f+1)(f+2)/2
-# states, but `.vectors` and `.eigenvectors` of every block take 32 D^2 bytes.
+# Largest accepted ring: the largest that the tests and CI run end to end.  A
+# solve builds no array over the D = (f+1)(f+2)/2 states, and `_admit` bounds
+# the bytes of every call.
 MAX_SITES = 120
 # The one budget of every request: the bytes :func:`_admit` predicts a call
 # holds at its peak.  It admits a sweep of 414 couplings at f = 120.
@@ -179,10 +180,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray,
-                eigenvalues: np.ndarray | None = None) -> tuple[int, ...]:
+                eigenvalues: np.ndarray) -> tuple[int, ...]:
     """Total-quanta sector of each eigenvector column, read in block
     coordinates; ``quanta`` is the sector of each block vector and
-    ``eigenvalues``, if given, the ascending levels of the columns.
+    ``eigenvalues`` the ascending levels of the columns.
 
     Every block vector lies in one sector and they are orthonormal, so a
     level's weight in sector ``n`` is its ``|c|^2`` summed over the columns
@@ -190,20 +191,17 @@ def quanta_tags(coefficients: np.ndarray, quanta: np.ndarray,
     The column phases of the gauge leave every ``|c|^2`` unchanged, so the
     real eigenvectors ``u`` of a gauged block give the same weights.
 
-    With ``eigenvalues``, levels closer than ``RESIDUAL_TOL`` to their
-    neighbour form one group, tagged as a whole: sector ``n`` gets
-    ``round(sum of the group's weights in n)`` of its tags, lowest sector
-    first.  Those sums do not change when the eigenvectors rotate inside a
-    degenerate eigenspace, so rounding noise does not decide the tags.  The
-    rounding is by largest remainder, ties to the lowest sector, so that the
-    counts add up to the group's size.  A level on its own, and every level
-    when ``eigenvalues`` is not given, is tagged with its dominant sector.
+    Levels closer than ``RESIDUAL_TOL`` to their neighbour form one group,
+    tagged as a whole: sector ``n`` gets ``round(sum of the group's weights
+    in n)`` of its tags, lowest sector first.  Those sums do not change when
+    the eigenvectors rotate inside a degenerate eigenspace, so rounding
+    noise does not decide the tags.  The rounding is by largest remainder,
+    ties to the lowest sector, so that the counts add up to the group's
+    size.  A level on its own is tagged with its dominant sector.
     """
     mass = np.abs(coefficients) ** 2
     weights = np.array([mass[quanta == n].sum(axis=0) for n in range(3)])
     tags = np.argmax(weights, axis=0)
-    if eigenvalues is None:
-        return tuple(tags.tolist())
     close = np.diff(eigenvalues) <= RESIDUAL_TOL
     if close.any():
         starts = np.flatnonzero(~close) + 1
@@ -225,12 +223,11 @@ class BlockSpectrum:
     column (0 vacuum, 1, then 2s); ``eigenvalues`` are ascending and the
     columns of ``u`` the matching real eigenvectors of ``matrix``.  Built on
     first read: ``coefficients``, the eigenvectors ``P u`` in block
-    coordinates; ``hmatrix``, the block in the orbit frame, ``P B Pᴴ``
-    (:func:`~qeslattice.momentum.to_orbit_frame`); ``vectors``, the block
-    basis as dense columns over the occupation basis, ordered vacuum
-    (``nu = 0`` only), one-quantum vector, then two-quanta vectors by
-    increasing pair separation (:func:`~qeslattice.momentum.block_frame`);
-    and ``eigenvectors``, ``vectors @ coefficients``.
+    coordinates, and ``hmatrix``, the block in the orbit frame, ``P B Pᴴ``
+    (:func:`~qeslattice.momentum.to_orbit_frame`).  Nothing here is over
+    the occupation basis: with the block's vectors as the columns of
+    ``frame`` (:func:`~qeslattice.ops.build_momentum_vectors`, an oracle),
+    the eigenvectors there are ``frame @ coefficients``.
     """
 
     label: MomentumLabel
@@ -251,14 +248,6 @@ class BlockSpectrum:
     @cached_property
     def hmatrix(self) -> np.ndarray:
         return _read_only(to_orbit_frame(self.matrix, self.phases))
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return block_frame(self.label)
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        return _read_only(self.vectors @ self.coefficients)
 
 
 @dataclass(frozen=True)

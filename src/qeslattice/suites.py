@@ -23,8 +23,8 @@ import numpy as np
 
 from . import algebra
 from .fock import FockBasis, at_most, enumerate_basis
-from .momentum import (MomentumLabel, PencilStack, block_dimensions, block_frame,
-                       expected_block_dimension, momentum_values, pencil_stacks, project_block)
+from .momentum import (MomentumLabel, PencilStack, block_dimensions, expected_block_dimension,
+                       momentum_values, pencil_stacks, project_block)
 from .ops import (build_momentum_vectors, build_number, build_translation, commutator,
                   hamiltonian_pencil, orbit_block_pencil, sector_block)
 from .reference import (CHARPOLY_SAMPLES, CHARPOLY_TOL, EIGENSTATE_FORMULAS,
@@ -52,8 +52,8 @@ class Rings:
     its occupation basis ``at_most(n)`` and, per ``gamma``, its dense pencil
     on it (:func:`~qeslattice.ops.hamiltonian_pencil`), its momentum pencils
     (:func:`~qeslattice.momentum.pencil_stacks`) and its solve at each
-    coupling; and each label's block frame
-    (:func:`~qeslattice.momentum.block_frame`).
+    coupling; and each label's block vectors
+    (:func:`~qeslattice.ops.build_momentum_vectors`).
 
     :func:`run_suites` makes one per run and drops it when the run returns,
     so nothing is kept from one run to the next.  Solves and sweeps take the
@@ -84,8 +84,10 @@ class Rings:
         return _once(self._stacks, (f, gamma), lambda: tuple(pencil_stacks(f, gamma)))
 
     def frame(self, label: MomentumLabel) -> np.ndarray:
-        """The block vectors at ``label`` over the ``at_most(2)`` basis."""
-        return _once(self._frames, label, lambda: block_frame(label))
+        """The block vectors at ``label``, the columns of a read-only array
+        over :meth:`basis` ``(label.f)``."""
+        return _once(self._frames, label, lambda: build_momentum_vectors(
+            label.f, label, self.basis(label.f)))
 
     def solve(self, f: int, gamma: float, lams: Iterable[float]) -> tuple[SpectrumResult, ...]:
         """``solve_spectra(f, gamma, lams)``, solving only the couplings no
@@ -165,7 +167,8 @@ def momentum_suite(rings: Rings) -> list[Check]:
         h_bh, h_drive = rings.pencil(f, gamma)
         h = h_bh + lam * h_drive
         label = next(l for l in momentum_values(f) if l.nu == 0)
-        vacuum, psi1 = build_momentum_vectors(f, label, basis)[:2]
+        # as contiguous rows: the products round differently on strided columns
+        vacuum, psi1 = np.ascontiguousarray(rings.frame(label).T)[:2]
         coupling = complex(vacuum.conj() @ h @ psi1)
         r = abs(coupling - (-2.0 * lam * np.sqrt(f)))
         vacuum_checks.append(check("vacuum couples only as -2 lam sqrt(f)", r, below=1e-12, f=f))
@@ -258,11 +261,10 @@ def spectra_suite(rings: Rings) -> list[Check]:
             mirror = result.block_for(-bs.label.nu)
             # the solve gives -nu the spectrum of nu: compare both with the
             # dense projection of H onto the orbit vectors at -nu
-            vectors = build_momentum_vectors(f, mirror.label, rings.basis(f))
-            projected = np.linalg.eigvalsh(project_block(h, vectors))
+            frame = rings.frame(mirror.label)
+            projected = np.linalg.eigvalsh(project_block(h, frame))
             for w in (bs.eigenvalues, mirror.eigenvalues):
                 worst_pair = max(worst_pair, float(np.max(np.abs(w - projected))))
-            frame = rings.frame(mirror.label)
             eigenvectors = rings.frame(bs.label) @ bs.coefficients
             for i, e in enumerate(bs.eigenvalues):
                 v = eigenvectors[:, i].conj()

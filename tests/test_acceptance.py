@@ -12,8 +12,8 @@ import numpy as np
 
 from qeslattice.fock import at_most, enumerate_basis
 from qeslattice.momentum import block_dimensions, expected_block_dimension
-from qeslattice.ops import (brute_force_eigenvalues, build_number, build_translation, commutator,
-                            hamiltonian_pencil, sector_block)
+from qeslattice.ops import (brute_force_eigenvalues, build_momentum_vectors, build_number,
+                            build_translation, commutator, hamiltonian_pencil, sector_block)
 from qeslattice.reference import (REFERENCE_CHAR_POLYS, REFERENCE_TABLES,
                                   f3_dim3_energies)
 from qeslattice.spectra import solve_spectrum, soliton_band
@@ -82,7 +82,7 @@ def test_criterion_3_two_and_four_site_tables():
         for lam in (0.0, 0.25, 0.5):
             result = solve_spectrum(4, 3.0, lam)
             h = h_bh + lam * h_drive
-            psi22 = result.block_for(2).vectors[:, 2]
+            psi22 = build_momentum_vectors(4, result.block_for(2).label)[:, 2]
             assert np.linalg.norm(h @ psi22) < 1e-9
 
 
@@ -163,7 +163,8 @@ def test_criterion_8_soliton_band_and_degeneracy():
                       f"{band.per_nu_margin:+.4f}, cross-block margin "
                       f"{band.margin:+.4f}", flush=True)
         for f in (3, 5, 7):
-            h_bh, h_drive = hamiltonian_pencil(f, 3.0, enumerate_basis(f, at_most(2)))
+            basis = enumerate_basis(f, at_most(2))
+            h_bh, h_drive = hamiltonian_pencil(f, 3.0, basis)
             for lam in (0.0, 0.25, 0.5):
                 result = solve_spectrum(f, 3.0, lam)
                 h = h_bh + lam * h_drive
@@ -172,9 +173,10 @@ def test_criterion_8_soliton_band_and_degeneracy():
                         continue
                     mirror = result.block_for(-bs.label.nu)
                     assert np.max(np.abs(bs.eigenvalues - mirror.eigenvalues)) < 1e-9
-                    frame = mirror.vectors
+                    frame = build_momentum_vectors(f, mirror.label, basis)
+                    eigenvectors = build_momentum_vectors(f, bs.label, basis) @ bs.coefficients
                     for i, e in enumerate(bs.eigenvalues):
-                        v = bs.eigenvectors[:, i].conj()
+                        v = eigenvectors[:, i].conj()
                         assert np.linalg.norm(h @ v - e * v) < 1e-8
                         assert np.linalg.norm(frame @ (frame.conj().T @ v) - v) < 1e-8
 

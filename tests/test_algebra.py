@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from qeslattice.algebra import (_ladders, _restrict, _sector_products, _span_coefficients,
-                                verify_canonical_relations, verify_grading_closure,
-                                verify_osp_structure, verify_sl2, verify_sl3_diagonal,
-                                verify_translation_f3)
+from qeslattice.algebra import (HEADROOM, _ladders, _restrict, _sector_products,
+                                _span_coefficients, verify_canonical_relations,
+                                verify_grading_closure, verify_osp_structure, verify_sl2,
+                                verify_sl3_diagonal, verify_translation_f3)
 from qeslattice.fock import at_most, enumerate_basis
-from qeslattice.ops import annihilation, creation
+from qeslattice.ops import annihilation, creation, hamiltonian_pencil
 
 
 def all_pass(checks):
@@ -111,7 +111,8 @@ def test_sl3_sector_dimension_example():
 # ------------------------------------------------------- translation f=3
 
 def test_translation_bilinear_report():
-    checks = verify_translation_f3()
+    h_bh, _ = hamiltonian_pencil(3, 3.0, enumerate_basis(3, at_most(1 + HEADROOM)))
+    checks = verify_translation_f3(h_bh)
     all_pass(checks)
     comparison = find(checks, "bilinear vs cyclic translation")[0]
     assert comparison.params["equal"] is False  # transposition, not 3-cycle

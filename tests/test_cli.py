@@ -159,7 +159,6 @@ def test_solve_path_loads_no_oracle_module():
             "qeslattice.soliton_band(result)\n"
             "qeslattice.sweep(7, 2.0, [0.0, 0.1])\n"
             "qeslattice.solve_spectra(5, 1.0, [0.1, 0.2])\n"
-            "result.blocks[0].eigenvectors\n"
             "assert loaded() == [], loaded()\n"
             "for name in qeslattice.__all__:\n"
             "    getattr(qeslattice, name)\n"
@@ -230,14 +229,20 @@ def test_sweep_rejects_nan_grid(capsys):
 
 
 def test_spectrum_builds_no_frame_and_no_basis(capsys, monkeypatch):
+    # the block vectors and the occupation basis are built only by the oracles
     def refuse(*args, **kwargs):
         raise AssertionError("a frame or an occupation basis was built")
-    monkeypatch.setattr(qeslattice.momentum, "block_frame", refuse)
-    monkeypatch.setattr(qeslattice.spectra, "block_frame", refuse)
+    monkeypatch.setattr(qeslattice.fock, "enumerate_basis", refuse)
+    monkeypatch.setattr(qeslattice.ops, "enumerate_basis", refuse)
+    monkeypatch.setattr(qeslattice.ops, "build_momentum_vectors", refuse)
     code, out, err = run(capsys, "spectrum", "--f", "12", "--lambda", "0.3")
     assert code == 0 and err == ""
     header, rows = csv_rows(out)
     assert len(rows) == 13 * 14 // 2 and {row[3] for row in rows} == {"0", "1", "2"}
+    for argv in (("sweep", "--f", "9", "--lambda", "0:0.2:0.1"), ("figure2", "--f", "8")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out.count("\n") > 1
+    solve_spectrum(MAX_SITES, 3.0, 0.5)
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "--f", "3"), ("sweep", "--f", "3", "--lambda", "0:0.5:0.1"),

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from qeslattice.fock import at_most, enumerate_basis
-from qeslattice import momentum, ops
-from qeslattice.momentum import (GRAM_TOL, MomentumLabel, _check_disjoint_rows,
-                                 _check_unit_columns, block_dimensions, block_frame,
-                                 expected_block_dimension, momentum_values, pencil_stacks,
-                                 project_block, to_orbit_frame, two_quanta_seed_count)
+from qeslattice import momentum
+from qeslattice.momentum import (MomentumLabel, block_dimensions, expected_block_dimension,
+                                 momentum_values, pencil_stacks, project_block, to_orbit_frame,
+                                 two_quanta_seed_count)
 from qeslattice.ops import (apply_hamiltonian, build_momentum_vectors, build_translation,
                             hamiltonian_pencil, orbit_block_pencil, two_quanta_seed)
 from qeslattice.spectra import MAX_SITES, hermiticity_defect, solve_spectrum
@@ -71,26 +70,26 @@ def test_rejects_foreign_label():
 
 def test_two_site_antiperiodic_block_drops_pair_vector():
     vecs = build_momentum_vectors(2, MomentumLabel(f=2, nu=1))
-    assert len(vecs) == 2  # psi_1(pi), psi_21(pi); the (1,1) orbit sums to zero
+    assert vecs.shape == (6, 2)  # psi_1(pi), psi_21(pi); the (1,1) orbit sums to zero
 
 
 def test_three_site_zero_momentum_block_has_dimension_four():
     vecs = build_momentum_vectors(3, MomentumLabel(f=3, nu=0))
-    assert len(vecs) == 4  # vacuum, psi_1, psi_21, psi_22
+    assert vecs.shape == (10, 4)  # vacuum, psi_1, psi_21, psi_22
 
 
 def test_four_site_block_dimensions():
-    assert len(build_momentum_vectors(4, MomentumLabel(4, 1))) == 3
-    assert len(build_momentum_vectors(4, MomentumLabel(4, -1))) == 3
-    assert len(build_momentum_vectors(4, MomentumLabel(4, 2))) == 4
-    assert len(build_momentum_vectors(4, MomentumLabel(4, 0))) == 5
+    assert build_momentum_vectors(4, MomentumLabel(4, 1)).shape[1] == 3
+    assert build_momentum_vectors(4, MomentumLabel(4, -1)).shape[1] == 3
+    assert build_momentum_vectors(4, MomentumLabel(4, 2)).shape[1] == 4
+    assert build_momentum_vectors(4, MomentumLabel(4, 0)).shape[1] == 5
 
 
 def test_vacuum_appears_only_at_zero_momentum():
     basis = enumerate_basis(3, at_most(2))
     for label in momentum_values(3):
         vecs = build_momentum_vectors(3, label, basis)
-        weights = [abs(v[0]) for v in vecs]
+        weights = np.abs(vecs[0])  # each vector's amplitude on the vacuum
         if label.nu == 0:
             assert np.isclose(weights[0], 1.0)
         else:
@@ -105,7 +104,8 @@ def test_vectors_are_unit_translation_eigenvectors(f):
         vecs = build_momentum_vectors(f, label, basis)
         eig = label.translation_eigenvalue
         assert abs(abs(eig) - 1.0) < 1e-14
-        for v in vecs:
+        assert not vecs.flags.writeable
+        for v in vecs.T:
             assert np.isclose(np.linalg.norm(v), 1.0)
             assert np.max(np.abs(t @ v - eig * v)) < 1e-12
 
@@ -115,7 +115,7 @@ def test_momentum_vector_phases_follow_the_orbit_sum():
     f = 3
     basis = enumerate_basis(f, at_most(2))
     label = MomentumLabel(f=f, nu=1)
-    psi1 = build_momentum_vectors(f, label, basis)[0]
+    psi1 = build_momentum_vectors(f, label, basis)[:, 0]
     w = cmath.exp(1j * label.k)
     expected = np.zeros(basis.size, dtype=complex)
     expected[basis.index[(1, 0, 0)]] = 1 / math.sqrt(3)
@@ -143,8 +143,8 @@ def test_project_block_rejects_non_orthonormal_vectors():
     h_bh, h_drive = hamiltonian_pencil(f, 3.0, basis)
     h = h_bh + 0.2 * h_drive
     label = momentum_values(f)[1]
-    vecs = build_momentum_vectors(f, label, basis)
-    vecs[0] = vecs[0] + vecs[1]  # breaks orthonormality
+    vecs = build_momentum_vectors(f, label, basis).copy()
+    vecs[:, 0] += vecs[:, 1]  # breaks orthonormality
     with pytest.raises(ValueError):
         project_block(h, vecs)
 
@@ -243,10 +243,10 @@ def test_no_matrix_elements_between_blocks(f):
     basis = enumerate_basis(f, at_most(2))
     h_bh, h_drive = hamiltonian_pencil(f, 3.0, basis)
     h = h_bh + 0.5 * h_drive
-    blocks = solve_spectrum(f, 3.0, 0.5).blocks
-    for i, bi in enumerate(blocks):
-        for bj in blocks[i + 1:]:
-            cross = bi.vectors.conj().T @ h @ bj.vectors
+    frames = [build_momentum_vectors(f, label, basis) for label in momentum_values(f)]
+    for i, vi in enumerate(frames):
+        for vj in frames[i + 1:]:
+            cross = vi.conj().T @ h @ vj
             assert np.max(np.abs(cross)) < 1e-12
 
 
@@ -280,11 +280,9 @@ def test_direct_blocks_match_dense_projection(f, gamma, lam):
     blocks = solve_spectrum(f, gamma, lam).blocks
     assert [b.label for b in blocks] == momentum_values(f)
     for b in blocks:
-        vectors = build_momentum_vectors(f, b.label, basis)
-        oracle = project_block(h, vectors)
+        oracle = project_block(h, build_momentum_vectors(f, b.label, basis))
         assert b.hmatrix.shape == oracle.shape
         assert np.max(np.abs(b.hmatrix - oracle)) < tol
-        assert np.max(np.abs(b.vectors - np.column_stack(vectors))) == 0.0
 
 
 @pytest.mark.parametrize("f", range(1, 13))
@@ -301,7 +299,6 @@ def test_pencil_matches_dense_projection_of_each_term(f, gamma):
         b_bh, b_drive = (to_orbit_frame(b, phases) for b in (b_bh, b_drive))
         assert np.max(np.abs(b_bh - project_block(h_bh, vectors))) < tol
         assert np.max(np.abs(b_drive - project_block(h_drive, vectors))) < 1e-12
-        assert np.max(np.abs(block_frame(label) - np.column_stack(vectors))) == 0.0
 
 
 @pytest.mark.parametrize("f", [1, 2, 5, 6])
@@ -309,7 +306,7 @@ def test_pencil_splits_by_total_quanta(f):
     basis = enumerate_basis(f, at_most(2))
     for label, quanta, b_bh, b_drive, _ in pencil_rows(f, 3.0):
         # each column's quanta is the sector its block vector lives in
-        for column, n in zip(block_frame(label).T, quanta):
+        for column, n in zip(build_momentum_vectors(f, label, basis).T, quanta):
             assert np.all(column[[sum(s) != n for s in basis.states]] == 0)
         same = quanta[:, None] == quanta[None, :]
         assert np.all(b_drive[same] == 0) and np.all(b_bh[~same] == 0)
@@ -358,8 +355,8 @@ def test_block_vectors_follow_the_full_orbit_sum(f):
             if norm > 1e-10:
                 expected.append(raw / norm)
         vecs = build_momentum_vectors(f, label, basis)
-        assert len(vecs) == len(expected)
-        assert np.max(np.abs(np.column_stack(vecs) - np.column_stack(expected))) < 1e-13
+        assert vecs.shape[1] == len(expected)
+        assert np.max(np.abs(vecs - np.column_stack(expected))) < 1e-13
 
 
 def test_momentum_suite_records_dense_projection_agreement():
@@ -367,59 +364,6 @@ def test_momentum_suite_records_dense_projection_agreement():
                if c.name == "blocks equal the projection of dense H"]
     assert [c.params["f"] for c in records] == list(range(1, 7))
     assert all(c.passed and c.residual < 1e-12 for c in records)
-
-
-# ------------------------------------------------------------- block vectors
-
-@pytest.mark.parametrize("f", range(1, 13))
-def test_lazy_vectors_equal_the_dense_reference(f):
-    basis = enumerate_basis(f, at_most(2))
-    for b in solve_spectrum(f, 3.0, 0.5).blocks:
-        assert "vectors" not in vars(b)
-        reference = np.column_stack(build_momentum_vectors(f, b.label, basis))
-        assert np.max(np.abs(b.vectors - reference)) == 0.0
-        assert b.vectors is b.vectors and not b.vectors.flags.writeable
-        assert b.vectors.shape == (basis.size, b.dim)
-
-
-# the entries of a 4 x 2 frame: V[rows[i], cols[i]] = amps[i]
-SIZE, DIM = 4, 2
-
-
-def _entries(rows, cols, amps):
-    return np.array(rows), np.array(cols), np.array(amps, dtype=complex)
-
-
-def test_frame_gram_check_accepts_an_orthonormal_frame():
-    s = 1 / math.sqrt(2)
-    rows, cols, amps = _entries([0, 3, 1], [0, 0, 1], [s, 1j * s, -1.0])
-    _check_disjoint_rows(rows, SIZE)
-    _check_unit_columns(cols, amps, DIM)
-    v = np.zeros((SIZE, DIM), dtype=complex)
-    v[rows, cols] = amps
-    assert np.max(np.abs(v.conj().T @ v - np.eye(DIM))) < 1e-15
-
-
-def test_frame_gram_check_rejects_a_repeated_row():
-    s = 1 / math.sqrt(2)
-    rows, cols, amps = _entries([0, 3, 3], [0, 0, 1], [s, s, 1.0])
-    _check_unit_columns(cols, amps, DIM)  # unit columns, but they overlap on row 3
-    with pytest.raises(ValueError, match="not orthonormal"):
-        _check_disjoint_rows(rows, SIZE)
-
-
-@pytest.mark.parametrize("excess", [3 * GRAM_TOL, -3 * GRAM_TOL])
-def test_frame_gram_check_rejects_a_column_norm_off_by_more_than_the_tolerance(excess):
-    rows, cols, amps = _entries([0, 1], [0, 1], [1.0, math.sqrt(1.0 + excess)])
-    _check_disjoint_rows(rows, SIZE)
-    with pytest.raises(ValueError, match="not orthonormal"):
-        _check_unit_columns(cols, amps, DIM)
-
-
-def test_frame_gram_check_rejects_an_empty_column():
-    _, cols, amps = _entries([0], [0], [1.0])
-    with pytest.raises(ValueError, match="not orthonormal"):
-        _check_unit_columns(cols, amps, DIM)
 
 
 # ------------------------------------------------ structured builder vs orbits
@@ -470,38 +414,6 @@ def test_pencil_stacks_hold_one_block_shape_each(f):
         vacuum = s.labels[0].nu == 0
         pairs = s.quanta.size - 1 - vacuum
         assert list(s.quanta) == [0] * vacuum + [1] + [2] * pairs
-
-
-def test_frames_are_built_only_when_read_and_from_no_basis(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an occupation basis or orbit table was built")
-    assert not hasattr(momentum, "enumerate_basis") and not hasattr(momentum, "_orbits")
-    monkeypatch.setattr(ops, "enumerate_basis", refuse)
-    monkeypatch.setattr(ops, "_orbits", refuse)
-    checked = []
-    monkeypatch.setattr(momentum, "_check_unit_columns",
-                        lambda cols, amps, dim: checked.append(dim))
-    f = MAX_SITES
-    blocks = solve_spectrum(f, 3.0, 0.5).blocks
-    assert checked == [] and not any("vectors" in vars(b) for b in blocks)
-    v = blocks[0].vectors
-    assert checked == [blocks[0].dim] and v is blocks[0].vectors
-    assert v.shape == ((f + 1) * (f + 2) // 2, blocks[0].dim)
-    assert np.count_nonzero(v) <= v.shape[0]
-    # each column within the sector of its quanta: row 0 the vacuum, rows
-    # 1..f one quantum, the rest two
-    sector = np.minimum(np.arange(v.shape[0]), 1) + (np.arange(v.shape[0]) > f)
-    rows, cols = np.nonzero(v)
-    assert np.array_equal(sector[rows], blocks[0].quanta[cols])
-    assert blocks[1].vectors.shape[1] == blocks[1].dim and len(checked) == 2
-
-
-def test_frame_build_rejects_repeated_rows(monkeypatch):
-    # the row check runs on every frame that is built
-    monkeypatch.setattr(momentum, "_check_disjoint_rows",
-                        lambda rows, size: _check_disjoint_rows(rows % 3, size))
-    with pytest.raises(ValueError, match="a basis row repeats"):
-        solve_spectrum(4, 3.0, 0.5).blocks[0].vectors
 
 
 def test_half_angle_roots_hold_the_full_angle_roots_bit_for_bit():

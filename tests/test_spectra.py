@@ -269,11 +269,13 @@ def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
 
 def test_run_suites_builds_each_construction_once_per_run(monkeypatch):
     # one run builds each ring's momentum pencils, dense pencils and block
-    # frames once (60, 47 and 89 builds when every suite built its own); the
-    # next run builds them all again, and no run's table outlives it
+    # frames once (60, 47 and 89 builds when every suite built its own; 27
+    # frames by index arithmetic and 15 from orbit tables when two builders
+    # served them); the next run builds them all again, and no run's table
+    # outlives it
     keys = {(momentum, "pencil_stacks"): lambda f, gamma: (f, gamma),
             (ops, "hamiltonian_pencil"): lambda f, gamma, basis: (f, gamma, basis.sectors),
-            (momentum, "block_frame"): lambda label: label}
+            (ops, "build_momentum_vectors"): lambda f, label, basis: label}
     builds = []
     for (home, name), key in keys.items():
         build = getattr(home, name)
@@ -296,7 +298,7 @@ def test_run_suites_builds_each_construction_once_per_run(monkeypatch):
         assert not failures(run_suites())
         assert len(set(builds)) == len(builds)
         assert collections.Counter(name for name, _ in builds) == {
-            "pencil_stacks": 18, "hamiltonian_pencil": 25, "block_frame": 27}
+            "pencil_stacks": 18, "hamiltonian_pencil": 25, "build_momentum_vectors": 29}
     gc.collect()
     assert len(tables) == 2 and all(table() is None for table in tables)
 
@@ -389,7 +391,7 @@ def test_hmatrix_is_the_gauged_block_in_the_orbit_frame_built_on_first_read():
         assert np.max(np.abs(residual)) < 1e-12
 
 
-LAZY = ("coefficients", "hmatrix", "vectors", "eigenvectors")
+LAZY = ("coefficients", "hmatrix")
 
 
 def test_solve_builds_no_frame_and_no_basis_until_read(monkeypatch):
@@ -416,10 +418,11 @@ def test_solve_builds_no_frame_and_no_basis_until_read(monkeypatch):
 
 def test_eigenvectors_are_orthonormal_and_satisfy_residual():
     result = solve_spectrum(5, 3.0, 0.5)
-    h_bh, h_drive = hamiltonian_pencil(5, 3.0, enumerate_basis(5, at_most(2)))
+    basis = enumerate_basis(5, at_most(2))
+    h_bh, h_drive = hamiltonian_pencil(5, 3.0, basis)
     h = h_bh + 0.5 * h_drive
     for bs in result.blocks:
-        v = bs.eigenvectors
+        v = build_momentum_vectors(5, bs.label, basis) @ bs.coefficients
         assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-12
         for i, e in enumerate(bs.eigenvalues):
             assert np.linalg.norm(h @ v[:, i] - e * v[:, i]) < 1e-9
@@ -431,15 +434,15 @@ def test_eigenvectors_are_orthonormal_and_satisfy_residual():
 def test_lazy_eigenvectors_equal_the_dense_reference(f):
     result = solve_spectrum(f, 3.0, 0.5)
     for bs in result.blocks:
-        assert "eigenvectors" not in vars(bs) and "vectors" not in vars(bs)
-        vectors = np.column_stack(build_momentum_vectors(f, bs.label))
+        assert "coefficients" not in vars(bs)
+        frame = build_momentum_vectors(f, bs.label)
         # the real eigenvectors of the gauged block, times the column phases
         coefficients = bs.phases[:, None] * np.linalg.eigh(bs.matrix)[1]
-        reference = vectors @ coefficients
-        assert np.max(np.abs(bs.eigenvectors - reference)) == 0.0
+        reference = frame @ coefficients
+        assert np.max(np.abs(frame @ bs.coefficients - reference)) == 0.0
         residual = bs.hmatrix @ coefficients - coefficients * bs.eigenvalues
         assert np.max(np.abs(residual)) < 1e-12
-        assert bs.eigenvectors is bs.eigenvectors and not bs.eigenvectors.flags.writeable
+        assert bs.coefficients is bs.coefficients and not bs.coefficients.flags.writeable
 
 
 def test_ring_solve_memory_stays_below_one_dense_array():
@@ -889,7 +892,8 @@ def test_zero_coupling_sector_decomposition(f):
 @pytest.mark.parametrize("f", [3, 4, 5, 7])
 def test_mirror_momentum_degeneracy_and_conjugation(f):
     result = solve_spectrum(f, 3.0, 0.5)
-    h_bh, h_drive = hamiltonian_pencil(f, 3.0, enumerate_basis(f, at_most(2)))
+    basis = enumerate_basis(f, at_most(2))
+    h_bh, h_drive = hamiltonian_pencil(f, 3.0, basis)
     h = h_bh + 0.5 * h_drive
     present = {b.label.nu for b in result.blocks}
     for bs in result.blocks:
@@ -897,9 +901,10 @@ def test_mirror_momentum_degeneracy_and_conjugation(f):
             continue
         mirror = result.block_for(-bs.label.nu)
         assert np.max(np.abs(bs.eigenvalues - mirror.eigenvalues)) < 1e-9
-        frame = mirror.vectors
+        frame = build_momentum_vectors(f, mirror.label, basis)
+        eigenvectors = build_momentum_vectors(f, bs.label, basis) @ bs.coefficients
         for i, e in enumerate(bs.eigenvalues):
-            v = bs.eigenvectors[:, i].conj()
+            v = eigenvectors[:, i].conj()
             assert np.linalg.norm(h @ v - e * v) < 1e-8
             assert np.linalg.norm(frame @ (frame.conj().T @ v) - v) < 1e-8
 
@@ -953,7 +958,7 @@ def test_four_site_null_energy_eigenstate_is_exact():
     h_bh, h_drive = hamiltonian_pencil(4, 3.0, enumerate_basis(4, at_most(2)))
     h = h_bh + 0.5 * h_drive
     block = result.block_for(2)
-    psi22 = block.vectors[:, 2]
+    psi22 = build_momentum_vectors(4, block.label)[:, 2]
     assert np.linalg.norm(h @ psi22) < 1e-9
 
 
@@ -974,11 +979,10 @@ def test_block_coordinate_tags_equal_quanta_tag(f, lam):
     result = solve_spectrum(f, 3.0, lam)
     basis = enumerate_basis(f, at_most(2))
     for bs in result.blocks:
-        oracle = tuple(quanta_tag(v, basis) for v in bs.eigenvectors.T)
+        eigenvectors = build_momentum_vectors(f, bs.label, basis) @ bs.coefficients
+        oracle = tuple(quanta_tag(v, basis) for v in eigenvectors.T)
         assert (quanta_tags(bs.u, bs.quanta, bs.eigenvalues)
                 == quanta_tags(bs.coefficients, bs.quanta, bs.eigenvalues) == oracle)
-        # the two-argument form tags each level by its own dominant sector, as the oracle does
-        assert quanta_tags(bs.coefficients, bs.quanta) == oracle
 
 
 def test_tags_of_a_degenerate_group_do_not_depend_on_its_eigenvectors():
