@@ -6,7 +6,7 @@ import pytest
 
 from qeslattice.fock import at_most, enumerate_basis
 from qeslattice import momentum
-from qeslattice.momentum import (MomentumLabel, block_dimensions, expected_block_dimension,
+from qeslattice.momentum import (GRAM_TOL, MomentumLabel, block_dimensions, expected_block_dimension,
                                  momentum_values, pencil_stacks, project_block, to_orbit_frame,
                                  two_quanta_seed_count)
 from qeslattice.ops import (apply_hamiltonian, build_momentum_vectors, build_translation,
@@ -147,6 +147,48 @@ def test_project_block_rejects_non_orthonormal_vectors():
     vecs[:, 0] += vecs[:, 1]  # breaks orthonormality
     with pytest.raises(ValueError):
         project_block(h, vecs)
+
+
+# a 4 x 2 frame: V[rows[i], cols[i]] = amps[i], projected from a diagonal h
+H4 = np.diag([1.0, 2.0, 3.0, 4.0])
+
+
+def _frame(rows, cols, amps):
+    v = np.zeros((4, 2), dtype=complex)
+    v[rows, cols] = amps
+    return v
+
+
+def test_project_block_accepts_an_orthonormal_frame():
+    s = 1 / SQRT2
+    v = _frame([0, 3, 1], [0, 0, 1], [s, 1j * s, -1.0])
+    assert np.max(np.abs(project_block(H4, v) - np.diag([2.5, 2.0]))) < 1e-15
+
+
+def test_project_block_rejects_columns_that_share_a_row():
+    s = 1 / SQRT2
+    v = _frame([0, 3, 3], [0, 0, 1], [s, s, 1.0])  # unit columns, but they overlap on row 3
+    with pytest.raises(ValueError, match="not orthonormal"):
+        project_block(H4, v)
+
+
+@pytest.mark.parametrize("excess", [3 * GRAM_TOL, -3 * GRAM_TOL])
+def test_project_block_rejects_a_column_norm_off_by_more_than_the_tolerance(excess):
+    v = _frame([0, 1], [0, 1], [1.0, math.sqrt(1.0 + excess)])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        project_block(H4, v)
+
+
+@pytest.mark.parametrize("excess", [GRAM_TOL / 3, -GRAM_TOL / 3])
+def test_project_block_accepts_a_column_norm_within_the_tolerance(excess):
+    v = _frame([0, 1], [0, 1], [1.0, math.sqrt(1.0 + excess)])
+    assert np.max(np.abs(project_block(H4, v) - np.diag([1.0, 2.0 * (1.0 + excess)]))) < 1e-15
+
+
+def test_project_block_rejects_an_empty_column():
+    v = _frame([0], [0], [1.0])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        project_block(H4, v)
 
 
 @pytest.mark.parametrize("f", range(1, 9))
@@ -364,6 +406,24 @@ def test_momentum_suite_records_dense_projection_agreement():
                if c.name == "blocks equal the projection of dense H"]
     assert [c.params["f"] for c in records] == list(range(1, 7))
     assert all(c.passed and c.residual < 1e-12 for c in records)
+
+
+# ------------------------------------------------------------- block vectors
+
+@pytest.mark.parametrize("f", [*range(1, 13), 47, 48])
+def test_orbit_frame_carries_the_columns_of_the_solved_block(f):
+    # one column per block column, each one orbit's Fourier sum: the columns
+    # share no row, are orthonormal, and each lies in the sector of its
+    # column's quanta, so frame @ coefficients carries every eigenvector
+    basis = enumerate_basis(f, at_most(2))
+    sector = np.array([sum(s) for s in basis.states])
+    for b in solve_spectrum(f, 3.0, 0.5).blocks:
+        v = build_momentum_vectors(f, b.label, basis)
+        assert v.shape == (basis.size, b.dim) and not v.flags.writeable
+        assert np.all(np.count_nonzero(v, axis=1) <= 1)
+        rows, cols = np.nonzero(v)
+        assert np.array_equal(sector[rows], b.quanta[cols])
+        assert np.max(np.abs(v.conj().T @ v - np.eye(b.dim))) < 1e-14
 
 
 # ------------------------------------------------ structured builder vs orbits
