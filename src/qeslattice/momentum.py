@@ -64,9 +64,11 @@ labels ``nu >= 0`` are therefore built; :meth:`PencilStack.blocks_of` is
 the one place that turns a block at ``nu > 0`` into its mirror at ``-nu``
 (same arrays, conjugate phases), for every ``nu`` but ``0`` and, on even
 rings, ``f/2``, which are their own mirrors.  Blocks of one dimension share
-one shape, so the distinct pencils come as at most three real
-``(n_nu, d, d)`` stacks, and a solve diagonalizes each stack with one
-batched real ``eigh``; an eigenvector ``u`` of ``B`` is the eigenvector
+one shape, so the distinct pencils come as at most three stacks, each
+stored as its blocks' fans, the ``O(d)`` entries listed above
+(:class:`PencilStack`), with the dense real ``(n_nu, d, d)`` pencils
+written from them once; a solve diagonalizes each stack with one batched
+real ``eigh``; an eigenvector ``u`` of ``B`` is the eigenvector
 ``P u`` of the orbit-frame block at ``nu`` and ``conj(P) u`` of the one at
 ``-nu``.  No occupation state, orbit table or dense ``H`` is built on this
 path.
@@ -80,8 +82,9 @@ are in :mod:`~qeslattice.ops`, which nothing here imports.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,33 +154,55 @@ def _has_antipodal_pair(f: int, nu: int) -> bool:
     return f % 2 == 0 and nu % 2 == 0
 
 
-def _pair_separations(f: int, nu: int) -> np.ndarray:
-    """Separations ``s`` of the pair columns of the block at ``nu``."""
-    return np.arange(two_quanta_seed_count(f) - (f % 2 == 0 and not _has_antipodal_pair(f, nu)))
-
-
-def _block_quanta(f: int, nu: int) -> np.ndarray:
-    """Total quanta of each column: ``[0]`` (``nu = 0`` only), ``[1]``, then ``2``s."""
-    return np.array([0] * (nu == 0) + [1] + [2] * _pair_separations(f, nu).size)
-
-
 @dataclass(frozen=True)
 class PencilStack:
-    """The pencils of every distinct block (``nu >= 0``) of one dimension:
-    row ``i`` has label ``labels[i]``, real symmetric matrix ``b_bh[i] + lam
-    * b_drive[i]`` in the centre-of-mass gauge and column phases
-    ``phases[i]``; all share the column quanta ``quanta``.  Each row also
-    stands for the mirror block at ``-nu`` (:meth:`blocks_of`)."""
+    """The pencils of every distinct block (``nu >= 0``) of one dimension,
+    stored as fans: row ``i`` has label ``labels[i]``, column phases
+    ``phases[i]`` and, in the centre-of-mass gauge, the real symmetric
+    ``B_BH + lam * B_drive`` whose only entries are ``head[i]`` (``B_BH`` on
+    the one-quantum column), ``diag[i, s]`` (``B_BH`` on the pair at
+    separation ``s``), ``hop[i, s]`` (``B_BH`` between the pairs ``s`` and
+    ``s + 1``) and ``drive[i]`` (``B_drive`` from the one-quantum column to
+    every other, the vacuum first); all rows share the column quanta
+    ``quanta``.  The dense ``(n_nu, d, d)`` stacks ``b_bh`` and ``b_drive``
+    are written from those fields once, when the stack is made, so no stack
+    holds an entry outside its fan or an asymmetric pair.  Every array is
+    read-only.  Each row also stands for the mirror block at ``-nu``
+    (:meth:`blocks_of`)."""
 
     labels: tuple[MomentumLabel, ...]
-    quanta: np.ndarray
-    b_bh: np.ndarray  # (n_nu, d, d) float64
-    b_drive: np.ndarray  # (n_nu, d, d) float64
+    quanta: np.ndarray  # (d,)
     phases: np.ndarray  # (n_nu, d) complex, unit modulus
+    head: np.ndarray  # (n_nu,)
+    diag: np.ndarray  # (n_nu, n_pairs)
+    hop: np.ndarray  # (n_nu, n_pairs - 1)
+    drive: np.ndarray  # (n_nu, d - 1)
+    b_bh: np.ndarray = field(init=False, repr=False)  # (n_nu, d, d) float64
+    b_drive: np.ndarray = field(init=False, repr=False)  # (n_nu, d, d) float64
 
     def __post_init__(self) -> None:
-        for array in (self.quanta, self.b_bh, self.b_drive, self.phases):
+        n, d = self.phases.shape
+        one = d - 1 - self.diag.shape[1]  # the head's column: 1 after the vacuum, else 0
+        pairs = np.arange(one + 1, d)
+        others = np.arange(d) != one
+        b_bh, b_drive = np.zeros((n, d, d)), np.zeros((n, d, d))
+        b_bh[:, one, one] = self.head
+        b_bh[:, pairs, pairs] = self.diag
+        b_bh[:, pairs[1:], pairs[:-1]] = b_bh[:, pairs[:-1], pairs[1:]] = self.hop
+        b_drive[:, others, one] = b_drive[:, one, others] = self.drive
+        object.__setattr__(self, "b_bh", b_bh)
+        object.__setattr__(self, "b_drive", b_drive)
+        for array in (self.quanta, self.phases, self.head, self.diag, self.hop, self.drive,
+                      b_bh, b_drive):
             array.setflags(write=False)
+
+    def __getitem__(self, rows: slice) -> PencilStack:
+        """The stack of the rows ``rows`` alone, its arrays views of these."""
+        part = copy.copy(self)
+        object.__setattr__(part, "labels", self.labels[rows])
+        for name in ("phases", "head", "diag", "hop", "drive", "b_bh", "b_drive"):
+            object.__setattr__(part, name, getattr(self, name)[rows])
+        return part
 
     def blocks_of(self, i: int) -> list[tuple[MomentumLabel, np.ndarray]]:
         """``(label, phases)`` of every block row ``i`` stands for: its own
@@ -192,26 +217,21 @@ class PencilStack:
         return [(label, phases), (MomentumLabel(f=label.f, nu=-label.nu), mirror)]
 
 
-def _stack(f: int, gamma: float, labels: list[MomentumLabel]) -> PencilStack:
-    """The pencils of blocks that share one shape (see the module docstring)."""
+def _stack(f: int, gamma: float, labels: list[MomentumLabel], root: np.ndarray) -> PencilStack:
+    """The fans of blocks that share one shape (see the module docstring);
+    ``root`` is ``_roots(2 f)``."""
     nu = np.array([label.nu for label in labels])[:, None]
-    root = _roots(2 * f)  # e^{ikj/2} at nu * j % 2f, e^{ikj} at 2 nu j % 2f
-    vacuum, antipodal = labels[0].nu == 0, _has_antipodal_pair(f, labels[0].nu)
-    quanta = _block_quanta(f, labels[0].nu)
-    one, d = int(vacuum), quanta.size
-    s = _pair_separations(f, labels[0].nu)
-    pairs = one + 1 + s  # pair columns
-    b_bh = np.zeros((len(labels), d, d))
-    b_drive = np.zeros_like(b_bh)
+    vacuum, antipodal = int(labels[0].nu == 0), _has_antipodal_pair(f, labels[0].nu)
+    s = np.arange(two_quanta_seed_count(f) - (f % 2 == 0 and not antipodal))  # pair separations
 
     # diagonals as the sums of the two hop terms the orbit construction forms
-    b_bh[:, one, one] = -(root[2 * nu % (2 * f)] + root[-2 * nu % (2 * f)])[:, 0].real
-    b_bh[:, pairs[0], pairs[0]] = -gamma
+    head = -(root[2 * nu % (2 * f)] + root[-2 * nu % (2 * f)])[:, 0].real
+    diag = np.zeros((len(labels), s.size))
+    diag[:, 0] = -gamma
     if f == 1:  # both hops of the doubly occupied site land on itself
-        b_bh[:, pairs[0], pairs[0]] -= 4.0
+        diag[:, 0] -= 4.0
     elif f % 2 == 1:  # the widest pair hops onto its own orbit, either way
-        b_bh[:, pairs[-1], pairs[-1]] = -(root[-nu * (f + 1) % (2 * f)]
-                                          + root[-nu * (f - 1) % (2 * f)])[:, 0].real
+        diag[:, -1] = -(root[-nu * (f + 1) % (2 * f)] + root[-nu * (f - 1) % (2 * f)])[:, 0].real
     hop = np.repeat(-2.0 * root[nu % (2 * f)].real, s.size - 1, axis=1)  # s <-> s + 1
     if f == 2:  # the doubly occupied pair hops into the antipodal one both ways
         hop[:] = -4.0
@@ -219,20 +239,19 @@ def _stack(f: int, gamma: float, labels: list[MomentumLabel]) -> PencilStack:
         hop[:, 0] *= SQRT2
         if antipodal:
             hop[:, -1] *= SQRT2
-    b_bh[:, pairs[1:], pairs[:-1]] = b_bh[:, pairs[:-1], pairs[1:]] = hop
 
     gauge = root[nu * s % (2 * f)]  # e^{iks/2} on the pair at separation s
-    row = -2.0 * gauge.real
-    row[:, 0] = -SQRT2
+    drive = np.empty((len(labels), vacuum + s.size))
+    drive[:, vacuum:] = -2.0 * gauge.real
+    drive[:, vacuum] = -SQRT2
     if antipodal:
-        row[:, -1] = -SQRT2 * gauge[:, -1].real
-    b_drive[:, pairs, one] = b_drive[:, one, pairs] = row
+        drive[:, -1] = -SQRT2 * gauge[:, -1].real
     if vacuum:
-        b_drive[:, 0, 1] = b_drive[:, 1, 0] = -2.0 * math.sqrt(f)
-    phases = np.ones((len(labels), d), dtype=complex)
-    phases[:, pairs] = gauge
-    return PencilStack(labels=tuple(labels), quanta=quanta, b_bh=b_bh, b_drive=b_drive,
-                       phases=phases)
+        drive[:, 0] = -2.0 * math.sqrt(f)
+    phases = np.ones((len(labels), 1 + vacuum + s.size), dtype=complex)
+    phases[:, 1 + vacuum:] = gauge
+    return PencilStack(labels=tuple(labels), quanta=np.array([0] * vacuum + [1] + [2] * s.size),
+                       phases=phases, head=head, diag=diag, hop=hop, drive=drive)
 
 
 def pencil_stacks(f: int, gamma: float) -> list[PencilStack]:
@@ -245,7 +264,8 @@ def pencil_stacks(f: int, gamma: float) -> list[PencilStack]:
         if label.nu >= 0:
             key = (label.nu == 0, _has_antipodal_pair(f, label.nu))
             shapes.setdefault(key, []).append(label)
-    return [_stack(f, gamma, labels) for labels in shapes.values()]
+    root = _roots(2 * f)  # e^{ikj/2} at nu * j % 2f, e^{ikj} at 2 nu j % 2f
+    return [_stack(f, gamma, labels, root) for labels in shapes.values()]
 
 
 def expected_block_dimension(f: int, nu: int) -> int:

@@ -274,41 +274,35 @@ class _Orbits:
     Seeds are ordered vacuum, one quantum, then the two-quanta seeds by
     increasing ``b``, which is the column order of every block; ``quanta``
     holds each seed's total quanta.  ``where`` maps each occupation to
-    ``(seed, r)`` with occupation ``= T^r |seed>``; ``rows``, ``seed_of`` and
-    ``shift`` list the same members as arrays, with ``rows`` their positions
-    in one basis of ``size`` states.
+    ``(seed, r)`` with occupation ``= T^r |seed>``.
     """
 
     f: int
-    size: int
     seeds: tuple[Occupation, ...]
     periods: np.ndarray
     quanta: np.ndarray
     where: dict[Occupation, tuple[int, int]]
-    rows: np.ndarray
-    seed_of: np.ndarray
-    shift: np.ndarray
 
     def alive(self, nu: int) -> np.ndarray:
         """Seeds whose Fourier sum survives at ``nu``: ``nu * P % f == 0``."""
         return np.flatnonzero(nu * self.periods % self.f == 0)
 
-    def frame(self, nu: int) -> np.ndarray:
-        """The ``(size, d)`` block vectors at ``nu``: ``e^{ikr} / sqrt(P)``
-        on the ``r``-th translate of each surviving seed, one column per
-        seed."""
+    def frame(self, nu: int, basis: FockBasis) -> np.ndarray:
+        """The ``(basis.size, d)`` block vectors at ``nu``: ``e^{ikr} /
+        sqrt(P)`` on the ``r``-th translate of each surviving seed, one
+        column per seed."""
         alive = self.alive(nu)
         column = np.full(len(self.seeds), -1)
         column[alive] = np.arange(alive.size)
-        member = column[self.seed_of] >= 0
-        seed = self.seed_of[member]
-        v = np.zeros((self.size, alive.size), dtype=complex)
-        v[self.rows[member], column[seed]] = (_roots(self.f)[nu * self.shift[member] % self.f]
-                                              / np.sqrt(self.periods[seed]))
+        rows, seed, shift = np.array([(basis.index[state], a, r)
+                                      for state, (a, r) in self.where.items()
+                                      if column[a] >= 0]).T
+        v = np.zeros((basis.size, alive.size), dtype=complex)
+        v[rows, column[seed]] = _roots(self.f)[nu * shift % self.f] / np.sqrt(self.periods[seed])
         return v
 
 
-def _orbits(f: int, basis: FockBasis) -> _Orbits:
+def _orbits(f: int) -> _Orbits:
     seeds = [(0,) * f, (1,) + (0,) * (f - 1)]
     seeds += [two_quanta_seed(f, b) for b in range(1, two_quanta_seed_count(f) + 1)]
     periods = []
@@ -319,19 +313,17 @@ def _orbits(f: int, basis: FockBasis) -> _Orbits:
             where[state] = (a, r)
             state, r = translate(state), r + 1
         periods.append(r)
-    seed_of, shift = np.array(list(where.values())).T
-    return _Orbits(f=f, size=basis.size, seeds=tuple(seeds), periods=np.array(periods),
-                   quanta=np.array([sum(seed) for seed in seeds]), where=where,
-                   rows=np.array([basis.index[state] for state in where]),
-                   seed_of=seed_of, shift=shift)
+    return _Orbits(f=f, seeds=tuple(seeds), periods=np.array(periods),
+                   quanta=np.array([sum(seed) for seed in seeds]), where=where)
 
 
 def build_momentum_vectors(f: int, label: MomentumLabel,
                            basis: FockBasis | None = None) -> np.ndarray:
     """The block vectors of one momentum label from the orbit table, as the
-    columns of a read-only ``(D, d)`` array over ``basis`` (``at_most(2)``
-    if not given), in the column order of the block: vacuum (``nu = 0``
-    only), one quantum, then the pairs by increasing separation.
+    columns of a read-only ``(D, d)`` array over ``basis``, an ``at_most(n
+    >= 2)`` basis of ``f`` sites (``at_most(2)`` if not given), in the
+    column order of the block: vacuum (``nu = 0`` only), one quantum, then
+    the pairs by increasing separation.
 
     Orbits whose Fourier sum vanishes at this momentum contribute no vector;
     each survivor is ``(1/sqrt(P)) sum_r e^{ikr} T^r |seed>``.  These are
@@ -346,13 +338,14 @@ def build_momentum_vectors(f: int, label: MomentumLabel,
         raise ValueError(f"nu={label.nu} is not a momentum value for f={f}")
     if basis is None:
         basis = enumerate_basis(f, at_most(2))
-    v = _orbits(f, basis).frame(label.nu)
+    _check_sites(f, basis)
+    _check_at_most(basis, 2)
+    v = _orbits(f).frame(label.nu, basis)
     v.setflags(write=False)
     return v
 
 
-def orbit_block_pencil(f: int, gamma: float,
-                       basis: FockBasis | None = None) -> list[BlockPencil]:
+def orbit_block_pencil(f: int, gamma: float) -> list[BlockPencil]:
     """The oracle for :func:`pencil_stacks`: every block built from the
     images of the orbit seeds.
 
@@ -362,9 +355,7 @@ def orbit_block_pencil(f: int, gamma: float,
     quanta and the drive moves them by one.  The pencils are complex, in the
     orbit frame itself, and returned ``nu`` descending.
     """
-    if basis is None:
-        basis = enumerate_basis(f, at_most(2))
-    orbits = _orbits(f, basis)
+    orbits = _orbits(f)
     # one entry per (image, seed): row seed a, column seed b, amplitude h, shift r
     rows, cols, amps, shifts = [], [], [], []
     for b, seed in enumerate(orbits.seeds):

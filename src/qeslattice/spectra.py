@@ -348,48 +348,36 @@ class SweepResult:
         self.lambdas.setflags(write=False)
 
 
-def _coupled_part(b_bh: np.ndarray, b_drive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``3 x 3`` coupled pencil of the ``k = pi`` block of an even ring
-    ``f >= 4``, read off its entries.
+def _coupled_part(stack: PencilStack) -> PencilStack:
+    """The coupled part of the ``k = pi`` block of an even ring ``f >= 4``,
+    row ``0`` of ``stack``, read off its fan as a one-row fan of three
+    columns with unit phases.
 
-    The block's first column is the one-quantum vector and its second the
+    The block's first column is the one-quantum head and its second the
     doubly occupied pair.  ``cos(pi/2)`` is exactly ``0``
     (:func:`~qeslattice.momentum._roots`), so the pair columns at ``s >= 1``
-    have no diagonal and no hops, and only the one-quantum row drives them,
-    at even ``s``.  That drive row ``z`` couples one combination of them,
-    the third column, with entry ``-copysign(|z|, z[0])``; the other
-    ``d - 3`` are zero levels at every coupling.  Raises ``ArithmeticError``
-    unless every entry that must vanish is exactly zero.
+    have no diagonal and no hops, and only the head drives them, at even
+    ``s``.  That drive ``z`` couples one combination of them, the third
+    column, with entry ``-copysign(|z|, z[0])``; the other ``d - 3`` are
+    zero levels at every coupling.  Raises ``ArithmeticError`` unless every
+    entry that must vanish is exactly zero.
     """
-    z = b_drive[0, 2:]
-    if b_bh[2:].any() or b_bh[:, 2:].any() or b_drive[1:, 1:].any() or z[::2].any():
+    diag, drive = stack.diag[0], stack.drive[0]
+    z = drive[1:]
+    if diag[1:].any() or stack.hop[0].any() or z[::2].any():
         raise ArithmeticError("the zero levels of the k = pi block are not decoupled")
-    drive = (b_drive[0, 1], -math.copysign(float(np.linalg.norm(z)), z[0]))
-    coupled_drive = np.zeros((3, 3))
-    coupled_drive[0, 1:] = coupled_drive[1:, 0] = drive
-    return np.pad(b_bh[:2, :2], (0, 1)), coupled_drive
+    return PencilStack(labels=stack.labels[:1], quanta=stack.quanta[:3],
+                       phases=np.ones((1, 3), dtype=complex), head=stack.head[:1],
+                       diag=np.array([[diag[0], 0.0]]), hop=np.zeros((1, 1)),
+                       drive=np.array([[drive[0], -math.copysign(float(np.linalg.norm(z)), z[0])]]))
 
 
-def _check_fan(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray) -> None:
-    """Raise ``ArithmeticError`` unless both pencils of a stack ``(n, d, d)``
-    are exactly symmetric and exactly zero outside the fan that
-    :func:`_count_below` reads: the diagonal, the row and column of the
-    one-quantum head, and the path between neighbouring pair columns."""
-    head, pairs = np.flatnonzero(quanta == 1), np.flatnonzero(quanta == 2)
-    fan = np.eye(quanta.size, dtype=bool)
-    fan[head, :] = fan[:, head] = True
-    fan[pairs[1:], pairs[:-1]] = fan[pairs[:-1], pairs[1:]] = True
-    for m in (b_bh, b_drive):
-        if np.any(m != m.swapaxes(-1, -2)) or m[:, ~fan].any():
-            raise ArithmeticError("a block pencil is not an exactly symmetric fan")
-
-
-def _count_below(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, blocks: np.ndarray,
-                 lams: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The number of eigenvalues below ``x[i, r]`` of block ``blocks[r]`` of
-    a stack of fans (:func:`_check_fan`) at coupling ``lams[r]``, for every
-    shift ``i`` and row ``r`` of ``x``; ``-1`` where the count breaks down
-    (a pivot that is not finite).
+def _count_below(stack: PencilStack, blocks: np.ndarray, lams: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """The number of eigenvalues below ``x[i, r]`` of row ``blocks[r]`` of
+    a stack of fans at coupling ``lams[r]``, for every shift ``i`` and row
+    ``r`` of ``x``; ``-1`` where the count breaks down (a pivot that is not
+    finite).
 
     The count is the number of negative pivots of the ``LDLᵀ``
     factorization of ``B(lam) - x`` (Sylvester's law of inertia), eliminating
@@ -401,26 +389,25 @@ def _count_below(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, bloc
     ``pivmin`` (the smallest normal float times the largest squared fan
     entry, at least 1) in magnitude is taken as ``-pivmin``, as in LAPACK's
     ``dstebz``."""
-    head, vacuum = np.flatnonzero(quanta == 1), np.flatnonzero(quanta == 0)
-    pairs = np.flatnonzero(quanta == 2)[::-1]
-    cols = np.concatenate([vacuum, pairs])  # the elimination order, the head last
-    # every fan entry the count reads, for every row, as (entry, row): the
-    # diagonal in elimination order, the head row, each pair's hop to the
-    # wider pair eliminated before it, and the head's diagonal
-    i = np.concatenate([cols, np.repeat(head, cols.size), pairs[1:], head])
-    j = np.concatenate([cols, cols, pairs[1:] + 1, head])
-    fan = b_bh[:, i, j].T[:, blocks] + b_drive[:, i, j].T[:, blocks] * lams
-    diag, arm, hops = np.split(fan[:-1], [cols.size, 2 * cols.size])
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.abs(fan).max()) ** 2)
+    # the fan's entries, (entry, row), in elimination order: the diagonal
+    # (zero on the vacuum), the head's arm, each pair's hop to the wider pair
+    # eliminated before it, and the head's diagonal
+    vacuum = stack.drive.shape[1] - stack.diag.shape[1]
+    drive = stack.drive[blocks] * lams[:, None]
+    arm = np.concatenate([drive[:, :vacuum], drive[:, vacuum:][:, ::-1]], axis=1).T
+    diag = np.pad(stack.diag[blocks, ::-1].T, ((vacuum, 0), (0, 0)))
+    hops, head = stack.hop[blocks, ::-1].T, stack.head[blocks]
+    largest = max(float(np.abs(a).max(initial=0.0)) for a in (arm, diag, hops, head))
+    pivmin = np.finfo(float).tiny * max(1.0, largest ** 2)
     count = np.zeros(x.shape, dtype=np.int16)
-    last = fan[-1] - x
+    last = head - x
     p, q, u, w, tmp = (np.empty(x.shape) for _ in range(5))
     negative = np.empty(x.shape, dtype=bool)
-    for k in range(cols.size):
+    for k in range(arm.shape[0]):
         np.subtract(diag[k], x, out=q)
         z = arm[k]
-        if k > vacuum.size:  # a pair next to the last one eliminated
-            hop = hops[k - vacuum.size - 1]
+        if k > vacuum:  # a pair next to the last one eliminated
+            hop = hops[k - vacuum - 1]
             np.divide(hop * hop, p, out=tmp)
             q -= tmp
             np.multiply(u, -hop, out=w)
@@ -439,11 +426,10 @@ def _count_below(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, bloc
     return count
 
 
-def _uncounted(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, lams: np.ndarray,
-               energies: np.ndarray) -> np.ndarray:
+def _uncounted(stack: PencilStack, lams: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """The ``(block, coupling)`` rows of a stack of fans with a level that
     the inertia count does not certify, as a boolean ``(n_b, n)`` array;
-    ``energies[b, j]`` are the ascending levels of block ``b`` at coupling
+    ``energies[b, j]`` are the ascending levels of row ``b`` at coupling
     ``lams[j]``.
 
     Level ``c`` with value ``E`` passes when ``#(< E - tau) <= c < #(< E +
@@ -459,14 +445,13 @@ def _uncounted(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, lams: 
     for start in range(0, n_b * n, step):
         rows = np.arange(start, min(start + step, n_b * n))
         shifts = np.concatenate([levels[:, rows] - RESIDUAL_TOL, levels[:, rows] + RESIDUAL_TOL])
-        count = _count_below(b_bh, b_drive, quanta, rows // n, lams[rows % n], shifts)
+        count = _count_below(stack, rows // n, lams[rows % n], shifts)
         below, above = count[:d], count[d:]
         uncounted[rows] = ~np.all((0 <= below) & (below <= index) & (index < above), axis=0)
     return uncounted.reshape(n_b, n)
 
 
-def _certify(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, lams: np.ndarray,
-             energies: np.ndarray) -> None:
+def _certify(stack: PencilStack, lams: np.ndarray, energies: np.ndarray) -> None:
     """Certify every level of :func:`_uncounted`'s arguments, or raise
     ``ArithmeticError``.
 
@@ -475,37 +460,36 @@ def _certify(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray, lams: np
     diagonalized again by :func:`eigh_checked`, at most ``ceil(n / 2)`` of
     them at a time, and each of their levels must lie within ``RESIDUAL_TOL``
     of its ``eigh`` level."""
-    rows = np.flatnonzero(_uncounted(b_bh, b_drive, quanta, lams, energies))
+    rows = np.flatnonzero(_uncounted(stack, lams, energies))
     n = len(lams)
     step = -(-n // 2)
     for start in range(0, rows.size, step):
         block, point = np.divmod(rows[start:start + step], n)
-        h = b_drive[block] * lams[point, None, None]
-        h += b_bh[block]
+        h = stack.b_drive[block] * lams[point, None, None]
+        h += stack.b_bh[block]
         w = eigh_checked(h)[0]
         del h  # one chunk's matrices at a time
         if not np.max(np.abs(w - energies[block, point])) <= RESIDUAL_TOL:
             raise ArithmeticError("an eigvalsh level is more than RESIDUAL_TOL from its eigh level")
 
 
-def _curves(b_bh: np.ndarray, b_drive: np.ndarray, quanta: np.ndarray,
-            grid: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _curves(stack: PencilStack, grid: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """The ascending levels ``(n_b, n_points, d)`` of a stack of fans over
-    ``grid`` and each block's quanta tags at the first point (:func:`sweep`)."""
+    ``grid`` and each row's quanta tags at the first point (:func:`sweep`)."""
+    b_bh, b_drive = stack.b_bh, stack.b_drive
     n_b, d = b_bh.shape[:2]
     checked = grid.size if grid.size * n_b * d * d <= _EIGH_ENTRIES else 1
     w, v = eigh_checked(b_bh + grid[:checked, None, None, None] * b_drive)
-    tags = [quanta_tags(v[0, i], quanta, w[0, i]) for i in range(n_b)]
+    tags = [quanta_tags(v[0, i], stack.quanta, w[0, i]) for i in range(n_b)]
     energies = np.empty((n_b, grid.size, d))
     energies[:, :checked] = w.swapaxes(0, 1)
     if checked < grid.size:
-        _check_fan(b_bh, b_drive, quanta)
         for i, curves in enumerate(energies):
             h = np.multiply.outer(grid[1:], b_drive[i])
             h += b_bh[i]
             curves[1:] = np.linalg.eigvalsh(h)
             del h  # one block's matrices at a time
-        _certify(b_bh, b_drive, quanta, grid[1:], energies[:, 1:])
+        _certify(stack, grid[1:], energies[:, 1:])
     return energies, tags
 
 
@@ -528,11 +512,11 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     inertia count instead of an eigenvector residual (:func:`_certify`):
     each block is a fan, a one-quantum head joined by the drive to a path
     of pair columns and, at ``nu = 0``, to the vacuum, so the count costs
-    ``O(d)`` per level (:func:`_count_below`).  The count reads only the
-    fan's entries, so both pencils of every stack must be exactly symmetric
-    and exactly zero outside the fan (:func:`_check_fan`,
-    ``ArithmeticError`` otherwise); then every ``B(lam)`` is exactly
-    symmetric.
+    ``O(d)`` per level (:func:`_count_below`).  Each stack is stored as its
+    fans (:class:`~qeslattice.momentum.PencilStack`): the count reads those
+    entries, and the dense pencils of the ``eigh`` and ``eigvalsh`` calls
+    are written from them, so every ``B(lam)`` is exactly symmetric and
+    exactly zero outside its fan.
 
     Only the one-quantum row and column of a block depend on ``lam``, so
     each block is an arrowhead matrix over the ``lam``-independent rest.
@@ -580,17 +564,15 @@ def _sweep(stacks: Iterable[PencilStack], f: int, gamma: float, grid: np.ndarray
     """:func:`sweep` on the ring's ``stacks`` over a checked ``grid``."""
     block_sweeps = []
     for stack in stacks:
-        split = 2 * stack.labels[0].nu == f >= 4  # the k = pi block, nu = f/2, comes first
+        split = int(2 * stack.labels[0].nu == f >= 4)  # the k = pi block, nu = f/2, comes first
         if len(stack.labels) > split:
-            energies, tags = _curves(stack.b_bh[split:], stack.b_drive[split:], stack.quanta, grid)
+            energies, tags = _curves(stack[split:], grid)
             block_sweeps += [BlockSweep(label=label, energies=curves, tags=block_tags)
                              for i, curves, block_tags in zip(range(split, len(stack.labels)),
                                                               energies, tags)
                              for label, _ in stack.blocks_of(i)]
         if split:
-            coupled_bh, coupled_drive = _coupled_part(stack.b_bh[0], stack.b_drive[0])
-            (energies,), (tags,) = _curves(coupled_bh[None], coupled_drive[None],
-                                           stack.quanta[:3], grid)
+            (energies,), (tags,) = _curves(_coupled_part(stack), grid)
             zeros = stack.quanta.size - 3
             energies = np.hstack([energies, np.zeros((grid.size, zeros))])
             first = np.argsort(energies[0], kind="stable")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qeslattice.fock import at_most, enumerate_basis
+from qeslattice.fock import at_most, enumerate_basis, exactly
 from qeslattice import momentum
 from qeslattice.momentum import (GRAM_TOL, MomentumLabel, block_dimensions, expected_block_dimension,
                                  momentum_values, pencil_stacks, project_block, to_orbit_frame,
@@ -64,6 +64,14 @@ def test_momentum_values_count_and_range(f):
 def test_rejects_foreign_label():
     with pytest.raises(ValueError):
         build_momentum_vectors(4, MomentumLabel(f=4, nu=-2))
+
+
+def test_rejects_a_basis_of_another_ring_or_without_every_sector():
+    label = MomentumLabel(f=4, nu=1)
+    with pytest.raises(ValueError, match="site count does not match the basis"):
+        build_momentum_vectors(4, label, enumerate_basis(3, at_most(2)))
+    with pytest.raises(ValueError, match=r"needs an at_most\(n >= 2\) basis"):
+        build_momentum_vectors(4, label, enumerate_basis(4, exactly(2)))
 
 
 # ------------------------------------------------------------- vectors
@@ -432,11 +440,10 @@ def test_orbit_frame_carries_the_columns_of_the_solved_block(f):
 def test_structured_blocks_match_the_orbit_pencil(f):
     # the real gauged pencil B, carried to the orbit frame as P B P^H, and
     # the solved spectra at -nu
-    basis = enumerate_basis(f, at_most(2))
     for gamma, lam in [(3.0, 0.5), (1.3, -0.7), (1e3, -1e3)]:
         tol = 1e-12 * max(1.0, abs(gamma), abs(lam))
         rows = pencil_rows(f, gamma)
-        oracle = orbit_block_pencil(f, gamma, basis)
+        oracle = orbit_block_pencil(f, gamma)
         assert [row[0] for row in rows] == [o.label for o in oracle] == momentum_values(f)
         for (label, quanta, b_bh, b_drive, phases), o in zip(rows, oracle):
             assert b_bh.shape == (expected_block_dimension(f, label.nu),) * 2
@@ -494,10 +501,41 @@ def test_roots_are_exact_at_the_quarter_turns(m):
 
 @pytest.mark.parametrize("f", range(4, MAX_SITES + 1, 2))
 def test_k_pi_block_vanishes_exactly_on_its_s_ge_1_hops_and_odd_s_drive(f):
-    # cos(pi s / 2) = 0 at odd s: the pair columns s >= 1 (columns 2..) have
-    # no hops and the drive reaches only the even ones, all exactly
+    # cos(pi s / 2) = 0 at odd s: the pair columns s >= 1 have no diagonal
+    # and no hops, and the drive reaches only the even ones, all exactly
     stack = next(s for s in pencil_stacks(f, 3.0) if 2 * s.labels[0].nu == f)
-    b_bh, b_drive = stack.b_bh[0], stack.b_drive[0]
-    assert not b_bh[2:].any() and not b_bh[:, 2:].any()
-    assert not b_drive[0, 2::2].any() and not b_drive[2::2, 0].any()
-    assert np.all(b_drive[0, 3::2] != 0.0)
+    diag, hop, drive = stack.diag[0], stack.hop[0], stack.drive[0]  # no vacuum: drive[s] at s
+    assert not diag[1:].any() and not hop.any()
+    assert not drive[1::2].any()
+    assert np.all(drive[2::2] != 0.0)
+
+
+@pytest.mark.parametrize("f", range(1, MAX_SITES + 1))
+@pytest.mark.parametrize("gamma", [0.0, 3.0, -1.5])
+def test_dense_pencils_are_the_fans_they_are_written_from(f, gamma):
+    # each dense entry is a field of the fan, or its mirror, down to the sign
+    # of a zero; every other entry is zero and every array read-only
+    def identical(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for s in pencil_stacks(f, gamma):
+        arrays = (s.quanta, s.phases, s.head, s.diag, s.hop, s.drive, s.b_bh, s.b_drive)
+        assert not any(a.flags.writeable for a in arrays)
+        d = s.quanta.size
+        head = int(np.flatnonzero(s.quanta == 1)[0])
+        pairs = np.flatnonzero(s.quanta == 2)
+        others = np.flatnonzero(s.quanta != 1)  # the vacuum first, then the pairs
+        for b in (s.b_bh, s.b_drive):
+            assert b.shape == (len(s.labels), d, d) and b.dtype == np.float64
+            assert identical(b, np.ascontiguousarray(b.swapaxes(1, 2)))
+        assert identical(s.b_bh[:, head, head], s.head)
+        assert identical(s.b_bh[:, pairs, pairs], s.diag)
+        assert identical(s.b_bh[:, pairs[:-1], pairs[1:]], s.hop)
+        assert identical(s.b_drive[:, head, others], s.drive)
+        fan_bh = np.zeros((d, d), dtype=bool)
+        fan_bh[head, head] = True
+        fan_bh[pairs, pairs] = True
+        fan_bh[pairs[:-1], pairs[1:]] = fan_bh[pairs[1:], pairs[:-1]] = True
+        fan_drive = np.zeros((d, d), dtype=bool)
+        fan_drive[head, others] = fan_drive[others, head] = True
+        assert not s.b_bh[:, ~fan_bh].any() and not s.b_drive[:, ~fan_drive].any()

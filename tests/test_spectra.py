@@ -639,109 +639,79 @@ def test_k_pi_block_has_exact_zero_levels_and_sorted_coupled_levels(f):
     assert np.all(np.diff(off, axis=1) >= 0)
 
 
-def k_pi_pencil(f):
-    """Writable copies of ``B_BH`` and ``B_drive`` of the ``k = pi`` block."""
-    stack = next(s for s in pencil_stacks(f, 3.0) if 2 * s.labels[0].nu == f)
-    return stack.b_bh[0].copy(), stack.b_drive[0].copy()
+def k_pi_stack(f):
+    """The stack whose first row is the ``k = pi`` block."""
+    return next(s for s in pencil_stacks(f, 3.0) if 2 * s.labels[0].nu == f)
 
 
 @pytest.mark.parametrize("f", [4, 6, 20, 48, 120])
 def test_coupled_part_reads_the_k_pi_pencil_off_its_entries(f):
-    b_bh, b_drive = k_pi_pencil(f)
-    coupled_bh, coupled_drive = spectra._coupled_part(b_bh, b_drive)
-    assert coupled_bh.tolist() == [[2.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 0.0]]
-    norm = np.linalg.norm(b_drive[0, 2:])
-    assert coupled_drive.tolist() == [[0.0, -math.sqrt(2), norm], [-math.sqrt(2), 0.0, 0.0],
-                                      [norm, 0.0, 0.0]]
+    stack = k_pi_stack(f)
+    coupled = spectra._coupled_part(stack)
+    assert coupled.labels == stack.labels[:1] and coupled.quanta.tolist() == [1, 2, 2]
+    assert coupled.b_bh[0].tolist() == [[2.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 0.0]]
+    norm = np.linalg.norm(stack.drive[0, 1:])
+    assert coupled.b_drive[0].tolist() == [[0.0, -math.sqrt(2), norm], [-math.sqrt(2), 0.0, 0.0],
+                                           [norm, 0.0, 0.0]]
 
 
 @pytest.mark.parametrize("f", [4, 6, 20, 48, 120])
 @pytest.mark.parametrize("entry", ["hop", "drive"])
 def test_coupled_part_rejects_a_k_pi_block_that_is_zero_only_up_to_rounding(f, entry):
-    # one s >= 1 hop or one odd-s drive entry of 1e-17, symmetric, is not
-    # zero: the split refuses it however small it is
-    b_bh, b_drive = k_pi_pencil(f)
-    matrix, i, j = (b_bh, 2, 3) if entry == "hop" else (b_drive, 0, 2)
-    matrix[i, j] = matrix[j, i] = 1e-17
+    # one s >= 1 hop or one odd-s drive entry of 1e-17 is not zero: the
+    # split refuses it however small it is
+    stack = k_pi_stack(f)
+    values = getattr(stack, entry).copy()
+    values[0, 1] = 1e-17  # the hop between s = 1 and s = 2, or the drive to s = 1
     with pytest.raises(ArithmeticError, match="not decoupled"):
-        spectra._coupled_part(b_bh, b_drive)
+        spectra._coupled_part(dataclasses.replace(stack, **{entry: values}))
 
 
 def fans(f, gamma):
-    """``(b_bh, b_drive, quanta)`` of every stack of fans ``sweep`` counts on
-    a ring: each pencil stack without its ``k = pi`` block, and that block's
-    coupled part, as a stack of one."""
+    """Every stack of fans ``sweep`` counts on a ring: each pencil stack
+    without its ``k = pi`` block, and that block's coupled part, as a stack
+    of one."""
     for stack in pencil_stacks(f, gamma):
         split = int(k_pi_block(f, stack.labels[0]))
         if len(stack.labels) > split:
-            yield stack.b_bh[split:], stack.b_drive[split:], stack.quanta
+            yield stack[split:]
         if split:
-            coupled = spectra._coupled_part(stack.b_bh[0], stack.b_drive[0])
-            yield coupled[0][None], coupled[1][None], stack.quanta[:3]
+            yield spectra._coupled_part(stack)
 
 
-def eigvalsh_levels(b_bh, b_drive, points):
+def eigvalsh_levels(stack, points):
     """The ``(n_b, n, d)`` levels of a stack of fans over ``points``."""
-    return np.linalg.eigvalsh(b_bh[:, None] + points[None, :, None, None] * b_drive[:, None])
+    return np.linalg.eigvalsh(stack.b_bh[:, None]
+                              + points[None, :, None, None] * stack.b_drive[:, None])
 
 
 @pytest.mark.parametrize("f", [1, 2, 4, 15, 16, 48])
 def test_the_count_certifies_every_level_and_rejects_a_shifted_or_swapped_one(f):
     points = np.arange(1, 26) * 0.02
-    for b_bh, b_drive, quanta in fans(f, 3.0):
-        energies = eigvalsh_levels(b_bh, b_drive, points)
-        assert not spectra._uncounted(b_bh, b_drive, quanta, points, energies).any()
-        spectra._certify(b_bh, b_drive, quanta, points, energies)
+    for stack in fans(f, 3.0):
+        energies = eigvalsh_levels(stack, points)
+        assert not spectra._uncounted(stack, points, energies).any()
+        spectra._certify(stack, points, energies)
         n_b, _, d = energies.shape
         shifted, swapped = energies.copy(), energies.copy()
         shifted[-1, 7, d // 2] += 10 * spectra.RESIDUAL_TOL
         swapped[0, 3, [0, 1]] = swapped[0, 3, [1, 0]]
         for wrong, row in ((shifted, (n_b - 1, 7)), (swapped, (0, 3))):
-            uncounted = spectra._uncounted(b_bh, b_drive, quanta, points, wrong)
+            uncounted = spectra._uncounted(stack, points, wrong)
             assert np.flatnonzero(uncounted).tolist() == [np.ravel_multi_index(row, (n_b, 25))]
             with pytest.raises(ArithmeticError, match="more than RESIDUAL_TOL"):
-                spectra._certify(b_bh, b_drive, quanta, points, wrong)
+                spectra._certify(stack, points, wrong)
 
 
-@pytest.mark.parametrize("f", [4, 6, 20, 48, 120])
-@pytest.mark.parametrize("pencil", [0, 1])
-@pytest.mark.parametrize("i, j", [(0, 2), (2, 4), (0, 4)])
-def test_check_fan_rejects_an_entry_that_is_zero_only_up_to_rounding(f, pencil, i, j):
-    # a symmetric 1e-17 between the vacuum and a pair, or between two pairs
-    # that are not neighbours, lies outside the fan the count reads: the
-    # check refuses it however small it is
-    stack = next(s for s in pencil_stacks(f, 3.0) if s.labels[0].nu == 0)
-    pencils = [stack.b_bh.copy(), stack.b_drive.copy()]
-    spectra._check_fan(*pencils, stack.quanta)
-    pencils[pencil][0, i, j] = pencils[pencil][0, j, i] = 1e-17
-    with pytest.raises(ArithmeticError, match="not an exactly symmetric fan"):
-        spectra._check_fan(*pencils, stack.quanta)
-
-
-@pytest.mark.parametrize("pencil, i, j", [(0, 1, 3), (1, 3, 4)])
-def test_check_fan_rejects_an_asymmetric_pencil(pencil, i, j):
-    # a zero entry of the fan (a head-row entry of B_BH, a hop of B_drive)
-    # that is 1e-17 on one side only
-    stack = next(s for s in pencil_stacks(12, 3.0) if s.labels[0].nu == 0)
-    pencils = [stack.b_bh.copy(), stack.b_drive.copy()]
-    pencils[pencil][0, i, j] = 1e-17
-    with pytest.raises(ArithmeticError, match="not an exactly symmetric fan"):
-        spectra._check_fan(*pencils, stack.quanta)
-
-
-def test_sweep_refuses_a_pencil_outside_the_fan(monkeypatch):
-    # the count runs only past the first point of a grid too long for one
-    # eigh, so a one-point sweep, or a short one, does not look
-    def widened(f, gamma, _build=pencil_stacks):
-        stacks = _build(f, gamma)
-        b_bh = stacks[-1].b_bh.copy()
-        b_bh[0, 0, 2] = b_bh[0, 2, 0] = 1e-17
-        return stacks[:-1] + [dataclasses.replace(stacks[-1], b_bh=b_bh)]
-    monkeypatch.setattr(spectra, "pencil_stacks", widened)
-    sweep(6, 3.0, [0.1])
-    sweep(6, 3.0, [0.1, 0.2])
-    with pytest.raises(ArithmeticError, match="not an exactly symmetric fan"):
-        sweep(6, 3.0, np.linspace(0.1, 0.2, 1000))
+def test_a_stack_row_is_a_view_of_the_stack():
+    # the sweep counts a stack without its k = pi row on the arrays it holds
+    stack = k_pi_stack(12)
+    rest = stack[1:]
+    assert rest.labels == stack.labels[1:]
+    for name in ("phases", "head", "diag", "hop", "drive", "b_bh", "b_drive"):
+        part, whole = getattr(rest, name), getattr(stack, name)
+        assert np.shares_memory(part, whole) and np.array_equal(part, whole[1:])
+        assert not part.flags.writeable
 
 
 @pytest.mark.parametrize("f, n", [(3, 6), (4, 6), (15, 14), (16, 6)])
@@ -772,8 +742,8 @@ def test_sweep_falls_back_to_eigh_where_the_count_loses_a_sign(monkeypatch):
     points = np.array(grid(-0.5, 0.5, 0.001))
     assert points.size * 3 * 3 > spectra._EIGH_ENTRIES
     side = next(s for s in pencil_stacks(3, 3.0) if s.labels[0].nu == 1)
-    energies = eigvalsh_levels(side.b_bh, side.b_drive, points[1:])
-    uncounted = spectra._uncounted(side.b_bh, side.b_drive, side.quanta, points[1:], energies)
+    energies = eigvalsh_levels(side, points[1:])
+    uncounted = spectra._uncounted(side, points[1:], energies)
     assert 0 < np.count_nonzero(uncounted) < points.size - 1
     rows = []
 
