@@ -16,6 +16,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -190,11 +191,11 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .report import as_records, failures
+    from .report import dumps, failures
     from .suites import run_suites
     with _output(args.out) as out:
         checks = run_suites(args.suite)
-        out().write(json.dumps(as_records(checks), indent=2) + "\n")
+        out().write(dumps(checks) + "\n")
     failed = failures(checks)
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed",
           file=sys.stderr)
@@ -244,8 +245,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of this process, built on first use: parsing leaves it as
+    it was, so every call of :func:`main` can share it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     tokens = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(1, len(tokens))):
         value = tokens[i]

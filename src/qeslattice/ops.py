@@ -31,20 +31,30 @@ image of one occupation state, a sparse ``{occupation: amplitude}`` map;
 :func:`hamiltonian_pencil` scatters each, in one ``np.add.at``, into the
 one dense ``H = h_bh + lam * h_drive``, built once per ring and evaluated at
 each coupling; :func:`brute_force_eigenvalues` diagonalizes it with no
-momentum machinery.
+momentum machinery.  No ``gamma`` enters ``h_drive``, so a ``verify`` run
+(:class:`~qeslattice.suites.Rings`) builds it once per ring and basis and
+pairs it with the ``h_bh`` of every ``gamma``.
 
 Two independent constructions of the momentum blocks are the oracles for
 :func:`~qeslattice.momentum.pencil_stacks`.  :func:`orbit_block_pencil` is
 the standard momentum-state construction: ``H`` is applied once to each
 seed (:func:`apply_hamiltonian`), every image is mapped to its orbit
 representative ``a`` and shift ``r`` (image ``= T^r |a>``) through an orbit
-table built with :func:`~qeslattice.fock.translate`, and
+table, and
 
     ``B_k[a, b] = sqrt(P_b / P_a) * sum_images h * e^{-ik r}``.
 
 :func:`~qeslattice.momentum.project_block` projects an explicitly built
-dense ``H`` onto the vectors of :func:`build_momentum_vectors`, which come
-from the same orbit table.
+dense ``H`` onto the vectors of :func:`build_momentum_vectors`, which are
+read off the same orbit table.
+
+The orbit table of a ring (:func:`_orbits`) walks each seed's translates
+with :func:`~qeslattice.fock.translate` once and keeps arrays over the
+``at_most(2)`` basis: each occupation's row, seed and shift, beside each
+seed's period and quanta.  A frame is then one scatter of roots of unity,
+and an image's orbit one lookup of its row.  The public builders make a
+table per call; a ``verify`` run builds one per ring and reads every frame
+and orbit pencil of that ring off it.
 
 Truncation caveat: on an ``at_most(n_max)`` basis a raising operator loses the
 part of its image above ``n_max``.  Operator identities involving products of
@@ -185,8 +195,18 @@ def hamiltonian_pencil(f: int, gamma: float, basis: FockBasis) -> tuple[np.ndarr
     two-quanta sector carries ``N - 2 = 0``: for ``n_max = 2`` nothing is
     truncated."""
     _check_at_most(basis, 2)
-    return (_scatter(f, basis, partial(_terms, f, gamma)),
-            _scatter(f, basis, partial(_drive, f, 1.0)))
+    return _h_bh(f, gamma, basis), _h_drive(f, basis)
+
+
+def _h_bh(f: int, gamma: float, basis: FockBasis) -> np.ndarray:
+    """The ``h_bh`` of :func:`hamiltonian_pencil`."""
+    return _scatter(f, basis, partial(_terms, f, gamma))
+
+
+def _h_drive(f: int, basis: FockBasis) -> np.ndarray:
+    """The ``h_drive`` of :func:`hamiltonian_pencil`, which no ``gamma``
+    enters."""
+    return _scatter(f, basis, partial(_drive, f, 1.0))
 
 
 def build_number(f: int, basis: FockBasis) -> np.ndarray:
@@ -273,48 +293,58 @@ class _Orbits:
 
     Seeds are ordered vacuum, one quantum, then the two-quanta seeds by
     increasing ``b``, which is the column order of every block; ``quanta``
-    holds each seed's total quanta.  ``where`` maps each occupation to
-    ``(seed, r)`` with occupation ``= T^r |seed>``.
+    holds each seed's total quanta and ``periods`` its orbit period.  The
+    occupation in row ``i`` of the ``at_most(2)`` basis is ``T^shift[i]
+    |seeds[seed[i]]>``, and ``index`` maps each occupation to its row.
     """
 
     f: int
     seeds: tuple[Occupation, ...]
     periods: np.ndarray
     quanta: np.ndarray
-    where: dict[Occupation, tuple[int, int]]
+    index: dict[Occupation, int]
+    seed: np.ndarray
+    shift: np.ndarray
+    roots: np.ndarray  # _roots(f)
 
     def alive(self, nu: int) -> np.ndarray:
         """Seeds whose Fourier sum survives at ``nu``: ``nu * P % f == 0``."""
         return np.flatnonzero(nu * self.periods % self.f == 0)
 
-    def frame(self, nu: int, basis: FockBasis) -> np.ndarray:
-        """The ``(basis.size, d)`` block vectors at ``nu``: ``e^{ikr} /
-        sqrt(P)`` on the ``r``-th translate of each surviving seed, one
-        column per seed."""
+    def frame(self, nu: int, size: int) -> np.ndarray:
+        """The ``(size, d)`` block vectors at ``nu`` over an ``at_most(n >=
+        2)`` basis of ``size`` states: ``e^{ikr} / sqrt(P)`` on the ``r``-th
+        translate of each surviving seed, one column per seed."""
         alive = self.alive(nu)
         column = np.full(len(self.seeds), -1)
         column[alive] = np.arange(alive.size)
-        rows, seed, shift = np.array([(basis.index[state], a, r)
-                                      for state, (a, r) in self.where.items()
-                                      if column[a] >= 0]).T
-        v = np.zeros((basis.size, alive.size), dtype=complex)
-        v[rows, column[seed]] = _roots(self.f)[nu * shift % self.f] / np.sqrt(self.periods[seed])
+        rows = np.flatnonzero(column[self.seed] >= 0)
+        seed = self.seed[rows]
+        v = np.zeros((size, alive.size), dtype=complex)
+        v[rows, column[seed]] = (self.roots[nu * self.shift[rows] % self.f]
+                                 / np.sqrt(self.periods[seed]))
         return v
 
 
-def _orbits(f: int) -> _Orbits:
+def _orbits(basis: FockBasis) -> _Orbits:
+    """The orbit table of ``basis``, an ``at_most(n >= 2)`` basis, whose
+    first rows are those of ``at_most(2)`` (the enumeration runs by sector)."""
+    f = basis.f
     seeds = [(0,) * f, (1,) + (0,) * (f - 1)]
     seeds += [two_quanta_seed(f, b) for b in range(1, two_quanta_seed_count(f) + 1)]
-    periods = []
-    where: dict[Occupation, tuple[int, int]] = {}
-    for a, seed in enumerate(seeds):
-        state, r = seed, 0
-        while r == 0 or state != seed:
-            where[state] = (a, r)
+    rows, seed, shift, periods = [], [], [], []
+    for a, start in enumerate(seeds):
+        state, r = start, 0
+        while r == 0 or state != start:
+            rows.append(basis.index[state])
+            seed.append(a)
+            shift.append(r)
             state, r = translate(state), r + 1
         periods.append(r)
+    order = np.argsort(rows)
     return _Orbits(f=f, seeds=tuple(seeds), periods=np.array(periods),
-                   quanta=np.array([sum(seed) for seed in seeds]), where=where)
+                   quanta=np.array([sum(s) for s in seeds]), index=basis.index,
+                   seed=np.array(seed)[order], shift=np.array(shift)[order], roots=_roots(f))
 
 
 def build_momentum_vectors(f: int, label: MomentumLabel,
@@ -340,7 +370,7 @@ def build_momentum_vectors(f: int, label: MomentumLabel,
         basis = enumerate_basis(f, at_most(2))
     _check_sites(f, basis)
     _check_at_most(basis, 2)
-    v = _orbits(f).frame(label.nu, basis)
+    v = _orbits(basis).frame(label.nu, basis.size)
     v.setflags(write=False)
     return v
 
@@ -355,23 +385,26 @@ def orbit_block_pencil(f: int, gamma: float) -> list[BlockPencil]:
     quanta and the drive moves them by one.  The pencils are complex, in the
     orbit frame itself, and returned ``nu`` descending.
     """
-    orbits = _orbits(f)
+    return _block_pencils(_orbits(enumerate_basis(f, at_most(2))), gamma)
+
+
+def _block_pencils(orbits: _Orbits, gamma: float) -> list[BlockPencil]:
+    """:func:`orbit_block_pencil` on the ring of ``orbits``."""
+    f = orbits.f
     # one entry per (image, seed): row seed a, column seed b, amplitude h, shift r
-    rows, cols, amps, shifts = [], [], [], []
+    images, cols, amps = [], [], []
     for b, seed in enumerate(orbits.seeds):
         for image, h in apply_hamiltonian(f, gamma, 1.0, seed).items():
-            a, r = orbits.where[image]
-            rows.append(a)
+            images.append(orbits.index[image])
             cols.append(b)
             amps.append(h)
-            shifts.append(r)
-    rows, cols = np.array(rows), np.array(cols)
+    rows, cols, shifts = orbits.seed[images], np.array(cols), orbits.shift[images]
     weights = np.array(amps) * np.sqrt(orbits.periods[cols] / orbits.periods[rows])
     labels = momentum_values(f)
     nus = np.array([label.nu for label in labels])[:, None]
     n = len(orbits.seeds)
     full = np.zeros((len(labels), n, n), dtype=complex)
-    np.add.at(full, (slice(None), rows, cols), weights * _roots(f)[-nus * np.array(shifts) % f])
+    np.add.at(full, (slice(None), rows, cols), weights * orbits.roots[-nus * shifts % f])
     same = orbits.quanta[:, None] == orbits.quanta[None, :]
     b_bh, b_drive = np.where(same, full, 0.0), np.where(same, 0.0, full)
     pencils = []

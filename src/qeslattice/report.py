@@ -4,11 +4,23 @@ Every verdict is decided in :func:`check`.  Only skips, the reading-group
 summaries of the closed-form eigenstates and the informational comparison of
 the three-site bilinear with the cyclic translation set their status
 themselves.
+
+:func:`as_records` defines the JSON record of a check, and :func:`dumps`
+writes the records of a run as the text of ``json.dumps(records,
+indent=2)``.  With ``indent``, :mod:`json` encodes in pure Python; the
+writer fills one ``%``-template per record and per ``params`` key set
+instead, with every leaf encoded in C (``encode_basestring_ascii``,
+``float.__repr__``, ``int.__repr__``) or written as the literal ``null``,
+``true`` or ``false``.  Only what it has no template for, a non-finite
+float or a value that is not a leaf or a dict with string keys, goes
+through ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -75,3 +87,43 @@ def as_records(checks: list[Check]) -> list[dict]:
             "note": c.note,
         })
     return out
+
+
+def _float(value: float) -> str:
+    return float.__repr__(value) if value - value == 0.0 else json.dumps(value)  # nan, inf
+
+
+# the C encoder of each leaf type, as ``json.dumps`` encodes it
+_LITERALS = {None: "null", True: "true", False: "false"}
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+           bool: _LITERALS.__getitem__, type(None): _LITERALS.__getitem__}
+
+
+def _encode(value, pad: str, templates: dict) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at the
+    indentation ``pad``; ``templates`` holds the dict templates made so
+    far, by indentation and key tuple."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    if type(value) is dict and value:
+        keys, inner = tuple(value), pad + "  "
+        template = templates.get((pad, keys))
+        if template is None and all(type(key) is str for key in keys):
+            template = templates[pad, keys] = "{\n" + ",\n".join(
+                inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+                for key in keys) + "\n" + pad + "}"
+        if template is not None:
+            return template % tuple([leaf(v) if (leaf := _LEAVES.get(type(v))) is not None
+                                     else _encode(v, inner, templates) for v in value.values()])
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def dumps(checks: list[Check]) -> str:
+    """The text of ``json.dumps(as_records(checks), indent=2)``."""
+    records = as_records(checks)
+    if not records:
+        return "[]"
+    templates: dict = {}
+    return "[\n  " + ",\n  ".join([_encode(record, "  ", templates)
+                                    for record in records]) + "\n]"

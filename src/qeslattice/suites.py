@@ -9,13 +9,14 @@ symmetries are cheap enough to assert on every ring size the package
 targets.
 
 Every suite takes the :class:`Rings` of its run and builds nothing that the
-table already holds: one ``verify`` run builds each ring's basis, dense
-pencil, momentum pencils, block frames and solves once, however many suites
-read them.
+table already holds: one ``verify`` run builds each ring's basis, drive,
+dense pencils, momentum pencils, orbit table, block frames and solves once,
+however many suites read them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -25,8 +26,8 @@ from . import algebra
 from .fock import FockBasis, at_most, enumerate_basis
 from .momentum import (MomentumLabel, PencilStack, block_dimensions, expected_block_dimension,
                        momentum_values, pencil_stacks, project_block)
-from .ops import (build_momentum_vectors, build_number, build_translation, commutator,
-                  hamiltonian_pencil, orbit_block_pencil, sector_block)
+from .ops import (BlockPencil, _block_pencils, _h_bh, _h_drive, _orbits, _Orbits, build_number,
+                  build_translation, commutator, sector_block)
 from .reference import (CHARPOLY_SAMPLES, CHARPOLY_TOL, EIGENSTATE_FORMULAS,
                         EIGENSTATE_RESIDUAL_TOL, REFERENCE_CHAR_POLYS, REFERENCE_GAMMA,
                         REFERENCE_TABLES, TABLE_TOL, f3_dim3_energies)
@@ -40,6 +41,12 @@ ORACLE_TOL = 1e-9
 T = TypeVar("T")
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, by its own formula, without
+    its dispatch."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _once(built: dict, key, build: Callable[[], T]) -> T:
     if key not in built:
         built[key] = build()
@@ -49,11 +56,13 @@ def _once(built: dict, key, build: Callable[[], T]) -> T:
 class Rings:
     """The constructions of one verification run, each built on first use
     and then shared, read-only, by every suite of the run: per ring ``f``
-    its occupation basis ``at_most(n)`` and, per ``gamma``, its dense pencil
-    on it (:func:`~qeslattice.ops.hamiltonian_pencil`), its momentum pencils
+    its occupation basis ``at_most(n)``, the drive of its dense pencil on it
+    and, per ``gamma``, the pencil's ``h_bh``
+    (:func:`~qeslattice.ops.hamiltonian_pencil`), its momentum pencils
     (:func:`~qeslattice.momentum.pencil_stacks`) and its solve at each
-    coupling; and each label's block vectors
-    (:func:`~qeslattice.ops.build_momentum_vectors`).
+    coupling; its orbit table, which gives each label's block vectors
+    (:func:`~qeslattice.ops.build_momentum_vectors`) and the orbit pencils
+    (:func:`~qeslattice.ops.orbit_block_pencil`).
 
     :func:`run_suites` makes one per run and drops it when the run returns,
     so nothing is kept from one run to the next.  Solves and sweeps take the
@@ -65,7 +74,9 @@ class Rings:
 
     def __init__(self) -> None:
         self._bases: dict[tuple[int, int], FockBasis] = {}
+        self._drives: dict[tuple[int, int], np.ndarray] = {}
         self._pencils: dict[tuple[int, float, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._orbits: dict[int, _Orbits] = {}
         self._stacks: dict[tuple[int, float], tuple[PencilStack, ...]] = {}
         self._frames: dict[MomentumLabel, np.ndarray] = {}
         self._solved: dict[tuple[int, float, float], SpectrumResult] = {}
@@ -75,19 +86,29 @@ class Rings:
         return _once(self._bases, (f, n), lambda: enumerate_basis(f, at_most(n)))
 
     def pencil(self, f: int, gamma: float, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
-        """``(h_bh, h_drive)`` on :meth:`basis` ``(f, n)``, read-only."""
-        return _once(self._pencils, (f, gamma, n), lambda: tuple(
-            map(_read_only, hamiltonian_pencil(f, gamma, self.basis(f, n)))))
+        """``(h_bh, h_drive)`` on :meth:`basis` ``(f, n)``, read-only; every
+        ``gamma`` shares one ``h_drive``."""
+        return _once(self._pencils, (f, gamma, n), lambda: (
+            _read_only(_h_bh(f, gamma, self.basis(f, n))),
+            _once(self._drives, (f, n), lambda: _read_only(_h_drive(f, self.basis(f, n))))))
 
     def stacks(self, f: int, gamma: float) -> tuple[PencilStack, ...]:
         """The momentum pencils of ``f`` sites at ``gamma``."""
         return _once(self._stacks, (f, gamma), lambda: tuple(pencil_stacks(f, gamma)))
 
+    def orbits(self, f: int) -> _Orbits:
+        """The orbit table of ``f`` sites over :meth:`basis` ``(f)``."""
+        return _once(self._orbits, f, lambda: _orbits(self.basis(f)))
+
     def frame(self, label: MomentumLabel) -> np.ndarray:
         """The block vectors at ``label``, the columns of a read-only array
         over :meth:`basis` ``(label.f)``."""
-        return _once(self._frames, label, lambda: build_momentum_vectors(
-            label.f, label, self.basis(label.f)))
+        return _once(self._frames, label, lambda: _read_only(
+            self.orbits(label.f).frame(label.nu, self.basis(label.f).size)))
+
+    def block_pencils(self, f: int, gamma: float) -> list[BlockPencil]:
+        """``orbit_block_pencil(f, gamma)`` on :meth:`orbits` ``(f)``."""
+        return _block_pencils(self.orbits(f), gamma)
 
     def solve(self, f: int, gamma: float, lams: Iterable[float]) -> tuple[SpectrumResult, ...]:
         """``solve_spectra(f, gamma, lams)``, solving only the couplings no
@@ -213,7 +234,7 @@ def momentum_suite(rings: Rings) -> list[Check]:
             worst12 = 0.0
             # the closed-form blocks against the orbit construction
             (result,) = rings.solve(f, gam, [lam])
-            for b, oracle in zip(result.blocks, orbit_block_pencil(f, gam)):
+            for b, oracle in zip(result.blocks, rings.block_pencils(f, gam)):
                 ref = oracle.matrix(lam)
                 i0 = 2 if b.label.nu == 0 else 1
                 e_block = np.sort(np.linalg.eigvalsh(b.hmatrix[i0:, i0:]))
@@ -268,11 +289,10 @@ def spectra_suite(rings: Rings) -> list[Check]:
             eigenvectors = rings.frame(bs.label) @ bs.coefficients
             for i, e in enumerate(bs.eigenvalues):
                 v = eigenvectors[:, i].conj()
-                worst_conj = max(worst_conj, float(
-                    np.linalg.norm(h @ v - e * v) / np.linalg.norm(v)))
+                worst_conj = max(worst_conj, _norm(h @ v - e * v) / _norm(v))
                 # membership in the mirror block's span
                 proj = frame @ (frame.conj().T @ v)
-                worst_conj = max(worst_conj, float(np.linalg.norm(proj - v)))
+                worst_conj = max(worst_conj, _norm(proj - v))
         checks.append(check("+-nu eigenvalue degeneracy", worst_pair, below=ORACLE_TOL, f=f))
         checks.append(check("conjugated eigenvectors lie in the mirror block",
                             worst_conj, below=1e-8, f=f))
@@ -440,11 +460,11 @@ def _eigenvector_checks(result: SpectrumResult, rings: Rings) -> list:
                 v = np.zeros(basis.size, dtype=complex)
                 for occ, c in coeffs.items():
                     v[basis.index[occ]] = c
-            norm = float(np.linalg.norm(v))
+            norm = _norm(v)
             if norm < 1e-12:
                 degenerate += 1
                 continue
-            worst = max(worst, float(np.linalg.norm(h @ v - E * v) / norm))
+            worst = max(worst, _norm(h @ v - E * v) / norm)
             tested += 1
         if tested == 0:
             checks.append(skip(formula.name, note="all selected states degenerate here",
@@ -506,6 +526,6 @@ def run_suites(names: list[str] | None = None) -> list[Check]:
     for name in names or ():
         if name not in SUITES and name != "all":
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    selected = list(SUITES) if not names or "all" in names else names
+    selected = list(SUITES) if not names or "all" in names else dict.fromkeys(names)
     rings = Rings()
     return [c for name in selected for c in SUITES[name](rings)]

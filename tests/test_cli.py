@@ -200,6 +200,21 @@ def test_sweeps_without_a_hard_step_leave_scipy_optimize_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+@pytest.mark.parametrize("argv", [("spectrum", "--f", "3", "--bogus"),
+                                  ("sweep", "--f", "3", "--format", "xml"), ()],
+                         ids=["unknown-flag", "bad-choice", "no-command"])
+def test_every_call_shares_one_parser_and_errs_alike(capsys, monkeypatch, argv):
+    first = run(capsys, *argv)
+
+    def refuse():
+        raise AssertionError("the parser was built again")
+    monkeypatch.setattr(qeslattice.cli, "build_parser", refuse)
+    assert run(capsys, *argv) == first
+    code, out, err = first
+    assert code == 1 and out == "" and err.startswith("usage: qeslattice")
+    assert err.count("\nerror: ") == 1
+
+
 @pytest.mark.parametrize("flag, value, shown", [
     ("--gamma", "nan", "nan"), ("--lambda", "inf", "inf"),
     ("--gamma", "nan", "gamma = nan is not a finite number"),
@@ -507,6 +522,15 @@ def test_verify_single_suite(tmp_path, capsys):
     assert all(r["pass"] for r in records)
     assert all({"check", "params", "residual", "pass"} <= set(r) for r in records)
     assert "8/8 checks passed" in err
+
+
+def test_a_repeated_suite_runs_once(tmp_path, capsys):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert run(capsys, "verify", "--suite", "charpoly", "--out", str(once))[0] == 0
+    code, out, err = run(capsys, "verify", "--suite", "charpoly", "--suite", "charpoly",
+                         "--out", str(twice))
+    assert (code, out, err) == (0, "", "8/8 checks passed\n")
+    assert twice.read_bytes() == once.read_bytes()
 
 
 def test_verify_failing_suite_exits_2_with_the_bound_on_its_fail_line(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qeslattice.reference import EIGENSTATE_FORMULAS
-from qeslattice.report import as_records, check, skip
+from qeslattice.report import Check, as_records, check, dumps, skip
 from qeslattice.suites import run_suites
 
 # the records that set their status themselves, besides skips
@@ -67,5 +68,31 @@ def test_every_suite_verdict_follows_its_bound():
 
 def test_the_records_of_a_full_run_need_no_json_fallback():
     # verify dumps them with no default=: a param json cannot encode raises
-    records = as_records(run_suites())
+    checks = run_suites()
+    records = as_records(checks)
     assert len(json.loads(json.dumps(records))) == len(records)
+    assert dumps(checks) == json.dumps(records, indent=2)
+
+
+NOTE = '"quoted", a back\\slash, a new\nline, non-ASCII \u03b5 \u6f22 \U0001f600 and %s %%'
+
+
+@pytest.mark.parametrize("checks", [
+    [],
+    [skip("a NaN residual is null", f=1)],
+    [check("an infinite residual", math.inf, above=0.0), check("and its negative", -math.inf,
+                                                               below=0.0, f=2)],
+    [Check(name="empty params"), check("after params", 0.5, below=1.0, f=3)],
+    [check("None and bool params", 0.0, below=1.0, none=None, yes=True, no=False)],
+    [check(NOTE, 1.0, above=0.0, note=NOTE, text=NOTE)],
+    [check("floats", -0.0, below=1.0, zero=-0.0, small=1e-05, large=1e16, tiny=5e-324,
+           whole=3.0, last=1.7976931348623157e308)],
+    [check("large ints", 10 ** 30, below=1, big=10 ** 40, negative=-2 ** 63 - 1)],
+    [Check(name="nested params", params={"grid": [0.0, [], {"f": 3, "tags": {}}],
+                                         "by": {"f": 3, "inner": {"nu": -1}}, "keys": {1: "one"},
+                                         "50%": "%d", "nan": math.nan, "sub": np.float64(0.1)})],
+], ids=["empty", "nan", "inf", "no-params", "literals", "text", "floats", "ints", "nested"])
+def test_the_writer_writes_the_text_of_json_dumps(checks):
+    # every record twice: the second fills the templates the first made
+    for run in (checks, checks + checks):
+        assert dumps(run) == json.dumps(as_records(run), indent=2)

@@ -268,14 +268,16 @@ def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
 
 
 def test_run_suites_builds_each_construction_once_per_run(monkeypatch):
-    # one run builds each ring's momentum pencils, dense pencils and block
-    # frames once (60, 47 and 89 builds when every suite built its own; 27
-    # frames by index arithmetic and 15 from orbit tables when two builders
-    # served them); the next run builds them all again, and no run's table
-    # outlives it
+    # one run builds each ring's momentum pencils, dense pencils, orbit table
+    # and block frames once (60, 47, 39 and 89 builds when every suite built
+    # its own), and each drive once for all gamma (25 builds when each dense
+    # pencil built its own); the next run builds them all again, and no
+    # run's table outlives it
     keys = {(momentum, "pencil_stacks"): lambda f, gamma: (f, gamma),
-            (ops, "hamiltonian_pencil"): lambda f, gamma, basis: (f, gamma, basis.sectors),
-            (ops, "build_momentum_vectors"): lambda f, label, basis: label}
+            (ops, "_h_bh"): lambda f, gamma, basis: (f, gamma, basis.sectors),
+            (ops, "_h_drive"): lambda f, basis: (f, basis.sectors),
+            (ops, "_orbits"): lambda basis: basis.f,
+            (ops._Orbits, "frame"): lambda orbits, nu, size: (orbits.f, nu)}
     builds = []
     for (home, name), key in keys.items():
         build = getattr(home, name)
@@ -283,7 +285,7 @@ def test_run_suites_builds_each_construction_once_per_run(monkeypatch):
         def counted(*args, _build=build, _name=name, _key=key):
             builds.append((_name, _key(*args)))
             return _build(*args)
-        for module in (algebra, momentum, ops, spectra, suites):
+        for module in (home, algebra, momentum, ops, spectra, suites):
             if getattr(module, name, None) is build:
                 monkeypatch.setattr(module, name, counted)
     tables = []
@@ -298,7 +300,8 @@ def test_run_suites_builds_each_construction_once_per_run(monkeypatch):
         assert not failures(run_suites())
         assert len(set(builds)) == len(builds)
         assert collections.Counter(name for name, _ in builds) == {
-            "pencil_stacks": 18, "hamiltonian_pencil": 25, "build_momentum_vectors": 29}
+            "pencil_stacks": 18, "_h_bh": 25, "_h_drive": 14, "_orbits": 8, "frame": 29}
+        assert sorted(f for name, f in builds if name == "_orbits") == list(range(1, 9))
     gc.collect()
     assert len(tables) == 2 and all(table() is None for table in tables)
 
@@ -308,7 +311,10 @@ def test_the_run_table_hands_out_one_read_only_copy_of_each_construction():
     (result,) = rings.solve(3, 3.0, [0.2])
     assert rings.solve(3, 3.0, [0.1, 0.2])[1] is result
     assert rings.pencil(3, 3.0) is rings.pencil(3, 3.0)
+    assert rings.pencil(3, 1.0)[1] is rings.pencil(3, 3.0)[1]
+    assert rings.pencil(3, 1.0, 3)[1] is rings.pencil(3, 3.0, 3)[1] is not rings.pencil(3, 3.0)[1]
     assert rings.stacks(3, 3.0) is rings.stacks(3, 3.0)
+    assert rings.orbits(3) is rings.orbits(3)
     arrays = [*rings.pencil(3, 3.0), *rings.pencil(3, 3.0, 3),
               *(rings.frame(label) for label in momentum_values(3))]
     arrays += [a for stack in rings.stacks(3, 3.0)
@@ -319,6 +325,24 @@ def test_the_run_table_hands_out_one_read_only_copy_of_each_construction():
     plain = solve_spectra(3, 3.0, [0.1, 0.2])
     assert all(np.array_equal(a.all_eigenvalues(), b.all_eigenvalues())
                for a, b in zip(plain, rings.solve(3, 3.0, [0.1, 0.2])))
+
+
+@pytest.mark.parametrize("f", range(1, 9))
+def test_the_run_table_gives_the_frames_and_pencils_of_the_public_builders(f):
+    # read off one orbit table per ring, bit for bit what the builders give
+    rings = suites.Rings()
+    basis = rings.basis(f)
+    for label in momentum_values(f):
+        assert rings.frame(label).tobytes() == build_momentum_vectors(f, label, basis).tobytes()
+    for gamma in (1.0, 3.0):
+        assert all(ours.tobytes() == theirs.tobytes()
+                   for pencil, oracle in zip(rings.block_pencils(f, gamma),
+                                             orbit_block_pencil(f, gamma), strict=True)
+                   for ours, theirs in ((pencil.b_bh, oracle.b_bh),
+                                        (pencil.b_drive, oracle.b_drive),
+                                        (pencil.quanta, oracle.quanta)))
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(rings.pencil(f, gamma), hamiltonian_pencil(f, gamma, basis)))
 
 
 def test_suites_carry_no_state_between_them():
