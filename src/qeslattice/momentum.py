@@ -66,9 +66,10 @@ the one place that turns a block at ``nu > 0`` into its mirror at ``-nu``
 rings, ``f/2``, which are their own mirrors.  Blocks of one dimension share
 one shape, so the distinct pencils come as at most three stacks, each
 stored as its blocks' fans, the ``O(d)`` entries listed above
-(:class:`PencilStack`), with the dense real ``(n_nu, d, d)`` pencils
-written from them once; a solve diagonalizes each stack with one batched
-real ``eigh``; an eigenvector ``u`` of ``B`` is the eigenvector
+(:class:`PencilStack`) and nothing else; a solve has
+:meth:`PencilStack.matrices` write the dense real ``B(lam)`` of the rows
+and couplings it needs from them and diagonalizes each stack with one
+batched real ``eigh``; an eigenvector ``u`` of ``B`` is the eigenvector
 ``P u`` of the orbit-frame block at ``nu`` and ``conj(P) u`` of the one at
 ``-nu``.  No occupation state, orbit table or dense ``H`` is built on this
 path.
@@ -84,7 +85,7 @@ from __future__ import annotations
 import cmath
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,11 +165,10 @@ class PencilStack:
     separation ``s``), ``hop[i, s]`` (``B_BH`` between the pairs ``s`` and
     ``s + 1``) and ``drive[i]`` (``B_drive`` from the one-quantum column to
     every other, the vacuum first); all rows share the column quanta
-    ``quanta``.  The dense ``(n_nu, d, d)`` stacks ``b_bh`` and ``b_drive``
-    are written from those fields once, when the stack is made, so no stack
-    holds an entry outside its fan or an asymmetric pair.  Every array is
-    read-only.  Each row also stands for the mirror block at ``-nu``
-    (:meth:`blocks_of`)."""
+    ``quanta``.  A stack holds ``O(d)`` entries a block and no dense
+    matrix: :meth:`matrices` writes ``B(lam)`` from the fields when a solve
+    asks for it.  Every array is read-only.  Each row also stands for the
+    mirror block at ``-nu`` (:meth:`blocks_of`)."""
 
     labels: tuple[MomentumLabel, ...]
     quanta: np.ndarray  # (d,)
@@ -177,32 +177,44 @@ class PencilStack:
     diag: np.ndarray  # (n_nu, n_pairs)
     hop: np.ndarray  # (n_nu, n_pairs - 1)
     drive: np.ndarray  # (n_nu, d - 1)
-    b_bh: np.ndarray = field(init=False, repr=False)  # (n_nu, d, d) float64
-    b_drive: np.ndarray = field(init=False, repr=False)  # (n_nu, d, d) float64
 
     def __post_init__(self) -> None:
-        n, d = self.phases.shape
-        one = d - 1 - self.diag.shape[1]  # the head's column: 1 after the vacuum, else 0
-        pairs = np.arange(one + 1, d)
-        others = np.arange(d) != one
-        b_bh, b_drive = np.zeros((n, d, d)), np.zeros((n, d, d))
-        b_bh[:, one, one] = self.head
-        b_bh[:, pairs, pairs] = self.diag
-        b_bh[:, pairs[1:], pairs[:-1]] = b_bh[:, pairs[:-1], pairs[1:]] = self.hop
-        b_drive[:, others, one] = b_drive[:, one, others] = self.drive
-        object.__setattr__(self, "b_bh", b_bh)
-        object.__setattr__(self, "b_drive", b_drive)
-        for array in (self.quanta, self.phases, self.head, self.diag, self.hop, self.drive,
-                      b_bh, b_drive):
+        for array in (self.quanta, self.phases, self.head, self.diag, self.hop, self.drive):
             array.setflags(write=False)
 
     def __getitem__(self, rows: slice) -> PencilStack:
         """The stack of the rows ``rows`` alone, its arrays views of these."""
         part = copy.copy(self)
         object.__setattr__(part, "labels", self.labels[rows])
-        for name in ("phases", "head", "diag", "hop", "drive", "b_bh", "b_drive"):
+        for name in ("phases", "head", "diag", "hop", "drive"):
             object.__setattr__(part, name, getattr(self, name)[rows])
         return part
+
+    def matrices(self, rows: int | slice | np.ndarray, lams: float | np.ndarray) -> np.ndarray:
+        """The dense ``B(lam)`` of the rows ``rows`` (any index of the
+        fields) at the couplings ``lams``, broadcast against each other, as
+        a new float64 array of shape ``(..., d, d)``.
+
+        Each entry is written with the arithmetic of ``B_BH + lam *
+        B_drive`` on the dense pair: ``x + lam * 0.0`` on a ``B_BH`` entry
+        ``x``, ``0.0 + lam * z`` on both sides of a drive entry ``z`` and
+        ``+0.0`` everywhere else, so every entry, signed zeros included, is
+        that sum's, and the matrices are exactly symmetric."""
+        lams = np.asarray(lams, dtype=float)[..., None]
+        head, diag, hop, drive = (a[rows] for a in (self.head, self.diag, self.hop, self.drive))
+        d = drive.shape[-1] + 1
+        one = d - 1 - diag.shape[-1]  # the head's column: 1 after the vacuum, else 0
+        zero, arm = lams * 0.0, 0.0 + lams * drive
+        head = head + zero[..., 0]  # of the broadcast shape
+        flat = np.zeros(head.shape + (d * d,))
+        m = flat.reshape(head.shape + (d, d))
+        first = (one + 1) * (d + 1)  # the diagonal of the pair s = 0
+        flat[..., one * (d + 1)] = head
+        flat[..., first::d + 1] = diag + zero
+        flat[..., first + 1::d + 1] = flat[..., first + d::d + 1] = hop + zero
+        m[..., one, :one] = m[..., :one, one] = arm[..., :one]
+        m[..., one, one + 1:] = m[..., one + 1:, one] = arm[..., one:]
+        return m
 
     def blocks_of(self, i: int) -> list[tuple[MomentumLabel, np.ndarray]]:
         """``(label, phases)`` of every block row ``i`` stands for: its own

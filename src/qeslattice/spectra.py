@@ -36,7 +36,7 @@ MAX_COUPLING = 1e3
 # the bytes of every call.
 MAX_SITES = 120
 # The one budget of every request: the bytes :func:`_admit` predicts a call
-# holds at its peak.  It admits a sweep of 414 couplings at f = 120.
+# holds at its peak.  It admits a sweep of 471 couplings at f = 120.
 MAX_BYTES = 32 << 20
 # The terms of :func:`_admit` beyond its float64 arrays, traced and rounded up:
 # a record (a block of a result or the result), a coupling's objects, and the
@@ -94,10 +94,11 @@ def _admit(f: int, n_points: int, keeps_vectors: bool, per_point: bool = False) 
     that is more than ``MAX_BYTES``, before any array is built.
 
     With ``d`` the dimensions of the distinct blocks ``nu >= 0``, ``S = sum
-    d^2`` and ``L = sum d``, a call holds ``2 S`` float64 pencil entries,
-    ``n_points L`` energies and ``n_points d_max^2`` matrix entries: one
-    block's matrices over the grid for ``eigvalsh``, or the matrices and
-    eigenvectors of half the grid for the ``eigh`` fallback of
+    d^2`` and ``L = sum d``, a call holds ``5 L`` float64 pencil entries (the
+    fans of :class:`~qeslattice.momentum.PencilStack`, complex phases
+    included), ``n_points L`` energies and ``n_points d_max^2`` matrix
+    entries: one block's matrices over the grid for ``eigvalsh``, or the
+    matrices and eigenvectors of half the grid for the ``eigh`` fallback of
     :func:`_certify` (``2 n_points S``, every block's matrices and
     eigenvectors at every coupling, with ``keeps_vectors``); ``f + 1``
     records per result (one, or one per coupling with ``keeps_vectors`` or
@@ -111,7 +112,7 @@ def _admit(f: int, n_points: int, keeps_vectors: bool, per_point: bool = False) 
     # nu = 0 is the largest block
     matrices = 2 * squares if keeps_vectors else (1 + per_point) * dims[0] ** 2
     records = (f + 1) * (n_points if keeps_vectors or per_point else 1)
-    predicted = (8 * (2 * squares + n_points * (sum(dims) + matrices)) + _RECORD_BYTES * records
+    predicted = (8 * (5 * sum(dims) + n_points * (sum(dims) + matrices)) + _RECORD_BYTES * records
                  + _POINT_BYTES * n_points + _FIXED_BYTES)
     if predicted > MAX_BYTES:
         raise ValueError(f"{n_points} couplings on f = {f} sites need about "
@@ -272,9 +273,10 @@ class SpectrumResult:
 def solve_spectra(f: int, gamma: float, lams: Iterable[float]) -> tuple[SpectrumResult, ...]:
     """The spectrum of one ring at each coupling of ``lams``, in that order.
 
-    The block pencils ``B_BH + lam * B_drive`` are built once; each stack of
-    equal-sized distinct blocks (``nu >= 0``) is then evaluated at every
-    coupling as one ``(n_lams, n_nu, d, d)`` array and diagonalized in one
+    The block pencils ``B_BH + lam * B_drive`` are built once, as fans; each
+    stack of equal-sized distinct blocks (``nu >= 0``) is then written at
+    every coupling as one ``(n_lams, n_nu, d, d)`` array
+    (:meth:`~qeslattice.momentum.PencilStack.matrices`) and diagonalized in one
     real :func:`eigh_checked` call.  ``eigh`` solves every matrix of a stack
     on its own, so a level does not depend on which other couplings it was
     solved with.  A block ``-nu`` shares the matrix, eigenvalues and real
@@ -299,7 +301,7 @@ def _spectra(stacks: Iterable[PencilStack], f: int, gamma: float, lams: list[flo
     ``lams`` that :func:`_checked` has read into ``grid``."""
     spectra: list[list[BlockSpectrum]] = [[] for _ in lams]
     for stack in stacks:
-        h = _read_only(stack.b_bh + grid[:, None, None, None] * stack.b_drive)
+        h = _read_only(stack.matrices(slice(None), grid[:, None]))
         w, v = map(_read_only, eigh_checked(h))
         blocks = [(i, label, phases) for i in range(len(stack.labels))
                   for label, phases in stack.blocks_of(i)]
@@ -465,8 +467,7 @@ def _certify(stack: PencilStack, lams: np.ndarray, energies: np.ndarray) -> None
     step = -(-n // 2)
     for start in range(0, rows.size, step):
         block, point = np.divmod(rows[start:start + step], n)
-        h = stack.b_drive[block] * lams[point, None, None]
-        h += stack.b_bh[block]
+        h = stack.matrices(block, lams[point])
         w = eigh_checked(h)[0]
         del h  # one chunk's matrices at a time
         if not np.max(np.abs(w - energies[block, point])) <= RESIDUAL_TOL:
@@ -476,17 +477,15 @@ def _certify(stack: PencilStack, lams: np.ndarray, energies: np.ndarray) -> None
 def _curves(stack: PencilStack, grid: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """The ascending levels ``(n_b, n_points, d)`` of a stack of fans over
     ``grid`` and each row's quanta tags at the first point (:func:`sweep`)."""
-    b_bh, b_drive = stack.b_bh, stack.b_drive
-    n_b, d = b_bh.shape[:2]
+    n_b, d = len(stack.labels), stack.quanta.size
     checked = grid.size if grid.size * n_b * d * d <= _EIGH_ENTRIES else 1
-    w, v = eigh_checked(b_bh + grid[:checked, None, None, None] * b_drive)
+    w, v = eigh_checked(stack.matrices(slice(None), grid[:checked, None]))
     tags = [quanta_tags(v[0, i], stack.quanta, w[0, i]) for i in range(n_b)]
     energies = np.empty((n_b, grid.size, d))
     energies[:, :checked] = w.swapaxes(0, 1)
     if checked < grid.size:
         for i, curves in enumerate(energies):
-            h = np.multiply.outer(grid[1:], b_drive[i])
-            h += b_bh[i]
+            h = stack.matrices(i, grid[1:])
             curves[1:] = np.linalg.eigvalsh(h)
             del h  # one block's matrices at a time
         _certify(stack, grid[1:], energies[:, 1:])
@@ -514,9 +513,9 @@ def sweep(f: int, gamma: float, lambdas: Iterable[float]) -> SweepResult:
     of pair columns and, at ``nu = 0``, to the vacuum, so the count costs
     ``O(d)`` per level (:func:`_count_below`).  Each stack is stored as its
     fans (:class:`~qeslattice.momentum.PencilStack`): the count reads those
-    entries, and the dense pencils of the ``eigh`` and ``eigvalsh`` calls
-    are written from them, so every ``B(lam)`` is exactly symmetric and
-    exactly zero outside its fan.
+    entries, and every dense ``B(lam)`` that ``eigh`` and ``eigvalsh`` see
+    is written from them when it is needed (``PencilStack.matrices``), so it
+    is exactly symmetric and exactly zero outside its fan.
 
     Only the one-quantum row and column of a block depend on ``lam``, so
     each block is an arrowhead matrix over the ``lam``-independent rest.

@@ -42,3 +42,12 @@ def refusal(n, f):
     couplings on a ring of ``f`` sites: the predicted and the allowed MB."""
     return (fr"{n} couplings on f = {f} sites need about (\d+\.\d\d|inf) MB, "
             fr"more than the {MAX_BYTES / 1e6:.2f} MB budget")
+
+
+def pencil_parts(stack):
+    """``(B_BH, B_drive)`` of every row of a ``momentum.PencilStack``, dense,
+    as ``(B(0), B(1) - B(0))`` of its writer.  Both are exact: the
+    difference is ``+0.0`` on every ``B_BH`` entry and ``drive`` on the
+    arm, and ``B(0)`` differs from ``B_BH`` only in the sign of a zero."""
+    b_bh = stack.matrices(slice(None), 0.0)
+    return b_bh, stack.matrices(slice(None), 1.0) - b_bh

@@ -593,3 +593,53 @@ def test_spectrum_deterministic_stdout(capsys):
     _, first, _ = run(capsys, "spectrum", "--f", "4", "--gamma", "3", "--lambda", "0.37")
     _, second, _ = run(capsys, "spectrum", "--f", "4", "--gamma", "3", "--lambda", "0.37")
     assert first == second
+
+
+# the levels where a zero keeps its sign: -0 at nu = 2 level 0 (gamma = 0
+# only) and at nu = +-1 level 1, which a pencil written without the
+# lam * 0.0 and 0.0 + lam * drive terms of B_BH + lam * B_drive prints as 0
+SIGNED_ZERO_SPECTRA = {
+    "0": (
+        "lambda,nu,level,n_tag,energy\n"
+        "-0,2,0,2,-0\n"
+        "-0,2,1,2,0\n"
+        "-0,2,2,2,0\n"
+        "-0,2,3,1,2\n"
+        "-0,1,0,2,-2\n"
+        "-0,1,1,1,-0\n"
+        "-0,1,2,2,2\n"
+        "-0,0,0,2,-4\n"
+        "-0,0,1,1,-2\n"
+        "-0,0,2,0,-3.67761376907e-16\n"
+        "-0,0,3,2,0\n"
+        "-0,0,4,2,4\n"
+        "-0,-1,0,2,-2\n"
+        "-0,-1,1,1,-0\n"
+        "-0,-1,2,2,2\n"
+    ),
+    "-0": (
+        "lambda,nu,level,n_tag,energy\n"
+        "-0,2,0,2,0\n"
+        "-0,2,1,2,0\n"
+        "-0,2,2,2,0\n"
+        "-0,2,3,1,2\n"
+        "-0,1,0,2,-2\n"
+        "-0,1,1,1,-0\n"
+        "-0,1,2,2,2\n"
+        "-0,0,0,2,-4\n"
+        "-0,0,1,1,-2\n"
+        "-0,0,2,0,-3.67761376907e-16\n"
+        "-0,0,3,2,0\n"
+        "-0,0,4,2,4\n"
+        "-0,-1,0,2,-2\n"
+        "-0,-1,1,1,-0\n"
+        "-0,-1,2,2,2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(SIGNED_ZERO_SPECTRA))
+def test_spectrum_keeps_the_sign_of_every_zero(capsys, gamma):
+    code, out, err = run(capsys, "spectrum", "--f", "4", "--gamma", gamma, "--lambda", "-0")
+    assert (code, err) == (0, "")
+    assert out == SIGNED_ZERO_SPECTRA[gamma]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from qeslattice.ops import (apply_hamiltonian, build_momentum_vectors, build_tra
                             hamiltonian_pencil, orbit_block_pencil, two_quanta_seed)
 from qeslattice.spectra import MAX_SITES, hermiticity_defect, solve_spectrum
 from qeslattice.suites import Rings, momentum_suite
+
+from oracles import pencil_parts
 
 SQRT2 = math.sqrt(2)
 
@@ -28,9 +31,9 @@ def block_map(f, gamma, lam):
 def pencil_rows(f, gamma):
     """``(label, quanta, b_bh, b_drive, phases)`` of every block, ``nu``
     descending: each row of :func:`pencil_stacks` and its mirror ``-nu``."""
-    rows = [(label, s.quanta, s.b_bh[i], s.b_drive[i], phases)
-            for s in pencil_stacks(f, gamma) for i in range(len(s.labels))
-            for label, phases in s.blocks_of(i)]
+    rows = [(label, s.quanta, b_bh[i], b_drive[i], phases)
+            for s in pencil_stacks(f, gamma) for b_bh, b_drive in [pencil_parts(s)]
+            for i in range(len(s.labels)) for label, phases in s.blocks_of(i)]
     return sorted(rows, key=lambda row: -row[0].nu)
 
 
@@ -468,7 +471,7 @@ def test_structured_blocks_match_the_orbit_pencil(f):
 def test_pencil_stacks_hold_one_block_shape_each(f):
     stacks = pencil_stacks(f, 3.0)
     assert len(stacks) <= 3
-    assert len({s.b_bh.shape[1:] for s in stacks}) == len(stacks)
+    assert len({s.quanta.size for s in stacks}) == len(stacks)
     # the distinct labels nu >= 0; with their mirrors -nu, every label once
     distinct = sorted((l for s in stacks for l in s.labels), key=lambda l: -l.nu)
     assert distinct == [l for l in momentum_values(f) if l.nu >= 0]
@@ -477,10 +480,23 @@ def test_pencil_stacks_hold_one_block_shape_each(f):
     assert not any(p.flags.writeable for _, p in named)
     for s in stacks:
         assert [l.nu for l in s.labels] == sorted((l.nu for l in s.labels), reverse=True)
-        assert s.b_bh.shape == s.b_drive.shape == (len(s.labels),) + (s.quanta.size,) * 2
+        b_bh, b_drive = pencil_parts(s)
+        assert b_bh.shape == b_drive.shape == (len(s.labels),) + (s.quanta.size,) * 2
         vacuum = s.labels[0].nu == 0
         pairs = s.quanta.size - 1 - vacuum
         assert list(s.quanta) == [0] * vacuum + [1] + [2] * pairs
+
+
+def test_pencil_stacks_hold_only_their_fans():
+    # O(d) entries a block: the largest ring's stacks hold no dense matrix
+    pencil_stacks(2, 3.0)  # warm imports outside the trace
+    tracemalloc.start()
+    try:
+        stacks = pencil_stacks(MAX_SITES, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stacks and peak < 0.5e6, peak
 
 
 def test_half_angle_roots_hold_the_full_angle_roots_bit_for_bit():
@@ -510,32 +526,41 @@ def test_k_pi_block_vanishes_exactly_on_its_s_ge_1_hops_and_odd_s_drive(f):
     assert np.all(drive[2::2] != 0.0)
 
 
+FAN_COUPLINGS = [0.0, -0.0, 0.3, -0.3, 1e-300, -1e-300, 1e3, -1e3]
+
+
 @pytest.mark.parametrize("f", range(1, MAX_SITES + 1))
-@pytest.mark.parametrize("gamma", [0.0, 3.0, -1.5])
+@pytest.mark.parametrize("gamma", [0.0, -0.0, 3.0, -1.5])
 def test_dense_pencils_are_the_fans_they_are_written_from(f, gamma):
-    # each dense entry is a field of the fan, or its mirror, down to the sign
-    # of a zero; every other entry is zero and every array read-only
+    # matrices writes each entry with the arithmetic of B_BH + lam * B_drive,
+    # down to the sign of a zero: x + lam * 0.0 on a B_BH fan entry x,
+    # 0.0 + lam * z on both sides of a drive entry z, +0.0 everywhere else;
+    # one block's grid and paired (row, coupling) calls write the same bytes
     def identical(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    lams = np.array(FAN_COUPLINGS)
     for s in pencil_stacks(f, gamma):
-        arrays = (s.quanta, s.phases, s.head, s.diag, s.hop, s.drive, s.b_bh, s.b_drive)
+        arrays = (s.quanta, s.phases, s.head, s.diag, s.hop, s.drive)
         assert not any(a.flags.writeable for a in arrays)
-        d = s.quanta.size
+        n, d = len(s.labels), s.quanta.size
         head = int(np.flatnonzero(s.quanta == 1)[0])
         pairs = np.flatnonzero(s.quanta == 2)
         others = np.flatnonzero(s.quanta != 1)  # the vacuum first, then the pairs
-        for b in (s.b_bh, s.b_drive):
-            assert b.shape == (len(s.labels), d, d) and b.dtype == np.float64
-            assert identical(b, np.ascontiguousarray(b.swapaxes(1, 2)))
-        assert identical(s.b_bh[:, head, head], s.head)
-        assert identical(s.b_bh[:, pairs, pairs], s.diag)
-        assert identical(s.b_bh[:, pairs[:-1], pairs[1:]], s.hop)
-        assert identical(s.b_drive[:, head, others], s.drive)
-        fan_bh = np.zeros((d, d), dtype=bool)
-        fan_bh[head, head] = True
-        fan_bh[pairs, pairs] = True
-        fan_bh[pairs[:-1], pairs[1:]] = fan_bh[pairs[1:], pairs[:-1]] = True
-        fan_drive = np.zeros((d, d), dtype=bool)
-        fan_drive[head, others] = fan_drive[others, head] = True
-        assert not s.b_bh[:, ~fan_bh].any() and not s.b_drive[:, ~fan_drive].any()
+        fan = np.zeros((d, d), dtype=bool)
+        fan[head, head] = fan[head, others] = fan[others, head] = True
+        fan[pairs, pairs] = fan[pairs[:-1], pairs[1:]] = fan[pairs[1:], pairs[:-1]] = True
+        b = s.matrices(slice(None), lams[:, None])
+        assert b.shape == (lams.size, n, d, d) and b.dtype == np.float64
+        assert identical(b, np.ascontiguousarray(b.swapaxes(-1, -2)))
+        for lam, m in zip(lams, b):
+            zero = lam * 0.0
+            assert identical(m[:, head, head], s.head + zero)
+            assert identical(m[:, pairs, pairs], s.diag + zero)
+            assert identical(m[:, pairs[:-1], pairs[1:]], s.hop + zero)
+            assert identical(m[:, head, others], 0.0 + lam * s.drive)
+            assert identical(m[:, ~fan], np.zeros((n, np.count_nonzero(~fan))))
+        for i in range(n):
+            assert identical(s.matrices(i, lams), np.ascontiguousarray(b[:, i]))
+        rows, points = np.divmod(np.arange(n * lams.size), lams.size)
+        assert identical(s.matrices(rows, lams[points]), b[points, rows])

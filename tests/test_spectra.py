@@ -23,7 +23,7 @@ from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, eigh_checked, quanta_ta
 from qeslattice.report import as_records, failures
 from qeslattice.suites import run_suites, verify_eigenvector_formulas
 
-from oracles import largest_admitted, quanta_tag, refusal
+from oracles import largest_admitted, pencil_parts, quanta_tag, refusal
 
 TABLE_TOL = 1.5e-3
 
@@ -108,8 +108,8 @@ def test_eigh_checked_memory_stays_below_twice_the_stack():
     # the (25, 30, 62, 62) stack of solve_spectra(120, 3.0, 25 couplings),
     # 23.1 MB: its checks go a chunk at a time, so next to the eigenvectors
     # only a chunk's temporaries are held
-    stack = max(pencil_stacks(120, 3.0), key=lambda s: s.b_bh.size)
-    h = stack.b_bh + np.linspace(0.0, 0.48, 25)[:, None, None, None] * stack.b_drive
+    stack = max(pencil_stacks(120, 3.0), key=lambda s: len(s.labels) * s.quanta.size ** 2)
+    h = stack.matrices(slice(None), np.linspace(0.0, 0.48, 25)[:, None])
     assert h.shape == (25, 30, 62, 62)
     eigh_checked(h[:1])  # warm imports outside the trace
     tracemalloc.start()
@@ -318,7 +318,8 @@ def test_the_run_table_hands_out_one_read_only_copy_of_each_construction():
     arrays = [*rings.pencil(3, 3.0), *rings.pencil(3, 3.0, 3),
               *(rings.frame(label) for label in momentum_values(3))]
     arrays += [a for stack in rings.stacks(3, 3.0)
-               for a in (stack.quanta, stack.b_bh, stack.b_drive, stack.phases)]
+               for a in (stack.quanta, stack.phases, stack.head, stack.diag, stack.hop,
+                         stack.drive)]
     arrays += [a for block in result.blocks
                for a in (block.matrix, block.phases, block.quanta, block.eigenvalues, block.u)]
     assert not any(a.flags.writeable for a in arrays)
@@ -673,10 +674,11 @@ def test_coupled_part_reads_the_k_pi_pencil_off_its_entries(f):
     stack = k_pi_stack(f)
     coupled = spectra._coupled_part(stack)
     assert coupled.labels == stack.labels[:1] and coupled.quanta.tolist() == [1, 2, 2]
-    assert coupled.b_bh[0].tolist() == [[2.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 0.0]]
+    b_bh, b_drive = pencil_parts(coupled)
+    assert b_bh[0].tolist() == [[2.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 0.0]]
     norm = np.linalg.norm(stack.drive[0, 1:])
-    assert coupled.b_drive[0].tolist() == [[0.0, -math.sqrt(2), norm], [-math.sqrt(2), 0.0, 0.0],
-                                           [norm, 0.0, 0.0]]
+    assert b_drive[0].tolist() == [[0.0, -math.sqrt(2), norm], [-math.sqrt(2), 0.0, 0.0],
+                                   [norm, 0.0, 0.0]]
 
 
 @pytest.mark.parametrize("f", [4, 6, 20, 48, 120])
@@ -705,8 +707,8 @@ def fans(f, gamma):
 
 def eigvalsh_levels(stack, points):
     """The ``(n_b, n, d)`` levels of a stack of fans over ``points``."""
-    return np.linalg.eigvalsh(stack.b_bh[:, None]
-                              + points[None, :, None, None] * stack.b_drive[:, None])
+    b_bh, b_drive = pencil_parts(stack)
+    return np.linalg.eigvalsh(b_bh[:, None] + points[None, :, None, None] * b_drive[:, None])
 
 
 @pytest.mark.parametrize("f", [1, 2, 4, 15, 16, 48])
@@ -732,7 +734,7 @@ def test_a_stack_row_is_a_view_of_the_stack():
     stack = k_pi_stack(12)
     rest = stack[1:]
     assert rest.labels == stack.labels[1:]
-    for name in ("phases", "head", "diag", "hop", "drive", "b_bh", "b_drive"):
+    for name in ("phases", "head", "diag", "hop", "drive"):
         part, whole = getattr(rest, name), getattr(stack, name)
         assert np.shares_memory(part, whole) and np.array_equal(part, whole[1:])
         assert not part.flags.writeable
