@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import stat
 import sys
@@ -29,8 +28,11 @@ from .spectra import MAX_SITES, _admit, _sweep_each, sweep
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
-# Levels the CSV writer turns into Python floats at a time (2 MB of them).
+# Levels the level writer turns into Python floats at a time (2 MB of them).
 _EMIT_LEVELS = 1 << 16
+# Where the level templates cut between blocks and put the coupling: no text
+# written holds either character.
+_CUT, _LAM = "\0", "\1"
 # Flags that take a value.  argparse reads a value such as "-1e2" or
 # "-0.1:0:0.05" as a flag, so it is joined to its flag first ("--gamma=-1e2").
 _VALUED = ("--f", "--gamma", "--lambda", "--format", "--out", "--suite")
@@ -93,8 +95,9 @@ def _output(path: str | None):
 
     The file is opened before any work, so an unwritable path fails at once,
     but truncated only when the function is called, once the work is done.
-    A run that fails with an exception removes the file if it created it and
-    otherwise leaves it as it found it, up to what it had written."""
+    A run that fails or is interrupted (``KeyboardInterrupt`` included)
+    removes the file if it created it and otherwise leaves it as it found
+    it, up to what it had written."""
     if not path:
         yield lambda: sys.stdout
         return
@@ -108,46 +111,88 @@ def _output(path: str | None):
     try:
         with fh:
             yield stream
-    except Exception:
+    except BaseException:
         if created:
             os.remove(path)
         raise
 
 
+def _layout(result, as_json: bool, band: bool) -> tuple[str, list, list]:
+    """The ``%``-template of one grid point of ``result``, the blocks it
+    formats, and the plan of its output blocks.
+
+    The template holds the rows of each formatted block, one piece per
+    block cut at ``_CUT``, with ``_LAM`` where the coupling goes.  A block
+    is formatted unless its ``energies`` is the very array of an earlier
+    block with the same tags (``-nu`` of ``nu`` in a sweep): its text is
+    then that block's with the ``nu`` cell (and in JSON the ``k`` cell)
+    rewritten.  Each plan entry is ``(piece, old, new)``: the piece, and the
+    cells to rewrite in it, ``None`` for none."""
+    if as_json:
+        def cell(nu: int) -> str:
+            return f'\n    "nu": {nu},\n    "k": {float(_fmt(2.0 * np.pi * nu / result.f))!r},'
+        head = (f',\n  {{\n    "f": {result.f},\n    "gamma": {float(_fmt(result.gamma))!r},'
+                f'\n    "lambda": {_LAM},')
+        body, end = '\n    "level": {},\n    "n_tag": {},\n    "energy": %r', "\n  }"
+        flags = (',\n    "band": true', ',\n    "band": false')
+    else:
+        def cell(nu: int) -> str:
+            return f",{nu},"
+        head, body, end, flags = "\n" + _LAM, "{},{},%.12g", "", (",true", ",false")
+    sources: dict = {}  # id of an energies array -> the piece of its first block
+    formatted, plan = [], []
+    for bs in result.blocks:
+        piece = sources.get(id(bs.energies))
+        if piece is not None and formatted[piece].tags == bs.tags:
+            plan.append((piece, cell(formatted[piece].label.nu), cell(bs.label.nu)))
+        else:
+            sources.setdefault(id(bs.energies), len(formatted))
+            plan.append((len(formatted), None, None))
+            formatted.append(bs)
+    template = _CUT.join("".join(head + cell(bs.label.nu) + body.format(level, tag)
+                                 + (flags[level != 0] if band else "") + end
+                                 for level, tag in enumerate(bs.tags))
+                         for bs in formatted)
+    return template, formatted, plan
+
+
 def _emit(results, fmt: str, out, band: bool) -> None:
     """Write the rows of every grid point of the sweeps ``results`` to
-    ``out``; with ``band`` each block flags its level 0, its lowest.  The
-    CSV fills one ``%``-template per sweep at each coupling; the JSON is the
-    text of ``json.dumps(records, indent=2)``, one block of records at a
-    time (a block's list, dumped alike, holds the same text in brackets)."""
-    if fmt == "json":
-        sep = "[\n"
-        for result in results:
-            for j, lam in enumerate(result.lambdas.tolist()):
-                for bs in result.blocks:
-                    common = {"f": result.f, "gamma": float(_fmt(result.gamma)),
-                              "lambda": float(_fmt(lam)), "nu": bs.label.nu,
-                              "k": float(_fmt(2.0 * np.pi * bs.label.nu / result.f))}
-                    records = [dict(common, level=level, n_tag=tag, energy=float(_fmt(energy)),
-                                    **({"band": level == 0} if band else {}))
-                               for level, (tag, energy)
-                               in enumerate(zip(bs.tags, bs.energies[j].tolist()))]
-                    out.write(sep + json.dumps(records, indent=2)[2:-2])
-                    sep = ",\n"
-        out.write("\n]\n")
-        return
-    out.write("lambda,nu,level,n_tag,energy" + (",band" if band else "") + "\n")
+    ``out``, as CSV or as the text of ``json.dumps(records, indent=2)``;
+    with ``band`` each block flags its level 0, its lowest.
+
+    Each sweep fills one ``%``-template (:func:`_layout`) per grid point
+    over the blocks it formats, and puts the coupling's text in once per
+    point; a mirror block is the text of its source block with the ``nu``
+    cell rewritten by ``str.replace``, anchored at each row's start in CSV
+    and at the ``nu`` and ``k`` lines, unique to a record, in JSON.  A JSON
+    number is ``float("%.12g" % x)`` as ``json.dumps`` writes it, its
+    ``repr``.  The writer holds at most ``_EMIT_LEVELS`` levels as Python
+    floats, and the text of one grid point, at a time."""
+    as_json = fmt == "json"
+    out.write("[" if as_json else "lambda,nu,level,n_tag,energy" + (",band" if band else ""))
+    lead = as_json  # the first JSON record loses the comma before it
     for result in results:
-        template = "".join(f"%s,{bs.label.nu},{level},{tag},%.12g"
-                           + ((",true" if level == 0 else ",false") if band else "") + "\n"
-                           for bs in result.blocks for level, tag in enumerate(bs.tags))
-        step = max(1, _EMIT_LEVELS // sum(len(bs.tags) for bs in result.blocks))
+        template, formatted, plan = _layout(result, as_json, band)
+        n = sum(len(bs.tags) for bs in formatted)
+        rounding = _CUT.join(["%.12g"] * n)
+        step = max(1, _EMIT_LEVELS // n)
         for i in range(0, result.lambdas.size, step):
-            table = np.hstack([bs.energies[i:i + step] for bs in result.blocks]).tolist()
+            table = np.hstack([bs.energies[i:i + step] for bs in formatted]).tolist()
             for lam, energies in zip(result.lambdas[i:i + step].tolist(), table):
-                cells = [_fmt(lam)] * (2 * len(energies))
-                cells[1::2] = energies
-                out.write(template % tuple(cells))
+                lam = _fmt(lam)
+                if as_json:
+                    lam = repr(float(lam))
+                    energies = map(float, (rounding % tuple(energies)).split(_CUT))
+                pieces = (template % tuple(energies)).replace(_LAM, lam).split(_CUT)
+                at = "" if as_json else "\n" + lam
+                parts = [pieces[p] if old is None else pieces[p].replace(at + old, at + new)
+                         for p, old, new in plan]
+                if lead:
+                    parts[0], lead = parts[0][1:], False
+                out.writelines(parts)
+                del pieces, parts  # one grid point's text at a time
+    out.write("\n]\n" if as_json else "\n")
 
 
 def cmd_levels(args) -> int:

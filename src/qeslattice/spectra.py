@@ -41,7 +41,8 @@ MAX_BYTES = 32 << 20
 # The terms of :func:`_admit` beyond its float64 arrays, traced and rounded up:
 # a record (a block of a result or the result), a coupling's objects, and the
 # bounded temporaries of the `eigh_checked` checks, of the inertia counts of
-# `sweep` and of the CLI's CSV writer.
+# `sweep` and of the CLI's level writer, CSV or JSON (the floats of a chunk
+# and the text of one grid point).
 _RECORD_BYTES = 448
 _POINT_BYTES = 64
 _FIXED_BYTES = 4 << 20
@@ -102,8 +103,9 @@ def _admit(f: int, n_points: int, keeps_vectors: bool, per_point: bool = False) 
     :func:`_certify` (``2 n_points S``, every block's matrices and
     eigenvectors at every coupling, with ``keeps_vectors``); ``f + 1``
     records per result (one, or one per coupling with ``keeps_vectors`` or
-    ``per_point``); ``_POINT_BYTES`` per coupling; ``_FIXED_BYTES``.
-    ``per_point`` is ``figure2``, one one-point sweep and one result per
+    ``per_point``); ``_POINT_BYTES`` per coupling; ``_FIXED_BYTES`` for the
+    bounded temporaries, those of the CLI's level writer in CSV and JSON
+    alike.  ``per_point`` is ``figure2``, one one-point sweep and one result per
     coupling: its sweeps take the ``eigh`` path, and it is bounded as that
     path over the whole grid, one block's matrices and eigenvectors at
     every coupling (``2 n_points d_max^2``)."""

@@ -1,20 +1,24 @@
 import errno
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qeslattice
-from qeslattice.cli import _grid, _parse_lambda, main
-from qeslattice.spectra import MAX_SITES, quanta_tags, solve_spectrum, sweep
+from qeslattice.cli import _emit, _grid, _layout, _parse_lambda, main
+from qeslattice.momentum import MomentumLabel
+from qeslattice.spectra import (_FIXED_BYTES, MAX_SITES, BlockSweep, SweepResult, _sweep_each,
+                                quanta_tags, solve_spectrum, sweep)
 
-from oracles import largest_admitted, refusal
+from oracles import emit, largest_admitted, refusal
 
 
 def run(capsys, *argv):
@@ -299,6 +303,22 @@ def test_out_file_that_existed_is_kept_by_a_failed_run(tmp_path, capsys):
     assert path.read_text() == run(capsys, "spectrum", "--f", "3")[1]
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_out_file_of_an_interrupted_run_is_removed_if_the_run_made_it(tmp_path, monkeypatch,
+                                                                      existed):
+    # a Ctrl-C during the work propagates, and takes the file it created with it
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(qeslattice.cli, "sweep", interrupt)
+    path = tmp_path / "out.csv"
+    old = "an earlier result\n" * 1000
+    if existed:
+        path.write_text(old)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--f", "3", "--lambda", "0:0.5:0.1", "--out", str(path)])
+    assert path.read_text() == old if existed else not path.exists()
+
+
 def test_closed_stdout_is_an_error_line(capsys, monkeypatch):
     class Closed:
         def write(self, text):
@@ -381,6 +401,119 @@ def test_csv_templates_write_each_row_as_formatted_alone(tmp_path, capsys):
                               quanta_tags(bs.coefficients, bs.quanta, bs.eigenvalues),
                               int(np.argmin(bs.eigenvalues))) for bs in blocks]))
     assert out.read_text() == reference_csv(groups, with_band=True)
+
+
+# ---------------------------------------------------------------- level writer
+
+def written(writer, results, fmt, band):
+    out = io.StringIO()
+    writer(results, fmt, out, band)
+    return out.getvalue()
+
+
+def oracle_text(command, f, gamma, lam, fmt):
+    """What the writer of ``oracles.emit`` writes for a ``spectrum``,
+    ``sweep`` or ``figure2`` call."""
+    band = command == "figure2"
+    lams = _parse_lambda(lam)
+    results = _sweep_each(f, gamma, lams) if band else [sweep(f, gamma, lams)]
+    return written(emit, results, fmt, band)
+
+
+LEVEL_GRIDS = {"spectrum": "0.3", "sweep": "0:0.2:0.05", "figure2": "0:0.5:0.5"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("f", [1, 2, 3, 4, 15, 16])
+@pytest.mark.parametrize("command", sorted(LEVEL_GRIDS))
+def test_level_writer_writes_the_bytes_of_the_oracle(capsys, command, f, fmt):
+    lam = LEVEL_GRIDS[command]
+    code, out, err = run(capsys, command, "--f", str(f), "--lambda", lam, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == oracle_text(command, f, 3.0, lam, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command, f, gamma, lam", [
+    ("spectrum", 4, "3", "-0"), ("spectrum", 4, "0", "-0"), ("spectrum", 4, "-0.0", "-0"),
+    ("figure2", 4, "-0.0", "-0:0.5:0.5"),
+    ("sweep", 3, "3", "-0.5:0.5:0.001"),  # the inertia count's eigh fallback
+], ids=["spectrum-gamma3", "spectrum-gamma0", "spectrum-gamma-0", "figure2-gamma-0", "fallback"])
+def test_level_writer_keeps_signed_zeros_and_the_fallback_grid(capsys, command, f, gamma, lam,
+                                                                fmt):
+    code, out, err = run(capsys, command, "--f", str(f), "--gamma", gamma, "--lambda", lam,
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == oracle_text(command, f, float(gamma), lam, fmt)
+
+
+def hand_built(minus_one, minus_two_tags=(1, 0)):
+    """A two-point result on f = 5 with blocks 2, 1, 0, -1, -2: block -1
+    holds ``minus_one(energies of block 1)``, block -2 the very array of
+    block 2 with the tags ``minus_two_tags``."""
+    rng = np.random.default_rng(5)
+    two, one, zero = (np.sort(rng.normal(size=(2, d)), axis=1) for d in (2, 3, 3))
+    blocks = [(2, two, (1, 0)), (1, one, (1, 2, 2)), (0, zero, (0, 1, 2)),
+              (-1, minus_one(one), (1, 2, 2)), (-2, two, minus_two_tags)]
+    return SweepResult(f=5, gamma=3.0, lambdas=np.array([-0.0, 0.25]),
+                       blocks=tuple(BlockSweep(label=MomentumLabel(5, nu), energies=e, tags=tags)
+                                    for nu, e, tags in blocks))
+
+
+@pytest.mark.parametrize("band", [False, True], ids=["levels", "band"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case, formatted", [
+    ("shared", [2, 1, 0]),
+    ("copy", [2, 1, 0, -1]),
+    ("different", [2, 1, 0, -1]),
+    ("shared, other tags", [2, 1, 0, -2]),
+])
+def test_level_writer_copies_only_a_block_that_shares_array_and_tags(case, formatted, fmt, band):
+    minus_one = {"copy": np.copy, "different": lambda e: e + 1.0}.get(case, lambda e: e)
+    result = hand_built(minus_one, (0, 1) if case == "shared, other tags" else (1, 0))
+    assert [bs.label.nu for bs in _layout(result, fmt == "json", band)[1]] == formatted
+    assert written(_emit, [result], fmt, band) == written(emit, [result], fmt, band)
+
+
+@pytest.mark.parametrize("f", [1, 2, 15, 16])
+def test_a_sweep_formats_its_blocks_nu_ge_0_only(f):
+    result = sweep(f, 3.0, [0.0, 0.1])
+    assert [bs.label.nu for bs in _layout(result, False, False)[1]] == list(range(f // 2, -1, -1))
+
+
+JSON_NUMBERS = [-0.0, 0.0, 3.0, 1e-05, 1e12, 1e16, 5e-324, 123456789012.5, -2.5e-17]
+
+
+def test_json_numbers_are_the_json_dumps_text_of_the_rounded_value():
+    # not the %.12g text: "3" is "3.0", "1e+12" is "1000000000000.0"
+    numbers = np.array(JSON_NUMBERS)
+    result = SweepResult(f=3, gamma=1e12, lambdas=numbers,
+                         blocks=(BlockSweep(label=MomentumLabel(3, 1), energies=numbers[:, None],
+                                            tags=(0,)),))
+    text = written(_emit, [result], "json", False)
+    expected = [json.dumps(float(f"{x:.12g}")) for x in JSON_NUMBERS]
+    assert re.findall(r'"lambda": (.*),\n', text) == expected
+    assert re.findall(r'"energy": (.*)\n', text) == expected
+    assert re.findall(r'"gamma": (.*),\n', text) == ["1000000000000.0"] * len(JSON_NUMBERS)
+    assert expected != [f"{x:.12g}" for x in JSON_NUMBERS]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["sweep", "figure2"])
+def test_level_writer_memory_stays_below_its_fixed_share(command, fmt):
+    # the writer's own peak at the largest ring, its result built outside
+    # the trace: one grid point's text and the floats of one chunk
+    band = command == "figure2"
+    results = (_sweep_each(MAX_SITES, 3.0, [0.5]) if band
+               else [sweep(MAX_SITES, 3.0, [0.0, 0.1, 0.2])])
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            _emit(results, fmt, sink, band)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < _FIXED_BYTES
 
 
 # ---------------------------------------------------------------- sweep
