@@ -117,9 +117,10 @@ def _output(path: str | None):
         raise
 
 
-def _layout(result, as_json: bool, band: bool) -> tuple[str, list, list]:
+def _layout(result, as_json: bool, band: bool,
+            known: dict | None = None) -> tuple[str, list, list, dict]:
     """The ``%``-template of one grid point of ``result``, the blocks it
-    formats, and the plan of its output blocks.
+    formats, the plan of its output blocks, and the template's pieces.
 
     The template holds the rows of each formatted block, one piece per
     block cut at ``_CUT``, with ``_LAM`` where the coupling goes.  A block
@@ -127,7 +128,10 @@ def _layout(result, as_json: bool, band: bool) -> tuple[str, list, list]:
     block with the same tags (``-nu`` of ``nu`` in a sweep): its text is
     then that block's with the ``nu`` cell (and in JSON the ``k`` cell)
     rewritten.  Each plan entry is ``(piece, old, new)``: the piece, and the
-    cells to rewrite in it, ``None`` for none."""
+    cells to rewrite in it, ``None`` for none.  The pieces come back keyed
+    by the ring's and coupling's head text, ``nu`` and tags; a piece whose
+    key is in ``known`` (the pieces of the previous result) is taken from
+    it, not written again."""
     if as_json:
         def cell(nu: int) -> str:
             return f'\n    "nu": {nu},\n    "k": {float(_fmt(2.0 * np.pi * nu / result.f))!r},'
@@ -149,11 +153,18 @@ def _layout(result, as_json: bool, band: bool) -> tuple[str, list, list]:
             sources.setdefault(id(bs.energies), len(formatted))
             plan.append((len(formatted), None, None))
             formatted.append(bs)
-    template = _CUT.join("".join(head + cell(bs.label.nu) + body.format(level, tag)
-                                 + (flags[level != 0] if band else "") + end
-                                 for level, tag in enumerate(bs.tags))
-                         for bs in formatted)
-    return template, formatted, plan
+    known = known or {}
+    pieces, texts = {}, []
+    for bs in formatted:
+        key = (head, bs.label.nu, bs.tags)
+        text = known.get(key)
+        if text is None:
+            text = "".join(head + cell(bs.label.nu) + body.format(level, tag)
+                           + (flags[level != 0] if band else "") + end
+                           for level, tag in enumerate(bs.tags))
+        pieces[key] = text
+        texts.append(text)
+    return _CUT.join(texts), formatted, plan, pieces
 
 
 def _emit(results, fmt: str, out, band: bool) -> None:
@@ -172,8 +183,9 @@ def _emit(results, fmt: str, out, band: bool) -> None:
     as_json = fmt == "json"
     out.write("[" if as_json else "lambda,nu,level,n_tag,energy" + (",band" if band else ""))
     lead = as_json  # the first JSON record loses the comma before it
+    known: dict = {}  # the previous result's pieces
     for result in results:
-        template, formatted, plan = _layout(result, as_json, band)
+        template, formatted, plan, known = _layout(result, as_json, band, known)
         n = sum(len(bs.tags) for bs in formatted)
         rounding = _CUT.join(["%.12g"] * n)
         step = max(1, _EMIT_LEVELS // n)

@@ -60,13 +60,16 @@ reversal) commutes with it and maps the block at ``nu`` onto the block at
 the orbit-frame block at ``-nu`` is the conjugate of the one at ``nu``, and
 in the centre-of-mass gauge both are the same real matrix ``B``, with column
 phases ``P`` at ``nu`` and ``conj(P)`` at ``-nu``.  Only the ``floor(f/2) + 1``
-labels ``nu >= 0`` are therefore built; :meth:`PencilStack.blocks_of` is
-the one place that turns a block at ``nu > 0`` into its mirror at ``-nu``
-(same arrays, conjugate phases), for every ``nu`` but ``0`` and, on even
-rings, ``f/2``, which are their own mirrors.  Blocks of one dimension share
-one shape, so the distinct pencils come as at most three stacks, each
-stored as its blocks' fans, the ``O(d)`` entries listed above
-(:class:`PencilStack`) and nothing else; a solve has
+labels ``nu >= 0`` are therefore built; a stack makes the mirror at
+``-nu`` of each block at ``nu > 0`` once, when it is made (same arrays,
+conjugate phases, ``PencilStack.blocks``), for every ``nu`` but ``0`` and,
+on even rings, ``f/2``, which are their own mirrors.  Blocks of one
+dimension share one shape, so the distinct pencils come as at most three
+stacks, each stored as its blocks' fans, the ``O(d)`` entries listed above
+(:class:`PencilStack`) and nothing else.  Of all this only the diagonal
+``-gamma`` of the doubly occupied pair depends on ``gamma``: the rest is
+built once per ring size and process, and :func:`pencil_stacks` copies
+and shifts that one column per call.  A solve has
 :meth:`PencilStack.matrices` write the dense real ``B(lam)`` of the rows
 and couplings it needs from them and diagonalizes each stack with one
 batched real ``eigh``; an eigenvector ``u`` of ``B`` is the eigenvector
@@ -83,14 +86,20 @@ are in :mod:`~qeslattice.ops`, which nothing here imports.
 from __future__ import annotations
 
 import cmath
-import copy
+import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 GRAM_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
+# Largest accepted ring: the largest that the tests and CI run end to end.  A
+# solve builds no array over the D = (f+1)(f+2)/2 states, and `spectra._admit`
+# bounds the bytes of every call.  The gamma-free pencils of the rings up to
+# this size are kept for the process (`pencil_stacks`).
+MAX_SITES = 120
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,13 @@ class PencilStack:
     ``quanta``.  A stack holds ``O(d)`` entries a block and no dense
     matrix: :meth:`matrices` writes ``B(lam)`` from the fields when a solve
     asks for it.  Every array is read-only.  Each row also stands for the
-    mirror block at ``-nu`` (:meth:`blocks_of`)."""
+    mirror block at ``-nu``: ``blocks[i]``, made with the stack, holds the
+    ``(label, phases)`` of each block row ``i`` stands for
+    (:meth:`blocks_of`).
+
+    Only ``diag[:, 0]`` depends on ``gamma``: the stacks of
+    :func:`pencil_stacks` share every other field, the labels and
+    ``blocks`` included, with the ring's other couplings."""
 
     labels: tuple[MomentumLabel, ...]
     quanta: np.ndarray  # (d,)
@@ -177,17 +192,37 @@ class PencilStack:
     diag: np.ndarray  # (n_nu, n_pairs)
     hop: np.ndarray  # (n_nu, n_pairs - 1)
     drive: np.ndarray  # (n_nu, d - 1)
+    blocks: tuple[tuple[tuple[MomentumLabel, np.ndarray], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for array in (self.quanta, self.phases, self.head, self.diag, self.hop, self.drive):
             array.setflags(write=False)
+        mirror = self.phases.conj()
+        mirror.setflags(write=False)
+        object.__setattr__(self, "blocks", tuple(
+            ((label, phases), (MomentumLabel(f=label.f, nu=-label.nu), conj))
+            if 0 < 2 * label.nu < label.f else ((label, phases),)
+            for label, phases, conj in zip(self.labels, self.phases, mirror)))
 
     def __getitem__(self, rows: slice) -> PencilStack:
         """The stack of the rows ``rows`` alone, its arrays views of these."""
-        part = copy.copy(self)
-        object.__setattr__(part, "labels", self.labels[rows])
-        for name in ("phases", "head", "diag", "hop", "drive"):
-            object.__setattr__(part, name, getattr(self, name)[rows])
+        return self._with(**{name: getattr(self, name)[rows] for name in
+                             ("labels", "phases", "head", "diag", "hop", "drive", "blocks")})
+
+    def shifted(self, gamma: float) -> PencilStack:
+        """This stack with ``gamma`` subtracted from ``diag[:, 0]``, the pair
+        at separation ``0``, in a new array; every other field is shared."""
+        diag = self.diag.copy()
+        diag[:, 0] -= float(gamma)
+        diag.setflags(write=False)
+        return self._with(diag=diag)
+
+    def _with(self, **fields) -> PencilStack:
+        """A copy of this stack with ``fields`` replaced, the other fields
+        shared; nothing is rebuilt."""
+        part = object.__new__(PencilStack)
+        part.__dict__.update(self.__dict__, **fields)
         return part
 
     def matrices(self, rows: int | slice | np.ndarray, lams: float | np.ndarray) -> np.ndarray:
@@ -216,22 +251,19 @@ class PencilStack:
         m[..., one, one + 1:] = m[..., one + 1:, one] = arm[..., one:]
         return m
 
-    def blocks_of(self, i: int) -> list[tuple[MomentumLabel, np.ndarray]]:
+    def blocks_of(self, i: int) -> tuple[tuple[MomentumLabel, np.ndarray], ...]:
         """``(label, phases)`` of every block row ``i`` stands for: its own
         label ``nu`` with ``phases[i]`` and, when ``-nu`` is another label of
         the ring (``0 < 2 nu < f``), the mirror ``-nu`` with the conjugate
-        phases, which time reversal gives the same real matrix."""
-        label, phases = self.labels[i], self.phases[i]
-        if not 0 < 2 * label.nu < label.f:
-            return [(label, phases)]
-        mirror = phases.conj()
-        mirror.setflags(write=False)
-        return [(label, phases), (MomentumLabel(f=label.f, nu=-label.nu), mirror)]
+        phases, which time reversal gives the same real matrix; read from
+        ``blocks``, so every call returns the same label objects and
+        read-only arrays."""
+        return self.blocks[i]
 
 
-def _stack(f: int, gamma: float, labels: list[MomentumLabel], root: np.ndarray) -> PencilStack:
-    """The fans of blocks that share one shape (see the module docstring);
-    ``root`` is ``_roots(2 f)``."""
+def _stack(f: int, labels: list[MomentumLabel], root: np.ndarray) -> PencilStack:
+    """The fans of blocks that share one shape (see the module docstring) at
+    ``gamma = 0.0``; ``root`` is ``_roots(2 f)``."""
     nu = np.array([label.nu for label in labels])[:, None]
     vacuum, antipodal = int(labels[0].nu == 0), _has_antipodal_pair(f, labels[0].nu)
     s = np.arange(two_quanta_seed_count(f) - (f % 2 == 0 and not antipodal))  # pair separations
@@ -239,7 +271,7 @@ def _stack(f: int, gamma: float, labels: list[MomentumLabel], root: np.ndarray) 
     # diagonals as the sums of the two hop terms the orbit construction forms
     head = -(root[2 * nu % (2 * f)] + root[-2 * nu % (2 * f)])[:, 0].real
     diag = np.zeros((len(labels), s.size))
-    diag[:, 0] = -gamma
+    diag[:, 0] = -0.0  # -gamma at gamma = 0.0: pencil_stacks subtracts gamma from it
     if f == 1:  # both hops of the doubly occupied site land on itself
         diag[:, 0] -= 4.0
     elif f % 2 == 1:  # the widest pair hops onto its own orbit, either way
@@ -266,18 +298,40 @@ def _stack(f: int, gamma: float, labels: list[MomentumLabel], root: np.ndarray) 
                        phases=phases, head=head, diag=diag, hop=hop, drive=drive)
 
 
-def pencil_stacks(f: int, gamma: float) -> list[PencilStack]:
-    """The pencils of the distinct momentum blocks, the labels ``nu >= 0``,
-    one stack per block shape (at most three), each stack ``nu``
-    descending; :meth:`PencilStack.blocks_of` names the blocks ``-nu`` each
-    row also stands for."""
+def _build_skeleton(f: int) -> tuple[PencilStack, ...]:
+    """The stacks of :func:`pencil_stacks` at ``gamma = 0.0``."""
     shapes: dict[tuple[bool, bool], list[MomentumLabel]] = {}
     for label in momentum_values(f):
         if label.nu >= 0:
             key = (label.nu == 0, _has_antipodal_pair(f, label.nu))
             shapes.setdefault(key, []).append(label)
     root = _roots(2 * f)  # e^{ikj/2} at nu * j % 2f, e^{ikj} at 2 nu j % 2f
-    return [_stack(f, gamma, labels, root) for labels in shapes.values()]
+    return tuple(_stack(f, labels, root) for labels in shapes.values())
+
+
+# built once per ring size up to MAX_SITES and process, and shared, read-only,
+# by every call
+_skeleton = functools.cache(_build_skeleton)
+
+
+def pencil_stacks(f: int, gamma: float) -> list[PencilStack]:
+    """The pencils of the distinct momentum blocks, the labels ``nu >= 0``,
+    one stack per block shape (at most three), each stack ``nu``
+    descending; :meth:`PencilStack.blocks_of` names the blocks ``-nu`` each
+    row also stands for.
+
+    ``gamma`` enters only the diagonal of the doubly occupied pair,
+    ``diag[:, 0]``.  Everything else is built once per ring size and
+    process (``_skeleton``: labels, phases, mirrors and fans, about 0.25 MB
+    at ``f = 120`` and 11.1 MB for every ring up to ``MAX_SITES``; a
+    larger ring, which no solve accepts, is built per call); each call
+    copies that diagonal and subtracts ``gamma`` from it, so its stacks hold
+    the same bytes as stacks built at ``gamma`` from scratch, signed zeros
+    included (``-0.0 - gamma`` is ``-gamma``).  No coupling, result or
+    eigenvalue is kept."""
+    f = operator.index(f)
+    skeleton = _skeleton(f) if f <= MAX_SITES else _build_skeleton(f)
+    return [stack.shifted(gamma) for stack in skeleton]
 
 
 def expected_block_dimension(f: int, nu: int) -> int:

@@ -22,8 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .momentum import (MomentumLabel, PencilStack, expected_block_dimension, pencil_stacks,
-                       to_orbit_frame)
+from .momentum import (MAX_SITES, MomentumLabel, PencilStack, expected_block_dimension,
+                       pencil_stacks, to_orbit_frame)
 
 EIGH_HERMITICITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -31,10 +31,6 @@ RESIDUAL_TOL = 1e-9
 # gamma ~ 1..7) and well below where the absolute tolerances above start to
 # fail (|lam| = 1e5 on a 48-site ring).
 MAX_COUPLING = 1e3
-# Largest accepted ring: the largest that the tests and CI run end to end.  A
-# solve builds no array over the D = (f+1)(f+2)/2 states, and `_admit` bounds
-# the bytes of every call.
-MAX_SITES = 120
 # The one budget of every request: the bytes :func:`_admit` predicts a call
 # holds at its peak.  It admits a sweep of 471 couplings at f = 120.
 MAX_BYTES = 32 << 20
@@ -145,10 +141,14 @@ def _checked(f: int, gamma: float, lams: Iterable[float],
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of a square matrix, or of a stack
-    ``(..., d, d)`` of them, from self-adjointness."""
+    ``(..., d, d)`` of them, from self-adjointness (NaN if an entry is
+    NaN)."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("hermiticity is defined for square matrices only")
-    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+    adjoint = m.swapaxes(-1, -2)
+    if np.iscomplexobj(m):
+        adjoint = adjoint.conj()
+    return float(np.max(np.abs(m - adjoint)))
 
 
 def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,24 +157,36 @@ def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises on a matrix that deviates from self-adjointness by more than
     ``EIGH_HERMITICITY_TOL``; the residual ``|(H - E) v|`` of every pair is
-    verified to be below ``RESIDUAL_TOL``.  Both checks take their maximum
-    over chunks of at most ``_CHECK_ENTRIES`` matrix entries, so their
-    temporaries stay that small whatever the stack.
+    verified to be below ``RESIDUAL_TOL``.  A NaN fails both checks.  Both
+    checks take their maximum over chunks of at most ``_CHECK_ENTRIES``
+    matrix entries, so their temporaries stay that small whatever the
+    stack.  A stack with no matrix entry gives the empty arrays of
+    ``np.linalg.eigh``.
     """
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("hermiticity is defined for square matrices only")
+    if h.size == 0:
+        return np.linalg.eigh(h)
     d = h.shape[-1]
     stack = h.reshape(-1, d, d)
     step = max(1, _CHECK_ENTRIES // (d * d))
     chunks = [slice(i, i + step) for i in range(0, len(stack), step)]
-    if max(hermiticity_defect(stack[c]) for c in chunks) > EIGH_HERMITICITY_TOL:
+    if not all(hermiticity_defect(stack[c]) <= EIGH_HERMITICITY_TOL for c in chunks):
         raise ValueError("block matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
     ws, vs = w.reshape(-1, 1, d), v.reshape(stack.shape)
-    residual = max(np.max(np.abs(stack[c] @ vs[c] - vs[c] * ws[c])) for c in chunks)
-    if residual > RESIDUAL_TOL:
+    residuals = [_residual(stack[c], vs[c], ws[c]) for c in chunks]
+    if not all(r <= RESIDUAL_TOL for r in residuals):
+        residual = next((r for r in residuals if math.isnan(r)), max(residuals))
         raise ArithmeticError(f"eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")
     return w, v
+
+
+def _residual(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+    """``max |h v - v w|`` over a stack of eigenpairs, formed in place."""
+    r = h @ v
+    r -= v * w
+    return float(np.max(np.abs(r, out=r) if r.dtype.kind == "f" else np.abs(r)))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -275,7 +287,9 @@ class SpectrumResult:
 def solve_spectra(f: int, gamma: float, lams: Iterable[float]) -> tuple[SpectrumResult, ...]:
     """The spectrum of one ring at each coupling of ``lams``, in that order.
 
-    The block pencils ``B_BH + lam * B_drive`` are built once, as fans; each
+    The block pencils ``B_BH + lam * B_drive`` are taken once, as fans
+    (:func:`~qeslattice.momentum.pencil_stacks`, whose ``gamma``-free part
+    is built once per ring size and process); each
     stack of equal-sized distinct blocks (``nu >= 0``) is then written at
     every coupling as one ``(n_lams, n_nu, d, d)`` array
     (:meth:`~qeslattice.momentum.PencilStack.matrices`) and diagonalized in one
@@ -300,17 +314,17 @@ def solve_spectra(f: int, gamma: float, lams: Iterable[float]) -> tuple[Spectrum
 def _spectra(stacks: Iterable[PencilStack], f: int, gamma: float, lams: list[float],
              grid: np.ndarray) -> tuple[SpectrumResult, ...]:
     """:func:`solve_spectra` on the ring's ``stacks``, for the couplings
-    ``lams`` that :func:`_checked` has read into ``grid``."""
+    ``lams`` that :func:`_checked` has read into ``grid``; each block's
+    record takes its label and phases from the stack's ``blocks``, made
+    with the stack, so no label or phase array is made per call."""
     spectra: list[list[BlockSpectrum]] = [[] for _ in lams]
     for stack in stacks:
         h = _read_only(stack.matrices(slice(None), grid[:, None]))
         w, v = map(_read_only, eigh_checked(h))
-        blocks = [(i, label, phases) for i in range(len(stack.labels))
-                  for label, phases in stack.blocks_of(i)]
-        for j, point in enumerate(spectra):
-            point += [BlockSpectrum(label=label, matrix=h[j, i], phases=phases,
-                                    quanta=stack.quanta, eigenvalues=w[j, i], u=v[j, i])
-                      for i, label, phases in blocks]
+        for point, hj, wj, vj in zip(spectra, h, w, v):
+            for pairs, matrix, eigenvalues, u in zip(stack.blocks, hj, wj, vj):
+                point += [BlockSpectrum(label, matrix, phases, stack.quanta, eigenvalues, u)
+                          for label, phases in pairs]
     return tuple(SpectrumResult(f=f, gamma=gamma, lam=lam,
                                 blocks=tuple(sorted(point, key=lambda bs: -bs.label.nu)))
                  for lam, point in zip(lams, spectra))
@@ -569,9 +583,9 @@ def _sweep(stacks: Iterable[PencilStack], f: int, gamma: float, grid: np.ndarray
         if len(stack.labels) > split:
             energies, tags = _curves(stack[split:], grid)
             block_sweeps += [BlockSweep(label=label, energies=curves, tags=block_tags)
-                             for i, curves, block_tags in zip(range(split, len(stack.labels)),
-                                                              energies, tags)
-                             for label, _ in stack.blocks_of(i)]
+                             for pairs, curves, block_tags in zip(stack.blocks[split:],
+                                                                  energies, tags)
+                             for label, _ in pairs]
         if split:
             (energies,), (tags,) = _curves(_coupled_part(stack), grid)
             zeros = stack.quanta.size - 3
@@ -579,7 +593,7 @@ def _sweep(stacks: Iterable[PencilStack], f: int, gamma: float, grid: np.ndarray
             first = np.argsort(energies[0], kind="stable")
             tags = tuple(np.array(tags + (2,) * zeros)[first].tolist())
             block_sweeps += [BlockSweep(label=label, energies=np.sort(energies, axis=1), tags=tags)
-                             for label, _ in stack.blocks_of(0)]
+                             for label, _ in stack.blocks[0]]
     block_sweeps.sort(key=lambda bs: -bs.label.nu)
     return SweepResult(f=f, gamma=gamma, lambdas=grid, blocks=tuple(block_sweeps))
 
@@ -603,16 +617,19 @@ class SolitonBand:
 
 
 def soliton_band(result: SpectrumResult) -> SolitonBand:
-    """Extract the lowest eigenvalue per momentum block and both margins."""
+    """Extract the lowest eigenvalue per momentum block and both margins.
+
+    A block's levels are ascending, so its band level is ``w[0]`` and the
+    lowest of the rest, which the cross-block margin compares, is ``w[1]``."""
     minima = []
-    rest = []
+    rest = []  # the lowest level of each block above its band level
     per_nu_gaps = []
     for bs in result.blocks:
-        w = bs.eigenvalues
-        minima.append((bs.label.nu, float(w[0])))
-        if w.size > 1:
-            rest.extend(w[1:].tolist())
-            per_nu_gaps.append(float(w[1] - w[0]))
+        levels = bs.eigenvalues[:2].tolist()
+        minima.append((bs.label.nu, levels[0]))
+        if len(levels) > 1:
+            rest.append(levels[1])
+            per_nu_gaps.append(levels[1] - levels[0])
     band_max = max(e for _, e in minima)
     margin = (min(rest) - band_max) if rest else float("inf")
     per_nu = min(per_nu_gaps) if per_nu_gaps else float("inf")

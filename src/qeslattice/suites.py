@@ -65,7 +65,12 @@ class Rings:
     (:func:`~qeslattice.ops.orbit_block_pencil`).
 
     :func:`run_suites` makes one per run and drops it when the run returns,
-    so nothing is kept from one run to the next.  Solves and sweeps take the
+    so nothing it holds is kept from one run to the next.  The one thing a
+    run leaves behind is outside it: the ``gamma``-free part of each ring's
+    momentum pencils, which :func:`~qeslattice.momentum.pencil_stacks`
+    builds once per ring size and process; every ``gamma`` shifted onto it
+    gives the bytes of a fresh build, so no output depends on an earlier
+    run.  Solves and sweeps take the
     checks and the admission of :func:`~qeslattice.spectra.solve_spectra`
     and :func:`~qeslattice.spectra.sweep`, on the pencils held here; the
     couplings a solve adds are solved together, and ``eigh`` solves each

@@ -1,9 +1,12 @@
 """Independent oracles shared by the test modules."""
 
 import json
+import math
 
 import numpy as np
 
+from qeslattice.momentum import (MomentumLabel, _has_antipodal_pair, _roots, momentum_values,
+                                 two_quanta_seed_count)
 from qeslattice.spectra import MAX_BYTES, _admit
 
 
@@ -53,6 +56,73 @@ def pencil_parts(stack):
     arm, and ``B(0)`` differs from ``B_BH`` only in the sign of a zero."""
     b_bh = stack.matrices(slice(None), 0.0)
     return b_bh, stack.matrices(slice(None), 1.0) - b_bh
+
+
+def pencil_fields(f, gamma):
+    """The stacks of ``momentum.pencil_stacks(f, gamma)`` as it built them
+    before their ``gamma``-free part was kept per ring: every field from
+    scratch at ``gamma``, ``diag[:, 0] = -gamma`` (``(-gamma) - 4.0`` at
+    ``f = 1``), one dict of fields per stack, and under ``"blocks"`` the
+    ``(label, phases)`` pairs of each row, a mirror ``-nu`` made with a new
+    label and conjugated phases.  The oracle of the skeleton and its shift."""
+    sqrt2 = math.sqrt(2.0)
+    shapes = {}
+    for label in momentum_values(f):
+        if label.nu >= 0:
+            shapes.setdefault((label.nu == 0, _has_antipodal_pair(f, label.nu)), []).append(label)
+    root = _roots(2 * f)
+    stacks = []
+    for labels in shapes.values():
+        nu = np.array([label.nu for label in labels])[:, None]
+        vacuum, antipodal = int(labels[0].nu == 0), _has_antipodal_pair(f, labels[0].nu)
+        s = np.arange(two_quanta_seed_count(f) - (f % 2 == 0 and not antipodal))
+        head = -(root[2 * nu % (2 * f)] + root[-2 * nu % (2 * f)])[:, 0].real
+        diag = np.zeros((len(labels), s.size))
+        diag[:, 0] = -gamma
+        if f == 1:
+            diag[:, 0] -= 4.0
+        elif f % 2 == 1:
+            diag[:, -1] = -(root[-nu * (f + 1) % (2 * f)] + root[-nu * (f - 1) % (2 * f)])[:, 0].real
+        hop = np.repeat(-2.0 * root[nu % (2 * f)].real, s.size - 1, axis=1)
+        if f == 2:
+            hop[:] = -4.0
+        elif hop.shape[1]:
+            hop[:, 0] *= sqrt2
+            if antipodal:
+                hop[:, -1] *= sqrt2
+        gauge = root[nu * s % (2 * f)]
+        drive = np.empty((len(labels), vacuum + s.size))
+        drive[:, vacuum:] = -2.0 * gauge.real
+        drive[:, vacuum] = -sqrt2
+        if antipodal:
+            drive[:, -1] = -sqrt2 * gauge[:, -1].real
+        if vacuum:
+            drive[:, 0] = -2.0 * math.sqrt(f)
+        phases = np.ones((len(labels), 1 + vacuum + s.size), dtype=complex)
+        phases[:, 1 + vacuum:] = gauge
+        blocks = [[(label, row)] + ([(MomentumLabel(f=f, nu=-label.nu), row.conj())]
+                                    if 0 < 2 * label.nu < f else [])
+                  for label, row in zip(labels, phases)]
+        stacks.append({"labels": tuple(labels), "quanta": np.array([0] * vacuum + [1] + [2] * s.size),
+                       "phases": phases, "head": head, "diag": diag, "hop": hop, "drive": drive,
+                       "blocks": blocks})
+    return stacks
+
+
+def soliton_band(result):
+    """``(minima, margin, per_nu_margin)`` of ``spectra.soliton_band`` as
+    it read them before it kept one level a block: the margin is the least
+    of every level above a block's lowest, gathered into one list."""
+    minima, rest, gaps = [], [], []
+    for bs in result.blocks:
+        w = bs.eigenvalues
+        minima.append((bs.label.nu, float(w[0])))
+        if w.size > 1:
+            rest.extend(w[1:].tolist())
+            gaps.append(float(w[1] - w[0]))
+    band_max = max(e for _, e in minima)
+    margin = (min(rest) - band_max) if rest else float("inf")
+    return tuple(minima), float(margin), min(gaps) if gaps else float("inf")
 
 
 def emit(results, fmt, out, band):

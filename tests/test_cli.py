@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -473,6 +474,38 @@ def test_level_writer_copies_only_a_block_that_shares_array_and_tags(case, forma
     result = hand_built(minus_one, (0, 1) if case == "shared, other tags" else (1, 0))
     assert [bs.label.nu for bs in _layout(result, fmt == "json", band)[1]] == formatted
     assert written(_emit, [result], fmt, band) == written(emit, [result], fmt, band)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("f", [8, 20])
+def test_figure2_reuses_the_text_of_a_block_whose_tags_did_not_change(capsys, f, fmt):
+    # each coupling is its own result with its own tags; a block whose nu
+    # and tags are those of the previous coupling takes that coupling's
+    # piece, the same text object, and the bytes stay the oracle's
+    lam = "0:0.5:0.05"
+    code, out, err = run(capsys, "figure2", "--f", str(f), "--lambda", lam, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == oracle_text("figure2", f, 3.0, lam, fmt)
+    results = _sweep_each(f, 3.0, _parse_lambda(lam))
+    known, reused = {}, 0
+    for result in results:
+        pieces = _layout(result, fmt == "json", True, known)[3]
+        for key, text in pieces.items():
+            if key in known:
+                assert text is known[key]
+                reused += 1
+        known = pieces
+    assert reused > 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_level_writer_reuses_no_piece_across_rings_or_couplings(fmt):
+    # equal nu and tags on another ring or at another gamma head other text
+    results = [hand_built(lambda e: e)]
+    results += [dataclasses.replace(results[0], gamma=-0.0),
+                dataclasses.replace(results[0], f=6), results[0]]
+    for band in (False, True):
+        assert written(_emit, results, fmt, band) == written(emit, results, fmt, band)
 
 
 @pytest.mark.parametrize("f", [1, 2, 15, 16])

@@ -12,10 +12,10 @@ from qeslattice.momentum import (GRAM_TOL, MomentumLabel, block_dimensions, expe
                                  two_quanta_seed_count)
 from qeslattice.ops import (apply_hamiltonian, build_momentum_vectors, build_translation,
                             hamiltonian_pencil, orbit_block_pencil, two_quanta_seed)
-from qeslattice.spectra import MAX_SITES, hermiticity_defect, solve_spectrum
+from qeslattice.spectra import MAX_COUPLING, MAX_SITES, hermiticity_defect, solve_spectrum
 from qeslattice.suites import Rings, momentum_suite
 
-from oracles import pencil_parts
+from oracles import pencil_fields, pencil_parts
 
 SQRT2 = math.sqrt(2)
 
@@ -497,6 +497,76 @@ def test_pencil_stacks_hold_only_their_fans():
     finally:
         tracemalloc.stop()
     assert stacks and peak < 0.5e6, peak
+
+
+SHIFTS = [0.0, -0.0, 3.0, -1.5, -4.0, MAX_COUPLING, -MAX_COUPLING]
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("f", range(1, MAX_SITES + 1))
+@pytest.mark.parametrize("order", ["up", "down", "shuffled"])
+def test_pencil_stacks_hold_the_bytes_of_stacks_built_at_gamma(f, order):
+    # the gamma-free skeleton is kept per ring; shifted by gamma it is, byte
+    # for byte and signed zeros included, the stack built from scratch at
+    # gamma, whichever coupling the ring met first in this process
+    shifts = {"up": SHIFTS, "down": SHIFTS[::-1],
+              "shuffled": [SHIFTS[(3 * i + f) % len(SHIFTS)] for i in range(len(SHIFTS))]}[order]
+    for gamma in shifts:
+        stacks = pencil_stacks(f, gamma)
+        oracle = pencil_fields(f, gamma)
+        assert len(stacks) == len(oracle)
+        for s, o in zip(stacks, oracle):
+            assert s.labels == o["labels"]
+            for name in ("quanta", "phases", "head", "diag", "hop", "drive"):
+                assert same_bytes(getattr(s, name), o[name]), (gamma, name)
+            assert len(s.blocks) == len(o["blocks"])
+            for i, pairs in enumerate(o["blocks"]):
+                named = s.blocks_of(i)
+                assert [label for label, _ in named] == [label for label, _ in pairs]
+                assert all(same_bytes(p, q) for (_, p), (_, q) in zip(named, pairs))
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6, 47, 48, 119, MAX_SITES])
+def test_two_couplings_share_every_field_but_the_doubly_occupied_diagonal(f):
+    first, second = pencil_stacks(f, 3.0), pencil_stacks(f, -1.5)
+    for s, t in zip(first, second):
+        for name in ("quanta", "phases", "head", "hop", "drive"):
+            assert getattr(s, name) is getattr(t, name)
+            assert not getattr(s, name).flags.writeable
+        assert s.labels is t.labels
+        assert s.blocks_of(0) is t.blocks_of(0) is s.blocks_of(0)
+        for mine, theirs in zip(s.blocks, t.blocks):
+            assert all(l is m and p is q and not p.flags.writeable
+                       for (l, p), (m, q) in zip(mine, theirs))
+        assert s.diag is not t.diag and not s.diag.flags.writeable
+        assert same_bytes(s.diag[:, 1:], t.diag[:, 1:])
+        assert np.all(s.diag[:, 0] - t.diag[:, 0] == -4.5)
+    # the shift writes only its own copy: the ring's next stacks are unchanged
+    assert all(same_bytes(s.diag, t.diag) for s, t in zip(first, pencil_stacks(f, 3.0)))
+
+
+def test_a_ring_above_max_sites_is_built_per_call_and_not_kept():
+    # the kept pencils are bounded by the rings a solve accepts
+    f = MAX_SITES + 1
+    kept = momentum._skeleton.cache_info().currsize
+    for gamma in (3.0, -0.0):
+        stacks, oracle = pencil_stacks(f, gamma), pencil_fields(f, gamma)
+        assert all(same_bytes(s.diag, o["diag"]) and same_bytes(s.drive, o["drive"])
+                   for s, o in zip(stacks, oracle))
+    assert momentum._skeleton.cache_info().currsize == kept
+    assert pencil_stacks(f, 3.0)[0].labels is not stacks[0].labels
+
+
+def test_pencil_stacks_take_an_integer_ring_size():
+    assert [s.labels for s in pencil_stacks(np.int64(6), 3.0)] == [
+        s.labels for s in pencil_stacks(6, 3.0)]
+    with pytest.raises(TypeError):
+        pencil_stacks(6.0, 3.0)
+    with pytest.raises(ValueError):
+        pencil_stacks(0, 3.0)
 
 
 def test_half_angle_roots_hold_the_full_angle_roots_bit_for_bit():

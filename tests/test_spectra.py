@@ -23,6 +23,7 @@ from qeslattice.spectra import (MAX_COUPLING, MAX_SITES, eigh_checked, quanta_ta
 from qeslattice.report import as_records, failures
 from qeslattice.suites import run_suites, verify_eigenvector_formulas
 
+import oracles
 from oracles import largest_admitted, pencil_parts, quanta_tag, refusal
 
 TABLE_TOL = 1.5e-3
@@ -90,6 +91,34 @@ def test_eigh_checked_rejects_one_bad_matrix_in_a_stack():
         eigh_checked(stack)
     with pytest.raises(ValueError, match="square"):
         eigh_checked(np.zeros((4, 3, 2), dtype=complex))
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+def test_eigh_checked_refuses_a_nan_matrix(entry):
+    # NaN > tol is False: a NaN defect must fail the check, not pass it
+    for dtype in (float, complex):
+        h = np.eye(2, dtype=dtype)
+        h[entry] = h[entry[::-1]] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            eigh_checked(h)
+
+
+def test_eigh_checked_refuses_a_nan_eigenpair(monkeypatch):
+    # a matrix that passes the hermiticity check, whose eigh gives NaN
+    def nan_eigh(h, _eigh=np.linalg.eigh):
+        w, v = _eigh(h)
+        return w, np.full_like(v, np.nan)
+    monkeypatch.setattr(spectra.np.linalg, "eigh", nan_eigh)
+    with pytest.raises(ArithmeticError, match="residual nan"):
+        eigh_checked(np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0), (0, 0), (4, 0, 2, 2)])
+def test_eigh_checked_gives_an_empty_stack_the_empty_arrays_of_eigh(shape):
+    h = np.zeros(shape)
+    w, v = eigh_checked(h)
+    w0, v0 = np.linalg.eigh(h)
+    assert (w.shape, v.shape, w.dtype, v.dtype) == (w0.shape, v0.shape, w0.dtype, v0.dtype)
 
 
 @pytest.mark.parametrize("bad", [0, 2, 3])
@@ -841,6 +870,16 @@ def test_soliton_band_single_site_margin_is_spectral_gap():
     w = result.all_eigenvalues()
     assert band.margin == pytest.approx(w[1] - w[0])
     assert band.per_nu_margin == pytest.approx(w[1] - w[0])
+
+
+@pytest.mark.parametrize("f", list(range(1, 13)) + [47, 48])
+def test_soliton_band_reads_the_floats_of_every_level(f):
+    # one level a block, the lowest above its band level, gives the margins
+    # the least of all those levels gave
+    for gamma, lam in [(3.0, 0.0), (3.0, 0.4), (0.0, 0.0), (-1.5, 0.25), (4.0, -0.7)]:
+        result = solve_spectrum(f, gamma, lam)
+        band = soliton_band(result)
+        assert (band.minima, band.margin, band.per_nu_margin) == oracles.soliton_band(result)
 
 
 @pytest.mark.parametrize("f", [3, 5, 7])
