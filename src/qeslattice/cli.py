@@ -94,23 +94,29 @@ def _output(path: str | None):
     file.
 
     The file is opened before any work, so an unwritable path fails at once,
-    but truncated only when the function is called, once the work is done.
-    A run that fails or is interrupted (``KeyboardInterrupt`` included)
-    removes the file if it created it and otherwise leaves it as it found
-    it, up to what it had written."""
+    and written over from its start once the work is done; a regular file
+    whose stream was asked for is then cut to the length written.  It is
+    never cut to length 0 first: on ext4 that makes ``close`` start the
+    writeback of the new text (``auto_da_alloc``).  A run that fails or is
+    interrupted (``KeyboardInterrupt`` included) removes the file if it
+    created it and otherwise leaves it as it found it, up to what it had
+    written."""
     if not path:
         yield lambda: sys.stdout
         return
     created = not os.path.lexists(path)
     fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
+    requested = False
 
     def stream():
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate(0)
+        nonlocal requested
+        requested = True
         return fh
     try:
         with fh:
             yield stream
+            if requested and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), fh.tell())  # tell() flushes
     except BaseException:
         if created:
             os.remove(path)

@@ -31,9 +31,11 @@ image of one occupation state, a sparse ``{occupation: amplitude}`` map;
 :func:`hamiltonian_pencil` scatters each, in one ``np.add.at``, into the
 one dense ``H = h_bh + lam * h_drive``, built once per ring and evaluated at
 each coupling; :func:`brute_force_eigenvalues` diagonalizes it with no
-momentum machinery.  No ``gamma`` enters ``h_drive``, so a ``verify`` run
-(:class:`~qeslattice.suites.Rings`) builds it once per ring and basis and
-pairs it with the ``h_bh`` of every ``gamma``.
+momentum machinery.  No ``gamma`` enters ``h_drive``, and on more than one
+site ``gamma`` enters ``h_bh`` only on its diagonal, where no hop lands: so
+``verify`` (:class:`~qeslattice.suites.Rings`) builds the drive and the hops
+(``h_bh`` at ``gamma = 0.0``) once per ring, basis and process, and gives
+each ``gamma`` a copy of the hops with its on-site term on the diagonal.
 
 Two independent constructions of the momentum blocks are the oracles for
 :func:`~qeslattice.momentum.pencil_stacks`.  :func:`orbit_block_pencil` is
@@ -51,10 +53,10 @@ read off the same orbit table.
 The orbit table of a ring (:func:`_orbits`) walks each seed's translates
 with :func:`~qeslattice.fock.translate` once and keeps arrays over the
 ``at_most(2)`` basis: each occupation's row, seed and shift, beside each
-seed's period and quanta.  A frame is then one scatter of roots of unity,
-and an image's orbit one lookup of its row.  The public builders make a
-table per call; a ``verify`` run builds one per ring and reads every frame
-and orbit pencil of that ring off it.
+seed's period and quanta, all read-only.  A frame is then one scatter of
+roots of unity, and an image's orbit one lookup of its row.  The public
+builders make a table per call; ``verify`` builds one per ring and process,
+and reads every frame and orbit pencil of that ring off it.
 
 Truncation caveat: on an ``at_most(n_max)`` basis a raising operator loses the
 part of its image above ``n_max``.  Operator identities involving products of
@@ -306,6 +308,10 @@ class _Orbits:
     seed: np.ndarray
     shift: np.ndarray
     roots: np.ndarray  # _roots(f)
+
+    def __post_init__(self) -> None:
+        for array in (self.periods, self.quanta, self.seed, self.shift, self.roots):
+            array.setflags(write=False)
 
     def alive(self, nu: int) -> np.ndarray:
         """Seeds whose Fourier sum survives at ``nu``: ``nu * P % f == 0``."""

@@ -9,15 +9,17 @@ symmetries are cheap enough to assert on every ring size the package
 targets.
 
 Every suite takes the :class:`Rings` of its run and builds nothing that the
-table already holds: one ``verify`` run builds each ring's basis, drive,
-dense pencils, momentum pencils, orbit table, block frames and solves once,
-however many suites read them.
+table already holds.  What no coupling enters (each ring's bases, orbit
+table, block frames, drives, ``N``, ``T`` and hop matrices) is built once per
+process and shared by every run; what a coupling enters (the dense and
+momentum pencils of each ``gamma`` and the solves) is built once per run,
+however many suites read it, and dropped when the run returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
@@ -53,49 +55,102 @@ def _once(built: dict, key, build: Callable[[], T]) -> T:
     return built[key]
 
 
+@dataclass
+class _Kept:
+    """The constructions of every ring that no coupling enters: per ``(f,
+    n)`` the occupation basis ``at_most(n)``, the drive, the hop matrix and
+    the pair count ``sum n_j (n_j - 1)`` of each state; per ``f`` the orbit
+    table, ``N`` and ``T``; per label the block frame."""
+
+    bases: dict[tuple[int, int], FockBasis] = field(default_factory=dict)
+    drives: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    hops: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    pairs: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    orbits: dict[int, _Orbits] = field(default_factory=dict)
+    numbers: dict[int, np.ndarray] = field(default_factory=dict)
+    translations: dict[int, np.ndarray] = field(default_factory=dict)
+    frames: dict[MomentumLabel, np.ndarray] = field(default_factory=dict)
+
+
+# built on first use by any run and kept, read-only, for the process; each
+# entry holds the bytes of a fresh build, so no run depends on an earlier one
+_KEPT = _Kept()
+
+
 class Rings:
     """The constructions of one verification run, each built on first use
     and then shared, read-only, by every suite of the run: per ring ``f``
-    its occupation basis ``at_most(n)``, the drive of its dense pencil on it
-    and, per ``gamma``, the pencil's ``h_bh``
-    (:func:`~qeslattice.ops.hamiltonian_pencil`), its momentum pencils
-    (:func:`~qeslattice.momentum.pencil_stacks`) and its solve at each
-    coupling; its orbit table, which gives each label's block vectors
-    (:func:`~qeslattice.ops.build_momentum_vectors`) and the orbit pencils
-    (:func:`~qeslattice.ops.orbit_block_pencil`).
+    its occupation basis ``at_most(n)``, the drive and the hop matrix of
+    its dense pencil on it, ``N`` and ``T``, and per ``gamma`` the
+    pencil's ``h_bh`` (:func:`~qeslattice.ops.hamiltonian_pencil`), its
+    momentum pencils (:func:`~qeslattice.momentum.pencil_stacks`) and its
+    solve at each coupling; its orbit table, which gives each label's block
+    vectors (:func:`~qeslattice.ops.build_momentum_vectors`) and the orbit
+    pencils (:func:`~qeslattice.ops.orbit_block_pencil`).
 
-    :func:`run_suites` makes one per run and drops it when the run returns,
-    so nothing it holds is kept from one run to the next.  The one thing a
-    run leaves behind is outside it: the ``gamma``-free part of each ring's
-    momentum pencils, which :func:`~qeslattice.momentum.pencil_stacks`
-    builds once per ring size and process; every ``gamma`` shifted onto it
-    gives the bytes of a fresh build, so no output depends on an earlier
-    run.  Solves and sweeps take the
-    checks and the admission of :func:`~qeslattice.spectra.solve_spectra`
-    and :func:`~qeslattice.spectra.sweep`, on the pencils held here; the
+    What no coupling enters (bases, drives, hop matrices, orbit tables,
+    frames, ``N`` and ``T``) is kept for the process in ``_KEPT`` and
+    shared by every run, 0.35 MB after a full one.  The rest is built per
+    run: :func:`run_suites` makes one table per run and drops it when the
+    run returns, so no pencil, stack or solve is kept from one run to the
+    next.  Each ``h_bh`` is its ring's hop matrix with the on-site term of
+    its ``gamma`` written on the diagonal, and each momentum pencil is the
+    ``gamma``-free pencil that :func:`~qeslattice.momentum.pencil_stacks`
+    keeps per ring size and process, shifted by ``gamma``; both give the
+    bytes of a fresh build, so no output depends on an earlier run.  Solves
+    and sweeps take the checks and the admission of
+    :func:`~qeslattice.spectra.solve_spectra` and
+    :func:`~qeslattice.spectra.sweep`, on the pencils held here; the
     couplings a solve adds are solved together, and ``eigh`` solves each
     matrix on its own, so a result does not depend on which suite asked
     first."""
 
     def __init__(self) -> None:
-        self._bases: dict[tuple[int, int], FockBasis] = {}
-        self._drives: dict[tuple[int, int], np.ndarray] = {}
         self._pencils: dict[tuple[int, float, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._orbits: dict[int, _Orbits] = {}
         self._stacks: dict[tuple[int, float], tuple[PencilStack, ...]] = {}
-        self._frames: dict[MomentumLabel, np.ndarray] = {}
         self._solved: dict[tuple[int, float, float], SpectrumResult] = {}
 
     def basis(self, f: int, n: int = 2) -> FockBasis:
         """The occupation basis ``at_most(n)`` of ``f`` sites."""
-        return _once(self._bases, (f, n), lambda: enumerate_basis(f, at_most(n)))
+        return _once(_KEPT.bases, (f, n), lambda: enumerate_basis(f, at_most(n)))
+
+    def hop(self, f: int, n: int = 2) -> np.ndarray:
+        """The hops of ``h_bh`` on :meth:`basis` ``(f, n)``: its ``h_bh`` at
+        ``gamma = 0.0``, read-only."""
+        return _once(_KEPT.hops, (f, n), lambda: _read_only(_h_bh(f, 0.0, self.basis(f, n))))
+
+    def number(self, f: int) -> np.ndarray:
+        """``N`` on :meth:`basis` ``(f)``, read-only."""
+        return _once(_KEPT.numbers, f, lambda: _read_only(build_number(f, self.basis(f))))
+
+    def translation(self, f: int) -> np.ndarray:
+        """``T`` on :meth:`basis` ``(f)``, read-only."""
+        return _once(_KEPT.translations, f,
+                     lambda: _read_only(build_translation(f, self.basis(f))))
 
     def pencil(self, f: int, gamma: float, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
         """``(h_bh, h_drive)`` on :meth:`basis` ``(f, n)``, read-only; every
         ``gamma`` shares one ``h_drive``."""
         return _once(self._pencils, (f, gamma, n), lambda: (
-            _read_only(_h_bh(f, gamma, self.basis(f, n))),
-            _once(self._drives, (f, n), lambda: _read_only(_h_drive(f, self.basis(f, n))))))
+            _read_only(self._h_bh(f, gamma, n)),
+            _once(_KEPT.drives, (f, n), lambda: _read_only(_h_drive(f, self.basis(f, n))))))
+
+    def _h_bh(self, f: int, gamma: float, n: int) -> np.ndarray:
+        """``_h_bh(f, gamma, basis(f, n))``: a copy of :meth:`hop` whose
+        diagonal is the on-site term plus the hop diagonal.  No hop lands on
+        the diagonal, which holds ``+0.0``; adding it turns an on-site
+        ``-0.0`` into the ``0.0`` that ``np.add.at`` leaves.  On one site
+        every hop lands on the diagonal, summed after the on-site term, so
+        that ring is built directly."""
+        basis = self.basis(f, n)
+        if f == 1:
+            return _h_bh(f, gamma, basis)
+        hop = self.hop(f, n)
+        pairs = _once(_KEPT.pairs, (f, n), lambda: _read_only(np.array(
+            [float(sum(k * (k - 1) for k in state)) for state in basis.states])))
+        h = hop.copy()
+        np.fill_diagonal(h, -0.5 * gamma * pairs + hop.diagonal())
+        return h
 
     def stacks(self, f: int, gamma: float) -> tuple[PencilStack, ...]:
         """The momentum pencils of ``f`` sites at ``gamma``."""
@@ -103,12 +158,12 @@ class Rings:
 
     def orbits(self, f: int) -> _Orbits:
         """The orbit table of ``f`` sites over :meth:`basis` ``(f)``."""
-        return _once(self._orbits, f, lambda: _orbits(self.basis(f)))
+        return _once(_KEPT.orbits, f, lambda: _orbits(self.basis(f)))
 
     def frame(self, label: MomentumLabel) -> np.ndarray:
         """The block vectors at ``label``, the columns of a read-only array
         over :meth:`basis` ``(label.f)``."""
-        return _once(self._frames, label, lambda: _read_only(
+        return _once(_KEPT.frames, label, lambda: _read_only(
             self.orbits(label.f).frame(label.nu, self.basis(label.f).size)))
 
     def block_pencils(self, f: int, gamma: float) -> list[BlockPencil]:
@@ -138,9 +193,8 @@ def ops_suite(rings: Rings) -> list[Check]:
     checks: list[Check] = []
     gamma = 3.0
     for f in range(1, 7):
-        basis = rings.basis(f)
-        n_op = build_number(f, basis)
-        t_op = build_translation(f, basis)
+        n_op = rings.number(f)
+        t_op = rings.translation(f)
         h_bh, h_drive = rings.pencil(f, gamma)
 
         r = hermiticity_defect(h_bh)
@@ -189,7 +243,6 @@ def momentum_suite(rings: Rings) -> list[Check]:
     gamma, lam = 3.0, 0.5
     vacuum_checks = []  # recorded after the block checks of every ring
     for f in range(1, 9):
-        basis = rings.basis(f)
         h_bh, h_drive = rings.pencil(f, gamma)
         h = h_bh + lam * h_drive
         label = next(l for l in momentum_values(f) if l.nu == 0)
@@ -200,7 +253,7 @@ def momentum_suite(rings: Rings) -> list[Check]:
         vacuum_checks.append(check("vacuum couples only as -2 lam sqrt(f)", r, below=1e-12, f=f))
         if f > 6:
             continue
-        t_op = build_translation(f, basis)
+        t_op = rings.translation(f)
         (result,) = rings.solve(f, gamma, [lam])
         blocks = result.blocks
         dim_dev = max(abs(b.dim - expected_block_dimension(f, b.label.nu)) for b in blocks)

@@ -290,18 +290,65 @@ def test_out_file_of_a_failed_run_is_removed(tmp_path, capsys):
     assert not path.exists()
 
 
-def test_out_file_that_existed_is_kept_by_a_failed_run(tmp_path, capsys):
-    # a file the run did not create is neither removed nor truncated by a failure
-    path = tmp_path / "out.csv"
+def fail_on_work(monkeypatch, argv):
+    """Make the command of ``argv`` fail after its ``--out`` file is open:
+    the solver rejects the coupling of a spectrum, and the suites of
+    ``verify`` and the tables of ``tables`` raise."""
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+    if argv[0] == "spectrum":
+        return argv + ("--gamma", "2e3"), "error: gamma = 2000.0"
+    name = {"verify": "run_suites", "tables": "table_checks"}[argv[0]]
+    monkeypatch.setattr(qeslattice.suites, name, refuse)
+    return argv, "error: refused"
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--f", "3"), ("verify", "--suite", "tables"),
+                                  ("tables",)], ids=lambda argv: argv[0])
+def test_out_file_that_existed_is_kept_by_a_failed_run(tmp_path, capsys, monkeypatch, argv):
+    # a file the run did not create is neither removed nor truncated by a
+    # failure; a run that succeeds replaces all of it, however much longer
+    path = tmp_path / "out.txt"
     old = "an earlier result\n" * 1000
     path.write_text(old)
-    code, out, err = run(capsys, "spectrum", "--f", "3", "--gamma", "2e3", "--out", str(path))
-    assert code == 1 and out == "" and err.startswith("error: gamma = 2000.0")
+    with monkeypatch.context() as patch:
+        failing, error = fail_on_work(patch, argv)
+        code, out, err = run(capsys, *failing, "--out", str(path))
+    assert code == 1 and out == "" and err.startswith(error)
     assert path.read_text() == old
-    # a run that succeeds replaces all of it
-    code, out, err = run(capsys, "spectrum", "--f", "3", "--out", str(path))
-    assert code == 0 and out == "" and err == ""
-    assert path.read_text() == run(capsys, "spectrum", "--f", "3")[1]
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0 and 0 < len(printed) < len(old)
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text() == printed
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--f", "3"),
+                                  ("sweep", "--f", "3", "--lambda", "0:0.5:0.1"),
+                                  ("verify", "--suite", "tables"), ("tables",)],
+                         ids=lambda argv: argv[0])
+def test_out_file_is_written_over_and_cut_to_length_after(tmp_path, capsys, monkeypatch, argv):
+    # no regular file is cut to length 0 before the text is written: the
+    # text goes over the old bytes, and only what is left of them is cut
+    path = tmp_path / "out.txt"
+    code, printed, _ = run(capsys, *argv)
+    old = "an earlier result\n" * (len(printed) // 9)
+    cuts = []
+
+    def ftruncate(fd, length, _ftruncate=os.ftruncate):
+        cuts.append((length, path.read_text()))
+        _ftruncate(fd, length)
+    monkeypatch.setattr(qeslattice.cli.os, "ftruncate", ftruncate)
+    for existing in (old, printed[:-1], None):
+        if existing is None:
+            path.unlink()
+        else:
+            path.write_text(existing)
+        cuts.clear()
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == printed
+        assert cuts == [(len(printed.encode()), printed + (existing or "")[len(printed):])]
 
 
 @pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])

@@ -296,17 +296,35 @@ def test_run_suites_solves_each_ring_and_coupling_set_once(monkeypatch):
     assert calls <= 119, calls
 
 
+def kept_arrays(kept):
+    """Every array the process tables ``kept`` (a ``suites._Kept``) hold."""
+    arrays = []
+    for table in dataclasses.fields(kept):
+        for value in getattr(kept, table.name).values():
+            if isinstance(value, ops._Orbits):
+                arrays += [getattr(value, name) for name in ("periods", "quanta", "seed",
+                                                             "shift", "roots")]
+            elif isinstance(value, np.ndarray):
+                arrays.append(value)
+    return arrays
+
+
 def test_run_suites_builds_each_construction_once_per_run(monkeypatch):
-    # one run builds each ring's momentum pencils, dense pencils, orbit table
-    # and block frames once (60, 47, 39 and 89 builds when every suite built
-    # its own), and each drive once for all gamma (25 builds when each dense
-    # pencil built its own); the next run builds them all again, and no
-    # run's table outlives it
+    # what no coupling enters is built once per process: each ring's orbit
+    # table, frames, N and T, and per (f, n) its drive and its hop matrix
+    # (the _h_bh at gamma = 0.0, f > 1), shared by every gamma; the momentum
+    # pencils, and the h_bh of one site, whose hops land on its diagonal, are
+    # built once per run.  So the first run of a process builds 16 _h_bh (12
+    # hop matrices and 4 of f = 1; 25 when each gamma built its own) and a
+    # later one 4.  Algebra builds its own T on the one-quantum sector of
+    # f = 3 each run.  No run's table outlives it.
     keys = {(momentum, "pencil_stacks"): lambda f, gamma: (f, gamma),
             (ops, "_h_bh"): lambda f, gamma, basis: (f, gamma, basis.sectors),
             (ops, "_h_drive"): lambda f, basis: (f, basis.sectors),
             (ops, "_orbits"): lambda basis: basis.f,
-            (ops._Orbits, "frame"): lambda orbits, nu, size: (orbits.f, nu)}
+            (ops._Orbits, "frame"): lambda orbits, nu, size: (orbits.f, nu),
+            (ops, "build_number"): lambda f, basis: (f, basis.sectors),
+            (ops, "build_translation"): lambda f, basis: (f, basis.sectors)}
     builds = []
     for (home, name), key in keys.items():
         build = getattr(home, name)
@@ -324,15 +342,49 @@ def test_run_suites_builds_each_construction_once_per_run(monkeypatch):
             super().__init__()
             tables.append(weakref.ref(self))
     monkeypatch.setattr(suites, "Rings", Traced)
-    for _ in range(2):
+    monkeypatch.setattr(suites, "_KEPT", suites._Kept())  # the tables of a fresh process
+    per_run = {"pencil_stacks": 18, "_h_bh": 4, "build_translation": 1}
+    per_process = {"_h_bh": 12, "_h_drive": 14, "_orbits": 8, "frame": 29, "build_number": 6,
+                   "build_translation": 6}
+    for first in (True, False):
         builds.clear()
         assert not failures(run_suites())
         assert len(set(builds)) == len(builds)
-        assert collections.Counter(name for name, _ in builds) == {
-            "pencil_stacks": 18, "_h_bh": 25, "_h_drive": 14, "_orbits": 8, "frame": 29}
-        assert sorted(f for name, f in builds if name == "_orbits") == list(range(1, 9))
+        counts = collections.Counter(per_run) + collections.Counter(per_process if first else {})
+        assert collections.Counter(name for name, _ in builds) == counts
+        hops = [key for name, key in builds if name == "_h_bh" and key[0] > 1]
+        assert len(hops) == 12 * first and all(gamma == 0.0 for _, gamma, _ in hops)
+        assert sorted(f for name, f in builds if name == "_orbits") == list(range(1, 9)) * first
+        kept = {table.name: dict(getattr(suites._KEPT, table.name))
+                for table in dataclasses.fields(suites._KEPT)}
+        if first:
+            assert len(kept["bases"]) == 14
+            first_kept = kept
+    assert kept == first_kept  # the later run added nothing, and replaced nothing
     gc.collect()
     assert len(tables) == 2 and all(table() is None for table in tables)
+
+
+def test_the_process_tables_keep_under_one_megabyte(monkeypatch):
+    # the gamma-free constructions of every ring a full run reads: 0.35 MB
+    monkeypatch.setattr(suites, "_KEPT", suites._Kept())
+    assert not failures(run_suites())
+    arrays = kept_arrays(suites._KEPT)
+    assert len(arrays) > 100 and sum(a.nbytes for a in arrays) < 1 << 20
+
+
+def test_the_process_tables_carry_no_state_from_run_to_run(monkeypatch, capsys):
+    # each call on tables filled by earlier calls gives what it gives on the
+    # empty tables of a fresh process
+    calls = {"eigvec": lambda: json.dumps(as_records(run_suites(["eigvec"]))),
+             "tables": lambda: (cli.main(["tables"]), capsys.readouterr().out),
+             "all": lambda: json.dumps(as_records(run_suites()))}
+    alone = {}
+    for name, call in calls.items():
+        monkeypatch.setattr(suites, "_KEPT", suites._Kept())
+        alone[name] = call()
+    monkeypatch.setattr(suites, "_KEPT", suites._Kept())
+    assert {name: call() for name, call in calls.items()} == alone
 
 
 def test_the_run_table_hands_out_one_read_only_copy_of_each_construction():
@@ -343,9 +395,15 @@ def test_the_run_table_hands_out_one_read_only_copy_of_each_construction():
     assert rings.pencil(3, 1.0)[1] is rings.pencil(3, 3.0)[1]
     assert rings.pencil(3, 1.0, 3)[1] is rings.pencil(3, 3.0, 3)[1] is not rings.pencil(3, 3.0)[1]
     assert rings.stacks(3, 3.0) is rings.stacks(3, 3.0)
-    assert rings.orbits(3) is rings.orbits(3)
-    arrays = [*rings.pencil(3, 3.0), *rings.pencil(3, 3.0, 3),
+    assert rings.orbits(3) is rings.orbits(3) is suites.Rings().orbits(3)
+    assert rings.hop(3) is suites.Rings().hop(3) is not rings.hop(3, 3)
+    assert rings.number(3) is suites.Rings().number(3)
+    assert rings.translation(3) is suites.Rings().translation(3)
+    assert rings.pencil(3, 3.0) is not suites.Rings().pencil(3, 3.0)
+    arrays = [*rings.pencil(3, 3.0), *rings.pencil(3, 3.0, 3), *rings.pencil(1, 3.0),
               *(rings.frame(label) for label in momentum_values(3))]
+    arrays += [rings.hop(3), rings.hop(3, 3), rings.number(3), rings.translation(3)]
+    arrays += kept_arrays(suites._KEPT)
     arrays += [a for stack in rings.stacks(3, 3.0)
                for a in (stack.quanta, stack.phases, stack.head, stack.diag, stack.hop,
                          stack.drive)]
@@ -371,8 +429,15 @@ def test_the_run_table_gives_the_frames_and_pencils_of_the_public_builders(f):
                    for ours, theirs in ((pencil.b_bh, oracle.b_bh),
                                         (pencil.b_drive, oracle.b_drive),
                                         (pencil.quanta, oracle.quanta)))
-        assert all(a.tobytes() == b.tobytes()
-                   for a, b in zip(rings.pencil(f, gamma), hamiltonian_pencil(f, gamma, basis)))
+    # each h_bh is the kept hop matrix with its gamma's on-site diagonal,
+    # signed zeros included; a fresh table per gamma builds -0.0 on its own
+    for gamma in (0.0, -0.0, 1, 3, 7, -1.5, 1000.0, -1000.0):
+        rings = suites.Rings()
+        for n in (2, 3):
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(rings.pencil(f, gamma, n),
+                                       hamiltonian_pencil(f, gamma, rings.basis(f, n)),
+                                       strict=True))
 
 
 def test_suites_carry_no_state_between_them():
